@@ -81,18 +81,19 @@ EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-bench --bin bench_ex
 EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-bench --bin bench_exec -- --canary > "$canary_dir/t4.txt"
 diff "$canary_dir/t1.txt" "$canary_dir/t4.txt"
 echo "canary: sweep outputs identical at EXEC_THREADS=1 and 4"
-# Service-layer invariance: the atd loopback integration suite (golden
-# THP/1 wire vectors plus the in-memory protocol walk) ran under both
-# thread counts above; here the load generator's deterministic canary —
+# Service-layer invariance: the atd integration suites (golden THP/2
+# wire vectors plus the loopback protocol walk) ran under both thread
+# counts above; here the load generator's deterministic loopback canary —
 # result digests, cache/batch counters — must also be byte-identical
 # whether the daemon's pool runs 1 worker or 4.
 EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --canary > "$canary_dir/atd1.txt"
 EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --canary > "$canary_dir/atd4.txt"
 diff "$canary_dir/atd1.txt" "$canary_dir/atd4.txt"
 echo "canary: atd service outputs identical at EXEC_THREADS=1 and 4"
-# THP/2 invariance: the same mix through pipelined sessions — chunked
-# streaming, out-of-order completion, reassembly — must reproduce the
-# exact digests of the serial canary's daemon regardless of pool width.
+# TCP invariance: the same specs through pipelined TCP sessions —
+# chunked streaming, out-of-order completion, reassembly — must be
+# byte-identical regardless of pool width (and, below, must reproduce
+# the loopback canary's digests exactly).
 EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --pipeline --canary > "$canary_dir/thp2_1.txt"
 EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --pipeline --canary > "$canary_dir/thp2_4.txt"
 diff "$canary_dir/thp2_1.txt" "$canary_dir/thp2_4.txt"
@@ -122,3 +123,8 @@ grep -E '^[a-z]+ +[0-9a-f]{16} [0-9a-f]{16}' "$canary_dir/atd1.txt" > "$canary_d
 grep -E '^[a-z]+ +[0-9a-f]{16} [0-9a-f]{16}' "$canary_dir/store_t1.txt" > "$canary_dir/store_digests.txt"
 diff "$canary_dir/mem_digests.txt" "$canary_dir/store_digests.txt"
 echo "canary: store-backed digests identical to the in-memory run across a kill/restart"
+# One request path: the loopback runs the daemon's own session code over
+# in-memory buffers, so its digest table must equal the TCP daemon's.
+grep -E '^[a-z]+ +[0-9a-f]{16} [0-9a-f]{16}' "$canary_dir/thp2_1.txt" > "$canary_dir/tcp_digests.txt"
+diff "$canary_dir/mem_digests.txt" "$canary_dir/tcp_digests.txt"
+echo "canary: loopback digests identical to the TCP daemon's"

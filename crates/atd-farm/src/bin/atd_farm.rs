@@ -1,22 +1,28 @@
-//! The farm daemon: a THP/1 front-end over an in-process head fleet.
+//! The farm daemon: a THP/2 front end over an in-process head fleet.
 //!
 //! ```text
 //! cargo run --release -p gigatest-atd-farm --bin atd-farm -- --addr 127.0.0.1:4816 --heads 3
 //! ```
 //!
-//! Speaks the same THP/1 request vocabulary as a single `atd` daemon —
-//! clients cannot tell a farm from a head, except that composite jobs
-//! shard across the fleet. `--heads` (or `ATD_FARM_HEADS`) sizes the
-//! fleet, `ATD_FARM_RETRIES` bounds re-shard rounds, and the usual
-//! service knobs (`EXEC_THREADS`, `ATD_QUEUE_DEPTH`, `ATD_CACHE_ENTRIES`)
-//! configure each head. The bound address is printed on stdout as
-//! `atd-farm listening on <addr>` so wrappers can bind port 0 and
-//! discover the ephemeral port.
+//! Speaks the same protocol as a single `atd` daemon — clients cannot
+//! tell a farm from a head, except that composite jobs shard across the
+//! fleet. Connections are served one at a time, each request answered
+//! before the next is read; a submission's answer is the same chunk
+//! stream plus summary a head sends ([`atd::push_stream`]). `--heads`
+//! (or `ATD_FARM_HEADS`) sizes the fleet, `ATD_FARM_RETRIES` bounds
+//! re-shard rounds, and the usual service knobs (`EXEC_THREADS`,
+//! `ATD_QUEUE_DEPTH`, `ATD_CACHE_ENTRIES`) configure each head. The bound
+//! address is printed on stdout as `atd-farm listening on <addr>` so
+//! wrappers can bind port 0 and discover the ephemeral port.
 
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
-use atd::{read_frame, write_frame, Request, Response, ServiceStats};
+use atd::wire::{self, FrameError, Header2};
+use atd::{Client, Loopback, Request, Response, ServiceStats, FAILURE_ID};
 use atd_farm::{heads_from_env, Farm, FarmError};
+
+type LocalFarm = Farm<Client<Loopback>>;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:4816";
 
@@ -58,7 +64,7 @@ fn parse_args() -> Result<Options, String> {
 
 /// Fleet-wide counters: the sum of every head's stats, capacities
 /// included, so `submitted`/`cache_hits` describe the whole farm.
-fn aggregate_stats(farm: &mut Farm<atd::Client<atd::Loopback>>) -> ServiceStats {
+fn aggregate_stats(farm: &mut LocalFarm) -> ServiceStats {
     let mut total = ServiceStats::default();
     for stats in farm.head_stats().into_iter().flatten() {
         total.submitted += stats.submitted;
@@ -80,59 +86,72 @@ fn aggregate_stats(farm: &mut Farm<atd::Client<atd::Loopback>>) -> ServiceStats 
     total
 }
 
+/// Reads one request frame. `Ok(None)` means the peer closed between
+/// frames (or mid-frame: nothing to answer either way).
+fn read_request(stream: &mut TcpStream) -> Result<Option<(Header2, Request)>, FrameError> {
+    let mut header = [0u8; wire::HEADER2_LEN];
+    if stream.read_exact(&mut header).is_err() {
+        return Ok(None);
+    }
+    let header = wire::decode_header2(&header)?;
+    if header.flags != wire::flag::FINAL {
+        return Err(FrameError::BadPayload { context: "request frames must be FINAL" });
+    }
+    let mut payload = Vec::new();
+    let want = u64::try_from(header.payload_len).unwrap_or(u64::MAX);
+    if stream.take(want).read_to_end(&mut payload).is_err() || payload.len() != header.payload_len {
+        return Ok(None);
+    }
+    Ok(Some((header, Request::from_parts(header.msg_type, &payload)?)))
+}
+
 /// Serves one connection; returns whether a shutdown was requested.
-fn serve_connection(
-    stream: &mut TcpStream,
-    farm: &mut Farm<atd::Client<atd::Loopback>>,
-    ticket: &mut u64,
-) -> bool {
+fn serve_connection(stream: &mut TcpStream, farm: &mut LocalFarm, ticket: &mut u64) -> bool {
+    let mut out = Vec::new();
     loop {
-        let (ty, payload) = match read_frame(stream) {
+        out.clear();
+        let (header, request) = match read_request(stream) {
             Ok(Some(frame)) => frame,
-            Ok(None) | Err(_) => return false,
+            Ok(None) => return false,
+            Err(e) => {
+                // A malformed frame poisons the connection's framing:
+                // answer under the reserved id, drop the peer, keep the
+                // daemon.
+                let reply = Response::Failed { ticket: FAILURE_ID, message: e.to_string() };
+                if let Ok(frame) = reply.to_frame2(FAILURE_ID) {
+                    let _ = stream.write_all(&frame);
+                }
+                return false;
+            }
         };
-        let request = match Request::from_parts(ty, &payload) {
-            Ok(request) => request,
-            // A malformed frame poisons the connection's framing; drop
-            // the peer, keep the daemon.
-            Err(_) => return false,
-        };
-        let (response, shutdown) = match request {
-            Request::Ping { token } => (Response::Pong { token }, false),
-            Request::GetStats => (Response::StatsReport(aggregate_stats(farm)), false),
+        let correlation = header.correlation;
+        // A submission's answer is a chunk stream written straight into
+        // `out`; everything else is one reply frame.
+        let reply = match request {
+            Request::Ping { token } => Some(Response::Pong { token }),
+            Request::GetStats => Some(Response::StatsReport(aggregate_stats(farm))),
+            Request::Shutdown => Some(Response::Goodbye),
             Request::Submit { session, spec } => {
                 *ticket += 1;
-                let response = match farm.submit(session, spec) {
-                    Ok(done) => Response::JobDone {
-                        ticket: *ticket,
-                        provenance: done.provenance,
-                        result: done.result,
-                    },
-                    Err(e) => Response::Failed { ticket: *ticket, message: e.to_string() },
-                };
-                (response, false)
+                let streamed =
+                    farm.submit(session, spec).map_err(|e| e.to_string()).and_then(|done| {
+                        let (provenance, result) = (done.provenance, &done.result);
+                        atd::push_stream(&mut out, correlation, *ticket, provenance, result)
+                            .map_err(|e| e.to_string())
+                    });
+                streamed.err().map(|message| Response::Failed { ticket: *ticket, message })
             }
-            Request::SubmitBatch { session, specs } => {
-                let mut outcomes = Vec::with_capacity(specs.len());
-                for spec in specs {
-                    *ticket += 1;
-                    let outcome = match farm.submit(session, spec) {
-                        Ok(done) => (*ticket, done.provenance, Ok(done.result)),
-                        Err(e) => (*ticket, atd::Provenance::Computed, Err(e.to_string())),
-                    };
-                    outcomes.push(outcome);
-                }
-                (Response::BatchDone { outcomes }, false)
-            }
-            Request::Shutdown => (Response::Goodbye, true),
         };
-        let Ok(frame) = response.to_frame() else {
-            return false;
-        };
-        if write_frame(stream, &frame).is_err() {
+        if let Some(reply) = &reply {
+            let Ok(frame) = reply.to_frame2(correlation) else {
+                return false;
+            };
+            out.extend_from_slice(&frame);
+        }
+        if stream.write_all(&out).is_err() {
             return false;
         }
-        if shutdown {
+        if reply == Some(Response::Goodbye) {
             return true;
         }
     }

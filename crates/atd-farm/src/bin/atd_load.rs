@@ -1,7 +1,7 @@
 //! Closed-loop load generator for the ATE daemon and the test farm.
 //!
 //! ```text
-//! cargo run --release -p gigatest-atd-farm --bin atd-load                  # timed, TCP, THP/1
+//! cargo run --release -p gigatest-atd-farm --bin atd-load                  # timed, TCP, depth 1
 //! cargo run --release -p gigatest-atd-farm --bin atd-load -- --requests 2000
 //! cargo run --release -p gigatest-atd-farm --bin atd-load -- --canary     # deterministic
 //! cargo run --release -p gigatest-atd-farm --bin atd-load -- --pipeline 2 --depth 64
@@ -12,26 +12,31 @@
 //! cargo run --release -p gigatest-atd-farm --bin atd-load -- --restart --canary
 //! ```
 //!
-//! The default mode boots an in-process `atd` daemon on an ephemeral TCP
-//! port, drives it with a mixed request stream (submits, batches, pings,
-//! stats polls) over real sockets, and reports throughput, latency, and
-//! cache hit rate to `BENCH_atd.json`. Every repeated spec's result is
-//! checked byte-for-byte against its first occurrence — the load test
-//! doubles as a cache-identity audit — and the run fails on any protocol
-//! error or byte mismatch.
+//! Every mode speaks THP/2 through the one `atd::Client`, over TCP to an
+//! in-process daemon or over the in-memory loopback.
 //!
-//! `--pipeline N` switches to THP/2: N concurrent sessions, each its own
+//! The default mode boots an in-process `atd` daemon on an ephemeral TCP
+//! port and drives it over one connection at depth 1 — the serial
+//! protocol: each submission's answer arrives before the next is sent.
+//! It reports throughput, latency, and cache hit rate to
+//! `BENCH_atd.json`. Every repeated spec's result is checked against its
+//! first occurrence — the load test doubles as a cache-identity audit —
+//! and the run fails on any protocol error or mismatch.
+//!
+//! `--pipeline N` runs N concurrent sessions instead, each its own
 //! connection keeping a depth-K window (`--depth K`) of correlated
 //! submissions in flight, with every result arriving as a verified chunk
 //! stream. The per-submission latency (submit to terminal event) feeds
 //! the same p50/p99 report.
 //!
-//! `--canary` skips clocks: it drives a fixed mix and prints only
-//! deterministic bytes (result digests and order-independent counters).
-//! CI runs it under `EXEC_THREADS=1` and `=4` and diffs the output —
-//! with and without `--pipeline` — extending the workspace's
-//! thread-count invariance proof through the wire protocol, scheduler,
-//! chunker, and cache.
+//! `--canary` skips clocks: it drives a fixed mix (submits, three-spec
+//! pipelined bursts, pings, stats polls) through the loopback and prints
+//! only deterministic bytes (result digests and order-independent
+//! counters). CI runs it under `EXEC_THREADS=1` and `=4` and diffs the
+//! output — with and without `--pipeline` (TCP) — extending the
+//! workspace's thread-count invariance proof through the wire protocol,
+//! scheduler, chunker, and cache; it also diffs the loopback digest
+//! table against the TCP one.
 //!
 //! `--restart` exercises the persistent result store: a store-backed
 //! in-process daemon runs one full campaign cold, is dropped, and a
@@ -54,15 +59,16 @@
 //! output that must be identical at any fleet size, which CI enforces by
 //! diffing 1 head against 3.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::time::Instant; // xlint::allow(no-wall-clock, load-generator harness: wall time is the measurand here and never feeds back into results)
 
-use atd::stream::Event;
+use atd::cache::fnv1a64;
 use atd::{
-    AtdError, BatchSubmitted, Client, JobResult, JobSpec, Loopback, PipelinedClient, Provenance,
-    Service, Submitted, TcpClient, Transport,
+    AtdError, Client, Event, JobResult, JobSpec, Loopback, PipelinedClient, Provenance, Service,
 };
 use pstime::{DataRate, Duration};
 
@@ -142,24 +148,33 @@ fn to_f64(n: u64) -> f64 {
     u32::try_from(n).map(f64::from).unwrap_or(f64::MAX)
 }
 
-/// Byte-identity ledger: first-seen result bytes per spec key.
+/// Byte-identity ledger: per spec key, the stream digest of the first
+/// result seen — every later result must match it — and the FNV-1a
+/// digest of that result's bytes, the column every canary prints.
 #[derive(Debug, Default)]
 struct Ledger {
-    first_seen: BTreeMap<Vec<u8>, Vec<u8>>,
+    first_seen: BTreeMap<Vec<u8>, (u64, u64)>,
 }
 
 impl Ledger {
-    /// Records `result` for `spec`; returns false on a byte mismatch with
-    /// the first occurrence.
-    fn check(&mut self, spec: &JobSpec, result: &JobResult) -> bool {
-        let key = spec.key_bytes();
-        let bytes = result.encoded().unwrap_or_default();
-        match self.first_seen.get(&key) {
-            Some(first) => *first == bytes,
-            None => {
-                self.first_seen.insert(key, bytes);
+    /// Records a result for `spec` by its stream digest; returns false on
+    /// a mismatch with the first occurrence.
+    fn check(&mut self, spec: &JobSpec, digest: u64, result: &JobResult) -> bool {
+        match self.first_seen.entry(spec.key_bytes()) {
+            Entry::Occupied(first) => first.get().0 == digest,
+            Entry::Vacant(slot) => {
+                slot.insert((digest, fnv1a64(&result.encoded().unwrap_or_default())));
                 true
             }
+        }
+    }
+
+    /// Prints the digest table: kind, spec-key digest, result digest.
+    fn print(&self, specs: &[JobSpec]) {
+        for spec in specs {
+            let key = spec.key_bytes();
+            let digest = self.first_seen.get(&key).map(|(_, fnv)| *fnv).unwrap_or_default();
+            println!("{:8} {:016x} {:016x}", spec.kind(), fnv1a64(&key), digest);
         }
     }
 }
@@ -173,9 +188,23 @@ fn note_submitted(tally: &mut Tally, provenance: Provenance) {
     }
 }
 
+/// Folds one terminal event for `spec` into the tallies.
+fn note_event(event: &Event, spec: &JobSpec, tally: &mut Tally, ledger: &mut Ledger) {
+    match event {
+        Event::Done { provenance, digest, result, .. } => {
+            note_submitted(tally, *provenance);
+            if !ledger.check(spec, *digest, result) {
+                tally.mismatches += 1;
+            }
+        }
+        Event::Busy { .. } => tally.busy += 1,
+        _ => tally.protocol_errors += 1,
+    }
+}
+
 /// Drives one request of the mixed stream against `client`.
-fn drive_one<T: Transport>(
-    client: &mut Client<T>,
+fn drive_one<L: Read + Write>(
+    client: &mut Client<L>,
     specs: &[JobSpec],
     i: u64,
     tally: &mut Tally,
@@ -196,42 +225,29 @@ fn drive_one<T: Transport>(
     }
     let slot = usize::try_from(i).unwrap_or(0) % specs.len().max(1);
     if i % 50 == 49 {
-        // A batch of three consecutive table entries (wrapping).
-        let mut batch = Vec::new();
+        // Three consecutive table entries (wrapping) in flight at once.
+        let mut burst = Vec::new();
         for k in 0..3 {
             if let Some(spec) = specs.get((slot + k) % specs.len().max(1)) {
-                batch.push(*spec);
+                burst.push((client.submit_pipelined(session, *spec)?, *spec));
             }
         }
-        match client.submit_batch(session, batch.clone())? {
-            BatchSubmitted::Done(outcomes) => {
-                for (spec, (_, provenance, outcome)) in batch.iter().zip(&outcomes) {
-                    match outcome {
-                        Ok(result) => {
-                            note_submitted(tally, *provenance);
-                            if !ledger.check(spec, result) {
-                                tally.mismatches += 1;
-                            }
-                        }
-                        Err(_) => tally.protocol_errors += 1,
-                    }
-                }
+        while client.in_flight() > 0 {
+            let event = client.next_event()?;
+            let (Event::Done { correlation, .. }
+            | Event::Busy { correlation, .. }
+            | Event::Failed { correlation, .. }) = &event
+            else {
+                continue;
+            };
+            if let Some((_, spec)) = burst.iter().find(|(c, _)| c == correlation) {
+                note_event(&event, spec, tally, ledger);
             }
-            BatchSubmitted::Busy { .. } => tally.busy += 1,
         }
         return Ok(());
     }
-    let Some(spec) = specs.get(slot) else {
-        return Ok(());
-    };
-    match client.submit(session, *spec)? {
-        Submitted::Done { provenance, result, .. } => {
-            note_submitted(tally, provenance);
-            if !ledger.check(spec, &result) {
-                tally.mismatches += 1;
-            }
-        }
-        Submitted::Busy { .. } => tally.busy += 1,
+    if let Some(spec) = specs.get(slot) {
+        note_event(&client.submit(session, *spec)?, spec, tally, ledger);
     }
     Ok(())
 }
@@ -248,12 +264,7 @@ fn canary(requests: u64) -> Result<(), String> {
             .map_err(|e| format!("request {i} failed: {e}"))?;
     }
     println!("== atd canary ==");
-    for spec in &specs {
-        let key = spec.key_bytes();
-        let digest =
-            ledger.first_seen.get(&key).map(|bytes| atd::cache::fnv1a64(bytes)).unwrap_or_default();
-        println!("{:8} {:016x} {:016x}", spec.kind(), atd::cache::fnv1a64(&key), digest);
-    }
+    ledger.print(&specs);
     let stats = client.stats().map_err(|e| format!("stats failed: {e}"))?;
     println!(
         "jobs {} computed {} cached {} batched {} busy {} mismatches {}",
@@ -279,41 +290,16 @@ fn canary(requests: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Byte-identity ledger for the streaming path: first-seen FNV-1a digest
-/// of the result bytes per spec key. The digest is accumulated from the
-/// chunk frames as they land (the same bytes the summary verifies), so
-/// repeat identity costs one hash pass instead of a re-encode and
-/// byte-compare per result.
-#[derive(Debug, Default)]
-struct DigestLedger {
-    first_seen: BTreeMap<Vec<u8>, u64>,
-}
-
-impl DigestLedger {
-    /// Records `digest` for `spec`; returns false on a mismatch with the
-    /// first occurrence.
-    fn check(&mut self, spec: &JobSpec, digest: u64) -> bool {
-        let key = spec.key_bytes();
-        match self.first_seen.get(&key) {
-            Some(first) => *first == digest,
-            None => {
-                self.first_seen.insert(key, digest);
-                true
-            }
-        }
-    }
-}
-
 /// One pipelined session's results.
 #[derive(Debug, Default)]
 struct PipeReport {
     tally: Tally,
-    ledger: DigestLedger,
+    ledger: Ledger,
     latencies_s: Vec<f64>,
     chunk_frames: u64,
 }
 
-/// Drives `requests` submissions through one THP/2 connection, keeping a
+/// Drives `requests` submissions through one connection, keeping a
 /// depth-`depth` window in flight. Submission `i` carries session id
 /// `session_base + (i % session_stride)` and spec `i % table-size` — a
 /// deterministic sliding window over the spec table. Latencies are
@@ -355,7 +341,7 @@ fn run_pipeline(
             Event::Chunk { .. } => {
                 report.chunk_frames += 1;
             }
-            Event::Done { correlation, provenance, digest, .. } => {
+            Event::Done { correlation, provenance, digest, result, .. } => {
                 note_submitted(&mut report.tally, provenance);
                 match pending.remove(&correlation) {
                     Some((slot, t0)) => {
@@ -368,7 +354,7 @@ fn run_pipeline(
                         // of the same spec.
                         let ok = specs
                             .get(slot)
-                            .map(|spec| report.ledger.check(spec, digest))
+                            .map(|spec| report.ledger.check(spec, digest, &result))
                             .unwrap_or(false);
                         if !ok {
                             report.tally.mismatches += 1;
@@ -403,7 +389,7 @@ fn boot_daemon(
     Ok((addr, daemon))
 }
 
-/// Fetches final counters and stops the daemon over a THP/2 session.
+/// Fetches final counters and stops the daemon over a fresh session.
 fn finish_daemon(
     addr: std::net::SocketAddr,
     daemon: std::thread::JoinHandle<Result<Service, AtdError>>,
@@ -419,8 +405,8 @@ fn finish_daemon(
     Ok(stats)
 }
 
-/// Deterministic pipelined run: one THP/2 connection against a real
-/// daemon, printing per-spec digests and order-independent counters.
+/// Deterministic pipelined run: one connection against a real daemon,
+/// printing per-spec digests and order-independent counters.
 /// Cache-vs-batch provenance depends on how submissions group into drain
 /// cycles (a socket-timing artefact), so only `computed` and the merged
 /// reuse count are printed — both invariant.
@@ -431,11 +417,7 @@ fn pipelined_canary(sessions: u32, depth: usize, requests: u64) -> Result<(), St
     let stats = finish_daemon(addr, daemon)?;
 
     println!("== atd pipelined canary ==");
-    for spec in &specs {
-        let key = spec.key_bytes();
-        let digest = report.ledger.first_seen.get(&key).copied().unwrap_or_default();
-        println!("{:8} {:016x} {:016x}", spec.kind(), atd::cache::fnv1a64(&key), digest);
-    }
+    report.ledger.print(&specs);
     println!(
         "jobs {} computed {} reused {} busy {} mismatches {} chunk_frames {}",
         report.tally.jobs,
@@ -463,8 +445,9 @@ fn pipelined_canary(sessions: u32, depth: usize, requests: u64) -> Result<(), St
     Ok(())
 }
 
-/// Timed pipelined run: `sessions` worker threads, each its own THP/2
-/// connection and depth-K window; writes `BENCH_atd.json`.
+/// Timed pipelined run: `sessions` worker threads, each its own
+/// connection and depth-K window; writes `BENCH_atd.json`. One session
+/// at depth 1 is the serial protocol.
 fn pipelined_bench(sessions: u32, depth: usize, requests: u64) -> Result<(), String> {
     let (addr, daemon) = boot_daemon()?;
     eprintln!(
@@ -494,7 +477,7 @@ fn pipelined_bench(sessions: u32, depth: usize, requests: u64) -> Result<(), Str
     let mut tally = Tally::default();
     let mut latencies_s = Vec::new();
     let mut chunk_frames: u64 = 0;
-    let mut merged = DigestLedger::default();
+    let mut merged = Ledger::default();
     for report in reports {
         tally.requests += report.tally.requests;
         tally.jobs += report.tally.jobs;
@@ -508,7 +491,7 @@ fn pipelined_bench(sessions: u32, depth: usize, requests: u64) -> Result<(), Str
         latencies_s.extend(report.latencies_s);
         for (key, digest) in report.ledger.first_seen {
             match merged.first_seen.get(&key) {
-                Some(first) if *first != digest => tally.mismatches += 1,
+                Some(first) if first.0 != digest.0 => tally.mismatches += 1,
                 Some(_) => {}
                 None => {
                     merged.first_seen.insert(key, digest);
@@ -518,7 +501,7 @@ fn pipelined_bench(sessions: u32, depth: usize, requests: u64) -> Result<(), Str
     }
 
     let json =
-        render_json(&tally, &stats, &latencies_s, elapsed_s, Some((sessions, depth, chunk_frames)));
+        render_json(&tally, &stats, &latencies_s, elapsed_s, (sessions, depth, chunk_frames));
     match std::fs::write("BENCH_atd.json", &json) {
         Ok(()) => eprintln!("wrote BENCH_atd.json"),
         Err(e) => return Err(format!("failed to write BENCH_atd.json: {e}")),
@@ -534,29 +517,24 @@ fn pipelined_bench(sessions: u32, depth: usize, requests: u64) -> Result<(), Str
     Ok(())
 }
 
-/// Renders the benchmark report; shared by both timed modes.
+/// Renders the benchmark report.
 fn render_json(
     tally: &Tally,
     stats: &atd::ServiceStats,
     latencies_s: &[f64],
     elapsed_s: f64,
-    pipeline: Option<(u32, usize, u64)>,
+    (sessions, depth, chunk_frames): (u32, usize, u64),
 ) -> String {
     let (mean_s, p50_s, p99_s) = latency_summary(latencies_s);
     let rps = if elapsed_s > 0.0 { to_f64(tally.requests) / elapsed_s } else { 0.0 };
 
     let mut json = String::new();
     json.push_str("{\n");
-    match pipeline {
-        Some((sessions, depth, chunk_frames)) => {
-            json.push_str("  \"mode\": \"pipelined\",\n");
-            json.push_str(&format!(
-                "  \"pipeline\": {{ \"sessions\": {sessions}, \"depth\": {depth} }},\n"
-            ));
-            json.push_str(&format!("  \"chunk_frames\": {chunk_frames},\n"));
-        }
-        None => json.push_str("  \"mode\": \"serial\",\n"),
-    }
+    json.push_str("  \"mode\": \"pipelined\",\n");
+    json.push_str(&format!(
+        "  \"pipeline\": {{ \"sessions\": {sessions}, \"depth\": {depth} }},\n"
+    ));
+    json.push_str(&format!("  \"chunk_frames\": {chunk_frames},\n"));
     json.push_str(&format!("  \"requests\": {},\n", tally.requests));
     json.push_str(&format!("  \"jobs\": {},\n", tally.jobs));
     json.push_str(&format!("  \"elapsed_s\": {elapsed_s:.6},\n"));
@@ -635,7 +613,8 @@ fn drive_farm_one(
     };
     let done = farm.submit(session, *spec)?;
     note_submitted(tally, done.provenance);
-    if !ledger.check(spec, &done.result) {
+    let digest = atd::stream_digest(&done.result.encoded().unwrap_or_default());
+    if !ledger.check(spec, digest, &done.result) {
         tally.mismatches += 1;
     }
     Ok(())
@@ -659,12 +638,7 @@ fn farm_canary(heads: usize, requests: u64) -> Result<(), String> {
             .map_err(|e| format!("submission {i} failed: {e}"))?;
     }
     println!("== atd farm canary ==");
-    for spec in &specs {
-        let key = spec.key_bytes();
-        let digest =
-            ledger.first_seen.get(&key).map(|bytes| atd::cache::fnv1a64(bytes)).unwrap_or_default();
-        println!("{:8} {:016x} {:016x}", spec.kind(), atd::cache::fnv1a64(&key), digest);
-    }
+    ledger.print(&specs);
     println!(
         "jobs {} computed {} reused {} mismatches {}",
         tally.jobs,
@@ -817,54 +791,6 @@ fn render_farm_json(
     json.push_str(&format!("  \"service\": {}\n", service_json(&aggregate)));
     json.push_str("}\n");
     json
-}
-
-/// Timed TCP run against an in-process daemon; writes `BENCH_atd.json`.
-fn bench(requests: u64) -> Result<(), String> {
-    let listener =
-        TcpListener::bind("127.0.0.1:0").map_err(|e| format!("cannot bind daemon: {e}"))?;
-    let addr = listener.local_addr().map_err(|e| format!("cannot read bound address: {e}"))?;
-    let daemon = std::thread::spawn(move || atd::serve(&listener, Service::from_env()));
-    eprintln!("atd-load: daemon on {addr}, {requests} requests");
-
-    let specs = spec_table();
-    let mut client = Client::new(
-        TcpClient::connect(addr).map_err(|e| format!("cannot connect to daemon: {e}"))?,
-    );
-    let mut tally = Tally::default();
-    let mut ledger = Ledger::default();
-    let mut latencies_s = Vec::with_capacity(usize::try_from(requests).unwrap_or(0));
-
-    let t0 = Instant::now();
-    for i in 0..requests {
-        let t = Instant::now();
-        drive_one(&mut client, &specs, i, &mut tally, &mut ledger)
-            .map_err(|e| format!("request {i} failed: {e}"))?;
-        latencies_s.push(t.elapsed().as_secs_f64());
-    }
-    let elapsed_s = t0.elapsed().as_secs_f64();
-
-    let stats = client.stats().map_err(|e| format!("stats failed: {e}"))?;
-    client.shutdown().map_err(|e| format!("shutdown failed: {e}"))?;
-    daemon
-        .join()
-        .map_err(|_| "daemon thread panicked".to_string())?
-        .map_err(|e| format!("daemon failed: {e}"))?;
-
-    let json = render_json(&tally, &stats, &latencies_s, elapsed_s, None);
-    match std::fs::write("BENCH_atd.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_atd.json"),
-        Err(e) => return Err(format!("failed to write BENCH_atd.json: {e}")),
-    }
-    print!("{json}");
-
-    if tally.protocol_errors > 0 || tally.mismatches > 0 {
-        return Err(format!(
-            "load run saw {} protocol errors, {} result mismatches",
-            tally.protocol_errors, tally.mismatches
-        ));
-    }
-    Ok(())
 }
 
 /// Scratch directory for a store-backed run: deterministic per process,
@@ -1039,12 +965,7 @@ fn store_restart_canary_in(dir: &Path, requests: u64) -> Result<(), String> {
     let stats = client.stats().map_err(|e| format!("stats failed: {e}"))?;
 
     println!("== atd store canary ==");
-    for spec in &specs {
-        let key = spec.key_bytes();
-        let digest =
-            ledger.first_seen.get(&key).map(|bytes| atd::cache::fnv1a64(bytes)).unwrap_or_default();
-        println!("{:8} {:016x} {:016x}", spec.kind(), atd::cache::fnv1a64(&key), digest);
-    }
+    ledger.print(&specs);
     println!(
         "jobs {} computed {} cached {} batched {} busy {} mismatches {}",
         tally.jobs, tally.computed, tally.cached, tally.batched, tally.busy, tally.mismatches
@@ -1145,10 +1066,10 @@ fn parse_args() -> Result<Options, String> {
         return Err("--farm and --pipeline are mutually exclusive".to_string());
     }
     if restart && (farm.is_some() || pipeline.is_some()) {
-        return Err("--restart drives the serial loopback path only".to_string());
+        return Err("--restart drives the loopback path only".to_string());
     }
     // Canary defaults are small (CI diffs them twice); the timed serial
-    // default is the 1000-request mixed stream, and the pipelined timed
+    // default is 1000 depth-1 submissions, and the pipelined timed
     // default is larger so the measurement amortises daemon start-up.
     // Farm submissions are whole campaigns (a merged composite each), so
     // the timed default is smaller again.
@@ -1170,7 +1091,7 @@ fn main() {
         (true, None, None) if opts.restart => store_restart_canary(opts.requests),
         (false, None, None) if opts.restart => store_restart_bench(opts.requests),
         (true, None, None) => canary(opts.requests),
-        (false, None, None) => bench(opts.requests),
+        (false, None, None) => pipelined_bench(1, 1, opts.requests),
     });
     if let Err(message) = result {
         eprintln!("atd-load: {message}");

@@ -1,22 +1,21 @@
 //! The coordinator's view of one test head.
 //!
 //! A head is anything that can execute a [`JobSpec`] and report service
-//! counters: an in-process [`Loopback`] service (tests, benches), a
-//! blocking THP/1 [`Client`] over any transport, or a THP/2
-//! [`PipelinedClient`] session (real deployments). The farm treats every
-//! submission error — including a `Busy` shed — as a head failure: the
-//! coordinator's contract is bounded retries with re-shard, not
-//! client-side backoff, so a head that cannot accept work right now is
-//! simply routed around until re-admitted.
+//! counters. The one real implementation is [`Client`] over any byte
+//! stream: an in-process [`Loopback`] service (tests, benches) or a TCP
+//! connection to a daemon ([`atd::PipelinedClient`], real deployments).
+//! The farm treats every submission error — including a `Busy` shed — as
+//! a head failure: the coordinator's contract is bounded retries with
+//! re-shard, not client-side backoff, so a head that cannot accept work
+//! right now is simply routed around until re-admitted.
 
+use std::io::{Read, Write};
 use std::path::Path;
 
 use atd::scheduler::Scheduler;
 use atd::store::{Store, StoreConfig};
-use atd::stream::Event;
 use atd::{
-    AtdError, Client, JobResult, JobSpec, Loopback, PipelinedClient, Provenance, Service,
-    ServiceStats, Submitted, Transport,
+    AtdError, Client, Event, JobResult, JobSpec, Loopback, Provenance, Service, ServiceStats,
 };
 use exec::ExecPool;
 
@@ -46,17 +45,17 @@ pub trait Head {
     fn shutdown(&mut self) -> Result<(), AtdError>;
 }
 
-fn busy(queue_depth: u32, queue_capacity: u32) -> AtdError {
-    AtdError::Remote { message: format!("head shed the job: queue {queue_depth}/{queue_capacity}") }
-}
-
-impl<T: Transport> Head for Client<T> {
+/// The farm keeps one job in flight per head: each submission blocks on
+/// its own terminal event.
+impl<L: Read + Write> Head for Client<L> {
     fn submit(&mut self, session: u32, spec: JobSpec) -> Result<(Provenance, JobResult), AtdError> {
         match Client::submit(self, session, spec)? {
-            Submitted::Done { provenance, result, .. } => Ok((provenance, result)),
-            Submitted::Busy { queue_depth, queue_capacity } => {
-                Err(busy(queue_depth, queue_capacity))
-            }
+            Event::Done { provenance, result, .. } => Ok((provenance, result)),
+            Event::Busy { queue_depth, queue_capacity, .. } => Err(AtdError::Remote {
+                message: format!("head shed the job: queue {queue_depth}/{queue_capacity}"),
+            }),
+            Event::Failed { message, .. } => Err(AtdError::Remote { message }),
+            other => Err(AtdError::Remote { message: format!("head answered {other:?}") }),
         }
     }
 
@@ -66,46 +65,6 @@ impl<T: Transport> Head for Client<T> {
 
     fn shutdown(&mut self) -> Result<(), AtdError> {
         Client::shutdown(self)
-    }
-}
-
-impl Head for PipelinedClient {
-    fn submit(&mut self, session: u32, spec: JobSpec) -> Result<(Provenance, JobResult), AtdError> {
-        let wanted = self.submit_pipelined(session, spec)?;
-        loop {
-            match self.next_event()? {
-                Event::Done { correlation, provenance, result, .. } if correlation == wanted => {
-                    return Ok((provenance, result));
-                }
-                Event::Busy { correlation, queue_depth, queue_capacity }
-                    if correlation == wanted =>
-                {
-                    return Err(busy(queue_depth, queue_capacity));
-                }
-                Event::Failed { correlation, message, .. }
-                    if correlation == wanted || correlation == atd::FAILURE_ID =>
-                {
-                    return Err(AtdError::Remote { message });
-                }
-                Event::Goodbye { .. } => {
-                    return Err(AtdError::Remote {
-                        message: "head shut down mid-submission".to_string(),
-                    });
-                }
-                // Events for other correlations (stale chunks, pongs)
-                // are drained and dropped: the farm pipelines one job
-                // per head at a time.
-                _ => {}
-            }
-        }
-    }
-
-    fn stats(&mut self) -> Result<ServiceStats, AtdError> {
-        PipelinedClient::stats(self)
-    }
-
-    fn shutdown(&mut self) -> Result<(), AtdError> {
-        PipelinedClient::shutdown(self)
     }
 }
 

@@ -1,4 +1,4 @@
-//! The ATE daemon: serves THP/1 over TCP until a client sends Shutdown.
+//! The ATE daemon: serves THP/2 over TCP until a client sends Shutdown.
 //!
 //! ```text
 //! cargo run --release -p gigatest-atd --bin atd -- --addr 127.0.0.1:4815

@@ -7,12 +7,12 @@
 //! the test head does the heavy lifting locally. This crate reproduces
 //! that arrangement for the simulated instrument stack:
 //!
-//! * [`wire`] — "THP/1" and "THP/2", hand-rolled length-prefixed binary
-//!   framings with typed decode errors. Total: arbitrary bytes from the
-//!   network become [`wire::FrameError`]s, never panics. THP/2 adds
-//!   client-chosen correlation ids and a STREAM/FINAL flag so responses
-//!   may arrive out of order and in parts; the revision is negotiated by
-//!   [`wire::sniff`] on a connection's first frame.
+//! * [`wire`] — "THP/2", a hand-rolled length-prefixed binary framing
+//!   with typed decode errors. Total: arbitrary bytes from the network
+//!   become [`wire::FrameError`]s, never panics. Every frame carries a
+//!   client-chosen correlation id and a STREAM/FINAL flag, so responses
+//!   may arrive out of order and in parts; at depth 1 it is a plain
+//!   serial protocol.
 //! * [`proto`] — typed requests/responses and the job vocabulary
 //!   ([`JobSpec`] / [`JobResult`]) covering the existing workloads:
 //!   shmoo plots, wafer runs, eye scans, and bathtub sweeps. Encodings
@@ -23,16 +23,19 @@
 //!   submissions coalesced per drain, and an FNV-1a content-addressed LRU
 //!   result cache. Because every workload is bit-identical at any thread
 //!   count, a cache hit is byte-for-byte the same as a recomputation.
-//! * [`service`] / [`transport`] / [`server`] — the deterministic core is
-//!   transport-agnostic: the in-memory [`Loopback`] drives the identical
-//!   codec + scheduling path as the `atd` TCP daemon, so the whole
-//!   service is testable without a socket. The daemon itself is a
-//!   nonblocking event loop serving many connections concurrently.
-//! * [`stream`] / [`pipeline`] — THP/2 streaming: results are cut into
+//! * [`service`] / `session` / [`server`] / [`transport`] — one
+//!   request path: a session holds a connection's protocol
+//!   state (frame cutting, correlation set and depth cap, chunk-stream
+//!   outbox) with no socket in sight. The `atd` daemon's nonblocking
+//!   event loop wraps one around each TCP connection; the in-memory
+//!   [`Loopback`] wraps one around buffers, so the whole service is
+//!   testable without a socket and still runs the daemon's own code.
+//! * [`stream`] / [`pipeline`] — streaming: results are cut into
 //!   semantic chunks (shmoo rows, wafer stripes, eye columns, bathtub
 //!   segments) whose concatenation is byte-identical to the monolithic
-//!   encoding, and [`PipelinedClient`] keeps a depth-K window of
-//!   correlated submissions in flight per connection.
+//!   encoding, and the one [`Client`] keeps a depth-K window of
+//!   correlated submissions in flight over any `Read + Write` stream
+//!   ([`PipelinedClient`] over TCP).
 //! * [`store`] (re-exported) — the persistent tier behind the LRU: on a
 //!   cache miss the scheduler reads through to an append-only segment
 //!   store keyed by the same FNV-1a spec digest, and writes computed
@@ -51,7 +54,7 @@
 //! ## Example: loopback session
 //!
 //! ```
-//! use atd::{Client, JobSpec, Loopback, Provenance, Service, Submitted};
+//! use atd::{Client, Event, JobSpec, Loopback, Provenance, Service};
 //! use pstime::{DataRate, Duration};
 //!
 //! let mut client = Client::new(Loopback::new(Service::from_env()));
@@ -64,9 +67,9 @@
 //! );
 //! let first = client.submit(1, spec)?;
 //! let second = client.submit(2, spec)?;
-//! assert!(matches!(first, Submitted::Done { provenance: Provenance::Computed, .. }));
+//! assert!(matches!(first, Event::Done { provenance: Provenance::Computed, .. }));
 //! // The replay is served from the cache, byte-identical.
-//! assert!(matches!(second, Submitted::Done { provenance: Provenance::Cache, .. }));
+//! assert!(matches!(second, Event::Done { provenance: Provenance::Cache, .. }));
 //! # Ok::<(), atd::AtdError>(())
 //! ```
 
@@ -80,21 +83,20 @@ pub mod proto;
 pub mod scheduler;
 pub mod server;
 pub mod service;
+mod session;
 pub mod stream;
 pub mod transport;
 pub mod wire;
 pub mod workload;
 
 pub use error::AtdError;
-pub use pipeline::PipelinedClient;
+pub use pipeline::{Client, PipelinedClient};
 pub use proto::{JobResult, JobSpec, Provenance, Request, Response, ServiceStats, FAILURE_ID};
 pub use scheduler::{Admission, Completion, Scheduler};
 pub use server::{serve, serve_with, ServerConfig};
 pub use service::Service;
-pub use stream::{chunk_result, stream_digest, Event, Reassembler, StreamDigest};
-pub use transport::{
-    read_frame, write_frame, BatchSubmitted, Client, Loopback, Submitted, TcpClient, Transport,
-};
+pub use stream::{chunk_result, push_stream, stream_digest, Event, Reassembler, StreamDigest};
+pub use transport::Loopback;
 
 // The durable tier's crate, re-exported so dependants (the farm, the
 // load generator) configure stores without a direct dependency edge.

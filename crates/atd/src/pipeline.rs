@@ -1,15 +1,18 @@
-//! The THP/2 pipelined client: a depth-K window of correlated
-//! submissions over one TCP connection, with streamed partial results
-//! reassembled and verified per correlation.
+//! The client: a depth-K window of correlated submissions over one byte
+//! stream, with streamed partial results reassembled and verified per
+//! correlation.
 //!
-//! Unlike the lock-step [`crate::Client`] (one request, one reply), a
-//! [`PipelinedClient`] fires submissions without waiting and then pulls a
+//! A [`Client`] fires submissions without waiting and then pulls a
 //! stream of [`Event`]s: `Chunk` slices as the daemon finishes each
 //! semantic piece, and a terminal `Done` / `Failed` / `Busy` per
 //! correlation. Responses may interleave across correlations — the
 //! client keeps one [`Reassembler`] per in-flight id and verifies every
 //! stream against its summary (count, bytes, stream digest) before
-//! handing the caller a decoded result.
+//! handing the caller a decoded result. At depth 1 ([`Client::submit`])
+//! this is the serial protocol: one request, one answer.
+//!
+//! The byte stream is anything `Read + Write`: a [`TcpStream`] to a
+//! daemon ([`PipelinedClient`]) or an in-process [`crate::Loopback`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
@@ -18,7 +21,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use crate::error::AtdError;
 use crate::proto::{msg, JobSpec, Request, Response, ServiceStats, FAILURE_ID};
 use crate::stream::{Event, Reassembler};
-use crate::wire::{self};
+use crate::wire;
 
 fn io_err(op: &'static str, e: &std::io::Error) -> AtdError {
     AtdError::Io { op, message: e.to_string() }
@@ -30,7 +33,8 @@ const OUT_HIGH_WATER: usize = 32 * 1024;
 /// Read granularity for the buffered receive path.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// A THP/2 session holding many correlated submissions in flight.
+/// A session holding many correlated submissions in flight over the
+/// byte stream `L`.
 ///
 /// Writes are buffered: submissions accumulate in an outbox that is
 /// flushed in one syscall when the client turns to read events (or when
@@ -38,11 +42,11 @@ const READ_CHUNK: usize = 64 * 1024;
 /// symmetrically, so a burst of interleaved chunk frames costs one
 /// syscall, not two per frame.
 #[derive(Debug)]
-pub struct PipelinedClient {
-    stream: TcpStream,
-    /// Encoded frames not yet written to the socket.
+pub struct Client<L> {
+    link: L,
+    /// Encoded frames not yet written to the stream.
     out: Vec<u8>,
-    /// Bytes read from the socket, consumed from `rpos`.
+    /// Bytes read from the stream, consumed from `rpos`.
     rbuf: Vec<u8>,
     rpos: usize,
     next_correlation: u64,
@@ -51,12 +55,15 @@ pub struct PipelinedClient {
     /// Submissions awaiting their terminal event.
     outstanding: usize,
     /// Events decoded while waiting for a specific reply (helpers like
-    /// [`PipelinedClient::ping`] buffer everything else here).
+    /// [`Client::ping`] buffer everything else here).
     pending: VecDeque<Event>,
 }
 
-impl PipelinedClient {
-    /// Connects a THP/2 session to a daemon.
+/// The client over a TCP connection to a daemon.
+pub type PipelinedClient = Client<TcpStream>;
+
+impl Client<TcpStream> {
+    /// Connects a session to a daemon.
     ///
     /// # Errors
     ///
@@ -64,8 +71,15 @@ impl PipelinedClient {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, AtdError> {
         let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", &e))?;
         stream.set_nodelay(true).map_err(|e| io_err("set nodelay", &e))?;
-        Ok(PipelinedClient {
-            stream,
+        Ok(Client::new(stream))
+    }
+}
+
+impl<L: Read + Write> Client<L> {
+    /// A session over an already-open byte stream.
+    pub fn new(link: L) -> Self {
+        Client {
+            link,
             out: Vec::new(),
             rbuf: Vec::new(),
             rpos: 0,
@@ -73,7 +87,7 @@ impl PipelinedClient {
             streams: BTreeMap::new(),
             outstanding: 0,
             pending: VecDeque::new(),
-        })
+        }
     }
 
     /// Submissions that have not yet seen their terminal event.
@@ -108,8 +122,8 @@ impl PipelinedClient {
     /// [`AtdError::Io`] on a failed write.
     pub fn flush_out(&mut self) -> Result<(), AtdError> {
         if !self.out.is_empty() {
-            self.stream.write_all(&self.out).map_err(|e| io_err("write frames", &e))?;
-            self.stream.flush().map_err(|e| io_err("flush frames", &e))?;
+            self.link.write_all(&self.out).map_err(|e| io_err("write frames", &e))?;
+            self.link.flush().map_err(|e| io_err("flush frames", &e))?;
             self.out.clear();
         }
         Ok(())
@@ -119,7 +133,7 @@ impl PipelinedClient {
     fn fill(&mut self, need: usize) -> Result<(), AtdError> {
         let mut tmp = [0u8; READ_CHUNK];
         while self.rbuf.len().saturating_sub(self.rpos) < need {
-            let n = self.stream.read(&mut tmp).map_err(|e| io_err("read frames", &e))?;
+            let n = self.link.read(&mut tmp).map_err(|e| io_err("read frames", &e))?;
             if n == 0 {
                 return Err(AtdError::Io {
                     op: "read frames",
@@ -137,7 +151,7 @@ impl PipelinedClient {
     ///
     /// # Errors
     ///
-    /// Transport and codec failures only — scheduling outcomes arrive as
+    /// I/O and codec failures only — scheduling outcomes arrive as
     /// events.
     pub fn submit_pipelined(&mut self, session: u32, spec: JobSpec) -> Result<u64, AtdError> {
         let correlation = self.fresh_correlation();
@@ -227,19 +241,39 @@ impl PipelinedClient {
             Response::Pong { token } => Ok(Event::Pong { correlation, token }),
             Response::StatsReport(stats) => Ok(Event::Stats { correlation, stats }),
             Response::Goodbye => Ok(Event::Goodbye { correlation }),
-            other @ (Response::JobDone { .. } | Response::BatchDone { .. }) => {
-                // Monolithic replies belong to THP/1; a daemon speaking
-                // them on a v2 session is confused.
-                Err(AtdError::UnexpectedResponse {
-                    code: other.code(),
-                    expected: "a THP/2 streaming response",
-                })
+        }
+    }
+
+    /// Submits one job and blocks until its terminal event — `Done`,
+    /// `Busy`, or `Failed` (including a protocol failure under
+    /// [`FAILURE_ID`]). The submission's own chunks are folded into the
+    /// `Done` result; events for other correlations are kept for
+    /// [`Client::next_event`].
+    ///
+    /// # Errors
+    ///
+    /// I/O and codec failures, including a failed stream
+    /// verification.
+    pub fn submit(&mut self, session: u32, spec: JobSpec) -> Result<Event, AtdError> {
+        let wanted = self.submit_pipelined(session, spec)?;
+        loop {
+            let event = self.read_event()?;
+            match &event {
+                Event::Chunk { correlation, .. } if *correlation == wanted => {}
+                Event::Done { correlation, .. }
+                | Event::Busy { correlation, .. }
+                | Event::Failed { correlation, .. }
+                    if *correlation == wanted || *correlation == FAILURE_ID =>
+                {
+                    return Ok(event);
+                }
+                _ => self.pending.push_back(event),
             }
         }
     }
 
     /// Reads events until `stop` returns `Some`, buffering everything
-    /// else for [`PipelinedClient::next_event`].
+    /// else for [`Client::next_event`].
     fn wait_for<T>(&mut self, mut stop: impl FnMut(&Event) -> Option<T>) -> Result<T, AtdError> {
         loop {
             let event = self.read_event()?;
@@ -255,7 +289,7 @@ impl PipelinedClient {
     ///
     /// # Errors
     ///
-    /// Transport and codec failures.
+    /// I/O and codec failures.
     pub fn ping(&mut self, token: u64) -> Result<u64, AtdError> {
         let correlation = self.fresh_correlation();
         self.send(&Request::Ping { token }, correlation)?;
@@ -269,7 +303,7 @@ impl PipelinedClient {
     ///
     /// # Errors
     ///
-    /// Transport and codec failures.
+    /// I/O and codec failures.
     pub fn stats(&mut self) -> Result<ServiceStats, AtdError> {
         let correlation = self.fresh_correlation();
         self.send(&Request::GetStats, correlation)?;
@@ -283,7 +317,7 @@ impl PipelinedClient {
     ///
     /// # Errors
     ///
-    /// Transport and codec failures.
+    /// I/O and codec failures.
     pub fn shutdown(&mut self) -> Result<(), AtdError> {
         let correlation = self.fresh_correlation();
         self.send(&Request::Shutdown, correlation)?;

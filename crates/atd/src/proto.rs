@@ -1,5 +1,5 @@
-//! THP/1 message semantics: typed requests, responses, job specifications
-//! and results, with canonical byte encodings.
+//! THP/2 message semantics: typed requests, responses, job
+//! specifications and results, with canonical byte encodings.
 //!
 //! Every value has exactly one encoding (fixed field order, big-endian,
 //! f64 as IEEE-754 bits), which gives the service layer two properties at
@@ -19,27 +19,21 @@ pub mod msg {
     pub const GET_STATS: u8 = 0x02;
     /// Submit one job.
     pub const SUBMIT: u8 = 0x03;
-    /// Submit a batch of jobs under one session.
-    pub const SUBMIT_BATCH: u8 = 0x04;
     /// Ask the daemon to stop serving.
     pub const SHUTDOWN: u8 = 0x05;
     /// Reply to [`PING`].
     pub const PONG: u8 = 0x81;
     /// Reply to [`GET_STATS`].
     pub const STATS_REPORT: u8 = 0x82;
-    /// Successful completion of a [`SUBMIT`].
-    pub const JOB_DONE: u8 = 0x83;
     /// Admission control shed the request.
     pub const BUSY: u8 = 0x84;
     /// The job was accepted but its execution failed.
     pub const FAILED: u8 = 0x85;
-    /// Successful completion of a [`SUBMIT_BATCH`].
-    pub const BATCH_DONE: u8 = 0x86;
     /// Reply to [`SHUTDOWN`].
     pub const GOODBYE: u8 = 0x87;
-    /// One slice of a streamed THP/2 result (`CHUNK`-flagged frames).
+    /// One slice of a streamed result (`CHUNK`-flagged frames).
     pub const CHUNK: u8 = 0x88;
-    /// Terminal summary of a streamed THP/2 result.
+    /// Terminal summary of a streamed result: how a [`SUBMIT`] succeeds.
     pub const SUMMARY: u8 = 0x89;
 }
 
@@ -1224,20 +1218,12 @@ pub enum Request {
         /// The job.
         spec: JobSpec,
     },
-    /// Submit several jobs under one session; answered with one
-    /// [`Response::BatchDone`] in submission order.
-    SubmitBatch {
-        /// Session the jobs belong to.
-        session: u32,
-        /// The jobs, in order.
-        specs: Vec<JobSpec>,
-    },
     /// Ask the daemon to stop serving after replying.
     Shutdown,
 }
 
 impl Request {
-    fn parts(&self) -> Result<(u8, Vec<u8>), FrameError> {
+    fn parts(&self) -> (u8, Vec<u8>) {
         let mut w = Writer::new();
         let ty = match self {
             Request::Ping { token } => {
@@ -1250,32 +1236,13 @@ impl Request {
                 spec.encode(&mut w);
                 msg::SUBMIT
             }
-            Request::SubmitBatch { session, specs } => {
-                w.u32(*session);
-                w.count(specs.len())?;
-                for spec in specs {
-                    spec.encode(&mut w);
-                }
-                msg::SUBMIT_BATCH
-            }
             Request::Shutdown => msg::SHUTDOWN,
         };
-        Ok((ty, w.finish()))
+        (ty, w.finish())
     }
 
-    /// Encodes the request as one THP/1 frame.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Oversized`] if the payload exceeds the frame ceiling.
-    pub fn to_frame(&self) -> Result<Vec<u8>, FrameError> {
-        let (ty, payload) = self.parts()?;
-        wire::encode_frame(ty, &payload)
-    }
-
-    /// Encodes the request as one THP/2 frame under `correlation`. The
-    /// payload grammar is identical to THP/1 — only the envelope differs
-    /// — and every request frame is `FINAL` (requests never stream).
+    /// Encodes the request as one frame under `correlation`. Every
+    /// request frame is `FINAL` (requests never stream).
     ///
     /// # Errors
     ///
@@ -1288,42 +1255,22 @@ impl Request {
                 context: "correlation id collides with the reserved failure id",
             });
         }
-        let (ty, payload) = self.parts()?;
+        let (ty, payload) = self.parts();
         wire::encode_frame2(ty, wire::flag::FINAL, correlation, &payload)
     }
 
-    /// Decodes one full frame into a request.
+    /// Decodes a request from an already-split `(type, payload)` pair.
     ///
     /// # Errors
     ///
     /// Any [`FrameError`]; response-type codes arriving here are
     /// [`FrameError::UnknownType`].
-    pub fn from_frame(frame: &[u8]) -> Result<Self, FrameError> {
-        let (ty, payload) = wire::decode_frame(frame)?;
-        Request::from_parts(ty, payload)
-    }
-
-    /// Decodes a request from an already-split `(type, payload)` pair —
-    /// the entry point for streaming transports.
-    ///
-    /// # Errors
-    ///
-    /// Any [`FrameError`].
     pub fn from_parts(ty: u8, payload: &[u8]) -> Result<Self, FrameError> {
         let mut r = Reader::new(payload);
         let req = match ty {
             msg::PING => Request::Ping { token: r.u64()? },
             msg::GET_STATS => Request::GetStats,
             msg::SUBMIT => Request::Submit { session: r.u32()?, spec: JobSpec::decode(&mut r)? },
-            msg::SUBMIT_BATCH => {
-                let session = r.u32()?;
-                let n = r.count(1)?;
-                let mut specs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    specs.push(JobSpec::decode(&mut r)?);
-                }
-                Request::SubmitBatch { session, specs }
-            }
             msg::SHUTDOWN => Request::Shutdown,
             code => return Err(FrameError::UnknownType { code }),
         };
@@ -1342,15 +1289,6 @@ pub enum Response {
     },
     /// The service counters.
     StatsReport(ServiceStats),
-    /// A submitted job completed.
-    JobDone {
-        /// The job's admission ticket.
-        ticket: u64,
-        /// How the result was produced.
-        provenance: Provenance,
-        /// The outcome.
-        result: JobResult,
-    },
     /// Admission control shed the submission; nothing was enqueued.
     Busy {
         /// Jobs currently queued.
@@ -1365,15 +1303,9 @@ pub enum Response {
         /// The failure, rendered.
         message: String,
     },
-    /// A batch completed; one entry per spec, in submission order.
-    BatchDone {
-        /// `(ticket, provenance, outcome)` per job; `Err` carries the
-        /// failure text.
-        outcomes: Vec<(u64, Provenance, Result<JobResult, String>)>,
-    },
     /// The daemon acknowledges shutdown.
     Goodbye,
-    /// One slice of a streamed THP/2 result: a contiguous byte range of
+    /// One slice of a streamed result: a contiguous byte range of
     /// the result's canonical encoding. Concatenating a correlation's
     /// chunks in `seq` order reproduces the monolithic
     /// [`JobResult::encoded`] bytes exactly.
@@ -1383,7 +1315,7 @@ pub enum Response {
         /// The slice's bytes.
         bytes: Vec<u8>,
     },
-    /// Terminal frame of a streamed THP/2 result; carries everything a
+    /// Terminal frame of a streamed result; carries everything a
     /// client needs to verify the reassembly before decoding it.
     Summary {
         /// The job's admission ticket.
@@ -1411,12 +1343,6 @@ impl Response {
                 stats.encode(&mut w);
                 msg::STATS_REPORT
             }
-            Response::JobDone { ticket, provenance, result } => {
-                w.u64(*ticket);
-                w.u8(provenance.code());
-                result.encode(&mut w)?;
-                msg::JOB_DONE
-            }
             Response::Busy { queue_depth, queue_capacity } => {
                 w.u32(*queue_depth);
                 w.u32(*queue_capacity);
@@ -1426,24 +1352,6 @@ impl Response {
                 w.u64(*ticket);
                 w.str(message)?;
                 msg::FAILED
-            }
-            Response::BatchDone { outcomes } => {
-                w.count(outcomes.len())?;
-                for (ticket, provenance, outcome) in outcomes {
-                    w.u64(*ticket);
-                    w.u8(provenance.code());
-                    match outcome {
-                        Ok(result) => {
-                            w.bool(true);
-                            result.encode(&mut w)?;
-                        }
-                        Err(message) => {
-                            w.bool(false);
-                            w.str(message)?;
-                        }
-                    }
-                }
-                msg::BATCH_DONE
             }
             Response::Goodbye => msg::GOODBYE,
             Response::Chunk { seq, bytes } => {
@@ -1463,22 +1371,7 @@ impl Response {
         Ok((ty, w.finish()))
     }
 
-    /// Encodes the response as one THP/1 frame.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Oversized`] if the payload exceeds the frame
-    /// ceiling, [`FrameError::UnknownType`] for the THP/2-only streaming
-    /// variants (`Chunk` / `Summary`), which THP/1 cannot carry.
-    pub fn to_frame(&self) -> Result<Vec<u8>, FrameError> {
-        if matches!(self, Response::Chunk { .. } | Response::Summary { .. }) {
-            return Err(FrameError::UnknownType { code: self.code() });
-        }
-        let (ty, payload) = self.parts()?;
-        wire::encode_frame(ty, &payload)
-    }
-
-    /// Encodes the response as one THP/2 frame under `correlation`.
+    /// Encodes the response as one frame under `correlation`.
     /// `Chunk` responses get the `CHUNK` flag; everything else is
     /// `FINAL`.
     ///
@@ -1495,61 +1388,19 @@ impl Response {
         wire::encode_frame2(ty, flags, correlation, &payload)
     }
 
-    /// The message-type code this response travels under.
-    pub fn code(&self) -> u8 {
-        match self {
-            Response::Pong { .. } => msg::PONG,
-            Response::StatsReport(_) => msg::STATS_REPORT,
-            Response::JobDone { .. } => msg::JOB_DONE,
-            Response::Busy { .. } => msg::BUSY,
-            Response::Failed { .. } => msg::FAILED,
-            Response::BatchDone { .. } => msg::BATCH_DONE,
-            Response::Goodbye => msg::GOODBYE,
-            Response::Chunk { .. } => msg::CHUNK,
-            Response::Summary { .. } => msg::SUMMARY,
-        }
-    }
-
-    /// Decodes one full frame into a response.
+    /// Decodes a response from an already-split `(type, payload)` pair.
     ///
     /// # Errors
     ///
     /// Any [`FrameError`]; request-type codes arriving here are
     /// [`FrameError::UnknownType`].
-    pub fn from_frame(frame: &[u8]) -> Result<Self, FrameError> {
-        let (ty, payload) = wire::decode_frame(frame)?;
-        Response::from_parts(ty, payload)
-    }
-
-    /// Decodes a response from an already-split `(type, payload)` pair.
-    ///
-    /// # Errors
-    ///
-    /// Any [`FrameError`].
     pub fn from_parts(ty: u8, payload: &[u8]) -> Result<Self, FrameError> {
         let mut r = Reader::new(payload);
         let resp = match ty {
             msg::PONG => Response::Pong { token: r.u64()? },
             msg::STATS_REPORT => Response::StatsReport(ServiceStats::decode(&mut r)?),
-            msg::JOB_DONE => Response::JobDone {
-                ticket: r.u64()?,
-                provenance: Provenance::decode(r.u8()?)?,
-                result: JobResult::decode(&mut r)?,
-            },
             msg::BUSY => Response::Busy { queue_depth: r.u32()?, queue_capacity: r.u32()? },
             msg::FAILED => Response::Failed { ticket: r.u64()?, message: r.str()? },
-            msg::BATCH_DONE => {
-                let n = r.count(10)?;
-                let mut outcomes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let ticket = r.u64()?;
-                    let provenance = Provenance::decode(r.u8()?)?;
-                    let outcome =
-                        if r.bool()? { Ok(JobResult::decode(&mut r)?) } else { Err(r.str()?) };
-                    outcomes.push((ticket, provenance, outcome));
-                }
-                Response::BatchDone { outcomes }
-            }
             msg::GOODBYE => Response::Goodbye,
             msg::CHUNK => Response::Chunk { seq: r.u32()?, bytes: r.take_rest().to_vec() },
             msg::SUMMARY => Response::Summary {
@@ -1898,28 +1749,32 @@ mod tests {
         }
     }
 
+    fn request_from_frame(frame: &[u8]) -> Result<Request, FrameError> {
+        let (header, payload) = wire::decode_frame2(frame)?;
+        Request::from_parts(header.msg_type, payload)
+    }
+
+    fn response_from_frame(frame: &[u8]) -> Result<Response, FrameError> {
+        let (header, payload) = wire::decode_frame2(frame)?;
+        Response::from_parts(header.msg_type, payload)
+    }
+
     #[test]
     fn requests_round_trip() {
         let requests = vec![
             Request::Ping { token: 0xFEED_FACE },
             Request::GetStats,
             Request::Submit { session: 3, spec: sample_specs().remove(0) },
-            Request::SubmitBatch { session: 9, specs: sample_specs() },
             Request::Shutdown,
         ];
         for req in requests {
-            let frame = req.to_frame().unwrap();
-            assert_eq!(Request::from_frame(&frame).unwrap(), req);
+            let frame = req.to_frame2(1).unwrap();
+            assert_eq!(request_from_frame(&frame).unwrap(), req);
         }
     }
 
     #[test]
     fn responses_round_trip() {
-        let result = JobResult::Eye {
-            points: vec![(0, 256, 10), (10_000_000, 256, 0)],
-            step_fs: 10_000_000,
-            rendered: "[#.] step 10 ps".to_string(),
-        };
         let responses = vec![
             Response::Pong { token: 7 },
             Response::StatsReport(ServiceStats {
@@ -1939,20 +1794,13 @@ mod tests {
                 queue_capacity: 256,
                 cache_capacity: 64,
             }),
-            Response::JobDone { ticket: 41, provenance: Provenance::Cache, result: result.clone() },
             Response::Busy { queue_depth: 256, queue_capacity: 256 },
             Response::Failed { ticket: 42, message: "eye completely closed".to_string() },
-            Response::BatchDone {
-                outcomes: vec![
-                    (43, Provenance::Computed, Ok(result)),
-                    (44, Provenance::Batched, Err("bad test plan".to_string())),
-                ],
-            },
             Response::Goodbye,
         ];
         for resp in responses {
-            let frame = resp.to_frame().unwrap();
-            assert_eq!(Response::from_frame(&frame).unwrap(), resp);
+            let frame = resp.to_frame2(FAILURE_ID).unwrap();
+            assert_eq!(response_from_frame(&frame).unwrap(), resp);
         }
     }
 
@@ -1967,8 +1815,6 @@ mod tests {
             digest: 0x1234_5678_9ABC_DEF0,
         };
         for resp in [chunk.clone(), summary.clone()] {
-            // THP/1 cannot carry the streaming vocabulary.
-            assert!(matches!(resp.to_frame(), Err(FrameError::UnknownType { .. })));
             let frame = resp.to_frame2(77).unwrap();
             let (header, payload) = wire::decode_frame2(&frame).unwrap();
             assert_eq!(header.correlation, 77);
@@ -1987,7 +1833,6 @@ mod tests {
             Request::Ping { token: 0xFEED_FACE },
             Request::GetStats,
             Request::Submit { session: 3, spec: sample_specs().remove(0) },
-            Request::SubmitBatch { session: 9, specs: sample_specs() },
             Request::Shutdown,
         ];
         for req in requests {
@@ -1996,20 +1841,16 @@ mod tests {
             assert_eq!(header.correlation, 41);
             assert_eq!(header.flags, wire::flag::FINAL);
             assert_eq!(Request::from_parts(header.msg_type, payload).unwrap(), req);
-            // The payload grammar is byte-identical to THP/1 — only the
-            // envelope differs.
-            let v1 = req.to_frame().unwrap();
-            assert_eq!(&v1[wire::HEADER_LEN..], payload);
             assert!(matches!(req.to_frame2(FAILURE_ID), Err(FrameError::BadPayload { .. })));
         }
     }
 
     #[test]
     fn request_decoder_rejects_response_codes_and_vice_versa() {
-        let frame = Response::Goodbye.to_frame().unwrap();
-        assert!(matches!(Request::from_frame(&frame), Err(FrameError::UnknownType { .. })));
-        let frame = Request::GetStats.to_frame().unwrap();
-        assert!(matches!(Response::from_frame(&frame), Err(FrameError::UnknownType { .. })));
+        let frame = Response::Goodbye.to_frame2(1).unwrap();
+        assert!(matches!(request_from_frame(&frame), Err(FrameError::UnknownType { .. })));
+        let frame = Request::GetStats.to_frame2(1).unwrap();
+        assert!(matches!(response_from_frame(&frame), Err(FrameError::UnknownType { .. })));
     }
 
     #[test]
@@ -2017,8 +1858,8 @@ mod tests {
         let mut w = Writer::new();
         w.u64(1);
         w.u8(0xCC); // one byte too many for a Ping
-        let frame = wire::encode_frame(msg::PING, &w.finish()).unwrap();
-        assert!(matches!(Request::from_frame(&frame), Err(FrameError::TrailingBytes { .. })));
+        let frame = wire::encode_frame2(msg::PING, wire::flag::FINAL, 1, &w.finish()).unwrap();
+        assert!(matches!(request_from_frame(&frame), Err(FrameError::TrailingBytes { .. })));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The TCP front end: a hand-rolled nonblocking readiness loop over
 //! `std::net`, serving many connections concurrently with pipelined
-//! THP/2 correlation IDs and streamed partial results — no third-party
+//! correlation IDs and streamed partial results — no third-party
 //! event library, matching the workspace's zero-dependency discipline.
 //!
 //! Each pass of the loop accepts new connections, gives every connection
@@ -14,25 +14,19 @@
 //! of passes is evicted (the slow-loris defence), while idle-but-clean
 //! connections are left alone indefinitely.
 //!
-//! Protocol errors never take the daemon down: a malformed frame is
-//! counted, answered with a typed `Failed` reply under the reserved
-//! [`FAILURE_ID`], and the connection closed (framing can't be trusted
-//! after a bad header). The first frame of a connection pins its
-//! protocol revision via [`wire::sniff`] — THP/1 connections keep the
-//! strict one-in-one-out reply order of the old blocking server, THP/2
-//! connections pipeline up to the depth cap and may see responses out of
-//! order, keyed by correlation id.
+//! The protocol itself lives in one `Session` per connection, which
+//! knows nothing about sockets; this module only moves bytes between
+//! each session and its `TcpStream`, routes completions back to the
+//! session that admitted them, and polices liveness. Protocol errors
+//! never take the daemon down: the session answers them and closes.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use crate::error::AtdError;
-use crate::proto::{msg, JobResult, Provenance, Request, Response, FAILURE_ID};
-use crate::scheduler::{Admission, Completion};
 use crate::service::Service;
-use crate::stream;
-use crate::wire::{self, FrameError};
+use crate::session::Session;
 
 /// Environment override for the per-session pipeline-depth cap.
 pub const ATD_PIPELINE_DEPTH_ENV: &str = "ATD_PIPELINE_DEPTH";
@@ -60,7 +54,7 @@ const MAX_FRAMES_PER_PASS: usize = 128;
 /// Tuning for the event loop, env-configurable like every other knob.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Correlations one THP/2 session may have in flight; submissions
+    /// Correlations one session may have in flight; submissions
     /// beyond the cap are shed with a typed `Busy`.
     pub pipeline_depth: usize,
     /// Loop passes a stalled connection survives before eviction.
@@ -89,70 +83,17 @@ impl Default for ServerConfig {
     }
 }
 
-/// Where a completed ticket's bytes must go.
-#[derive(Debug)]
-enum Route {
-    /// One `Submit`: a monolithic v1 reply (`correlation: None`) or a
-    /// v2 chunk stream plus summary.
-    Single { conn: u64, correlation: Option<u64> },
-    /// One member of a `SubmitBatch`; the group assembles in a
-    /// [`BatchBuf`] until every ticket lands.
-    Batch { group: u64 },
-}
-
-/// An in-flight batch: outcomes keyed by ticket, which is submission
-/// order, so the final `BatchDone` replies in order no matter how the
-/// fairness interleave executed the jobs.
-#[derive(Debug)]
-struct BatchBuf {
-    conn: u64,
-    correlation: Option<u64>,
-    expected: usize,
-    outcomes: BTreeMap<u64, (Provenance, Result<JobResult, String>)>,
-}
-
-/// One connection's state: buffered partial reads/writes, the pinned
-/// protocol version, and in-flight accounting.
+/// One connection: its socket, its protocol session, and liveness
+/// accounting.
 #[derive(Debug)]
 struct Conn {
     id: u64,
     stream: TcpStream,
-    /// Bytes read but not yet parsed into frames.
-    rbuf: Vec<u8>,
-    /// The outbox: frames queued but not yet (fully) written.
-    wbuf: Vec<u8>,
-    /// How much of `wbuf` has reached the socket.
-    wpos: usize,
-    /// Protocol revision pinned by the first frame's magic.
-    version: Option<u8>,
-    /// Responses the scheduler still owes this connection.
-    in_flight: usize,
-    /// THP/2 correlation ids awaiting their terminal frame.
-    active: BTreeSet<u64>,
+    session: Session,
     /// Consecutive passes without progress on this connection.
     idle_ticks: u64,
     /// Made progress this pass (resets the idle counter in `reap`).
     touched: bool,
-    /// Flush the outbox, then drop cleanly.
-    closing: bool,
-    /// Drop now and count `connections_failed`.
-    failed: bool,
-}
-
-impl Conn {
-    fn flushed(&self) -> bool {
-        self.wpos >= self.wbuf.len()
-    }
-
-    fn push_frame(&mut self, frame: Result<Vec<u8>, FrameError>) {
-        match frame {
-            Ok(bytes) => self.wbuf.extend_from_slice(&bytes),
-            // An unencodable response (an oversized rendering) is a
-            // daemon-side defect; the connection cannot be re-synced, so
-            // fail it rather than silently dropping a reply.
-            Err(_) => self.failed = true,
-        }
-    }
 }
 
 struct EventLoop {
@@ -160,12 +101,11 @@ struct EventLoop {
     config: ServerConfig,
     conns: Vec<Conn>,
     next_conn: u64,
-    routes: BTreeMap<u64, Route>,
-    batches: BTreeMap<u64, BatchBuf>,
-    next_group: u64,
+    /// Which connection each admitted ticket answers to.
+    routes: BTreeMap<u64, u64>,
 }
 
-/// Serves THP/1 and THP/2 on `listener` until a client requests
+/// Serves the protocol on `listener` until a client requests
 /// shutdown, then returns the service (so callers can inspect its final
 /// counters). Configuration comes from the environment; see
 /// [`serve_with`].
@@ -196,15 +136,8 @@ pub fn serve_with(
     listener
         .set_nonblocking(true)
         .map_err(|e| AtdError::Io { op: "set listener nonblocking", message: e.to_string() })?;
-    let mut el = EventLoop {
-        service,
-        config,
-        conns: Vec::new(),
-        next_conn: 1,
-        routes: BTreeMap::new(),
-        batches: BTreeMap::new(),
-        next_group: 1,
-    };
+    let mut el =
+        EventLoop { service, config, conns: Vec::new(), next_conn: 1, routes: BTreeMap::new() };
     // Two yields before sleeping: enough to hand the core to a peer that
     // is mid-burst (measured best on a 1-CPU box), without burning the
     // core in a yield storm once the connection set goes quiet.
@@ -217,7 +150,8 @@ pub fn serve_with(
         progress |= el.drain_completions();
         progress |= el.flush_ready();
         el.reap();
-        if el.service.shutdown_requested() && el.conns.iter().all(Conn::flushed) {
+        if el.service.shutdown_requested() && el.conns.iter().all(|c| c.session.output().is_empty())
+        {
             return Ok(el.service);
         }
         if progress {
@@ -258,16 +192,9 @@ impl EventLoop {
                     self.conns.push(Conn {
                         id,
                         stream,
-                        rbuf: Vec::new(),
-                        wbuf: Vec::new(),
-                        wpos: 0,
-                        version: None,
-                        in_flight: 0,
-                        active: BTreeSet::new(),
+                        session: Session::new(self.config.pipeline_depth),
                         idle_ticks: 0,
                         touched: true,
-                        closing: false,
-                        failed: false,
                     });
                     progress = true;
                 }
@@ -284,33 +211,23 @@ impl EventLoop {
         let mut progress = false;
         let mut buf = [0u8; READ_CHUNK];
         for conn in &mut self.conns {
-            if conn.closing || conn.failed {
+            if conn.session.is_closing() {
                 continue;
             }
             match conn.stream.read(&mut buf) {
                 Ok(0) => {
-                    // EOF. A peer that vanishes holding a partial frame
-                    // or owed responses failed mid-exchange; one that
-                    // closes between frames is done.
-                    if !conn.rbuf.is_empty() {
-                        self.service.note_frame_rejected();
-                        conn.failed = true;
-                    } else if conn.in_flight > 0 {
-                        conn.failed = true;
-                    } else {
-                        conn.closing = true;
-                    }
+                    conn.session.peer_closed(&mut self.service);
                     progress = true;
                 }
                 Ok(n) => {
-                    conn.rbuf.extend_from_slice(buf.get(..n).unwrap_or(&[]));
+                    conn.session.receive(buf.get(..n).unwrap_or(&[]));
                     conn.touched = true;
                     progress = true;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    conn.failed = true;
+                    conn.session.fail();
                     progress = true;
                 }
             }
@@ -318,73 +235,39 @@ impl EventLoop {
         progress
     }
 
-    /// Parses complete frames out of every connection's read buffer and
-    /// dispatches them. Partial frames stay buffered for the next pass;
-    /// parsed bytes are trimmed once per pass (not per frame, which would
-    /// be quadratic in frames-per-read).
+    /// Lets every session act on the frames it holds; partial frames
+    /// stay buffered for the next pass.
     fn parse_and_dispatch(&mut self) -> bool {
         let mut progress = false;
-        let EventLoop { service, config, conns, routes, batches, next_group, .. } = self;
+        let EventLoop { service, conns, routes, .. } = self;
         for conn in conns.iter_mut() {
-            if conn.failed || conn.closing {
-                continue;
-            }
-            let mut rpos = 0usize;
-            for _ in 0..MAX_FRAMES_PER_PASS {
-                // THP/1 keeps the old server's strict ordering: one
-                // request in flight, replies in request order.
-                if conn.version == Some(wire::VERSION) && conn.in_flight > 0 {
-                    break;
-                }
-                let unread = conn.rbuf.get(rpos..).unwrap_or(&[]);
-                match next_step(unread, conn.version) {
-                    Step::Wait => break,
-                    Step::Reject(e) => {
-                        reject(service, conn, e);
-                        break;
-                    }
-                    Step::Frame { version, correlation, msg_type, payload, total } => {
-                        conn.version = Some(version);
-                        rpos += total;
-                        conn.touched = true;
-                        progress = true;
-                        match Request::from_parts(msg_type, &payload) {
-                            Ok(request) => dispatch(
-                                service,
-                                config,
-                                conn,
-                                routes,
-                                batches,
-                                next_group,
-                                correlation,
-                                request,
-                            ),
-                            Err(e) => {
-                                reject(service, conn, e);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            if conn.closing || conn.failed {
-                conn.rbuf.clear();
-            } else if rpos > 0 {
-                conn.rbuf.drain(..rpos.min(conn.rbuf.len()));
+            let id = conn.id;
+            let moved = conn.session.dispatch(service, MAX_FRAMES_PER_PASS, &mut |ticket| {
+                routes.insert(ticket, id);
+            });
+            if moved {
+                conn.touched = true;
+                progress = true;
             }
         }
         progress
     }
 
-    /// One scheduler drain, routing each completion into its outbox the
-    /// moment it lands.
+    /// One scheduler drain, routing each completion into its session's
+    /// outbox the moment it lands. A ticket whose connection is gone
+    /// (dropped mid-pipeline) is a no-op: the scheduler already recorded
+    /// the job, the bytes just have nowhere to go.
     fn drain_completions(&mut self) -> bool {
         if self.service.queue_depth() == 0 {
             return false;
         }
-        let EventLoop { service, conns, routes, batches, .. } = self;
+        let EventLoop { service, conns, routes, .. } = self;
         service.drain_each(&mut |completion| {
-            route_completion(conns, routes, batches, completion);
+            let Some(id) = routes.remove(&completion.ticket) else { return };
+            if let Some(conn) = conns.iter_mut().find(|c| c.id == id && !c.session.is_failed()) {
+                conn.session.complete(completion);
+                conn.touched = true;
+            }
         });
         true
     }
@@ -394,31 +277,18 @@ impl EventLoop {
     fn flush_ready(&mut self) -> bool {
         let mut progress = false;
         for conn in &mut self.conns {
-            if conn.failed {
-                continue;
-            }
-            while conn.wpos < conn.wbuf.len() {
-                match conn.stream.write(conn.wbuf.get(conn.wpos..).unwrap_or(&[])) {
-                    Ok(0) => {
-                        conn.failed = true;
-                        break;
-                    }
+            while !conn.session.is_failed() && !conn.session.output().is_empty() {
+                match conn.stream.write(conn.session.output()) {
+                    Ok(0) => conn.session.fail(),
                     Ok(n) => {
-                        conn.wpos += n;
+                        conn.session.consume_output(n);
                         conn.touched = true;
                         progress = true;
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn.failed = true;
-                        break;
-                    }
+                    Err(_) => conn.session.fail(),
                 }
-            }
-            if conn.flushed() && !conn.wbuf.is_empty() {
-                conn.wbuf.clear();
-                conn.wpos = 0;
             }
         }
         progress
@@ -440,16 +310,15 @@ impl EventLoop {
             // Stalled: sitting on a half-received frame or an outbox the
             // peer will not read. Idle-but-clean connections live
             // forever.
-            let stalled = !conn.rbuf.is_empty() || !conn.flushed();
-            if !conn.failed && stalled && conn.idle_ticks > config.idle_budget {
-                conn.failed = true;
+            if conn.session.is_stalled() && conn.idle_ticks > config.idle_budget {
+                conn.session.fail();
             }
-            if conn.failed {
+            if conn.session.is_failed() {
                 service.note_connection_failed();
                 service.note_connection_closed();
                 return false;
             }
-            let done = conn.closing && conn.flushed() && conn.in_flight == 0;
+            let done = conn.session.is_done();
             if done {
                 service.note_connection_closed();
             }
@@ -458,322 +327,14 @@ impl EventLoop {
     }
 }
 
-/// The outcome of inspecting one connection's unread bytes.
-enum Step {
-    /// Not a whole frame yet; wait for more bytes.
-    Wait,
-    /// The bytes are not a valid frame; answer and close.
-    Reject(FrameError),
-    /// One whole frame, version-normalised: THP/1 frames get the
-    /// implicit [`FAILURE_ID`] correlation (their replies are ordered,
-    /// not correlated).
-    Frame { version: u8, correlation: u64, msg_type: u8, payload: Vec<u8>, total: usize },
-}
-
-/// Pure frame scanner: sniffs the revision, enforces the connection's
-/// pinned version, and cuts one frame if the buffer holds one.
-fn next_step(unread: &[u8], pinned: Option<u8>) -> Step {
-    let (version, header_len) = match wire::sniff(unread) {
-        Ok(Some(v)) => v,
-        Ok(None) => return Step::Wait,
-        Err(e) => return Step::Reject(e),
-    };
-    if let Some(p) = pinned {
-        if p != version {
-            // A connection may not switch revisions mid-stream.
-            return Step::Reject(FrameError::UnsupportedVersion { found: version });
-        }
-    }
-    if unread.len() < header_len {
-        return Step::Wait;
-    }
-    let (msg_type, correlation, payload_len) = if version == wire::VERSION {
-        match wire::decode_header(unread) {
-            Ok((msg_type, len)) => (msg_type, FAILURE_ID, len),
-            Err(e) => return Step::Reject(e),
-        }
-    } else {
-        match wire::decode_header2(unread) {
-            Ok(h) if h.flags != wire::flag::FINAL => {
-                return Step::Reject(FrameError::BadPayload {
-                    context: "request frames must be FINAL",
-                })
-            }
-            Ok(h) => (h.msg_type, h.correlation, h.payload_len),
-            Err(e) => return Step::Reject(e),
-        }
-    };
-    let total = header_len.saturating_add(payload_len);
-    match unread.get(header_len..total) {
-        Some(payload) => {
-            Step::Frame { version, correlation, msg_type, payload: payload.to_vec(), total }
-        }
-        None => Step::Wait,
-    }
-}
-
-/// Counts a malformed frame, replies `Failed` under the reserved
-/// [`FAILURE_ID`], and closes the connection after the flush — the
-/// stream offset cannot be trusted after a bad frame.
-fn reject(service: &mut Service, conn: &mut Conn, error: FrameError) {
-    service.note_frame_rejected();
-    let reply = Response::Failed { ticket: FAILURE_ID, message: error.to_string() };
-    let frame = match conn.version {
-        Some(wire::VERSION2) => reply.to_frame2(FAILURE_ID),
-        _ => reply.to_frame(),
-    };
-    conn.push_frame(frame);
-    conn.closing = true;
-    conn.rbuf.clear();
-}
-
-/// Handles one decoded request on one connection.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    service: &mut Service,
-    config: &ServerConfig,
-    conn: &mut Conn,
-    routes: &mut BTreeMap<u64, Route>,
-    batches: &mut BTreeMap<u64, BatchBuf>,
-    next_group: &mut u64,
-    correlation: u64,
-    request: Request,
-) {
-    let v2 = conn.version == Some(wire::VERSION2);
-    let reply = |conn: &mut Conn, response: &Response| {
-        let frame = if v2 { response.to_frame2(correlation) } else { response.to_frame() };
-        conn.push_frame(frame);
-    };
-    match request {
-        Request::Ping { token } => reply(conn, &Response::Pong { token }),
-        Request::GetStats => reply(conn, &Response::StatsReport(service.stats())),
-        Request::Shutdown => {
-            service.request_shutdown();
-            reply(conn, &Response::Goodbye);
-        }
-        Request::Submit { .. } | Request::SubmitBatch { .. } => {
-            if v2 && (correlation == FAILURE_ID || conn.active.contains(&correlation)) {
-                // A reserved or still-in-flight correlation id is a
-                // protocol violation, not a schedulable request.
-                reject(
-                    service,
-                    conn,
-                    FrameError::BadPayload {
-                        context: "correlation id reserved or already in flight",
-                    },
-                );
-                return;
-            }
-            if v2 && conn.active.len() >= config.pipeline_depth {
-                service.note_shed(jobs_in(&request));
-                reply(conn, &busy(service));
-                return;
-            }
-            let (session, specs, is_batch) = match request {
-                Request::Submit { session, spec } => (session, vec![spec], false),
-                Request::SubmitBatch { session, specs } => (session, specs, true),
-                _ => return,
-            };
-            match service.admit(session, &specs) {
-                Admission::Shed { .. } => reply(conn, &busy(service)),
-                Admission::Accepted(tickets) if tickets.is_empty() => {
-                    // An empty batch completes immediately.
-                    reply(conn, &Response::BatchDone { outcomes: Vec::new() });
-                }
-                Admission::Accepted(tickets) => {
-                    let corr = v2.then_some(correlation);
-                    if !is_batch {
-                        let ticket = tickets.first().copied().unwrap_or(0);
-                        routes.insert(ticket, Route::Single { conn: conn.id, correlation: corr });
-                    } else {
-                        let group = *next_group;
-                        *next_group += 1;
-                        batches.insert(
-                            group,
-                            BatchBuf {
-                                conn: conn.id,
-                                correlation: corr,
-                                expected: tickets.len(),
-                                outcomes: BTreeMap::new(),
-                            },
-                        );
-                        for ticket in tickets {
-                            routes.insert(ticket, Route::Batch { group });
-                        }
-                    }
-                    conn.in_flight += 1;
-                    if v2 {
-                        conn.active.insert(correlation);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn jobs_in(request: &Request) -> u64 {
-    match request {
-        Request::Submit { .. } => 1,
-        Request::SubmitBatch { specs, .. } => u64::try_from(specs.len()).unwrap_or(u64::MAX),
-        _ => 0,
-    }
-}
-
-fn busy(service: &Service) -> Response {
-    Response::Busy {
-        queue_depth: u32::try_from(service.queue_depth()).unwrap_or(u32::MAX),
-        queue_capacity: u32::try_from(service.queue_capacity()).unwrap_or(u32::MAX),
-    }
-}
-
-/// Routes one completion into its connection's outbox. A missing
-/// connection (dropped mid-pipeline) makes this a counted no-op — the
-/// scheduler already recorded the job, the bytes just have nowhere to
-/// go.
-fn route_completion(
-    conns: &mut [Conn],
-    routes: &mut BTreeMap<u64, Route>,
-    batches: &mut BTreeMap<u64, BatchBuf>,
-    completion: Completion,
-) {
-    let Some(route) = routes.remove(&completion.ticket) else { return };
-    match route {
-        Route::Single { conn: conn_id, correlation } => {
-            let Some(conn) = conns.iter_mut().find(|c| c.id == conn_id && !c.failed) else {
-                return;
-            };
-            conn.in_flight = conn.in_flight.saturating_sub(1);
-            conn.touched = true;
-            match correlation {
-                None => {
-                    let frame = match completion.outcome {
-                        Ok(result) => Response::JobDone {
-                            ticket: completion.ticket,
-                            provenance: completion.provenance,
-                            result,
-                        }
-                        .to_frame(),
-                        Err(e) => {
-                            Response::Failed { ticket: completion.ticket, message: e.to_string() }
-                                .to_frame()
-                        }
-                    };
-                    conn.push_frame(frame);
-                }
-                Some(corr) => {
-                    conn.active.remove(&corr);
-                    match completion.outcome {
-                        Ok(result) => push_stream(
-                            conn,
-                            corr,
-                            completion.ticket,
-                            completion.provenance,
-                            &result,
-                        ),
-                        Err(e) => {
-                            let frame = Response::Failed {
-                                ticket: completion.ticket,
-                                message: e.to_string(),
-                            }
-                            .to_frame2(corr);
-                            conn.push_frame(frame);
-                        }
-                    }
-                }
-            }
-        }
-        Route::Batch { group } => {
-            let complete = match batches.get_mut(&group) {
-                Some(buf) => {
-                    buf.outcomes.insert(
-                        completion.ticket,
-                        (completion.provenance, completion.outcome.map_err(|e| e.to_string())),
-                    );
-                    buf.outcomes.len() >= buf.expected
-                }
-                None => false,
-            };
-            if !complete {
-                return;
-            }
-            let Some(buf) = batches.remove(&group) else { return };
-            let Some(conn) = conns.iter_mut().find(|c| c.id == buf.conn && !c.failed) else {
-                return;
-            };
-            conn.in_flight = conn.in_flight.saturating_sub(1);
-            conn.touched = true;
-            let outcomes =
-                buf.outcomes.into_iter().map(|(t, (p, o))| (t, p, o)).collect::<Vec<_>>();
-            let response = Response::BatchDone { outcomes };
-            match buf.correlation {
-                None => conn.push_frame(response.to_frame()),
-                Some(corr) => {
-                    conn.active.remove(&corr);
-                    conn.push_frame(response.to_frame2(corr));
-                }
-            }
-        }
-    }
-}
-
-/// Emits a completed result as a THP/2 chunk stream plus its terminal
-/// summary: each semantic slice becomes one `CHUNK` frame the moment the
-/// job lands, and the `FINAL` summary carries the count/bytes/digest the
-/// client verifies reassembly against.
-fn push_stream(
-    conn: &mut Conn,
-    corr: u64,
-    ticket: u64,
-    provenance: Provenance,
-    result: &JobResult,
-) {
-    let chunks = match stream::chunk_result(result) {
-        Ok(chunks) => chunks,
-        Err(e) => {
-            let frame = Response::Failed { ticket, message: e.to_string() }.to_frame2(corr);
-            conn.push_frame(frame);
-            return;
-        }
-    };
-    let count = u32::try_from(chunks.len()).unwrap_or(u32::MAX);
-    let mut total: u64 = 0;
-    let mut digest = stream::StreamDigest::new();
-    let mut seq: u32 = 0;
-    for chunk in chunks {
-        total = total.saturating_add(u64::try_from(chunk.len()).unwrap_or(u64::MAX));
-        digest.absorb(&chunk);
-        // Encoded straight into the outbox: a chunk frame's payload is
-        // `seq` (u32 BE) followed by the raw slice, so the hot streaming
-        // path skips the per-frame Response allocation round trip.
-        let framed = wire::encode_frame2_into(
-            &mut conn.wbuf,
-            msg::CHUNK,
-            wire::flag::CHUNK,
-            corr,
-            &[&seq.to_be_bytes(), &chunk],
-        );
-        if framed.is_err() {
-            conn.failed = true;
-            return;
-        }
-        seq = seq.wrapping_add(1);
-    }
-    let summary = Response::Summary {
-        ticket,
-        provenance,
-        chunks: count,
-        total_bytes: total,
-        digest: digest.finish(),
-    };
-    conn.push_frame(summary.to_frame2(corr));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{JobSpec, Provenance};
+    use crate::pipeline::PipelinedClient;
+    use crate::proto::{JobSpec, Provenance, Response, FAILURE_ID};
     use crate::scheduler::Scheduler;
-    use crate::transport::{read_frame, write_frame, Client, Submitted, TcpClient};
+    use crate::stream::Event;
+    use crate::wire;
     use exec::ExecPool;
     use pstime::{DataRate, Duration};
 
@@ -787,6 +348,13 @@ mod tests {
         )
     }
 
+    fn provenance(event: Event) -> Provenance {
+        match event {
+            Event::Done { provenance, .. } => provenance,
+            other => panic!("expected Done, got {other:?}"),
+        }
+    }
+
     #[test]
     fn tcp_round_trip_and_shutdown() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -796,16 +364,14 @@ mod tests {
             serve(&listener, service)
         });
 
-        let mut client = Client::new(TcpClient::connect(addr).unwrap());
+        let mut client = PipelinedClient::connect(addr).unwrap();
         assert_eq!(client.ping(7).unwrap(), 7);
-        let done = client.submit(1, bathtub(91)).unwrap();
-        assert!(matches!(done, Submitted::Done { provenance: Provenance::Computed, .. }));
+        assert_eq!(provenance(client.submit(1, bathtub(91)).unwrap()), Provenance::Computed);
 
         // A second connection sees the same service state (cache hit).
         drop(client);
-        let mut client = Client::new(TcpClient::connect(addr).unwrap());
-        let again = client.submit(2, bathtub(91)).unwrap();
-        assert!(matches!(again, Submitted::Done { provenance: Provenance::Cache, .. }));
+        let mut client = PipelinedClient::connect(addr).unwrap();
+        assert_eq!(provenance(client.submit(2, bathtub(91)).unwrap()), Provenance::Cache);
         client.shutdown().unwrap();
 
         let service = daemon.join().unwrap().unwrap();
@@ -824,15 +390,13 @@ mod tests {
             serve(&listener, service)
         });
 
-        let mut a = Client::new(TcpClient::connect(addr).unwrap());
-        let mut b = Client::new(TcpClient::connect(addr).unwrap());
+        let mut a = PipelinedClient::connect(addr).unwrap();
+        let mut b = PipelinedClient::connect(addr).unwrap();
         // Interleave requests across both open connections.
         for round in 0..3u32 {
             assert_eq!(a.ping(u64::from(round)).unwrap(), u64::from(round));
-            let done = b.submit(2, bathtub(80 + round)).unwrap();
-            assert!(matches!(done, Submitted::Done { .. }));
-            let done = a.submit(1, bathtub(80 + round)).unwrap();
-            assert!(matches!(done, Submitted::Done { provenance: Provenance::Cache, .. }));
+            assert!(matches!(b.submit(2, bathtub(80 + round)).unwrap(), Event::Done { .. }));
+            assert_eq!(provenance(a.submit(1, bathtub(80 + round)).unwrap()), Provenance::Cache);
         }
         drop(b);
         a.shutdown().unwrap();
@@ -852,10 +416,13 @@ mod tests {
         // Hand-build a frame with a response-only type code: decodes as a
         // header but not as a request.
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        let bogus = crate::wire::encode_frame(crate::proto::msg::GOODBYE, &[]).unwrap();
-        write_frame(&mut stream, &bogus).unwrap();
-        let (ty, payload) = read_frame(&mut stream).unwrap().unwrap();
-        match Response::from_parts(ty, &payload).unwrap() {
+        let bogus = Response::Goodbye.to_frame2(3).unwrap();
+        stream.write_all(&bogus).unwrap();
+        let mut reply = Vec::new();
+        stream.read_to_end(&mut reply).unwrap();
+        let (header, payload) = wire::decode_frame2(&reply).unwrap();
+        assert_eq!(header.correlation, FAILURE_ID);
+        match Response::from_parts(header.msg_type, payload).unwrap() {
             Response::Failed { ticket, message } => {
                 assert_eq!(ticket, FAILURE_ID, "protocol failures use the reserved id");
                 assert!(message.contains("unknown message type"), "{message}");
@@ -865,7 +432,7 @@ mod tests {
 
         // The daemon is still alive: a fresh connection works, and the
         // rejected frame is visible in the counters.
-        let mut client = Client::new(TcpClient::connect(addr).unwrap());
+        let mut client = PipelinedClient::connect(addr).unwrap();
         assert_eq!(client.ping(3).unwrap(), 3);
         let stats = client.stats().unwrap();
         assert_eq!(stats.frames_rejected, 1);

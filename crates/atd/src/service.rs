@@ -1,15 +1,13 @@
-//! The transport-agnostic service core: one [`Service::handle`] call per
-//! request, independent of whether frames arrive over TCP, the in-memory
-//! loopback, or a test harness.
+//! The transport-agnostic service core: the worker pool, the scheduler,
+//! and the daemon's counters and shutdown flag.
 //!
-//! Keeping the core free of sockets is what makes the daemon testable:
-//! the loopback transport drives the identical code path the TCP server
-//! does, so protocol and scheduling behaviour can be verified without
-//! touching the network.
+//! It knows nothing of frames or sockets. A connection's session
+//! admits work into it and routes completions back out, whether that
+//! session sits behind the TCP event loop or the in-memory loopback.
 
 use exec::ExecPool;
 
-use crate::proto::{JobSpec, Request, Response, ServiceStats};
+use crate::proto::{JobSpec, ServiceStats};
 use crate::scheduler::{Admission, Completion, Scheduler};
 
 /// The ATE daemon's request processor.
@@ -32,7 +30,7 @@ impl Service {
         Service::new(ExecPool::from_env(), Scheduler::from_env())
     }
 
-    /// Whether a [`Request::Shutdown`] has been processed; transports stop
+    /// Whether a shutdown request has been processed; carriers stop
     /// serving once this turns true.
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown
@@ -43,16 +41,14 @@ impl Service {
         self.scheduler.stats()
     }
 
-    /// Flags the service for shutdown without a request in hand — the
-    /// event-driven server's path (it decodes `Shutdown` frames itself).
+    /// Flags the service for shutdown.
     pub fn request_shutdown(&mut self) {
         self.shutdown = true;
     }
 
-    /// Admits `specs` for `session` without draining — the event-driven
-    /// server's submission path, which batches admissions across every
-    /// ready connection before one [`Service::drain_each`] pass and
-    /// routes the completions itself.
+    /// Admits `specs` for `session` without draining: admissions from
+    /// every ready connection batch up before one
+    /// [`Service::drain_each`] pass.
     pub fn admit(&mut self, session: u32, specs: &[JobSpec]) -> Admission {
         self.scheduler.submit(session, specs)
     }
@@ -97,73 +93,6 @@ impl Service {
     pub fn note_frame_rejected(&mut self) {
         self.scheduler.note_frame_rejected();
     }
-
-    /// Processes one request to completion. Every request gets exactly one
-    /// response; job submissions are answered only after the drain cycle
-    /// finishes, so a reply in hand means the work (or its cache hit) is
-    /// done.
-    pub fn handle(&mut self, request: Request) -> Response {
-        match request {
-            Request::Ping { token } => Response::Pong { token },
-            Request::GetStats => Response::StatsReport(self.stats()),
-            Request::Shutdown => {
-                self.shutdown = true;
-                Response::Goodbye
-            }
-            Request::Submit { session, spec } => {
-                match self.scheduler.submit(session, &[spec]) {
-                    Admission::Shed { queue_depth } => self.busy(queue_depth),
-                    Admission::Accepted(tickets) => {
-                        let ticket = tickets.first().copied().unwrap_or(0);
-                        let completions = self.scheduler.drain(&self.pool);
-                        let done = completions.into_iter().find(|c| c.ticket == ticket);
-                        match done {
-                            Some(c) => match c.outcome {
-                                Ok(result) => Response::JobDone {
-                                    ticket: c.ticket,
-                                    provenance: c.provenance,
-                                    result,
-                                },
-                                Err(e) => {
-                                    Response::Failed { ticket: c.ticket, message: e.to_string() }
-                                }
-                            },
-                            // Unreachable by construction (every admitted
-                            // ticket completes in the same drain), but the
-                            // protocol stays total rather than panicking.
-                            None => Response::Failed {
-                                ticket,
-                                message: "job vanished from the drain cycle".to_string(),
-                            },
-                        }
-                    }
-                }
-            }
-            Request::SubmitBatch { session, specs } => {
-                match self.scheduler.submit(session, &specs) {
-                    Admission::Shed { queue_depth } => self.busy(queue_depth),
-                    Admission::Accepted(_) => {
-                        let mut completions = self.scheduler.drain(&self.pool);
-                        // Reply in submission order regardless of the
-                        // fairness interleave the drain executed in.
-                        completions.sort_by_key(|c| c.ticket);
-                        let outcomes = completions
-                            .into_iter()
-                            .map(|c| (c.ticket, c.provenance, c.outcome.map_err(|e| e.to_string())))
-                            .collect();
-                        Response::BatchDone { outcomes }
-                    }
-                }
-            }
-        }
-    }
-
-    fn busy(&self, queue_depth: usize) -> Response {
-        Response::Busy {
-            queue_depth: u32::try_from(queue_depth).unwrap_or(u32::MAX),
-            queue_capacity: u32::try_from(self.scheduler.queue_capacity()).unwrap_or(u32::MAX),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -186,36 +115,24 @@ mod tests {
         Service::new(ExecPool::serial(), Scheduler::new(4, 8))
     }
 
-    #[test]
-    fn ping_stats_shutdown() {
-        let mut svc = small_service();
-        assert_eq!(svc.handle(Request::Ping { token: 99 }), Response::Pong { token: 99 });
-        assert!(!svc.shutdown_requested());
-        match svc.handle(Request::GetStats) {
-            Response::StatsReport(stats) => assert_eq!(stats.submitted, 0),
-            other => panic!("unexpected response {other:?}"),
-        }
-        assert_eq!(svc.handle(Request::Shutdown), Response::Goodbye);
-        assert!(svc.shutdown_requested());
+    /// Admits `specs` under session 1 and drains them, in ticket order.
+    fn run(svc: &mut Service, specs: &[JobSpec]) -> Vec<Completion> {
+        assert!(matches!(svc.admit(1, specs), Admission::Accepted(_)));
+        let mut done = Vec::new();
+        svc.drain_each(&mut |c| done.push(c));
+        done.sort_by_key(|c| c.ticket);
+        done
     }
 
     #[test]
     fn submit_executes_then_hits_cache() {
         let mut svc = small_service();
-        let spec = bathtub(51);
-        let first = svc.handle(Request::Submit { session: 1, spec });
-        let second = svc.handle(Request::Submit { session: 2, spec });
-        match (&first, &second) {
-            (
-                Response::JobDone { provenance: p1, result: r1, .. },
-                Response::JobDone { provenance: p2, result: r2, .. },
-            ) => {
-                assert_eq!(*p1, Provenance::Computed);
-                assert_eq!(*p2, Provenance::Cache);
-                assert_eq!(r1.encoded().unwrap(), r2.encoded().unwrap());
-            }
-            other => panic!("unexpected responses {other:?}"),
-        }
+        let first = run(&mut svc, &[bathtub(51)]);
+        let second = run(&mut svc, &[bathtub(51)]);
+        assert_eq!(first[0].provenance, Provenance::Computed);
+        assert_eq!(second[0].provenance, Provenance::Cache);
+        let bytes = |c: &Completion| c.outcome.as_ref().unwrap().encoded().unwrap();
+        assert_eq!(bytes(&first[0]), bytes(&second[0]));
         assert_eq!(svc.stats().cache_hits, 1);
     }
 
@@ -223,43 +140,29 @@ mod tests {
     fn oversized_batch_is_shed_with_busy() {
         let mut svc = small_service(); // queue capacity 4
         let specs = vec![bathtub(61); 5];
-        match svc.handle(Request::SubmitBatch { session: 1, specs }) {
-            Response::Busy { queue_depth, queue_capacity } => {
-                assert_eq!(queue_depth, 0);
-                assert_eq!(queue_capacity, 4);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        assert!(matches!(svc.admit(1, &specs), Admission::Shed { queue_depth: 0 }));
+        assert_eq!(svc.queue_capacity(), 4);
         assert_eq!(svc.stats().shed, 5);
     }
 
     #[test]
     fn batch_replies_in_submission_order() {
         let mut svc = small_service();
-        let specs = vec![bathtub(71), bathtub(72), bathtub(71)];
-        match svc.handle(Request::SubmitBatch { session: 1, specs }) {
-            Response::BatchDone { outcomes } => {
-                assert_eq!(outcomes.len(), 3);
-                let tickets: Vec<u64> = outcomes.iter().map(|(t, _, _)| *t).collect();
-                assert_eq!(tickets, vec![1, 2, 3]);
-                assert_eq!(outcomes[0].1, Provenance::Computed);
-                assert_eq!(outcomes[2].1, Provenance::Batched);
-                assert!(outcomes.iter().all(|(_, _, o)| o.is_ok()));
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        let done = run(&mut svc, &[bathtub(71), bathtub(72), bathtub(71)]);
+        let tickets: Vec<u64> = done.iter().map(|c| c.ticket).collect();
+        assert_eq!(tickets, vec![1, 2, 3]);
+        assert_eq!(done[0].provenance, Provenance::Computed);
+        assert_eq!(done[2].provenance, Provenance::Batched);
+        assert!(done.iter().all(|c| c.outcome.is_ok()));
     }
 
     #[test]
     fn failing_spec_reports_failed_with_ticket() {
         let mut svc = small_service();
-        match svc.handle(Request::Submit { session: 1, spec: bathtub(1) }) {
-            Response::Failed { ticket, message } => {
-                assert_eq!(ticket, 1);
-                assert!(message.contains("points"), "{message}");
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        let done = run(&mut svc, &[bathtub(1)]);
+        assert_eq!(done[0].ticket, 1);
+        let message = done[0].outcome.as_ref().unwrap_err().to_string();
+        assert!(message.contains("points"), "{message}");
         assert_eq!(svc.stats().failed, 1);
     }
 }

@@ -5,15 +5,16 @@
 //! The chunker cuts at the natural boundaries of each workload — shmoo
 //! pass-map rows, wafer-map stripes, eye-scan strobe columns, bathtub
 //! segments — so a live client can render progress as slices land. The
-//! invariant the whole THP/2 design rests on: concatenating a stream's
-//! chunks in `seq` order is **byte-identical** to the monolithic
-//! [`JobResult::encoded`] bytes THP/1 ships, at any thread count and any
-//! chunk interleaving. The terminal [`crate::Response::Summary`] carries
-//! the chunk count, total byte count, and a [`StreamDigest`], so a
+//! invariant the whole streaming design rests on: concatenating a
+//! stream's chunks in `seq` order is **byte-identical** to the monolithic
+//! [`JobResult::encoded`] bytes, at any thread count and any chunk
+//! interleaving. The terminal [`crate::Response::Summary`] carries the
+//! chunk count, total byte count, and a [`StreamDigest`], so a
 //! [`Reassembler`] proves the identity before decoding anything.
+//! [`push_stream`] is the one encoder of that framing.
 
-use crate::proto::{JobResult, Provenance, ServiceStats};
-use crate::wire::{FrameError, Reader, Writer};
+use crate::proto::{msg, JobResult, Provenance, Response, ServiceStats};
+use crate::wire::{self, FrameError, Reader, Writer};
 
 /// Incremental 64-bit digest over a chunk stream's bytes.
 ///
@@ -233,6 +234,72 @@ pub fn chunk_result(result: &JobResult) -> Result<Vec<Vec<u8>>, FrameError> {
     Ok(chunks)
 }
 
+/// Appends `result` to `out` as the answer to submission `correlation`:
+/// one `CHUNK` frame per semantic slice, then the `FINAL`
+/// [`Response::Summary`] carrying the count, bytes and digest a client
+/// verifies reassembly against. Every server — the event loop, the
+/// in-process loopback and the farm front end — answers a submission
+/// this way.
+///
+/// On error nothing is appended, so the caller can answer `Failed`
+/// instead of leaving half a stream on the wire.
+///
+/// # Errors
+///
+/// [`FrameError::Oversized`] if a sequence or a slice exceeds its
+/// ceiling.
+pub fn push_stream(
+    out: &mut Vec<u8>,
+    correlation: u64,
+    ticket: u64,
+    provenance: Provenance,
+    result: &JobResult,
+) -> Result<(), FrameError> {
+    let start = out.len();
+    let pushed = push_frames(out, correlation, ticket, provenance, result);
+    if pushed.is_err() {
+        out.truncate(start);
+    }
+    pushed
+}
+
+fn push_frames(
+    out: &mut Vec<u8>,
+    correlation: u64,
+    ticket: u64,
+    provenance: Provenance,
+    result: &JobResult,
+) -> Result<(), FrameError> {
+    let chunks = chunk_result(result)?;
+    let mut total: u64 = 0;
+    let mut digest = StreamDigest::new();
+    let mut seq: u32 = 0;
+    for chunk in &chunks {
+        total = total.saturating_add(u64::try_from(chunk.len()).unwrap_or(u64::MAX));
+        digest.absorb(chunk);
+        // Encoded straight into the outbox: a chunk frame's payload is
+        // `seq` (u32 BE) followed by the raw slice, so the hot streaming
+        // path skips the per-frame Response allocation round trip.
+        wire::encode_frame2_into(
+            out,
+            msg::CHUNK,
+            wire::flag::CHUNK,
+            correlation,
+            &[&seq.to_be_bytes(), chunk],
+        )?;
+        seq = seq.wrapping_add(1);
+    }
+    let summary = Response::Summary {
+        ticket,
+        provenance,
+        chunks: seq,
+        total_bytes: total,
+        digest: digest.finish(),
+    };
+    out.extend_from_slice(&summary.to_frame2(correlation)?);
+    Ok(())
+}
+
 /// Client-side accumulator for one correlation id's chunk stream.
 ///
 /// Chunks must arrive in `seq` order within their correlation (the
@@ -306,7 +373,7 @@ impl Reassembler {
     }
 }
 
-/// One event from a pipelined THP/2 session, tagged with the correlation
+/// One event from a pipelined session, tagged with the correlation
 /// id the client chose at submission.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {

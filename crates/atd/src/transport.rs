@@ -1,271 +1,84 @@
-//! Client transports: the in-memory loopback and the TCP stream client,
-//! plus the typed [`Client`] wrapper that speaks requests and expects the
-//! matching responses.
+//! The in-memory loopback: a byte stream to a [`Service`] that runs the
+//! daemon's own per-connection session over buffers instead of a socket.
 //!
-//! The loopback is not a shortcut around the protocol — every request is
-//! encoded to THP/1 bytes, decoded, handled, and the response re-encoded
-//! and re-decoded, so a loopback test exercises the same codec path as a
-//! socket.
+//! The loopback is not a shortcut around the protocol. Whatever a
+//! [`crate::Client`] writes is cut into frames, admitted, scheduled,
+//! streamed back as chunks plus a summary, and reassembled exactly as
+//! over TCP — so a loopback test exercises the same codec and request
+//! path as the daemon, byte for byte.
 
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io::{self, Read, Write};
 
-use crate::error::AtdError;
-use crate::proto::{JobResult, JobSpec, Provenance, Request, Response, ServiceStats};
+use crate::server::DEFAULT_PIPELINE_DEPTH;
 use crate::service::Service;
-use crate::wire::{self, HEADER_LEN};
+use crate::session::Session;
 
-/// Anything that can carry one request/response exchange.
-pub trait Transport {
-    /// Sends `request` and returns the service's response.
-    ///
-    /// # Errors
-    ///
-    /// Transport and codec failures; protocol-level outcomes (`Busy`,
-    /// `Failed`) are responses, not errors.
-    fn roundtrip(&mut self, request: &Request) -> Result<Response, AtdError>;
-}
-
-/// In-memory transport: a full encode → decode → handle → encode → decode
-/// cycle against an owned [`Service`].
+/// An in-process connection to an owned [`Service`]. Writes deliver
+/// frames to the session; a read runs the daemon's pass (dispatch, then
+/// drain) until the session has bytes to answer with, and reports end of
+/// stream once nothing more is owed.
 #[derive(Debug)]
 pub struct Loopback {
     service: Service,
+    session: Session,
 }
 
 impl Loopback {
-    /// Wraps a service.
+    /// Wraps a service; the session allows the daemon's default pipeline
+    /// depth.
     pub fn new(service: Service) -> Self {
-        Loopback { service }
-    }
-
-    /// Read access to the wrapped service (stats inspection in tests).
-    pub fn service(&self) -> &Service {
-        &self.service
+        Loopback { service, session: Session::new(DEFAULT_PIPELINE_DEPTH) }
     }
 }
 
-impl Transport for Loopback {
-    fn roundtrip(&mut self, request: &Request) -> Result<Response, AtdError> {
-        let frame = request.to_frame()?;
-        let decoded = Request::from_frame(&frame)?;
-        let response = self.service.handle(decoded);
-        let frame = response.to_frame()?;
-        Ok(Response::from_frame(&frame)?)
+impl Write for Loopback {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.session.receive(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
-fn io_err(op: &'static str, e: &std::io::Error) -> AtdError {
-    AtdError::Io { op, message: e.to_string() }
-}
-
-/// Writes one pre-encoded frame to a byte sink.
-///
-/// # Errors
-///
-/// [`AtdError::Io`] on a short or failed write.
-pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), AtdError> {
-    w.write_all(frame).map_err(|e| io_err("write frame", &e))?;
-    w.flush().map_err(|e| io_err("flush frame", &e))
-}
-
-/// Reads one frame from a byte source, returning `(msg_type, payload)`.
-/// `Ok(None)` means the peer closed the stream before a new frame began.
-///
-/// # Errors
-///
-/// [`AtdError::Io`] on socket failures, [`AtdError::Frame`] on a
-/// malformed header.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, AtdError> {
-    let mut header = [0u8; HEADER_LEN];
-    match r.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(io_err("read frame header", &e)),
-    }
-    let (msg_type, len) = wire::decode_header(&header)?;
-    // xlint::allow(wire-taint, decode_header has already rejected len > MAX_PAYLOAD so this allocation is bounded at 1 MiB)
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(|e| io_err("read frame payload", &e))?;
-    Ok(Some((msg_type, payload)))
-}
-
-/// TCP transport speaking THP/1 over a [`TcpStream`].
-#[derive(Debug)]
-pub struct TcpClient {
-    stream: TcpStream,
-}
-
-impl TcpClient {
-    /// Connects to a daemon.
-    ///
-    /// # Errors
-    ///
-    /// [`AtdError::Io`] if the connection fails.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, AtdError> {
-        let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", &e))?;
-        stream.set_nodelay(true).map_err(|e| io_err("set nodelay", &e))?;
-        Ok(TcpClient { stream })
-    }
-}
-
-impl Transport for TcpClient {
-    fn roundtrip(&mut self, request: &Request) -> Result<Response, AtdError> {
-        let frame = request.to_frame()?;
-        write_frame(&mut self.stream, &frame)?;
-        let (ty, payload) = read_frame(&mut self.stream)?.ok_or(AtdError::Io {
-            op: "read response",
-            message: "connection closed before the response arrived".to_string(),
-        })?;
-        Ok(Response::from_parts(ty, &payload)?)
-    }
-}
-
-/// The verdict of a single-job submission.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Submitted {
-    /// The job ran (or was served from cache).
-    Done {
-        /// Admission ticket.
-        ticket: u64,
-        /// How the result was produced.
-        provenance: Provenance,
-        /// The outcome.
-        result: JobResult,
-    },
-    /// Admission control shed the job; retry later.
-    Busy {
-        /// Jobs queued at the service.
-        queue_depth: u32,
-        /// The service's queue capacity.
-        queue_capacity: u32,
-    },
-}
-
-/// The verdict of a batch submission.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatchSubmitted {
-    /// Every job was admitted; per-job outcomes in submission order.
-    Done(Vec<(u64, Provenance, Result<JobResult, String>)>),
-    /// The whole batch was shed.
-    Busy {
-        /// Jobs queued at the service.
-        queue_depth: u32,
-        /// The service's queue capacity.
-        queue_capacity: u32,
-    },
-}
-
-/// A typed client over any [`Transport`]: sends the request, checks the
-/// response type, and surfaces mismatches as
-/// [`AtdError::UnexpectedResponse`].
-#[derive(Debug)]
-pub struct Client<T: Transport> {
-    transport: T,
-}
-
-impl<T: Transport> Client<T> {
-    /// Wraps a transport.
-    pub fn new(transport: T) -> Self {
-        Client { transport }
-    }
-
-    /// The wrapped transport (for stats inspection on a loopback).
-    pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
-    /// Pings the service; returns the echoed token.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, or a non-`Pong` response.
-    pub fn ping(&mut self, token: u64) -> Result<u64, AtdError> {
-        match self.transport.roundtrip(&Request::Ping { token })? {
-            Response::Pong { token } => Ok(token),
-            other => Err(unexpected(&other, "Pong")),
-        }
-    }
-
-    /// Fetches the service counters.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, or a non-`StatsReport` response.
-    pub fn stats(&mut self) -> Result<ServiceStats, AtdError> {
-        match self.transport.roundtrip(&Request::GetStats)? {
-            Response::StatsReport(stats) => Ok(stats),
-            other => Err(unexpected(&other, "StatsReport")),
-        }
-    }
-
-    /// Submits one job under `session`.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures; a `Failed` response becomes
-    /// [`AtdError::Remote`].
-    pub fn submit(&mut self, session: u32, spec: JobSpec) -> Result<Submitted, AtdError> {
-        match self.transport.roundtrip(&Request::Submit { session, spec })? {
-            Response::JobDone { ticket, provenance, result } => {
-                Ok(Submitted::Done { ticket, provenance, result })
+impl Read for Loopback {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let Loopback { service, session } = self;
+        loop {
+            let pending = session.output();
+            if !pending.is_empty() {
+                let n = pending.len().min(buf.len());
+                if let (Some(dst), Some(src)) = (buf.get_mut(..n), pending.get(..n)) {
+                    dst.copy_from_slice(src);
+                }
+                session.consume_output(n);
+                return Ok(n);
             }
-            Response::Busy { queue_depth, queue_capacity } => {
-                Ok(Submitted::Busy { queue_depth, queue_capacity })
+            let moved = session.dispatch(service, usize::MAX, &mut |_| {});
+            if service.queue_depth() > 0 {
+                service.drain_each(&mut |completion| session.complete(completion));
+            } else if !moved && session.output().is_empty() {
+                // Nothing owed and nothing to act on: the peer would
+                // block forever on a socket, so end the stream instead.
+                // (A rejected frame consumes nothing but leaves its
+                // `Failed` reply in the outbox, which is sent first.)
+                return Ok(0);
             }
-            Response::Failed { message, .. } => Err(AtdError::Remote { message }),
-            other => Err(unexpected(&other, "JobDone, Busy, or Failed")),
         }
     }
-
-    /// Submits a batch under `session`.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, or an unexpected response type. Per-job
-    /// failures come back inside the `Done` variant, not as an `Err`.
-    pub fn submit_batch(
-        &mut self,
-        session: u32,
-        specs: Vec<JobSpec>,
-    ) -> Result<BatchSubmitted, AtdError> {
-        match self.transport.roundtrip(&Request::SubmitBatch { session, specs })? {
-            Response::BatchDone { outcomes } => Ok(BatchSubmitted::Done(outcomes)),
-            Response::Busy { queue_depth, queue_capacity } => {
-                Ok(BatchSubmitted::Busy { queue_depth, queue_capacity })
-            }
-            other => Err(unexpected(&other, "BatchDone or Busy")),
-        }
-    }
-
-    /// Asks the daemon to stop serving.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, or a non-`Goodbye` response.
-    pub fn shutdown(&mut self) -> Result<(), AtdError> {
-        match self.transport.roundtrip(&Request::Shutdown)? {
-            Response::Goodbye => Ok(()),
-            other => Err(unexpected(&other, "Goodbye")),
-        }
-    }
-}
-
-fn unexpected(response: &Response, expected: &'static str) -> AtdError {
-    AtdError::UnexpectedResponse { code: response.code(), expected }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Client;
+    use crate::proto::{JobSpec, Provenance};
     use crate::scheduler::Scheduler;
+    use crate::stream::Event;
+    use crate::AtdError;
     use exec::ExecPool;
     use pstime::{DataRate, Duration};
-
-    fn loopback_client() -> Client<Loopback> {
-        let service = Service::new(ExecPool::serial(), Scheduler::new(4, 8));
-        Client::new(Loopback::new(service))
-    }
 
     fn bathtub(points: u32) -> JobSpec {
         JobSpec::bathtub(
@@ -279,58 +92,51 @@ mod tests {
 
     #[test]
     fn loopback_speaks_the_full_protocol() {
-        let mut client = loopback_client();
+        let service = Service::new(ExecPool::serial(), Scheduler::new(4, 8));
+        let mut client = Client::new(Loopback::new(service));
         assert_eq!(client.ping(12345).unwrap(), 12345);
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.submitted, 0);
+        assert_eq!(client.stats().unwrap().submitted, 0);
 
-        let spec = bathtub(81);
-        let first = client.submit(1, spec).unwrap();
-        let Submitted::Done { provenance, result, .. } = first else {
-            panic!("expected Done, got {first:?}");
+        let Event::Done { provenance, result, .. } = client.submit(1, bathtub(81)).unwrap() else {
+            panic!("expected Done");
         };
         assert_eq!(provenance, Provenance::Computed);
-
-        let again = client.submit(2, spec).unwrap();
-        let Submitted::Done { provenance: p2, result: r2, .. } = again else {
-            panic!("expected Done, got {again:?}");
+        let Event::Done { provenance: p2, result: r2, .. } = client.submit(2, bathtub(81)).unwrap()
+        else {
+            panic!("expected Done");
         };
         assert_eq!(p2, Provenance::Cache);
         assert_eq!(result.encoded().unwrap(), r2.encoded().unwrap());
 
-        let batch = client.submit_batch(1, vec![bathtub(82), bathtub(82)]).unwrap();
-        let BatchSubmitted::Done(outcomes) = batch else {
-            panic!("expected Done, got {batch:?}");
-        };
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[1].1, Provenance::Batched);
+        // Two identical submissions in one window coalesce in the drain.
+        let first = client.submit_pipelined(1, bathtub(82)).unwrap();
+        let second = client.submit_pipelined(1, bathtub(82)).unwrap();
+        let mut provenances = Vec::new();
+        while client.in_flight() > 0 {
+            if let Event::Done { correlation, provenance, .. } = client.next_event().unwrap() {
+                provenances.push((correlation, provenance));
+            }
+        }
+        assert_eq!(provenances, vec![(first, Provenance::Computed), (second, Provenance::Batched)]);
 
-        // Overflow the 4-deep queue: shed.
-        let shed = client.submit_batch(1, vec![bathtub(83); 5]).unwrap();
-        assert!(matches!(shed, BatchSubmitted::Busy { queue_capacity: 4, .. }));
+        // Overflow the 4-deep queue: the fifth submission is shed.
+        for _ in 0..5 {
+            client.submit_pipelined(1, bathtub(83)).unwrap();
+        }
+        let mut busy = 0;
+        while client.in_flight() > 0 {
+            if let Event::Busy { queue_capacity: 4, .. } = client.next_event().unwrap() {
+                busy += 1;
+            }
+        }
+        assert_eq!(busy, 1);
 
-        // A failing spec surfaces as a remote error.
-        let err = client.submit(1, bathtub(1));
-        assert!(matches!(err, Err(AtdError::Remote { .. })));
+        // A failing spec surfaces as a failed event under its own ticket.
+        let failed = client.submit(1, bathtub(1)).unwrap();
+        assert!(matches!(failed, Event::Failed { ticket: 9, .. }), "{failed:?}");
 
         client.shutdown().unwrap();
-        assert!(client.transport().service().shutdown_requested());
-    }
-
-    #[test]
-    fn read_frame_handles_eof_and_truncation() {
-        // Clean EOF before any byte: None.
-        let empty: &[u8] = &[];
-        assert!(read_frame(&mut &empty[..]).unwrap().is_none());
-        // EOF mid-header: also treated as end of stream.
-        let partial = [b'T', b'H'];
-        assert!(read_frame(&mut &partial[..]).unwrap().is_none());
-        // Valid header, truncated payload: an I/O error.
-        let frame = Request::Ping { token: 1 }.to_frame().unwrap();
-        let cut = &frame[..frame.len() - 2];
-        assert!(matches!(read_frame(&mut &cut[..]), Err(AtdError::Io { .. })));
-        // A full frame round-trips.
-        let (ty, payload) = read_frame(&mut &frame[..]).unwrap().unwrap();
-        assert_eq!(Request::from_parts(ty, &payload).unwrap(), Request::Ping { token: 1 });
+        // Nothing is owed any more: the stream ends instead of blocking.
+        assert!(matches!(client.next_event(), Err(AtdError::Io { .. })));
     }
 }

@@ -1,20 +1,8 @@
-//! THP/1 and THP/2 — the test-head protocol's length-prefixed binary
-//! framing.
+//! THP/2 — the test-head protocol's length-prefixed binary framing.
 //!
-//! A THP/1 message travels as one frame:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic  "THP1"
-//! 4       1     version (1)
-//! 5       1     message type code
-//! 6       2     reserved, must be zero (big-endian u16)
-//! 8       4     payload length in bytes (big-endian u32)
-//! 12      n     payload
-//! ```
-//!
-//! THP/2 extends the header with a client-chosen correlation id and a
-//! flags byte so responses can arrive out of order and in parts:
+//! Every message travels as one frame carrying a client-chosen
+//! correlation id and a flags byte, so responses can arrive out of order
+//! and in parts:
 //!
 //! ```text
 //! offset  size  field
@@ -28,11 +16,9 @@
 //! 20      n     payload
 //! ```
 //!
-//! The two grammars never mix on a connection: [`sniff`] reads the magic
-//! of the *first* frame and pins the version for the rest of the stream
-//! (version negotiation). The v1 entry points ([`decode_header`],
-//! [`decode_frame`]) stay strictly THP/1 so the frozen THP/1 golden
-//! vectors remain the deployed contract.
+//! The magic and version byte together name the revision; a stream is
+//! judged as soon as those five bytes have arrived, so a peer speaking
+//! another protocol is answered without waiting for a whole header.
 //!
 //! All multi-byte integers on the wire are big-endian. Decoding is total:
 //! malformed input of any shape maps to a typed [`FrameError`], never a
@@ -43,15 +29,6 @@
 
 use core::fmt;
 
-/// The four magic bytes opening every THP/1 frame.
-pub const MAGIC: [u8; 4] = *b"THP1";
-
-/// The protocol version this build speaks by default.
-pub const VERSION: u8 = 1;
-
-/// Frame header size in bytes.
-pub const HEADER_LEN: usize = 12;
-
 /// The four magic bytes opening every THP/2 frame.
 pub const MAGIC2: [u8; 4] = *b"THP2";
 
@@ -60,6 +37,10 @@ pub const VERSION2: u8 = 2;
 
 /// THP/2 frame header size in bytes.
 pub const HEADER2_LEN: usize = 20;
+
+/// Leading header bytes that name the protocol revision: the magic plus
+/// the version byte.
+pub(crate) const REVISION_LEN: usize = 5;
 
 /// THP/2 header flag bits. Every frame carries exactly one of these: a
 /// `CHUNK` frame is one slice of a streamed result, a `FINAL` frame
@@ -90,7 +71,7 @@ pub enum FrameError {
         /// Bytes actually available.
         have: usize,
     },
-    /// The first four bytes are not `THP1`.
+    /// The first four bytes are not `THP2`.
     BadMagic {
         /// The bytes found instead.
         found: [u8; 4],
@@ -117,7 +98,8 @@ pub enum FrameError {
         /// The ceiling it exceeded.
         max: u64,
     },
-    /// The message-type code is not part of THP/1.
+    /// The message-type code is not part of the protocol, or not part of
+    /// the direction being decoded.
     UnknownType {
         /// The code found.
         code: u8,
@@ -142,10 +124,7 @@ impl fmt::Display for FrameError {
             }
             FrameError::BadMagic { found } => write!(f, "bad magic {found:02x?}"),
             FrameError::UnsupportedVersion { found } => {
-                write!(
-                    f,
-                    "unsupported THP version {found} (this build speaks {VERSION}/{VERSION2})"
-                )
+                write!(f, "unsupported THP version {found} (this build speaks {VERSION2})")
             }
             FrameError::ReservedNonZero { found } => {
                 write!(f, "reserved header field must be zero, found {found:#06x}")
@@ -163,81 +142,6 @@ impl fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
-
-/// Encodes one frame: header plus payload.
-///
-/// # Errors
-///
-/// [`FrameError::Oversized`] if `payload` exceeds [`MAX_PAYLOAD`].
-pub fn encode_frame(msg_type: u8, payload: &[u8]) -> Result<Vec<u8>, FrameError> {
-    let len = u32::try_from(payload.len()).ok().filter(|l| *l <= MAX_PAYLOAD).ok_or(
-        FrameError::Oversized {
-            len: u64::try_from(payload.len()).unwrap_or(u64::MAX),
-            max: u64::from(MAX_PAYLOAD),
-        },
-    )?;
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(msg_type);
-    out.extend_from_slice(&0u16.to_be_bytes());
-    out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
-}
-
-/// Validates a 12-byte header and returns `(msg_type, payload_len)`.
-///
-/// Transports that stream (TCP) call this on the fixed-size header before
-/// reading the payload; [`decode_frame`] calls it on in-memory frames.
-///
-/// # Errors
-///
-/// Any header-level [`FrameError`].
-pub fn decode_header(header: &[u8]) -> Result<(u8, usize), FrameError> {
-    if header.len() < HEADER_LEN {
-        return Err(FrameError::Truncated { needed: HEADER_LEN, have: header.len() });
-    }
-    let magic = read4(header, 0)?;
-    if magic != MAGIC {
-        return Err(FrameError::BadMagic { found: magic });
-    }
-    let version = *header.get(4).ok_or(FrameError::Truncated { needed: 5, have: header.len() })?;
-    if version != VERSION {
-        return Err(FrameError::UnsupportedVersion { found: version });
-    }
-    let msg_type = *header.get(5).ok_or(FrameError::Truncated { needed: 6, have: header.len() })?;
-    let reserved = u16::from_be_bytes(read2(header, 6)?);
-    if reserved != 0 {
-        return Err(FrameError::ReservedNonZero { found: reserved });
-    }
-    let len = u32::from_be_bytes(read4(header, 8)?);
-    if len > MAX_PAYLOAD {
-        return Err(FrameError::Oversized { len: u64::from(len), max: u64::from(MAX_PAYLOAD) });
-    }
-    let len = usize::try_from(len).map_err(|_| FrameError::BadPayload {
-        context: "frame length exceeds the address space",
-    })?;
-    Ok((msg_type, len))
-}
-
-/// Decodes exactly one in-memory frame into `(msg_type, payload)`.
-///
-/// # Errors
-///
-/// Any [`FrameError`]; trailing bytes after the declared payload are
-/// rejected with [`FrameError::TrailingBytes`].
-pub fn decode_frame(bytes: &[u8]) -> Result<(u8, &[u8]), FrameError> {
-    let (msg_type, len) = decode_header(bytes)?;
-    let body = bytes.get(HEADER_LEN..).unwrap_or(&[]);
-    if body.len() < len {
-        return Err(FrameError::Truncated { needed: len, have: body.len() });
-    }
-    if body.len() > len {
-        return Err(FrameError::TrailingBytes { extra: body.len() - len });
-    }
-    Ok((msg_type, body))
-}
 
 /// A validated THP/2 frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -325,14 +229,7 @@ pub fn decode_header2(header: &[u8]) -> Result<Header2, FrameError> {
     if header.len() < HEADER2_LEN {
         return Err(FrameError::Truncated { needed: HEADER2_LEN, have: header.len() });
     }
-    let magic = read4(header, 0)?;
-    if magic != MAGIC2 {
-        return Err(FrameError::BadMagic { found: magic });
-    }
-    let version = *header.get(4).ok_or(FrameError::Truncated { needed: 5, have: header.len() })?;
-    if version != VERSION2 {
-        return Err(FrameError::UnsupportedVersion { found: version });
-    }
+    check_revision(header)?;
     let msg_type = *header.get(5).ok_or(FrameError::Truncated { needed: 6, have: header.len() })?;
     let flags = *header.get(6).ok_or(FrameError::Truncated { needed: 7, have: header.len() })?;
     check_flags(flags)?;
@@ -369,44 +266,27 @@ pub fn decode_frame2(bytes: &[u8]) -> Result<(Header2, &[u8]), FrameError> {
     Ok((header, body))
 }
 
-/// Version negotiation: inspects the start of a byte stream and names the
-/// protocol revision it opens with. `Ok(None)` means more bytes are
-/// needed before the decision can be made; `Ok(Some((version,
-/// header_len)))` pins the revision and tells streaming transports how
-/// many header bytes to wait for.
+/// Checks the revision bytes — magic and version — that open a frame.
+/// A streaming reader calls this once [`REVISION_LEN`] bytes are in, to
+/// reject a foreign protocol before the rest of its header arrives.
 ///
 /// # Errors
 ///
-/// [`FrameError::BadMagic`] for unknown magics,
-/// [`FrameError::UnsupportedVersion`] when the magic and version byte
-/// disagree.
-pub fn sniff(buf: &[u8]) -> Result<Option<(u8, usize)>, FrameError> {
-    if buf.len() < 5 {
-        return Ok(None);
+/// [`FrameError::Truncated`] below [`REVISION_LEN`] bytes,
+/// [`FrameError::BadMagic`] for any magic but `THP2`,
+/// [`FrameError::UnsupportedVersion`] for any version but
+/// [`VERSION2`].
+pub(crate) fn check_revision(bytes: &[u8]) -> Result<(), FrameError> {
+    let magic = read4(bytes, 0)?;
+    if magic != MAGIC2 {
+        return Err(FrameError::BadMagic { found: magic });
     }
-    let magic = read4(buf, 0)?;
-    let version = buf.get(4).copied().unwrap_or(0);
-    match magic {
-        m if m == MAGIC => {
-            if version != VERSION {
-                return Err(FrameError::UnsupportedVersion { found: version });
-            }
-            Ok(Some((VERSION, HEADER_LEN)))
-        }
-        m if m == MAGIC2 => {
-            if version != VERSION2 {
-                return Err(FrameError::UnsupportedVersion { found: version });
-            }
-            Ok(Some((VERSION2, HEADER2_LEN)))
-        }
-        m => Err(FrameError::BadMagic { found: m }),
+    let version =
+        *bytes.get(4).ok_or(FrameError::Truncated { needed: REVISION_LEN, have: bytes.len() })?;
+    if version != VERSION2 {
+        return Err(FrameError::UnsupportedVersion { found: version });
     }
-}
-
-fn read2(bytes: &[u8], at: usize) -> Result<[u8; 2], FrameError> {
-    let slice =
-        bytes.get(at..at + 2).ok_or(FrameError::Truncated { needed: at + 2, have: bytes.len() })?;
-    <[u8; 2]>::try_from(slice).map_err(|_| FrameError::BadPayload { context: "2-byte field" })
+    Ok(())
 }
 
 fn read4(bytes: &[u8], at: usize) -> Result<[u8; 4], FrameError> {
@@ -685,49 +565,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_round_trip() {
-        let frame = encode_frame(0x03, b"hello").unwrap();
-        assert_eq!(frame.len(), HEADER_LEN + 5);
-        let (ty, payload) = decode_frame(&frame).unwrap();
-        assert_eq!(ty, 0x03);
-        assert_eq!(payload, b"hello");
-    }
-
-    #[test]
-    fn header_rejections_are_typed() {
-        let good = encode_frame(0x01, b"abcd1234").unwrap();
-
-        let mut bad = good.clone();
-        bad[0] = b'X';
-        assert!(matches!(decode_frame(&bad), Err(FrameError::BadMagic { .. })));
-
-        let mut bad = good.clone();
-        bad[4] = 9;
-        assert_eq!(decode_frame(&bad), Err(FrameError::UnsupportedVersion { found: 9 }));
-
-        let mut bad = good.clone();
-        bad[6] = 0xAB;
-        assert_eq!(decode_frame(&bad), Err(FrameError::ReservedNonZero { found: 0xAB00 }));
-
-        let mut bad = good.clone();
-        bad[8..12].copy_from_slice(&(MAX_PAYLOAD + 1).to_be_bytes());
-        assert!(matches!(decode_frame(&bad), Err(FrameError::Oversized { .. })));
-
-        assert!(matches!(decode_frame(&good[..7]), Err(FrameError::Truncated { .. })));
-        assert!(matches!(decode_frame(&good[..HEADER_LEN + 3]), Err(FrameError::Truncated { .. })));
-
-        let mut long = good.clone();
-        long.push(0xFF);
-        assert_eq!(decode_frame(&long), Err(FrameError::TrailingBytes { extra: 1 }));
-    }
-
-    #[test]
     fn oversized_errors_carry_the_actual_length() {
         // A payload one byte past the ceiling: the error names its real
         // size, not a sentinel.
         let payload = vec![0u8; usize::try_from(MAX_PAYLOAD).unwrap() + 1];
         assert_eq!(
-            encode_frame(0x01, &payload),
+            encode_frame2(0x01, flag::FINAL, 1, &payload),
             Err(FrameError::Oversized {
                 len: u64::from(MAX_PAYLOAD) + 1,
                 max: u64::from(MAX_PAYLOAD),
@@ -761,7 +604,7 @@ mod tests {
         w.i64(i64::MIN + 3);
         w.f64(-0.125);
         w.bool(true);
-        w.str("thp/1 ☂").unwrap();
+        w.str("thp/2 ☂").unwrap();
         let bytes = w.finish();
 
         let mut r = Reader::new(&bytes);
@@ -773,7 +616,7 @@ mod tests {
         assert_eq!(r.i64().unwrap(), i64::MIN + 3);
         assert_eq!(r.f64().unwrap().to_bits(), (-0.125f64).to_bits());
         assert!(r.bool().unwrap());
-        assert_eq!(r.str().unwrap(), "thp/1 ☂");
+        assert_eq!(r.str().unwrap(), "thp/2 ☂");
         r.expect_end().unwrap();
     }
 
@@ -857,15 +700,34 @@ mod tests {
     }
 
     #[test]
-    fn sniff_negotiates_the_version() {
-        assert_eq!(sniff(b""), Ok(None));
-        assert_eq!(sniff(b"THP1"), Ok(None), "the version byte is part of the decision");
-        assert_eq!(sniff(b"THP1\x01"), Ok(Some((VERSION, HEADER_LEN))));
-        assert_eq!(sniff(b"THP2\x02rest-ignored"), Ok(Some((VERSION2, HEADER2_LEN))));
-        // Magic and version must agree.
-        assert_eq!(sniff(b"THP1\x02"), Err(FrameError::UnsupportedVersion { found: 2 }));
-        assert_eq!(sniff(b"THP2\x01"), Err(FrameError::UnsupportedVersion { found: 1 }));
-        assert_eq!(sniff(b"HTTP/1.1 "), Err(FrameError::BadMagic { found: *b"HTTP" }));
+    fn header_rejections_are_typed() {
+        assert_eq!(check_revision(b"THP2\x02"), Ok(()));
+        assert_eq!(check_revision(b"THP2\x02rest-ignored"), Ok(()));
+        assert!(matches!(check_revision(b"THP2"), Err(FrameError::Truncated { .. })));
+        assert_eq!(check_revision(b"THP2\x01"), Err(FrameError::UnsupportedVersion { found: 1 }));
+        assert_eq!(check_revision(b"HTTP/1.1 "), Err(FrameError::BadMagic { found: *b"HTTP" }));
+        // A whole header reports the revision error before any later field.
+        let mut bad = encode_frame2(0x01, flag::FINAL, 1, b"").unwrap();
+        bad[4] = 9;
+        bad[6] = 0xFF;
+        assert_eq!(decode_header2(&bad), Err(FrameError::UnsupportedVersion { found: 9 }));
+    }
+
+    /// A payload given in parts encodes exactly like the same bytes in
+    /// one slice, and a failed encode appends nothing.
+    #[test]
+    fn frame_round_trip() {
+        let mut out = b"prefix".to_vec();
+        encode_frame2_into(&mut out, 0x88, flag::CHUNK, 3, &[b"sl", b"", b"ice"]).unwrap();
+        let (head, frame) = out.split_at(6);
+        assert_eq!(head, b"prefix");
+        assert_eq!(frame, encode_frame2(0x88, flag::CHUNK, 3, b"slice").unwrap());
+        let (header, payload) = decode_frame2(frame).unwrap();
+        assert_eq!(header.payload_len, 5);
+        assert_eq!(payload, b"slice");
+        let before = out.len();
+        assert!(encode_frame2_into(&mut out, 0x88, 0, 3, &[b"x"]).is_err());
+        assert_eq!(out.len(), before);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::rules::{Finding, Related, Severity};
 
 /// Functions of the codec surface whose results are peer-controlled.
 pub(crate) const SOURCE_FNS: &[&str] =
-    &["sniff", "decode_frame", "decode_header", "decode_frame2", "decode_header2"];
+    &["decode_frame", "decode_header", "decode_frame2", "decode_header2"];
 
 /// Exec entry points a tainted value must never reach unvalidated.
 pub(crate) const POOL_SINKS: &[&str] = &["run_on", "par_map", "par_map_reduce"];
@@ -1246,11 +1246,11 @@ mod tests {
     fn arithmetic_and_vec_macro_sinks_fire() {
         let hits = taint_findings(
             "pub fn arith(r: &mut Reader<'_>) -> usize {\n\
-                 let n = sniff(r);\n\
+                 let n = decode_frame2(r);\n\
                  n + 12\n\
              }\n\
              pub fn filled(r: &mut Reader<'_>) -> Vec<u8> {\n\
-                 let n = sniff(r);\n\
+                 let n = decode_frame2(r);\n\
                  vec![0u8; n]\n\
              }\n",
         );

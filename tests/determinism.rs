@@ -168,14 +168,14 @@ fn application_streams_are_domain_separated() {
 }
 
 /// The service layer preserves the determinism contract end to end: a
-/// shmoo submitted through the THP/1 loopback (encode → decode → schedule
-/// → execute → encode → decode) is byte-identical to the same shmoo run
-/// directly on a pool, and the round trip itself is invariant to the
-/// daemon's worker count.
+/// shmoo submitted through the loopback (encode → decode → schedule →
+/// execute → chunk → reassemble → decode) is byte-identical to the same
+/// shmoo run directly on a pool, and the round trip itself is invariant
+/// to the daemon's worker count.
 #[test]
 fn loopback_submitted_shmoo_matches_direct_run_at_any_thread_count() {
     use atd::scheduler::Scheduler;
-    use atd::{Client, JobResult, JobSpec, Loopback, Provenance, Service, Submitted};
+    use atd::{Client, Event, JobResult, JobSpec, Loopback, Provenance, Service};
     use exec::ExecPool;
     use minitester::{MiniTesterDatapath, ShmooConfig, ShmooPlot};
 
@@ -198,7 +198,7 @@ fn loopback_submitted_shmoo_matches_direct_run_at_any_thread_count() {
         let service = Service::new(ExecPool::new(threads), Scheduler::new(8, 8));
         let mut client = Client::new(Loopback::new(service));
         let done = client.submit(1, spec).unwrap();
-        let Submitted::Done { provenance, result, .. } = done else {
+        let Event::Done { provenance, result, .. } = done else {
             panic!("expected Done, got {done:?}");
         };
         assert_eq!(provenance, Provenance::Computed);
@@ -277,7 +277,7 @@ fn farm_merges_are_byte_identical_to_a_single_head_at_any_fleet_size() {
 fn store_backed_daemon_matches_in_memory_across_a_kill_and_restart() {
     use atd::scheduler::Scheduler;
     use atd::store::{Store, StoreConfig};
-    use atd::{Client, JobSpec, Loopback, Provenance, Service, Submitted};
+    use atd::{Client, Event, JobSpec, Loopback, Provenance, Service};
     use exec::ExecPool;
     use minitester::{ShmooConfig, WaferRunConfig};
     use pstime::Duration;
@@ -299,7 +299,7 @@ fn store_backed_daemon_matches_in_memory_across_a_kill_and_restart() {
 
     fn submit(client: &mut Client<Loopback>, spec: JobSpec) -> (Provenance, Vec<u8>) {
         match client.submit(1, spec).unwrap() {
-            Submitted::Done { provenance, result, .. } => (provenance, result.encoded().unwrap()),
+            Event::Done { provenance, result, .. } => (provenance, result.encoded().unwrap()),
             other => panic!("expected Done, got {other:?}"),
         }
     }
@@ -357,19 +357,21 @@ fn store_backed_daemon_matches_in_memory_across_a_kill_and_restart() {
     }
 }
 
-/// THP/2 streaming changes the framing, never the bytes: a shmoo submitted
-/// over a pipelined TCP session arrives as chunks whose concatenation is
-/// byte-identical to the THP/1 loopback result and the direct pool run — on
-/// event-loop daemons backed by 1-thread and 4-thread pools alike.
+/// The loopback runs the daemon's own request path: a shmoo submitted
+/// through `Client<Loopback>` streams the same chunks, with the same
+/// verified digest, as over TCP to event-loop daemons backed by 1-thread
+/// and 4-thread pools — and their concatenation is byte-identical to the
+/// direct pool run.
 #[test]
-fn pipelined_chunk_reassembly_matches_thp1_at_any_thread_count() {
+fn loopback_chunk_stream_matches_tcp_at_any_thread_count() {
     use atd::scheduler::Scheduler;
     use atd::{
         serve_with, Client, Event, JobResult, JobSpec, Loopback, PipelinedClient, ServerConfig,
-        Service, Submitted,
+        Service,
     };
     use exec::ExecPool;
     use minitester::{MiniTesterDatapath, ShmooConfig, ShmooPlot};
+    use std::io::{Read, Write};
     use std::net::TcpListener;
 
     let rate = DataRate::from_gbps(2.5);
@@ -385,14 +387,35 @@ fn pipelined_chunk_reassembly_matches_thp1_at_any_thread_count() {
     let plot = ShmooPlot::run_with_pool(&wave, rate, &expected, &config, 5, &pool).unwrap();
     let direct = JobResult::from_shmoo(&plot).unwrap().encoded().unwrap();
 
-    // THP/1 loopback reference.
+    /// Submits `spec` and collects its chunks, in order, plus the
+    /// verified stream digest.
+    fn stream<L: Read + Write>(client: &mut Client<L>, spec: JobSpec) -> (Vec<Vec<u8>>, u64) {
+        let corr = client.submit_pipelined(1, spec).unwrap();
+        let mut chunks = Vec::new();
+        loop {
+            match client.next_event().unwrap() {
+                Event::Chunk { correlation, bytes, .. } => {
+                    assert_eq!(correlation, corr);
+                    chunks.push(bytes);
+                }
+                Event::Done { correlation, digest, result, .. } => {
+                    assert_eq!(correlation, corr);
+                    assert_eq!(result.encoded().unwrap(), chunks.concat());
+                    return (chunks, digest);
+                }
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+    }
+
     let service = Service::new(ExecPool::new(1), Scheduler::new(8, 8));
-    let mut v1 = Client::new(Loopback::new(service));
-    let Submitted::Done { result, .. } = v1.submit(1, spec).unwrap() else {
-        panic!("loopback submit must complete");
-    };
-    let v1_bytes = result.encoded().unwrap();
-    assert_eq!(v1_bytes, direct, "THP/1 loopback differs from the direct run");
+    let (loopback, loopback_digest) = stream(&mut Client::new(Loopback::new(service)), spec);
+    assert_eq!(loopback.concat(), direct, "loopback chunks differ from the direct run");
+    assert_eq!(
+        loopback_digest,
+        atd::stream_digest(&direct),
+        "the verified stream digest must be a pure function of the bytes"
+    );
 
     for threads in [1usize, 4] {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -401,32 +424,12 @@ fn pipelined_chunk_reassembly_matches_thp1_at_any_thread_count() {
             let service = Service::new(ExecPool::new(threads), Scheduler::new(8, 8));
             serve_with(&listener, service, ServerConfig::default()).unwrap();
         });
-
         let mut client = PipelinedClient::connect(addr).unwrap();
-        let corr = client.submit_pipelined(1, spec).unwrap();
-        let mut concat = Vec::new();
-        let (digest, streamed) = loop {
-            match client.next_event().unwrap() {
-                Event::Chunk { correlation, bytes, .. } => {
-                    assert_eq!(correlation, corr);
-                    concat.extend_from_slice(&bytes);
-                }
-                Event::Done { correlation, digest, result, .. } => {
-                    assert_eq!(correlation, corr);
-                    break (digest, result);
-                }
-                other => panic!("unexpected event {other:?}"),
-            }
-        };
+        let (tcp, tcp_digest) = stream(&mut client, spec);
         client.shutdown().unwrap();
         daemon.join().unwrap();
 
-        assert_eq!(concat, direct, "{threads}-thread daemon chunks differ from the direct run");
-        assert_eq!(streamed.encoded().unwrap(), direct);
-        assert_eq!(
-            digest,
-            atd::stream_digest(&direct),
-            "the verified stream digest must be a pure function of the bytes"
-        );
+        assert_eq!(tcp, loopback, "{threads}-thread daemon chunks differ from the loopback's");
+        assert_eq!(tcp_digest, loopback_digest, "{threads}-thread daemon digest differs");
     }
 }

@@ -1,16 +1,25 @@
-//! Golden wire vectors for THP/1.
+//! Frozen THP/1 frames, kept after the revision was retired.
 //!
-//! These byte sequences are frozen: a failure here means the wire format
-//! changed, which breaks every deployed client/daemon pair. Bump
-//! [`atd::wire::VERSION`] instead of editing a vector.
+//! The daemon speaks THP/2 only, so a THP/1 client's bytes are now hostile
+//! input. These vectors pin two things: the payload grammar THP/2
+//! inherited unchanged (a THP/1 payload is still a THP/2 payload), and
+//! that every THP/1 frame — whole, cut short or mangled — is rejected by
+//! the THP/2 decoder with a typed error and answered by the daemon's own
+//! session with a THP/2 `Failed` under the reserved failure id.
 
-use atd::cache::fnv1a64;
+use std::io::{Read, Write};
+
 use atd::proto::msg;
-use atd::wire::{self, FrameError, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION};
-use atd::{JobResult, JobSpec, Provenance, Request, Response, ServiceStats};
+use atd::wire::{self, flag, FrameError, HEADER2_LEN, MAX_PAYLOAD, VERSION2};
+use atd::{JobSpec, Loopback, Request, Response, Scheduler, Service, FAILURE_ID};
+use exec::ExecPool;
 use pstime::{DataRate, Duration};
 
-/// `Ping { token: 0x0123_4567_89AB_CDEF }`, frozen on the wire.
+/// Length of the retired THP/1 header: magic, version, type, two reserved
+/// bytes, big-endian u32 payload length.
+const THP1_HEADER_LEN: usize = 12;
+
+/// `Ping { token: 0x0123_4567_89AB_CDEF }` as THP/1 put it on the wire.
 const PING_FRAME: [u8; 20] = [
     0x54, 0x48, 0x50, 0x31, // magic "THP1"
     0x01, // version 1
@@ -20,7 +29,8 @@ const PING_FRAME: [u8; 20] = [
     0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF, // token, big-endian
 ];
 
-/// `Submit { session: 7, spec: bathtub(3 ps, 20 ps, 2.5 Gb/s, 0.5, 101) }`.
+/// `Submit { session: 7, spec: bathtub(3 ps, 20 ps, 2.5 Gb/s, 0.5, 101) }`
+/// as THP/1 put it on the wire.
 const SUBMIT_BATHTUB_FRAME: [u8; 53] = [
     0x54, 0x48, 0x50, 0x31, // magic
     0x01, // version
@@ -53,248 +63,149 @@ fn golden_submit() -> Request {
     }
 }
 
+/// Feeds `bytes` to a fresh in-process daemon session and returns every
+/// byte it answers with before ending the stream.
+fn daemon_reply(bytes: &[u8]) -> Vec<u8> {
+    let service = Service::new(ExecPool::serial(), Scheduler::new(4, 8));
+    let mut link = Loopback::new(service);
+    link.write_all(bytes).unwrap();
+    let mut reply = Vec::new();
+    link.read_to_end(&mut reply).unwrap();
+    reply
+}
+
+/// Asserts the daemon answers `bytes` with exactly one THP/2 `Failed`
+/// frame under the reserved failure id.
+fn assert_daemon_rejects(bytes: &[u8]) {
+    let reply = daemon_reply(bytes);
+    let (header, payload) = wire::decode_frame2(&reply)
+        .unwrap_or_else(|e| panic!("reply to {bytes:02x?} is not one THP/2 frame: {e}"));
+    assert_eq!(header.correlation, FAILURE_ID, "{bytes:02x?}");
+    match Response::from_parts(header.msg_type, payload).unwrap() {
+        Response::Failed { ticket, .. } => assert_eq!(ticket, FAILURE_ID, "{bytes:02x?}"),
+        other => panic!("a THP/1 frame earns a Failed reply, got {other:?}"),
+    }
+}
+
+/// The THP/1 payload is byte for byte the THP/2 payload of the same
+/// message, while the THP/1 frame itself is refused by magic.
+fn assert_payload_carried_over(frame: &[u8], request: &Request) {
+    let payload = &frame[THP1_HEADER_LEN..];
+    assert_eq!(Request::from_parts(frame[5], payload).unwrap(), *request);
+    let thp2 = request.to_frame2(1).unwrap();
+    assert_eq!(&thp2[HEADER2_LEN..], payload);
+    assert_eq!(thp2[5], frame[5], "type codes carried over");
+    assert_eq!(wire::decode_frame2(frame), Err(FrameError::BadMagic { found: *b"THP1" }));
+    assert_daemon_rejects(frame);
+}
+
 #[test]
 fn ping_frame_matches_golden_bytes() {
-    assert_eq!(golden_ping().to_frame().unwrap(), PING_FRAME);
-    assert_eq!(Request::from_frame(&PING_FRAME).unwrap(), golden_ping());
+    assert_eq!(PING_FRAME[5], msg::PING);
+    assert_payload_carried_over(&PING_FRAME, &golden_ping());
 }
 
 #[test]
 fn submit_frame_matches_golden_bytes() {
     assert_eq!(SUBMIT_BATHTUB_FRAME[5], msg::SUBMIT);
-    assert_eq!(golden_submit().to_frame().unwrap(), SUBMIT_BATHTUB_FRAME);
-    assert_eq!(Request::from_frame(&SUBMIT_BATHTUB_FRAME).unwrap(), golden_submit());
+    assert_payload_carried_over(&SUBMIT_BATHTUB_FRAME, &golden_submit());
 }
 
-/// `StatsReport` with every counter distinct, frozen — pins the order of
-/// the counters block, including the connection opened/closed pair and
-/// the persistent-store trio.
-const STATS_REPORT_FRAME: [u8; 124] = [
-    0x54, 0x48, 0x50, 0x31, // magic
-    0x01, // version
-    0x82, // STATS_REPORT
-    0x00, 0x00, // reserved
-    0x00, 0x00, 0x00, 0x70, // payload length 112
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, // submitted 1
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, // completed 2
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, // cache_hits 3
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, // batched 4
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, // shed 5
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, // failed 6
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, // connections_opened 7
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, // connections_closed 8
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, // connections_failed 9
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0A, // frames_rejected 10
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0B, // store_hits 11
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0C, // store_misses 12
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0D, // store_recovered 13
-    0x00, 0x00, 0x01, 0x00, // queue_capacity 256
-    0x00, 0x00, 0x00, 0x40, // cache_capacity 64
-];
-
-fn golden_stats() -> Response {
-    Response::StatsReport(ServiceStats {
-        submitted: 1,
-        completed: 2,
-        cache_hits: 3,
-        batched: 4,
-        shed: 5,
-        failed: 6,
-        connections_opened: 7,
-        connections_closed: 8,
-        connections_failed: 9,
-        frames_rejected: 10,
-        store_hits: 11,
-        store_misses: 12,
-        store_recovered: 13,
-        queue_capacity: 256,
-        cache_capacity: 64,
-    })
-}
-
-#[test]
-fn stats_report_frame_matches_golden_bytes() {
-    assert_eq!(STATS_REPORT_FRAME[5], msg::STATS_REPORT);
-    assert_eq!(golden_stats().to_frame().unwrap(), STATS_REPORT_FRAME);
-    assert_eq!(Response::from_frame(&STATS_REPORT_FRAME).unwrap(), golden_stats());
-}
-
-/// Every remaining type code in the THP/1 vocabulary round-trips under
-/// its frozen constant: batch submission and the rest of the response
-/// set.
-#[test]
-fn remaining_type_codes_are_frozen() {
-    let result =
-        JobResult::Bathtub { pairs: vec![(0.5, 1e-12)], rendered: "one point".to_string() };
-    let batch = Request::SubmitBatch { session: 1, specs: vec![golden_submit_spec()] };
-    let frame = batch.to_frame().unwrap();
-    assert_eq!(frame[5], msg::SUBMIT_BATCH);
-    assert_eq!(Request::from_frame(&frame).unwrap(), batch);
-
-    let responses = [
-        (
-            Response::JobDone {
-                ticket: 1,
-                provenance: Provenance::Computed,
-                result: result.clone(),
-            },
-            msg::JOB_DONE,
-        ),
-        (Response::Busy { queue_depth: 1, queue_capacity: 8 }, msg::BUSY),
-        (Response::Failed { ticket: 2, message: "eye completely closed".to_string() }, msg::FAILED),
-        (
-            Response::BatchDone { outcomes: vec![(3, Provenance::Cache, Ok(result))] },
-            msg::BATCH_DONE,
-        ),
-    ];
-    for (response, code) in responses {
-        let frame = response.to_frame().unwrap();
-        assert_eq!(frame[5], code, "{response:?}");
-        assert_eq!(Response::from_frame(&frame).unwrap(), response, "{response:?}");
-    }
-}
-
-/// The cache key is the spec's canonical bytes; its FNV-1a digest is part
-/// of the deployed contract (canary output prints it).
-#[test]
-fn bathtub_cache_key_is_frozen() {
-    let Request::Submit { spec, .. } = golden_submit() else { unreachable!() };
-    let key = spec.key_bytes();
-    assert_eq!(key, &SUBMIT_BATHTUB_FRAME[16..]);
-    assert_eq!(fnv1a64(&key), 0x6B67_8C1A_D11E_E228);
-}
-
-/// Payload-free control messages are a bare 12-byte header.
-#[test]
-fn control_frames_are_bare_headers() {
-    for (request, code) in [(Request::GetStats, msg::GET_STATS), (Request::Shutdown, msg::SHUTDOWN)]
-    {
-        let frame = request.to_frame().unwrap();
-        assert_eq!(frame.len(), HEADER_LEN);
-        assert_eq!(&frame[..4], &MAGIC);
-        assert_eq!(frame[4], VERSION);
-        assert_eq!(frame[5], code);
-        assert_eq!(&frame[6..], &[0, 0, 0, 0, 0, 0]);
-    }
-    let goodbye = Response::Goodbye.to_frame().unwrap();
-    assert_eq!(goodbye.len(), HEADER_LEN);
-    assert_eq!(goodbye[5], msg::GOODBYE);
-}
-
-/// Every strict prefix of a valid frame is rejected — no partial decode
-/// ever succeeds, and header-level truncation reports exact counts.
+/// Every prefix of a THP/1 frame is rejected by the THP/2 decoder, and
+/// the daemon answers as soon as the five revision bytes are in — before
+/// that it owes nothing and says nothing.
 #[test]
 fn every_truncation_is_rejected() {
-    for cut in 0..SUBMIT_BATHTUB_FRAME.len() {
-        let err = wire::decode_frame(&SUBMIT_BATHTUB_FRAME[..cut])
+    for cut in 0..=SUBMIT_BATHTUB_FRAME.len() {
+        let prefix = &SUBMIT_BATHTUB_FRAME[..cut];
+        let err = wire::decode_frame2(prefix)
             .err()
             .unwrap_or_else(|| panic!("prefix of {cut} bytes decoded"));
-        if cut < HEADER_LEN {
-            assert_eq!(err, FrameError::Truncated { needed: HEADER_LEN, have: cut });
+        if cut < HEADER2_LEN {
+            assert_eq!(err, FrameError::Truncated { needed: HEADER2_LEN, have: cut }, "cut {cut}");
         } else {
-            assert_eq!(err, FrameError::Truncated { needed: 41, have: cut - HEADER_LEN });
+            assert_eq!(err, FrameError::BadMagic { found: *b"THP1" }, "cut {cut}");
+        }
+        if cut < 5 {
+            assert!(daemon_reply(prefix).is_empty(), "cut {cut}");
+        } else {
+            assert_daemon_rejects(prefix);
         }
     }
 }
 
-#[test]
-fn bad_magic_is_rejected() {
-    let mut frame = PING_FRAME;
-    frame[3] = b'2'; // "THP2"
-    assert_eq!(wire::decode_frame(&frame), Err(FrameError::BadMagic { found: *b"THP2" }));
-}
-
+/// A client that updated its magic but not its version byte is refused
+/// by version, whatever follows.
 #[test]
 fn wrong_version_is_rejected() {
     let mut frame = PING_FRAME;
-    frame[4] = 2;
-    assert_eq!(wire::decode_frame(&frame), Err(FrameError::UnsupportedVersion { found: 2 }));
+    frame[3] = b'2'; // "THP2", still version 1
+    assert_eq!(wire::decode_frame2(&frame), Err(FrameError::UnsupportedVersion { found: 1 }));
+    assert_daemon_rejects(&frame);
+
+    let mut thp2 = golden_ping().to_frame2(1).unwrap();
+    thp2[4] = PING_FRAME[4];
+    assert_eq!(wire::decode_frame2(&thp2), Err(FrameError::UnsupportedVersion { found: 1 }));
+    assert_daemon_rejects(&thp2);
 }
 
+/// THP/1's two zero reserved bytes sit where THP/2 keeps its flag byte
+/// and its one reserved byte: relabelled as THP/2, a THP/1 header fails
+/// the flag check, and a non-zero reserved byte is still refused.
 #[test]
 fn reserved_bytes_must_be_zero() {
-    let mut frame = PING_FRAME;
+    let mut relabelled = PING_FRAME.to_vec();
+    relabelled[3] = b'2';
+    relabelled[4] = VERSION2;
+    relabelled.resize(HEADER2_LEN, 0);
+    assert_eq!(
+        wire::decode_header2(&relabelled),
+        Err(FrameError::BadPayload { context: "flags must be exactly FINAL or CHUNK" })
+    );
+    assert_daemon_rejects(&relabelled);
+
+    let mut frame = golden_ping().to_frame2(1).unwrap();
     frame[7] = 0xFF;
-    assert_eq!(wire::decode_frame(&frame), Err(FrameError::ReservedNonZero { found: 0x00FF }));
+    assert_eq!(wire::decode_frame2(&frame), Err(FrameError::ReservedNonZero { found: 0xFF }));
+    assert_daemon_rejects(&frame);
 }
 
-/// A header declaring more than [`MAX_PAYLOAD`] bytes is rejected before
-/// any payload allocation — the hostile-length guard.
+/// A THP/1 header declaring more than [`MAX_PAYLOAD`] bytes is refused by
+/// its revision bytes before its length is ever read; the same length in
+/// a THP/2 header is refused as oversized.
 #[test]
 fn oversized_declared_length_is_rejected() {
-    let mut frame = PING_FRAME.to_vec();
     let too_big = MAX_PAYLOAD + 1;
+    let mut frame = PING_FRAME.to_vec();
     frame[8..12].copy_from_slice(&too_big.to_be_bytes());
+    assert_eq!(wire::decode_header2(&frame), Err(FrameError::BadMagic { found: *b"THP1" }));
+    assert_daemon_rejects(&frame[..THP1_HEADER_LEN]);
+
+    let mut thp2 = golden_ping().to_frame2(1).unwrap();
+    thp2[16..20].copy_from_slice(&too_big.to_be_bytes());
     assert_eq!(
-        wire::decode_header(&frame),
+        wire::decode_header2(&thp2),
         Err(FrameError::Oversized { len: u64::from(too_big), max: u64::from(MAX_PAYLOAD) })
     );
-}
-
-#[test]
-fn unknown_message_type_is_rejected() {
-    let frame = wire::encode_frame(0x7F, &[]).unwrap();
-    assert_eq!(Request::from_frame(&frame), Err(FrameError::UnknownType { code: 0x7F }));
-    assert_eq!(Response::from_frame(&frame), Err(FrameError::UnknownType { code: 0x7F }));
-}
-
-/// Response-only codes are not requests, and vice versa: the two decoders
-/// reject each other's vocabulary.
-#[test]
-fn decoders_reject_the_other_direction() {
-    let pong = wire::encode_frame(msg::PONG, &[0; 8]).unwrap();
-    assert_eq!(Request::from_frame(&pong), Err(FrameError::UnknownType { code: msg::PONG }));
-    let ping = golden_ping().to_frame().unwrap();
-    assert_eq!(Response::from_frame(&ping), Err(FrameError::UnknownType { code: msg::PING }));
+    assert_daemon_rejects(&thp2[..HEADER2_LEN]);
 }
 
 #[test]
 fn trailing_bytes_are_rejected() {
-    // After the declared payload length.
+    // After the frame: still refused by magic, never read as a payload.
     let mut frame = PING_FRAME.to_vec();
     frame.push(0xAA);
-    assert_eq!(wire::decode_frame(&frame), Err(FrameError::TrailingBytes { extra: 1 }));
+    assert_eq!(wire::decode_frame2(&frame), Err(FrameError::BadMagic { found: *b"THP1" }));
+    assert_daemon_rejects(&frame);
 
-    // Inside the payload: length says 9 but the grammar consumes 8.
-    let padded = wire::encode_frame(msg::PING, &[0x01; 9]).unwrap();
-    assert_eq!(Request::from_frame(&padded), Err(FrameError::TrailingBytes { extra: 1 }));
-}
-
-/// An out-of-domain field decodes as `BadPayload`, not a panic and not a
-/// spec: a bathtub with transition density 0 is rejected at the wire.
-#[test]
-fn out_of_domain_spec_is_rejected_at_decode() {
-    let mut frame = SUBMIT_BATHTUB_FRAME;
-    // Zero the transition-density f64 (bytes 41..49 of the frame).
-    for byte in &mut frame[41..49] {
-        *byte = 0;
-    }
+    // Inside the carried-over payload: length says 9 but the grammar
+    // consumes 8.
+    let mut padded = PING_FRAME[THP1_HEADER_LEN..].to_vec();
+    padded.push(0xAA);
     assert_eq!(
-        Request::from_frame(&frame),
-        Err(FrameError::BadPayload { context: "transition density must be in (0, 1]" })
+        Request::from_parts(msg::PING, &padded),
+        Err(FrameError::TrailingBytes { extra: 1 })
     );
-}
-
-/// Encode → decode → encode is the identity on bytes for a representative
-/// message of every type code.
-#[test]
-fn re_encoding_is_byte_stable() {
-    let specs = vec![JobSpec::eye(DataRate::from_gbps(2.5), 128, 3, 9), golden_submit_spec()];
-    let requests = vec![
-        golden_ping(),
-        Request::GetStats,
-        golden_submit(),
-        Request::SubmitBatch { session: 2, specs },
-        Request::Shutdown,
-    ];
-    for request in requests {
-        let frame = request.to_frame().unwrap();
-        let again = Request::from_frame(&frame).unwrap().to_frame().unwrap();
-        assert_eq!(frame, again, "{request:?}");
-    }
-}
-
-fn golden_submit_spec() -> JobSpec {
-    let Request::Submit { spec, .. } = golden_submit() else { unreachable!() };
-    spec
+    let thp2 = wire::encode_frame2(msg::PING, flag::FINAL, 1, &padded).unwrap();
+    assert_daemon_rejects(&thp2);
 }

@@ -1,13 +1,14 @@
-//! Golden wire vectors for THP/2.
+//! Golden wire vectors for THP/2, the one wire protocol.
 //!
-//! These byte sequences are frozen: a failure here means the v2 wire
-//! format changed, which breaks every deployed pipelined client/daemon
-//! pair. Bump [`atd::wire::VERSION2`] instead of editing a vector.
+//! These byte sequences are frozen: a failure here means the wire format
+//! changed, which breaks every deployed client/daemon pair. Bump
+//! [`atd::wire::VERSION2`] instead of editing a vector.
 
+use atd::cache::fnv1a64;
 use atd::proto::msg;
 use atd::stream::{chunk_result, stream_digest};
-use atd::wire::{self, flag, FrameError, HEADER2_LEN, HEADER_LEN, MAX_PAYLOAD, VERSION, VERSION2};
-use atd::{JobResult, JobSpec, Provenance, Request, Response};
+use atd::wire::{self, flag, FrameError, HEADER2_LEN, MAGIC2, MAX_PAYLOAD, VERSION2};
+use atd::{JobResult, JobSpec, Provenance, Request, Response, ServiceStats};
 use pstime::{DataRate, Duration};
 
 /// `Ping { token: 0x0123_4567_89AB_CDEF }` under correlation 17.
@@ -23,8 +24,7 @@ const PING2_FRAME: [u8; 28] = [
 ];
 
 /// `Submit { session: 7, spec: bathtub(3 ps, 20 ps, 2.5 Gb/s, 0.5, 101) }`
-/// under correlation 0xDEAD_BEEF. The payload grammar is byte-identical
-/// to THP/1 — only the envelope differs.
+/// under correlation 0xDEAD_BEEF.
 const SUBMIT2_BATHTUB_FRAME: [u8; 61] = [
     0x54, 0x48, 0x50, 0x32, // magic
     0x02, // version
@@ -74,6 +74,34 @@ const SUMMARY_FRAME: [u8; 49] = [
     0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, // digest
 ];
 
+/// `StatsReport` with every counter distinct under correlation 0x42 —
+/// pins the order of the 112-byte counters block, including the
+/// connection opened/closed pair and the persistent-store trio.
+const STATS_REPORT2_FRAME: [u8; 132] = [
+    0x54, 0x48, 0x50, 0x32, // magic "THP2"
+    0x02, // version 2
+    0x82, // STATS_REPORT
+    0x01, // flags: FINAL
+    0x00, // reserved
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x42, // correlation 0x42
+    0x00, 0x00, 0x00, 0x70, // payload length 112
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, // submitted 1
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, // completed 2
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, // cache_hits 3
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, // batched 4
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, // shed 5
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, // failed 6
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, // connections_opened 7
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, // connections_closed 8
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, // connections_failed 9
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0A, // frames_rejected 10
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0B, // store_hits 11
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0C, // store_misses 12
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0D, // store_recovered 13
+    0x00, 0x00, 0x01, 0x00, // queue_capacity 256
+    0x00, 0x00, 0x00, 0x40, // cache_capacity 64
+];
+
 fn golden_ping() -> Request {
     Request::Ping { token: 0x0123_4567_89AB_CDEF }
 }
@@ -89,6 +117,31 @@ fn golden_submit() -> Request {
             101,
         ),
     }
+}
+
+fn golden_submit_spec() -> JobSpec {
+    let Request::Submit { spec, .. } = golden_submit() else { unreachable!() };
+    spec
+}
+
+fn golden_stats() -> Response {
+    Response::StatsReport(ServiceStats {
+        submitted: 1,
+        completed: 2,
+        cache_hits: 3,
+        batched: 4,
+        shed: 5,
+        failed: 6,
+        connections_opened: 7,
+        connections_closed: 8,
+        connections_failed: 9,
+        frames_rejected: 10,
+        store_hits: 11,
+        store_misses: 12,
+        store_recovered: 13,
+        queue_capacity: 256,
+        cache_capacity: 64,
+    })
 }
 
 fn golden_chunk() -> Response {
@@ -110,6 +163,11 @@ fn decode_response2(frame: &[u8]) -> Result<(wire::Header2, Response), FrameErro
     Ok((h, Response::from_parts(h.msg_type, payload)?))
 }
 
+fn decode_request2(frame: &[u8]) -> Result<Request, FrameError> {
+    let (h, payload) = wire::decode_frame2(frame)?;
+    Request::from_parts(h.msg_type, payload)
+}
+
 #[test]
 fn ping_frame_matches_golden_bytes() {
     assert_eq!(golden_ping().to_frame2(0x11).unwrap(), PING2_FRAME);
@@ -127,12 +185,87 @@ fn submit_frame_matches_golden_bytes() {
     assert_eq!(Request::from_parts(h.msg_type, payload).unwrap(), golden_submit());
 }
 
-/// The v2 payload grammar is the v1 grammar: same request, same bytes
-/// after the envelope.
 #[test]
-fn payload_grammar_is_shared_with_thp1() {
-    let v1 = golden_submit().to_frame().unwrap();
-    assert_eq!(&v1[HEADER_LEN..], &SUBMIT2_BATHTUB_FRAME[HEADER2_LEN..]);
+fn stats_report_frame_matches_golden_bytes() {
+    assert_eq!(STATS_REPORT2_FRAME[5], msg::STATS_REPORT);
+    assert_eq!(golden_stats().to_frame2(0x42).unwrap(), STATS_REPORT2_FRAME);
+    let (h, response) = decode_response2(&STATS_REPORT2_FRAME).unwrap();
+    assert_eq!(h.correlation, 0x42);
+    assert_eq!(response, golden_stats());
+}
+
+/// Every remaining type code in the vocabulary is frozen: it travels at
+/// header offset 5 and round-trips under its constant.
+#[test]
+fn remaining_type_codes_are_frozen() {
+    let requests = [
+        (golden_ping(), msg::PING, 0x01),
+        (Request::GetStats, msg::GET_STATS, 0x02),
+        (golden_submit(), msg::SUBMIT, 0x03),
+        (Request::Shutdown, msg::SHUTDOWN, 0x05),
+    ];
+    for (request, code, frozen) in requests {
+        assert_eq!(code, frozen, "{request:?}");
+        let frame = request.to_frame2(1).unwrap();
+        assert_eq!(frame[5], code, "{request:?}");
+        assert_eq!(decode_request2(&frame).unwrap(), request);
+    }
+    let responses = [
+        (Response::Pong { token: 3 }, msg::PONG, 0x81),
+        (Response::Busy { queue_depth: 1, queue_capacity: 8 }, msg::BUSY, 0x84),
+        (
+            Response::Failed { ticket: 2, message: "eye completely closed".to_string() },
+            msg::FAILED,
+            0x85,
+        ),
+        (Response::Goodbye, msg::GOODBYE, 0x87),
+    ];
+    for (response, code, frozen) in responses {
+        assert_eq!(code, frozen, "{response:?}");
+        let frame = response.to_frame2(1).unwrap();
+        assert_eq!(frame[5], code, "{response:?}");
+        assert_eq!(decode_response2(&frame).unwrap().1, response);
+    }
+}
+
+/// The retired batch and monolithic-result codes (`SUBMIT_BATCH` 0x04,
+/// `JOB_DONE` 0x83, `BATCH_DONE` 0x86) are unknown in both directions.
+#[test]
+fn retired_codes_are_unknown_types() {
+    for code in [0x04u8, 0x83, 0x86] {
+        let frame = wire::encode_frame2(code, flag::FINAL, 1, &[]).unwrap();
+        assert_eq!(decode_request2(&frame), Err(FrameError::UnknownType { code }));
+        assert_eq!(decode_response2(&frame).err(), Some(FrameError::UnknownType { code }));
+    }
+}
+
+/// The cache key is the spec's canonical bytes; its FNV-1a digest is part
+/// of the deployed contract (canary output prints it).
+#[test]
+fn bathtub_cache_key_is_frozen() {
+    let key = golden_submit_spec().key_bytes();
+    // The key is the submit payload after the 4-byte session id.
+    assert_eq!(key, &SUBMIT2_BATHTUB_FRAME[HEADER2_LEN + 4..]);
+    assert_eq!(fnv1a64(&key), 0x6B67_8C1A_D11E_E228);
+}
+
+/// Payload-free control messages are a bare 20-byte header.
+#[test]
+fn control_frames_are_bare_headers() {
+    let frames = [
+        (Request::GetStats.to_frame2(9).unwrap(), msg::GET_STATS),
+        (Request::Shutdown.to_frame2(9).unwrap(), msg::SHUTDOWN),
+        (Response::Goodbye.to_frame2(9).unwrap(), msg::GOODBYE),
+    ];
+    for (frame, code) in frames {
+        assert_eq!(frame.len(), HEADER2_LEN);
+        assert_eq!(&frame[..4], &MAGIC2);
+        assert_eq!(frame[4], VERSION2);
+        assert_eq!(frame[5], code);
+        assert_eq!(frame[6], flag::FINAL);
+        assert_eq!(&frame[7..16], &[0, 0, 0, 0, 0, 0, 0, 0, 9]);
+        assert_eq!(&frame[16..], &[0, 0, 0, 0]);
+    }
 }
 
 #[test]
@@ -196,33 +329,89 @@ fn reserved_byte_must_be_zero() {
     assert_eq!(wire::decode_frame2(&frame), Err(FrameError::ReservedNonZero { found: 0x5A }));
 }
 
-/// Magic and version byte must agree: a THP2 magic carrying version 1 (or
-/// anything else) is rejected, as is a THP1 magic carrying version 2.
+/// Magic and version byte must agree: a THP2 magic carrying any version
+/// but 2 is rejected.
 #[test]
 fn cross_version_mismatches_are_rejected() {
-    let mut frame = PING2_FRAME;
-    frame[4] = VERSION;
-    assert_eq!(wire::decode_frame2(&frame), Err(FrameError::UnsupportedVersion { found: 1 }));
-
-    let mut v1 = golden_ping().to_frame().unwrap();
-    v1[4] = VERSION2;
-    assert_eq!(wire::decode_frame(&v1), Err(FrameError::UnsupportedVersion { found: 2 }));
+    for version in [0u8, 1, 3, 9] {
+        let mut frame = PING2_FRAME;
+        frame[4] = version;
+        assert_eq!(
+            wire::decode_frame2(&frame),
+            Err(FrameError::UnsupportedVersion { found: version })
+        );
+    }
 }
 
-/// Version negotiation: the first five bytes of a connection pin its
-/// protocol revision.
 #[test]
-fn sniff_negotiates_both_revisions() {
-    assert_eq!(wire::sniff(&[]).unwrap(), None);
-    assert_eq!(wire::sniff(&PING2_FRAME[..4]).unwrap(), None);
-    assert_eq!(wire::sniff(&PING2_FRAME[..5]).unwrap(), Some((VERSION2, HEADER2_LEN)));
-    let v1 = golden_ping().to_frame().unwrap();
-    assert_eq!(wire::sniff(&v1).unwrap(), Some((VERSION, HEADER_LEN)));
+fn bad_magic_is_rejected() {
+    let mut frame = PING2_FRAME;
+    frame[0] = b'X';
+    assert_eq!(wire::decode_frame2(&frame), Err(FrameError::BadMagic { found: *b"XHP2" }));
+}
 
-    let mut wrong = PING2_FRAME;
-    wrong[4] = 9;
-    assert_eq!(wire::sniff(&wrong), Err(FrameError::UnsupportedVersion { found: 9 }));
-    assert_eq!(wire::sniff(b"NOPE!"), Err(FrameError::BadMagic { found: *b"NOPE" }),);
+#[test]
+fn unknown_message_type_is_rejected() {
+    let frame = wire::encode_frame2(0x7F, flag::FINAL, 1, &[]).unwrap();
+    assert_eq!(decode_request2(&frame), Err(FrameError::UnknownType { code: 0x7F }));
+    assert_eq!(decode_response2(&frame).err(), Some(FrameError::UnknownType { code: 0x7F }));
+}
+
+/// Response-only codes are not requests, and vice versa: the two decoders
+/// reject each other's vocabulary.
+#[test]
+fn decoders_reject_the_other_direction() {
+    let pong = wire::encode_frame2(msg::PONG, flag::FINAL, 1, &[0; 8]).unwrap();
+    assert_eq!(decode_request2(&pong), Err(FrameError::UnknownType { code: msg::PONG }));
+    assert_eq!(
+        decode_response2(&PING2_FRAME).err(),
+        Some(FrameError::UnknownType { code: msg::PING })
+    );
+}
+
+/// An out-of-domain field decodes as `BadPayload`, not a panic and not a
+/// spec: a bathtub with transition density 0 is rejected at the wire.
+#[test]
+fn out_of_domain_spec_is_rejected_at_decode() {
+    let mut frame = SUBMIT2_BATHTUB_FRAME;
+    // Zero the transition-density f64 (bytes 49..57 of the frame).
+    for byte in &mut frame[49..57] {
+        *byte = 0;
+    }
+    assert_eq!(
+        decode_request2(&frame),
+        Err(FrameError::BadPayload { context: "transition density must be in (0, 1]" })
+    );
+}
+
+/// Encode → decode → encode is the identity on bytes for a representative
+/// message of every type code.
+#[test]
+fn re_encoding_is_byte_stable() {
+    let requests = vec![
+        golden_ping(),
+        Request::GetStats,
+        golden_submit(),
+        Request::Submit { session: 2, spec: JobSpec::eye(DataRate::from_gbps(2.5), 128, 3, 9) },
+        Request::Shutdown,
+    ];
+    for request in requests {
+        let frame = request.to_frame2(5).unwrap();
+        let again = decode_request2(&frame).unwrap().to_frame2(5).unwrap();
+        assert_eq!(frame, again, "{request:?}");
+    }
+    let responses = vec![
+        golden_stats(),
+        Response::Busy { queue_depth: 1, queue_capacity: 8 },
+        Response::Failed { ticket: 2, message: "eye completely closed".to_string() },
+        golden_chunk(),
+        golden_summary(),
+    ];
+    for response in responses {
+        let frame = response.to_frame2(5).unwrap();
+        let again = decode_response2(&frame).unwrap().1.to_frame2(5).unwrap();
+        assert_eq!(frame, again, "{response:?}");
+    }
 }
 
 #[test]
@@ -238,9 +427,14 @@ fn oversized_declared_length_is_rejected() {
 
 #[test]
 fn trailing_bytes_are_rejected() {
+    // After the declared payload length.
     let mut frame = PING2_FRAME.to_vec();
     frame.push(0xAA);
     assert_eq!(wire::decode_frame2(&frame), Err(FrameError::TrailingBytes { extra: 1 }));
+
+    // Inside the payload: length says 9 but the grammar consumes 8.
+    let padded = wire::encode_frame2(msg::PING, flag::FINAL, 1, &[0x01; 9]).unwrap();
+    assert_eq!(decode_request2(&padded), Err(FrameError::TrailingBytes { extra: 1 }));
 }
 
 /// Requests may not claim the reserved failure correlation.

@@ -10,7 +10,9 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use atd::scheduler::Scheduler;
-use atd::{serve_with, JobSpec, PipelinedClient, ServerConfig, Service, ServiceStats};
+use atd::{
+    serve_with, JobSpec, PipelinedClient, Response, ServerConfig, Service, ServiceStats, FAILURE_ID,
+};
 use exec::ExecPool;
 use pstime::{DataRate, Duration};
 
@@ -237,33 +239,44 @@ fn magic_prefix_probes_balance_the_connection_counters() {
     daemon.join().unwrap();
 }
 
-/// Mixed revision bytes — each magic claiming the other revision's
-/// version, plus out-of-range versions — are rejected as frames and
-/// answered with a `Failed` reply before a clean close: rejections
-/// count, connection failures do not, and the counters still balance.
+/// Foreign and mixed revision bytes — the retired THP1 magic, a THP2
+/// magic with a wrong version — and a first frame with bad flags are
+/// rejected as frames and answered with a THP/2 `Failed` reply under
+/// the reserved failure id before a clean close: rejections count,
+/// connection failures do not, and the counters still balance.
 #[test]
 fn mixed_magic_and_version_bytes_are_rejected_with_a_reply() {
     let (addr, daemon) = boot(ServerConfig { pipeline_depth: 8, idle_budget: 10_000 });
 
-    let mixes: [([u8; 4], u8); 4] = [(*b"THP1", 2), (*b"THP2", 1), (*b"THP1", 9), (*b"THP2", 0)];
-    for (magic, version) in mixes {
+    let mut hellos: Vec<Vec<u8>> = [(*b"THP1", 2u8), (*b"THP2", 1), (*b"THP1", 9), (*b"THP2", 0)]
+        .into_iter()
+        .map(|(magic, version)| [&magic[..], &[version]].concat())
+        .collect();
+    // A whole, well-revisioned first frame whose flags are not FINAL.
+    let mut bad_flags = atd::Request::Ping { token: 1 }.to_frame2(1).unwrap();
+    bad_flags[6] = 0x03;
+    hellos.push(bad_flags);
+    for hello in &hellos {
         let mut probe = TcpStream::connect(addr).unwrap();
-        let mut hello = magic.to_vec();
-        hello.push(version);
-        probe.write_all(&hello).unwrap();
+        probe.write_all(hello).unwrap();
         probe.flush().unwrap();
         // The daemon answers `Failed` and closes; drain to EOF so the
         // close is clean on both sides.
         probe.set_read_timeout(Some(core::time::Duration::from_secs(10))).unwrap();
         let mut reply = Vec::new();
         probe.read_to_end(&mut reply).unwrap();
-        assert!(!reply.is_empty(), "a mixed-revision hello earns a Failed reply");
+        let (header, payload) = atd::wire::decode_frame2(&reply).unwrap();
+        assert_eq!(header.correlation, FAILURE_ID, "{hello:02x?}");
+        match Response::from_parts(header.msg_type, payload).unwrap() {
+            Response::Failed { ticket, .. } => assert_eq!(ticket, FAILURE_ID, "{hello:02x?}"),
+            other => panic!("a rejected hello earns a Failed reply, got {other:?}"),
+        }
     }
 
-    let total = u64::try_from(mixes.len()).unwrap();
+    let total = u64::try_from(hellos.len()).unwrap();
     let mut admin = PipelinedClient::connect(addr).unwrap();
     let stats = poll_stats(&mut admin, |s| s.connections_closed >= total);
-    assert_eq!(stats.frames_rejected, total, "each mixed hello is one rejected frame");
+    assert_eq!(stats.frames_rejected, total, "each rejected hello is one rejected frame");
     assert_eq!(stats.connections_failed, 0, "a rejected hello closes cleanly, not as a failure");
     assert_eq!(stats.connections_opened, total + 1);
     assert_eq!(stats.connections_closed, total);
