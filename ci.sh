@@ -12,7 +12,7 @@ cargo build --release --offline
 # with the exec engine fanned out to four workers.
 EXEC_THREADS=1 cargo test -q --offline
 EXEC_THREADS=4 cargo test -q --offline
-cargo clippy --offline -- -D warnings
+cargo clippy --offline --all-targets -- -D warnings
 # First-party static analysis: determinism, unit-safety, panic-freedom,
 # job-purity, and dataflow contracts (rules R1–R8 plus the call-graph and
 # taint passes; see DESIGN.md "Enforced invariants", "Semantic analysis

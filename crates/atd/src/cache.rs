@@ -4,28 +4,20 @@
 //! Because job specs are exact (integers and IEEE-754 bit patterns) and
 //! every workload is bit-identical at any thread count, a spec's encoded
 //! bytes fully determine its result — so a cache hit can be served
-//! byte-for-byte identical to a recomputation. Eviction order is a
-//! deterministic function of the access sequence (a logical tick counter,
-//! no clocks), keeping the whole service replayable.
+//! byte-for-byte identical to a recomputation. Entries are shared
+//! [`Answer`]s, so a hit hands out a reference count, not a copy.
+//! Eviction order is a deterministic function of the access sequence (a
+//! logical tick counter, no clocks), keeping the whole service
+//! replayable.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use crate::proto::JobResult;
+use crate::stream::Answer;
 
-/// 64-bit FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// 64-bit FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Hashes `bytes` with 64-bit FNV-1a — the cache's content address.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+/// The cache's content address: the store's FNV-1a, so the LRU, the
+/// store and the farm ring all key by one digest.
+pub use store::fnv1a64;
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -33,11 +25,11 @@ struct Entry {
     /// match, so an FNV collision degrades to a miss instead of serving
     /// the wrong job's result.
     key: Vec<u8>,
-    value: JobResult,
+    value: Arc<Answer>,
     last_used: u64,
 }
 
-/// A bounded LRU cache from job-spec bytes to job results.
+/// A bounded LRU cache from job-spec bytes to shared answers.
 #[derive(Debug)]
 pub struct ResultCache {
     entries: BTreeMap<u64, Entry>,
@@ -67,7 +59,7 @@ impl ResultCache {
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &[u8]) -> Option<&JobResult> {
+    pub fn get(&mut self, key: &[u8]) -> Option<&Arc<Answer>> {
         let tick = self.next_tick();
         let entry = self.entries.get_mut(&fnv1a64(key)).filter(|e| e.key == key)?;
         entry.last_used = tick;
@@ -78,7 +70,7 @@ impl ResultCache {
     /// if the cache is full. A hash collision with a different key
     /// overwrites the resident entry (the new result is the fresher one;
     /// byte-checked lookups make the overwrite safe).
-    pub fn insert(&mut self, key: &[u8], value: JobResult) {
+    pub fn insert(&mut self, key: &[u8], value: Arc<Answer>) {
         if self.capacity == 0 {
             return;
         }
@@ -107,16 +99,16 @@ impl ResultCache {
 mod tests {
     use super::*;
 
-    fn result(tag: u32) -> JobResult {
-        JobResult::Bathtub { pairs: vec![(0.0, f64::from(tag))], rendered: format!("r{tag}") }
+    use crate::proto::JobResult;
+
+    fn result(tag: u32) -> Arc<Answer> {
+        let result =
+            JobResult::Bathtub { pairs: vec![(0.0, f64::from(tag))], rendered: format!("r{tag}") };
+        Arc::new(Answer::new(&result).unwrap())
     }
 
-    #[test]
-    fn fnv_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn bytes(answer: Option<&Arc<Answer>>) -> Option<Vec<u8>> {
+        answer.map(|a| a.bytes().to_vec())
     }
 
     #[test]
@@ -125,7 +117,7 @@ mod tests {
         assert!(cache.is_empty());
         assert!(cache.get(b"k1").is_none());
         cache.insert(b"k1", result(1));
-        assert_eq!(cache.get(b"k1"), Some(&result(1)));
+        assert_eq!(bytes(cache.get(b"k1")), bytes(Some(&result(1))));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.capacity(), 4);
     }
@@ -151,7 +143,7 @@ mod tests {
         cache.insert(b"b", result(2));
         cache.insert(b"a", result(9)); // same key: overwrite in place
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(b"a"), Some(&result(9)));
+        assert_eq!(bytes(cache.get(b"a")), bytes(Some(&result(9))));
         assert!(cache.get(b"b").is_some());
     }
 

@@ -95,7 +95,9 @@ pub use proto::{JobResult, JobSpec, Provenance, Request, Response, ServiceStats,
 pub use scheduler::{Admission, Completion, Scheduler};
 pub use server::{serve, serve_with, ServerConfig};
 pub use service::Service;
-pub use stream::{chunk_result, push_stream, stream_digest, Event, Reassembler, StreamDigest};
+pub use stream::{
+    chunk_result, push_stream, stream_digest, Answer, Event, Reassembler, StreamDigest,
+};
 pub use transport::Loopback;
 
 // The durable tier's crate, re-exported so dependants (the farm, the

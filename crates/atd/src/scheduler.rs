@@ -9,13 +9,15 @@
 //! first-seen order.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use exec::ExecPool;
 use store::{Store, StoreConfig};
 
 use crate::cache::ResultCache;
 use crate::error::AtdError;
-use crate::proto::{JobResult, JobSpec, Provenance, ServiceStats};
+use crate::proto::{JobSpec, Provenance, ServiceStats};
+use crate::stream::Answer;
 use crate::workload;
 
 /// Environment override for the admission queue depth.
@@ -77,8 +79,8 @@ pub struct Completion {
     pub ticket: u64,
     /// How the result was produced.
     pub provenance: Provenance,
-    /// The result, or the execution error.
-    pub outcome: Result<crate::proto::JobResult, AtdError>,
+    /// The shared answer, or the error that failed the job.
+    pub outcome: Result<Arc<Answer>, AtdError>,
 }
 
 /// The batching scheduler with its embedded result cache and optional
@@ -305,43 +307,50 @@ impl Scheduler {
 
         // Execute in service order, batching and caching as we go. The
         // per-drain `computed` map keys on full spec bytes (not the FNV
-        // hash), so coalescing can never merge colliding specs.
-        let mut computed: BTreeMap<Vec<u8>, crate::proto::JobResult> = BTreeMap::new();
+        // hash), so coalescing can never merge colliding specs. Every
+        // tier hands out the one shared answer: a hit or a coalesced
+        // copy is a reference count.
+        let mut computed: BTreeMap<Vec<u8>, Arc<Answer>> = BTreeMap::new();
         for pending in order {
             let key = pending.spec.key_bytes();
             // Coalescing outranks the cache: a spec computed earlier in
             // THIS drain is `Batched`; the cache answers only for specs
             // this drain has not touched.
-            let (provenance, outcome) = if let Some(result) = computed.get(&key) {
+            let (provenance, outcome) = if let Some(answer) = computed.get(&key) {
                 self.stats.batched += 1;
-                (Provenance::Batched, Ok(result.clone()))
-            } else if let Some(result) = self.cache.get(&key) {
+                (Provenance::Batched, Ok(Arc::clone(answer)))
+            } else if let Some(answer) = self.cache.get(&key) {
                 self.stats.cache_hits += 1;
-                let result = result.clone();
+                let answer = Arc::clone(answer);
                 // A cache hit also counts as this drain's first occurrence:
                 // later duplicates coalesce to Batched, as documented.
-                computed.insert(key, result.clone());
-                (Provenance::Cache, Ok(result))
-            } else if let Some(result) = self.store_lookup(&key) {
+                computed.insert(key, Arc::clone(&answer));
+                (Provenance::Cache, Ok(answer))
+            } else if let Some(answer) = self.store_lookup(&key) {
                 // Read-through from the durable tier: the payload is the
                 // canonical result encoding, so serving it is
                 // byte-identical to recomputing. Promote it into the LRU
                 // and treat it as this drain's first occurrence.
-                self.cache.insert(&key, result.clone());
-                computed.insert(key, result.clone());
-                (Provenance::Cache, Ok(result))
+                let answer = Arc::new(answer);
+                self.cache.insert(&key, Arc::clone(&answer));
+                computed.insert(key, Arc::clone(&answer));
+                (Provenance::Cache, Ok(answer))
             } else {
-                match workload::execute(&pending.spec, pool) {
-                    Ok(result) => {
-                        self.cache.insert(&key, result.clone());
-                        self.store_persist(&key, &result);
-                        computed.insert(key, result.clone());
-                        (Provenance::Computed, Ok(result))
+                let answered = workload::execute(&pending.spec, pool)
+                    .and_then(|result| Answer::new(&result).map_err(AtdError::from));
+                match answered {
+                    Ok(answer) => {
+                        let answer = Arc::new(answer);
+                        self.store_persist(&key, &answer);
+                        self.cache.insert(&key, Arc::clone(&answer));
+                        computed.insert(key, Arc::clone(&answer));
+                        (Provenance::Computed, Ok(answer))
                     }
                     Err(e) => {
                         // Errors are never cached and never persisted: a
-                        // failed spec is retried on its next submission,
-                        // in this process or the next.
+                        // failed spec — one whose kernel failed, or whose
+                        // result has no answer — is retried on its next
+                        // submission, in this process or the next.
                         self.stats.failed += 1;
                         (Provenance::Computed, Err(e))
                     }
@@ -361,17 +370,16 @@ impl Scheduler {
 
     /// Read-through lookup in the durable tier. Counts a store hit or
     /// miss whenever a store is attached; with no store this is a no-op
-    /// miss that touches no counter. A stored payload that no longer
-    /// decodes as a result (codec drift, disk corruption under a running
+    /// miss that touches no counter. A stored payload that is not exactly
+    /// one canonical result (codec drift, disk corruption under a running
     /// store) degrades to a miss and is recomputed.
-    fn store_lookup(&mut self, key: &[u8]) -> Option<JobResult> {
+    fn store_lookup(&mut self, key: &[u8]) -> Option<Answer> {
         let store = self.store.as_mut()?;
         let payload = store.get(key).ok().flatten();
-        let result = payload.as_deref().and_then(decode_stored_result);
-        match result {
-            Some(result) => {
+        match payload.and_then(|bytes| Answer::from_bytes(bytes).ok()) {
+            Some(answer) => {
                 self.stats.store_hits += 1;
-                Some(result)
+                Some(answer)
             }
             None => {
                 self.stats.store_misses += 1;
@@ -380,25 +388,15 @@ impl Scheduler {
         }
     }
 
-    /// Write-behind persistence of a computed success. Store errors are
-    /// swallowed: the durable tier accelerates future runs but must
-    /// never fail the present one. Only successes reach this point —
+    /// Write-behind persistence of a computed answer's bytes. Store
+    /// errors are swallowed: the durable tier accelerates future runs but
+    /// must never fail the present one. Only answers reach this point —
     /// errors are never persisted, mirroring the LRU's rule.
-    fn store_persist(&mut self, key: &[u8], result: &JobResult) {
-        let Some(store) = self.store.as_mut() else { return };
-        if let Ok(payload) = result.encoded() {
-            let _ = store.put(key, &payload);
+    fn store_persist(&mut self, key: &[u8], answer: &Answer) {
+        if let Some(store) = self.store.as_mut() {
+            let _ = store.put(key, answer.bytes());
         }
     }
-}
-
-/// Decodes a stored payload back to a result, requiring the payload to
-/// be exactly one canonical result encoding with no trailing bytes.
-fn decode_stored_result(payload: &[u8]) -> Option<JobResult> {
-    let mut r = crate::wire::Reader::new(payload);
-    let result = JobResult::decode(&mut r).ok()?;
-    r.expect_end().ok()?;
-    Some(result)
 }
 
 #[cfg(test)]
@@ -474,6 +472,30 @@ mod tests {
         assert_eq!(bytes[0], bytes[1]);
         assert_eq!(bytes[0], bytes[2]);
         assert_eq!(sched.stats().batched, 2);
+    }
+
+    /// A hit is a reference count: the computed answer, its `Batched`
+    /// copy in the same drain, an LRU hit in a later drain and that hit's
+    /// own `Batched` copy are one allocation.
+    #[test]
+    fn hits_and_batched_copies_share_the_computed_answer() {
+        let mut sched = Scheduler::new(16, 16);
+        let pool = ExecPool::serial();
+        sched.submit(1, &[bathtub(22), bathtub(22)]);
+        let first = sched.drain(&pool);
+        sched.submit(2, &[bathtub(22), bathtub(22)]);
+        let second = sched.drain(&pool);
+        let provenances: Vec<Provenance> =
+            first.iter().chain(&second).map(|c| c.provenance).collect();
+        assert_eq!(
+            provenances,
+            vec![Provenance::Computed, Provenance::Batched, Provenance::Cache, Provenance::Batched]
+        );
+        let answers: Vec<&Arc<Answer>> =
+            first.iter().chain(&second).map(|c| c.outcome.as_ref().unwrap()).collect();
+        for answer in &answers[1..] {
+            assert!(Arc::ptr_eq(answers[0], answer));
+        }
     }
 
     #[test]

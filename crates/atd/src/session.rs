@@ -19,7 +19,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::proto::{Request, Response, FAILURE_ID};
 use crate::scheduler::{Admission, Completion};
 use crate::service::Service;
-use crate::stream;
 use crate::wire::{self, FrameError, Header2};
 
 /// The protocol state of one connection.
@@ -197,23 +196,24 @@ impl Session {
         }
     }
 
-    /// Writes one completion into the outbox: a chunk stream plus
-    /// summary on success, `Failed` otherwise. A ticket this session did
+    /// Writes one completion into the outbox: the answer's chunk stream
+    /// plus summary on success, `Failed` otherwise. A ticket this session did
     /// not admit is ignored.
     pub fn complete(&mut self, completion: Completion) {
         let Some(correlation) = self.tickets.remove(&completion.ticket) else { return };
         self.active.remove(&correlation);
         let failure = match completion.outcome {
-            Ok(result) => match stream::push_stream(
-                &mut self.out,
-                correlation,
-                completion.ticket,
-                completion.provenance,
-                &result,
-            ) {
-                Ok(()) => return,
-                Err(e) => e.to_string(),
-            },
+            Ok(answer) => {
+                match answer.push_stream(
+                    &mut self.out,
+                    correlation,
+                    completion.ticket,
+                    completion.provenance,
+                ) {
+                    Ok(()) => return,
+                    Err(e) => e.to_string(),
+                }
+            }
             Err(e) => e.to_string(),
         };
         let reply = Response::Failed { ticket: completion.ticket, message: failure };

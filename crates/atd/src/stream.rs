@@ -1,20 +1,23 @@
-//! Streaming partial results: splitting a [`JobResult`]'s canonical
-//! encoding into semantic slices, and reassembling + verifying them on
-//! the client side.
+//! Streaming results: the shared [`Answer`] the daemon streams, and the
+//! client side that reassembles and verifies a stream.
 //!
-//! The chunker cuts at the natural boundaries of each workload — shmoo
-//! pass-map rows, wafer-map stripes, eye-scan strobe columns, bathtub
-//! segments — so a live client can render progress as slices land. The
-//! invariant the whole streaming design rests on: concatenating a
-//! stream's chunks in `seq` order is **byte-identical** to the monolithic
-//! [`JobResult::encoded`] bytes, at any thread count and any chunk
-//! interleaving. The terminal [`crate::Response::Summary`] carries the
-//! chunk count, total byte count, and a [`StreamDigest`], so a
-//! [`Reassembler`] proves the identity before decoding anything.
-//! [`push_stream`] is the one encoder of that framing.
+//! An answer cuts a [`JobResult`]'s canonical encoding at the natural
+//! boundaries of each workload — shmoo pass-map rows, wafer-map stripes,
+//! eye-scan strobe columns, bathtub segments — so a live client can render
+//! progress as slices land. The invariant the whole streaming design
+//! rests on: concatenating a stream's chunks in `seq` order is
+//! **byte-identical** to the monolithic [`JobResult::encoded`] bytes, at
+//! any thread count and any chunk interleaving. The terminal
+//! [`crate::Response::Summary`] carries the chunk count, total byte
+//! count, and a [`StreamDigest`], so a [`Reassembler`] proves the identity
+//! before decoding anything. [`Answer::push_stream`] is the one encoder of
+//! that framing.
+
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 use crate::proto::{msg, JobResult, Provenance, Response, ServiceStats};
-use crate::wire::{self, FrameError, Reader, Writer};
+use crate::wire::{self, FrameError, Reader, MAX_PAYLOAD};
 
 /// Incremental 64-bit digest over a chunk stream's bytes.
 ///
@@ -118,136 +121,248 @@ pub const EYE_COLUMN_POINTS: usize = 64;
 /// Bathtub `(phase, BER)` pairs per segment chunk.
 pub const BATHTUB_SEGMENT_PAIRS: usize = 256;
 
-const RESULT_SHMOO: u8 = 1;
-const RESULT_WAFER: u8 = 2;
-const RESULT_EYE: u8 = 3;
-const RESULT_BATHTUB: u8 = 4;
+/// Bytes of a `CHUNK` frame's payload ahead of its slice: the `seq`.
+const CHUNK_SEQ_BYTES: u64 = 4;
 
-/// Splits `result`'s canonical encoding into semantic slices whose
-/// concatenation reproduces [`JobResult::encoded`] byte for byte. Every
-/// result yields at least a preamble (dimensions) and a footer (trailing
-/// scalars plus the rendering), with the bulk payload sliced between
-/// them: one chunk per shmoo pass-row, per [`WAFER_STRIPE_RECORDS`]-die
-/// wafer stripe, per [`EYE_COLUMN_POINTS`]-strobe eye column, per
+/// One job result, answered: its canonical bytes, the semantic chunk
+/// cuts of those bytes, and their [`StreamDigest`], built once and then
+/// shared (behind an `Arc`) by every tier that serves the result again.
+///
+/// The daemon streams an answer by slicing its bytes at its cuts, so a
+/// cache hit or a coalesced copy re-derives nothing. An answer's bytes
+/// are always exactly one canonical [`JobResult`]: both constructors run
+/// one validating decode, and a result whose bytes cannot be cut into
+/// frames has no answer at all.
+///
+/// The decoded result is available through [`Deref`], decoded from the
+/// bytes on first use, so only one copy of the bulk data stays resident
+/// while nothing asks for the structure.
+#[derive(Debug)]
+pub struct Answer {
+    bytes: Vec<u8>,
+    /// End offset of every chunk in `bytes`, strictly ascending; the
+    /// last one is `bytes.len()`.
+    ends: Vec<usize>,
+    digest: u64,
+    decoded: OnceLock<JobResult>,
+}
+
+impl Answer {
+    /// The answer to `result`.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError`] if the result does not encode, its encoding does
+    /// not decode back, or a chunk is too large for one frame.
+    pub fn new(result: &JobResult) -> Result<Self, FrameError> {
+        Answer::from_bytes(result.encoded()?)
+    }
+
+    /// The answer whose canonical bytes are `bytes` — a stored payload,
+    /// say.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError`] unless `bytes` is exactly one result's canonical
+    /// encoding whose chunks each fit one frame.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, FrameError> {
+        let result = decode_exact(&bytes)?;
+        let ends = cut_ends(&result, bytes.len())?;
+        let digest = stream_digest(&bytes);
+        Ok(Answer { bytes, ends, digest, decoded: OnceLock::new() })
+    }
+
+    /// The canonical encoding, [`JobResult::encoded`] byte for byte.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The [`StreamDigest`] of [`Answer::bytes`].
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// The chunk slices, in stream order; they concatenate to
+    /// [`Answer::bytes`].
+    pub fn chunks(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        slices(&self.bytes, &self.ends)
+    }
+
+    /// Appends this answer to `out` as the reply to submission
+    /// `correlation`: one `CHUNK` frame per slice, then the `FINAL`
+    /// [`Response::Summary`] carrying the count, bytes and digest a client
+    /// verifies reassembly against. Every server — the event loop, the
+    /// in-process loopback and the farm front end — answers a submission
+    /// this way.
+    ///
+    /// On error nothing is appended, so the caller can answer `Failed`
+    /// instead of leaving half a stream on the wire.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError`] if a frame cannot be encoded.
+    pub fn push_stream(
+        &self,
+        out: &mut Vec<u8>,
+        correlation: u64,
+        ticket: u64,
+        provenance: Provenance,
+    ) -> Result<(), FrameError> {
+        let start = out.len();
+        let pushed = self.push_frames(out, correlation, ticket, provenance);
+        if pushed.is_err() {
+            out.truncate(start);
+        }
+        pushed
+    }
+
+    fn push_frames(
+        &self,
+        out: &mut Vec<u8>,
+        correlation: u64,
+        ticket: u64,
+        provenance: Provenance,
+    ) -> Result<(), FrameError> {
+        let mut seq: u32 = 0;
+        for chunk in self.chunks() {
+            // A chunk frame's payload is `seq` (u32 BE) followed by the
+            // raw slice, encoded straight into the outbox.
+            wire::encode_frame2_into(
+                out,
+                msg::CHUNK,
+                wire::flag::CHUNK,
+                correlation,
+                &[&seq.to_be_bytes(), chunk],
+            )?;
+            seq = seq.wrapping_add(1);
+        }
+        let summary = Response::Summary {
+            ticket,
+            provenance,
+            chunks: seq,
+            total_bytes: u64::try_from(self.bytes.len()).unwrap_or(u64::MAX),
+            digest: self.digest,
+        };
+        out.extend_from_slice(&summary.to_frame2(correlation)?);
+        Ok(())
+    }
+}
+
+impl Deref for Answer {
+    type Target = JobResult;
+
+    fn deref(&self) -> &JobResult {
+        self.decoded.get_or_init(|| {
+            // These bytes already decoded once, in `from_bytes`, and
+            // decoding is a pure function of them: the fallback is never
+            // taken.
+            decode_exact(&self.bytes)
+                .unwrap_or(JobResult::Bathtub { pairs: Vec::new(), rendered: String::new() })
+        })
+    }
+}
+
+/// Decodes `bytes` as exactly one result, with no trailing bytes.
+fn decode_exact(bytes: &[u8]) -> Result<JobResult, FrameError> {
+    let mut r = Reader::new(bytes);
+    let result = JobResult::decode(&mut r)?;
+    r.expect_end()?;
+    Ok(result)
+}
+
+/// Where `result`'s canonical encoding (`len` bytes) is cut into chunks:
+/// the end offset of every chunk. This is the one definition of the cut
+/// positions. Every result yields at least a preamble (tag and
+/// dimensions) and a footer (trailing scalars plus the rendering), with
+/// the bulk payload sliced between them: one chunk per shmoo pass-row,
+/// per [`WAFER_STRIPE_RECORDS`]-die wafer stripe, per
+/// [`EYE_COLUMN_POINTS`]-strobe eye column, per
 /// [`BATHTUB_SEGMENT_PAIRS`]-pair bathtub segment.
 ///
-/// # Errors
-///
-/// [`FrameError::Oversized`] if a sequence length exceeds u32.
-pub fn chunk_result(result: &JobResult) -> Result<Vec<Vec<u8>>, FrameError> {
-    let mut chunks = Vec::new();
+/// The sizes follow the field widths of [`JobResult::encode`]: `u8` and
+/// `bool` 1 byte, `u32`/`i32` and every count 4, `i64`/`f64` 8.
+fn cut_ends(result: &JobResult, len: usize) -> Result<Vec<usize>, FrameError> {
+    let mut ends = Vec::new();
+    let mut at = 0usize;
+    let mut cut = |size: usize| {
+        at = at.saturating_add(size);
+        ends.push(at);
+    };
     match result {
-        JobResult::Shmoo { thresholds_mv, phases_fs, pass, rendered } => {
-            let mut w = Writer::new();
-            w.u8(RESULT_SHMOO);
-            w.count(thresholds_mv.len())?;
-            for v in thresholds_mv {
-                w.i32(*v);
-            }
-            w.count(phases_fs.len())?;
-            for p in phases_fs {
-                w.i64(*p);
-            }
-            w.count(pass.len())?;
-            chunks.push(w.finish());
+        JobResult::Shmoo { thresholds_mv: rows, phases_fs: columns, pass, .. } => {
+            cut(1 + 4 + 4 * rows.len() + 4 + 8 * columns.len() + 4);
             // One chunk per pass-map row (a full strobe sweep at one
             // threshold). Hand-built results whose pass length is not a
             // multiple of the phase count still chunk exactly — the last
             // slice is simply short.
-            for row in pass.chunks(phases_fs.len().max(1)) {
-                let mut w = Writer::new();
-                for b in row {
-                    w.bool(*b);
-                }
-                chunks.push(w.finish());
+            for row in pass.chunks(columns.len().max(1)) {
+                cut(row.len());
             }
-            let mut w = Writer::new();
-            w.str(rendered)?;
-            chunks.push(w.finish());
         }
-        JobResult::Wafer { records, touchdowns, injected_hard, injected_marginal, rendered } => {
-            let mut w = Writer::new();
-            w.u8(RESULT_WAFER);
-            w.count(records.len())?;
-            chunks.push(w.finish());
+        JobResult::Wafer { records, .. } => {
+            cut(1 + 4);
             for stripe in records.chunks(WAFER_STRIPE_RECORDS) {
-                let mut w = Writer::new();
-                for rec in stripe {
-                    w.u32(rec.die);
-                    w.u8(rec.bin);
-                    w.u32(rec.bist_errors);
-                    match rec.eye_ui {
-                        Some(ui) => {
-                            w.bool(true);
-                            w.f64(ui);
-                        }
-                        None => w.bool(false),
-                    }
-                }
-                chunks.push(w.finish());
+                // die, bin, BIST errors, the eye flag, and the eye if any.
+                cut(stripe.iter().map(|rec| if rec.eye_ui.is_some() { 18 } else { 10 }).sum());
             }
-            let mut w = Writer::new();
-            w.u32(*touchdowns);
-            w.u32(*injected_hard);
-            w.u32(*injected_marginal);
-            w.str(rendered)?;
-            chunks.push(w.finish());
         }
-        JobResult::Eye { points, step_fs, rendered } => {
-            let mut w = Writer::new();
-            w.u8(RESULT_EYE);
-            w.count(points.len())?;
-            chunks.push(w.finish());
+        JobResult::Eye { points, .. } => {
+            cut(1 + 4);
             for column in points.chunks(EYE_COLUMN_POINTS) {
-                let mut w = Writer::new();
-                for (phase, compared, errors) in column {
-                    w.i64(*phase);
-                    w.u32(*compared);
-                    w.u32(*errors);
-                }
-                chunks.push(w.finish());
+                cut(16 * column.len());
             }
-            let mut w = Writer::new();
-            w.i64(*step_fs);
-            w.str(rendered)?;
-            chunks.push(w.finish());
         }
-        JobResult::Bathtub { pairs, rendered } => {
-            let mut w = Writer::new();
-            w.u8(RESULT_BATHTUB);
-            w.count(pairs.len())?;
-            chunks.push(w.finish());
+        JobResult::Bathtub { pairs, .. } => {
+            cut(1 + 4);
             for segment in pairs.chunks(BATHTUB_SEGMENT_PAIRS) {
-                let mut w = Writer::new();
-                for (phase, ber) in segment {
-                    w.f64(*phase);
-                    w.f64(*ber);
-                }
-                chunks.push(w.finish());
+                cut(16 * segment.len());
             }
-            let mut w = Writer::new();
-            w.str(rendered)?;
-            chunks.push(w.finish());
         }
     }
-    chunks.retain(|c| !c.is_empty());
-    Ok(chunks)
+    // The footer is the rest, never empty: it ends in a length-prefixed
+    // string.
+    if at >= len {
+        return Err(FrameError::BadPayload { context: "chunk cuts overrun the encoding" });
+    }
+    ends.push(len);
+    let mut start = 0;
+    for &end in &ends {
+        let frame = u64::try_from(end - start).unwrap_or(u64::MAX).saturating_add(CHUNK_SEQ_BYTES);
+        if frame > u64::from(MAX_PAYLOAD) {
+            return Err(FrameError::Oversized { len: frame, max: u64::from(MAX_PAYLOAD) });
+        }
+        start = end;
+    }
+    Ok(ends)
 }
 
-/// Appends `result` to `out` as the answer to submission `correlation`:
-/// one `CHUNK` frame per semantic slice, then the `FINAL`
-/// [`Response::Summary`] carrying the count, bytes and digest a client
-/// verifies reassembly against. Every server — the event loop, the
-/// in-process loopback and the farm front end — answers a submission
-/// this way.
-///
-/// On error nothing is appended, so the caller can answer `Failed`
-/// instead of leaving half a stream on the wire.
+/// `bytes` cut at `ends`.
+fn slices<'a>(bytes: &'a [u8], ends: &'a [usize]) -> impl Iterator<Item = &'a [u8]> + 'a {
+    let starts = std::iter::once(0).chain(ends.iter().copied());
+    starts.zip(ends).map(move |(start, &end)| bytes.get(start..end).unwrap_or(&[]))
+}
+
+/// Splits `result`'s canonical encoding into the semantic slices of its
+/// [`Answer`], whose concatenation reproduces [`JobResult::encoded`] byte
+/// for byte.
 ///
 /// # Errors
 ///
-/// [`FrameError::Oversized`] if a sequence or a slice exceeds its
-/// ceiling.
+/// [`FrameError::Oversized`] if a sequence length exceeds u32 or a slice
+/// is too large for one frame.
+pub fn chunk_result(result: &JobResult) -> Result<Vec<Vec<u8>>, FrameError> {
+    let bytes = result.encoded()?;
+    let ends = cut_ends(result, bytes.len())?;
+    Ok(slices(&bytes, &ends).map(<[u8]>::to_vec).collect())
+}
+
+/// Appends `result` to `out` as the answer to submission `correlation`;
+/// see [`Answer::push_stream`].
+///
+/// # Errors
+///
+/// [`FrameError`] if `result` has no [`Answer`] or a frame cannot be
+/// encoded.
 pub fn push_stream(
     out: &mut Vec<u8>,
     correlation: u64,
@@ -255,49 +370,7 @@ pub fn push_stream(
     provenance: Provenance,
     result: &JobResult,
 ) -> Result<(), FrameError> {
-    let start = out.len();
-    let pushed = push_frames(out, correlation, ticket, provenance, result);
-    if pushed.is_err() {
-        out.truncate(start);
-    }
-    pushed
-}
-
-fn push_frames(
-    out: &mut Vec<u8>,
-    correlation: u64,
-    ticket: u64,
-    provenance: Provenance,
-    result: &JobResult,
-) -> Result<(), FrameError> {
-    let chunks = chunk_result(result)?;
-    let mut total: u64 = 0;
-    let mut digest = StreamDigest::new();
-    let mut seq: u32 = 0;
-    for chunk in &chunks {
-        total = total.saturating_add(u64::try_from(chunk.len()).unwrap_or(u64::MAX));
-        digest.absorb(chunk);
-        // Encoded straight into the outbox: a chunk frame's payload is
-        // `seq` (u32 BE) followed by the raw slice, so the hot streaming
-        // path skips the per-frame Response allocation round trip.
-        wire::encode_frame2_into(
-            out,
-            msg::CHUNK,
-            wire::flag::CHUNK,
-            correlation,
-            &[&seq.to_be_bytes(), chunk],
-        )?;
-        seq = seq.wrapping_add(1);
-    }
-    let summary = Response::Summary {
-        ticket,
-        provenance,
-        chunks: seq,
-        total_bytes: total,
-        digest: digest.finish(),
-    };
-    out.extend_from_slice(&summary.to_frame2(correlation)?);
-    Ok(())
+    Answer::new(result)?.push_stream(out, correlation, ticket, provenance)
 }
 
 /// Client-side accumulator for one correlation id's chunk stream.
@@ -366,10 +439,7 @@ impl Reassembler {
         if stream_digest(&self.bytes) != digest {
             return Err(FrameError::BadPayload { context: "summary digest mismatch" });
         }
-        let mut r = Reader::new(&self.bytes);
-        let result = JobResult::decode(&mut r)?;
-        r.expect_end()?;
-        Ok(result)
+        decode_exact(&self.bytes)
     }
 }
 
@@ -447,6 +517,7 @@ pub enum Event {
 mod tests {
     use super::*;
     use crate::proto::WireDieRecord;
+    use crate::wire::Writer;
 
     fn samples() -> Vec<JobResult> {
         vec![
@@ -488,6 +559,200 @@ mod tests {
                 rendered: "bathtub sweep: 600 points".to_string(),
             },
         ]
+    }
+
+    /// Results whose shapes the workloads never produce but the codec
+    /// accepts: a pass map that is not a whole number of rows, a pass map
+    /// with no phases, empty bulk of every kind, empty renderings.
+    fn irregular() -> Vec<JobResult> {
+        vec![
+            JobResult::Shmoo {
+                thresholds_mv: vec![-1400, -1300, -1200],
+                phases_fs: vec![0, 10_000_000, 20_000_000],
+                pass: vec![true, false, true, true, false, false, true],
+                rendered: String::new(),
+            },
+            JobResult::Shmoo {
+                thresholds_mv: vec![-1400],
+                phases_fs: Vec::new(),
+                pass: vec![true, false, true],
+                rendered: "no phases".to_string(),
+            },
+            JobResult::Wafer {
+                records: Vec::new(),
+                touchdowns: 0,
+                injected_hard: 0,
+                injected_marginal: 0,
+                rendered: String::new(),
+            },
+            JobResult::Eye { points: Vec::new(), step_fs: 0, rendered: String::new() },
+            JobResult::Bathtub { pairs: Vec::new(), rendered: String::new() },
+            JobResult::Bathtub {
+                pairs: (0..256).map(|i| (f64::from(i), 0.5)).collect(),
+                rendered: String::new(),
+            },
+        ]
+    }
+
+    /// The chunker as it stood before answers existed — every slice
+    /// encoded on its own — kept as the oracle the cuts must match.
+    fn reference_chunks(result: &JobResult) -> Vec<Vec<u8>> {
+        let mut chunks = Vec::new();
+        let mut w = Writer::new();
+        match result {
+            JobResult::Shmoo { thresholds_mv, phases_fs, pass, rendered } => {
+                w.u8(1);
+                w.count(thresholds_mv.len()).unwrap();
+                thresholds_mv.iter().for_each(|v| w.i32(*v));
+                w.count(phases_fs.len()).unwrap();
+                phases_fs.iter().for_each(|p| w.i64(*p));
+                w.count(pass.len()).unwrap();
+                chunks.push(std::mem::take(&mut w).finish());
+                for row in pass.chunks(phases_fs.len().max(1)) {
+                    row.iter().for_each(|b| w.bool(*b));
+                    chunks.push(std::mem::take(&mut w).finish());
+                }
+                w.str(rendered).unwrap();
+            }
+            JobResult::Wafer {
+                records,
+                touchdowns,
+                injected_hard,
+                injected_marginal,
+                rendered,
+            } => {
+                w.u8(2);
+                w.count(records.len()).unwrap();
+                chunks.push(std::mem::take(&mut w).finish());
+                for stripe in records.chunks(WAFER_STRIPE_RECORDS) {
+                    for rec in stripe {
+                        w.u32(rec.die);
+                        w.u8(rec.bin);
+                        w.u32(rec.bist_errors);
+                        w.bool(rec.eye_ui.is_some());
+                        rec.eye_ui.iter().for_each(|ui| w.f64(*ui));
+                    }
+                    chunks.push(std::mem::take(&mut w).finish());
+                }
+                w.u32(*touchdowns);
+                w.u32(*injected_hard);
+                w.u32(*injected_marginal);
+                w.str(rendered).unwrap();
+            }
+            JobResult::Eye { points, step_fs, rendered } => {
+                w.u8(3);
+                w.count(points.len()).unwrap();
+                chunks.push(std::mem::take(&mut w).finish());
+                for column in points.chunks(EYE_COLUMN_POINTS) {
+                    for (phase, compared, errors) in column {
+                        w.i64(*phase);
+                        w.u32(*compared);
+                        w.u32(*errors);
+                    }
+                    chunks.push(std::mem::take(&mut w).finish());
+                }
+                w.i64(*step_fs);
+                w.str(rendered).unwrap();
+            }
+            JobResult::Bathtub { pairs, rendered } => {
+                w.u8(4);
+                w.count(pairs.len()).unwrap();
+                chunks.push(std::mem::take(&mut w).finish());
+                for segment in pairs.chunks(BATHTUB_SEGMENT_PAIRS) {
+                    for (phase, ber) in segment {
+                        w.f64(*phase);
+                        w.f64(*ber);
+                    }
+                    chunks.push(std::mem::take(&mut w).finish());
+                }
+                w.str(rendered).unwrap();
+            }
+        }
+        chunks.push(w.finish());
+        chunks.retain(|c| !c.is_empty());
+        chunks
+    }
+
+    /// The stream framing as it stood before answers existed: one
+    /// `Response::Chunk` frame per slice, digested slice by slice, then
+    /// the summary.
+    fn reference_frames(chunks: &[Vec<u8>], correlation: u64, ticket: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut digest = StreamDigest::new();
+        for (seq, bytes) in (0u32..).zip(chunks) {
+            digest.absorb(bytes);
+            let chunk = Response::Chunk { seq, bytes: bytes.clone() };
+            out.extend_from_slice(&chunk.to_frame2(correlation).unwrap());
+        }
+        let summary = Response::Summary {
+            ticket,
+            provenance: Provenance::Batched,
+            chunks: u32::try_from(chunks.len()).unwrap(),
+            total_bytes: chunks.iter().map(|c| c.len() as u64).sum(),
+            digest: digest.finish(),
+        };
+        out.extend_from_slice(&summary.to_frame2(correlation).unwrap());
+        out
+    }
+
+    /// An answer — built from the result or from its stored bytes — cuts,
+    /// digests and frames exactly as the per-slice chunker did, for every
+    /// result kind and every irregular shape.
+    #[test]
+    fn answers_match_the_reference_chunker_and_framing() {
+        for result in samples().into_iter().chain(irregular()) {
+            let encoded = result.encoded().unwrap();
+            let reference = reference_chunks(&result);
+            let frames = reference_frames(&reference, 9, 42);
+            for answer in
+                [Answer::new(&result).unwrap(), Answer::from_bytes(encoded.clone()).unwrap()]
+            {
+                let cuts: Vec<Vec<u8>> = answer.chunks().map(<[u8]>::to_vec).collect();
+                assert_eq!(cuts, reference, "{result:?}");
+                assert_eq!(answer.bytes(), &encoded[..]);
+                assert_eq!(cuts.concat(), encoded);
+                assert_eq!(answer.digest(), stream_digest(&encoded));
+                let mut out = Vec::new();
+                answer.push_stream(&mut out, 9, 42, Provenance::Batched).unwrap();
+                assert_eq!(out, frames, "{result:?}");
+                assert_eq!(*answer, result);
+            }
+            assert_eq!(chunk_result(&result).unwrap(), reference);
+            let mut out = Vec::new();
+            push_stream(&mut out, 9, 42, Provenance::Batched, &result).unwrap();
+            assert_eq!(out, frames);
+        }
+    }
+
+    /// Stored bytes become an answer only if they are exactly one
+    /// canonical result.
+    #[test]
+    fn answers_from_bytes_reject_anything_but_one_canonical_result() {
+        let encoded = samples()[0].encoded().unwrap();
+        let mut trailing = encoded.clone();
+        trailing.push(0);
+        assert!(Answer::from_bytes(trailing).is_err());
+        assert!(Answer::from_bytes(encoded[..encoded.len() - 1].to_vec()).is_err());
+        assert!(Answer::from_bytes(Vec::new()).is_err());
+        let mut bad_tag = encoded.clone();
+        bad_tag[0] = 9;
+        assert!(Answer::from_bytes(bad_tag).is_err());
+        // The first pass-map cell of the 3x3 shmoo: a bool must be 0 or 1.
+        let mut bad_bool = encoded;
+        bad_bool[1 + 4 + 12 + 4 + 24 + 4] = 2;
+        assert!(Answer::from_bytes(bad_bool).is_err());
+    }
+
+    /// A result whose slice cannot fit one frame has no answer, and
+    /// `push_stream` appends nothing for it.
+    #[test]
+    fn an_unframeable_result_has_no_answer() {
+        let result = JobResult::Bathtub { pairs: Vec::new(), rendered: "x".repeat(1 << 20) };
+        assert!(matches!(Answer::new(&result), Err(FrameError::Oversized { .. })));
+        assert!(chunk_result(&result).is_err());
+        let mut out = vec![7u8];
+        assert!(push_stream(&mut out, 1, 1, Provenance::Computed, &result).is_err());
+        assert_eq!(out, vec![7u8]);
     }
 
     /// The digest is a function of the byte sequence alone — any split

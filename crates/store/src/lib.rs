@@ -67,10 +67,9 @@ pub mod limits {
     pub const MAX_PAYLOAD_BYTES: usize = 1 << 20;
 }
 
-/// FNV-1a 64-bit over `bytes` — byte-for-byte the digest
-/// `atd::cache::fnv1a64` computes, reimplemented here so the store stays
-/// dependency-free. The spec digest the LRU indexes by, the farm ring
-/// routes by, and this store addresses by are all this function over the
+/// FNV-1a 64-bit over `bytes`. The spec digest the store addresses by,
+/// the atd LRU indexes by (`atd::cache::fnv1a64` re-exports this
+/// function) and the farm ring routes by are all this function over the
 /// same canonical key bytes.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -89,9 +88,10 @@ mod tests {
 
     #[test]
     fn fnv_matches_the_published_vectors() {
-        // Same check the atd cache pins: offset basis for "", and the
-        // classic single-byte vector.
+        // Offset basis for "", the classic single-byte vector, and a
+        // multi-byte one.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -12,6 +12,7 @@
 //! it replaces, so a crash between the rename and the old-segment
 //! cleanup leaves a store that recovers to the identical index.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -139,6 +140,9 @@ pub struct Store {
     segments: BTreeMap<u64, u64>,
     active: u64,
     active_file: File,
+    /// Segment id → read handle, opened by the first read from that
+    /// segment and dropped before the segment is deleted.
+    readers: BTreeMap<u64, File>,
     index: BTreeMap<u64, RecordLoc>,
     next_seq: u64,
     live_bytes: u64,
@@ -222,6 +226,7 @@ impl Store {
             segments: BTreeMap::new(),
             active,
             active_file,
+            readers: BTreeMap::new(),
             index: BTreeMap::new(),
             next_seq: 0,
             live_bytes: 0,
@@ -293,14 +298,19 @@ impl Store {
             self.misses += 1;
             return Ok(None);
         };
-        let bytes = self.read_record_bytes(loc)?;
+        let mut bytes = self.read_record_bytes(loc)?;
         let (found, _) = record::decode(&bytes).map_err(StoreError::Record)?;
         if found.key != key {
             self.misses += 1;
             return Ok(None);
         }
+        let start = record::HEADER_BYTES + found.key.len();
+        let end = start + found.payload.len();
         self.hits += 1;
-        Ok(Some(found.payload.to_vec()))
+        // The payload is served out of the record buffer itself.
+        bytes.truncate(end);
+        bytes.drain(..start);
+        Ok(Some(bytes))
     }
 
     /// Appends a record for `key`, superseding any older record with the
@@ -388,6 +398,8 @@ impl Store {
         let _ = File::open(&self.dir).and_then(|d| d.sync_all());
         // Dead segments: removal failures are tolerable because the
         // compacted segment's higher id supersedes them at recovery.
+        // Their read handles close first.
+        self.readers.clear();
         let superseded: Vec<u64> = self.segments.keys().copied().collect();
         for id in superseded {
             let _ = std::fs::remove_file(self.segment_path(id));
@@ -438,15 +450,22 @@ impl Store {
         Ok(())
     }
 
-    /// Reads one record's raw bytes back off its segment.
-    fn read_record_bytes(&self, loc: RecordLoc) -> Result<Vec<u8>, StoreError> {
-        let path = self.segment_path(loc.segment);
-        let mut file = File::open(&path).map_err(|e| StoreError::io("open segment", &path, &e))?;
+    /// Reads one record's raw bytes back off its segment, through the
+    /// segment's read handle.
+    fn read_record_bytes(&mut self, loc: RecordLoc) -> Result<Vec<u8>, StoreError> {
+        let Store { dir, readers, .. } = self;
+        let path = || dir.join(segment_file_name(loc.segment));
+        let file = match readers.entry(loc.segment) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => slot.insert(
+                File::open(path()).map_err(|e| StoreError::io("open segment", &path(), &e))?,
+            ),
+        };
         file.seek(SeekFrom::Start(loc.offset))
-            .map_err(|e| StoreError::io("seek record", &path, &e))?;
+            .map_err(|e| StoreError::io("seek record", &path(), &e))?;
         let len = usize::try_from(loc.len).unwrap_or(0);
         let mut bytes = vec![0u8; len];
-        file.read_exact(&mut bytes).map_err(|e| StoreError::io("read record", &path, &e))?;
+        file.read_exact(&mut bytes).map_err(|e| StoreError::io("read record", &path(), &e))?;
         Ok(bytes)
     }
 
@@ -619,6 +638,37 @@ mod tests {
         let recovered: Vec<Option<Vec<u8>>> =
             (0..10u32).map(|key| reopened.get(&key.to_be_bytes()).expect("get")).collect();
         assert_eq!(before, recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Reads go through cached segment handles; rotation seals segments
+    /// under them and compaction deletes them. Every `get` still returns
+    /// exactly the bytes that were `put`.
+    #[test]
+    fn gets_across_rotation_and_compaction_return_the_put_bytes() {
+        let dir = scratch_dir("handles");
+        let config = StoreConfig::new(&dir).segment_bytes(MIN_SEGMENT_BYTES);
+        let mut store = Store::open(config).expect("open");
+        let payload = |i: u32| -> Vec<u8> { (0..1200 + i).map(|b| (b ^ i) as u8).collect() };
+        let check = |store: &mut Store, keys: std::ops::Range<u32>| {
+            for i in keys {
+                assert_eq!(store.get(&i.to_be_bytes()).expect("get"), Some(payload(i)), "key {i}");
+            }
+        };
+        for i in 0..6u32 {
+            store.put(&i.to_be_bytes(), &payload(i)).expect("put");
+            check(&mut store, 0..i + 1);
+        }
+        assert!(store.stats().segments > 1, "the puts must rotate");
+        store.compact().expect("compact");
+        check(&mut store, 0..6);
+        for i in 6..12u32 {
+            store.put(&i.to_be_bytes(), &payload(i)).expect("put");
+        }
+        check(&mut store, 0..12);
+        store.compact().expect("compact again");
+        check(&mut store, 0..12);
+        assert_eq!(store.stats().segments, 2, "one compacted segment plus the fresh active one");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -131,33 +131,6 @@ fn is_decode_fn(name: &str) -> bool {
     name.starts_with("from_") || name.contains("decode")
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::classify::classify;
-    use crate::facts::build_facts;
-    use std::path::PathBuf;
-
-    #[test]
-    fn msg_refs_classify_by_context() {
-        let rel = "crates/fix/src/lib.rs";
-        let class = classify(rel).expect("classifiable");
-        let file = SourceFile { rel_path: rel.to_string(), abs_path: PathBuf::from(rel), class };
-        let facts = build_facts(
-            &file,
-            "pub mod msg { pub const PING: u8 = 1; }\n\
-             pub fn to_frame() -> u8 { msg::PING }\n\
-             pub fn from_frame(code: u8) -> bool { code == msg::PING }\n\
-             pub fn route(code: u8) -> bool { code == msg::PING }\n",
-        )
-        .expect("facts build");
-        assert_eq!(facts.msg_consts.len(), 1);
-        let ctxs: Vec<MsgCtx> = facts.msg_refs.iter().map(|r| r.ctx).collect();
-        assert!(ctxs.contains(&MsgCtx::Encode) && ctxs.contains(&MsgCtx::Decode), "{ctxs:?}");
-        assert!(ctxs.contains(&MsgCtx::Other), "{ctxs:?}");
-    }
-}
-
 /// R13 `codec-symmetry`: every wire message type must appear in an
 /// encode path, a decode path, and a golden-vector test.
 pub fn check_codec_symmetry(facts: &[crate::facts::FileFacts], findings: &mut Vec<Finding>) {
@@ -210,5 +183,32 @@ pub fn check_codec_symmetry(facts: &[crate::facts::FileFacts], findings: &mut Ve
                 related: Vec::new(),
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::classify::classify;
+    use crate::facts::build_facts;
+    use std::path::PathBuf;
+
+    #[test]
+    fn msg_refs_classify_by_context() {
+        let rel = "crates/fix/src/lib.rs";
+        let class = classify(rel).expect("classifiable");
+        let file = SourceFile { rel_path: rel.to_string(), abs_path: PathBuf::from(rel), class };
+        let facts = build_facts(
+            &file,
+            "pub mod msg { pub const PING: u8 = 1; }\n\
+             pub fn to_frame() -> u8 { msg::PING }\n\
+             pub fn from_frame(code: u8) -> bool { code == msg::PING }\n\
+             pub fn route(code: u8) -> bool { code == msg::PING }\n",
+        )
+        .expect("facts build");
+        assert_eq!(facts.msg_consts.len(), 1);
+        let ctxs: Vec<MsgCtx> = facts.msg_refs.iter().map(|r| r.ctx).collect();
+        assert!(ctxs.contains(&MsgCtx::Encode) && ctxs.contains(&MsgCtx::Decode), "{ctxs:?}");
+        assert!(ctxs.contains(&MsgCtx::Other), "{ctxs:?}");
     }
 }

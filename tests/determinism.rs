@@ -433,3 +433,146 @@ fn loopback_chunk_stream_matches_tcp_at_any_thread_count() {
         assert_eq!(tcp_digest, loopback_digest, "{threads}-thread daemon digest differs");
     }
 }
+
+/// One spec answered four ways — computed, from the LRU, coalesced in
+/// one drain, and from the store after a daemon restart — streams the
+/// same frames through `Client<Loopback>` on 1- and 4-thread pools:
+/// byte-identical apart from the summary's provenance byte. Each way is
+/// the second submission on a fresh daemon, so correlation and ticket
+/// agree too.
+#[test]
+fn every_answer_tier_streams_identical_frames_apart_from_provenance() {
+    use atd::proto::msg;
+    use atd::scheduler::Scheduler;
+    use atd::store::{Store, StoreConfig};
+    use atd::{wire, Client, Event, JobSpec, Loopback, Provenance, Response, Service};
+    use exec::ExecPool;
+    use minitester::ShmooConfig;
+    use pstime::Duration;
+    use std::cell::RefCell;
+    use std::io::{self, Read, Write};
+    use std::rc::Rc;
+
+    /// The loopback, keeping a copy of every byte the daemon sends.
+    struct Tap {
+        link: Loopback,
+        seen: Rc<RefCell<Vec<u8>>>,
+    }
+    impl Read for Tap {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.link.read(buf)?;
+            self.seen.borrow_mut().extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+    }
+    impl Write for Tap {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.link.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.link.flush()
+        }
+    }
+
+    /// The frames sent under correlation 2, the summary's provenance
+    /// byte zeroed, and the provenance it held.
+    fn second_stream(seen: &[u8]) -> (Vec<Vec<u8>>, Provenance) {
+        let mut frames = Vec::new();
+        let mut provenance = None;
+        let mut rest = seen;
+        while !rest.is_empty() {
+            let header = wire::decode_header2(rest).unwrap();
+            let (frame, tail) = rest.split_at(wire::HEADER2_LEN + header.payload_len);
+            rest = tail;
+            if header.correlation != 2 {
+                continue;
+            }
+            let mut frame = frame.to_vec();
+            if header.msg_type == msg::SUMMARY {
+                let payload = &frame[wire::HEADER2_LEN..];
+                match Response::from_parts(header.msg_type, payload).unwrap() {
+                    Response::Summary { provenance: p, .. } => provenance = Some(p),
+                    other => panic!("expected a summary, got {other:?}"),
+                }
+                // The summary payload opens with the u64 ticket.
+                frame[wire::HEADER2_LEN + 8] = 0;
+            }
+            frames.push(frame);
+        }
+        (frames, provenance.expect("a summary under correlation 2"))
+    }
+
+    let rate = DataRate::from_gbps(2.5);
+    let spec = JobSpec::shmoo(rate, 256, 17, &ShmooConfig::pecl(), 3);
+    let other = JobSpec::bathtub(Duration::from_ps(3), Duration::from_ps(20), rate, 0.5, 301);
+
+    let mut by_threads = Vec::new();
+    for threads in [1usize, 4] {
+        let daemon = |store: Option<Store>| {
+            let scheduler = Scheduler::new(8, 64);
+            let scheduler = match store {
+                Some(store) => scheduler.with_store(store),
+                None => scheduler,
+            };
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let link = Loopback::new(Service::new(ExecPool::new(threads), scheduler));
+            (Client::new(Tap { link, seen: Rc::clone(&seen) }), seen)
+        };
+        let done = |client: &mut Client<Tap>, spec: JobSpec| match client.submit(1, spec).unwrap() {
+            Event::Done { provenance, .. } => provenance,
+            other => panic!("expected Done, got {other:?}"),
+        };
+        let dir = std::env::temp_dir()
+            .join(format!("atd-determinism-tiers-{}-t{threads}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut ways = Vec::new();
+
+        // Computed, by a store-backed daemon.
+        let (mut client, seen) = daemon(Some(Store::open(StoreConfig::new(&dir)).unwrap()));
+        assert_eq!(done(&mut client, other), Provenance::Computed);
+        assert_eq!(done(&mut client, spec), Provenance::Computed);
+        ways.push(second_stream(&seen.borrow()));
+        drop(client);
+
+        // An LRU hit.
+        let (mut client, seen) = daemon(None);
+        assert_eq!(done(&mut client, spec), Provenance::Computed);
+        assert_eq!(done(&mut client, spec), Provenance::Cache);
+        assert_eq!(client.stats().unwrap().cache_hits, 1);
+        ways.push(second_stream(&seen.borrow()));
+
+        // A coalesced copy: both submissions land in one drain.
+        let (mut client, seen) = daemon(None);
+        client.submit_pipelined(1, spec).unwrap();
+        client.submit_pipelined(1, spec).unwrap();
+        let mut finished = 0;
+        while finished < 2 {
+            if let Event::Done { .. } = client.next_event().unwrap() {
+                finished += 1;
+            }
+        }
+        assert_eq!(client.stats().unwrap().batched, 1);
+        ways.push(second_stream(&seen.borrow()));
+
+        // A store hit, after the computing daemon's restart.
+        let (mut client, seen) = daemon(Some(Store::open(StoreConfig::new(&dir)).unwrap()));
+        assert_eq!(done(&mut client, other), Provenance::Cache);
+        assert_eq!(done(&mut client, spec), Provenance::Cache);
+        assert_eq!(client.stats().unwrap().store_hits, 2);
+        ways.push(second_stream(&seen.borrow()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let provenances: Vec<Provenance> = ways.iter().map(|(_, p)| *p).collect();
+        assert_eq!(
+            provenances,
+            [Provenance::Computed, Provenance::Cache, Provenance::Batched, Provenance::Cache]
+        );
+        let (computed, _) = &ways[0];
+        assert!(computed.len() > 2, "a shmoo streams several chunks");
+        for (frames, provenance) in &ways[1..] {
+            assert_eq!(frames, computed, "{provenance:?} at {threads} threads");
+        }
+        by_threads.push(ways.swap_remove(0).0);
+    }
+    assert_eq!(by_threads[0], by_threads[1], "1- and 4-thread pools stream different frames");
+}

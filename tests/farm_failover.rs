@@ -104,7 +104,7 @@ fn run_sabotaged_campaign(
     let (mut farm, fuses) = flaky_fleet(retries);
     let bands = plan(&spec, SHARDS).expect("plan");
     assert!(bands.len() > 1, "campaign spec must actually shard");
-    let mut owned = vec![0usize; HEADS];
+    let mut owned = [0usize; HEADS];
     for band in &bands {
         let head = farm.route(band).expect("routable");
         if let Some(count) = owned.get_mut(head) {
