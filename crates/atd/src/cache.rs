@@ -112,6 +112,15 @@ mod tests {
     }
 
     #[test]
+    fn fnv_vectors() {
+        // Published FNV-1a test vectors, through the re-export the LRU index
+        // and the farm's route keys use.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
     fn hit_returns_the_stored_result() {
         let mut cache = ResultCache::new(4);
         assert!(cache.is_empty());
