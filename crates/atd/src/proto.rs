@@ -8,6 +8,7 @@
 
 use pstime::{DataRate, Duration};
 
+use crate::stream::{BATHTUB_SEGMENT_PAIRS, EYE_COLUMN_POINTS, WAFER_STRIPE_RECORDS};
 use crate::wire::{self, FrameError, Reader, Writer};
 
 /// Message-type codes. Requests occupy `0x01..=0x7F`, responses have the
@@ -877,6 +878,9 @@ const RESULT_WAFER: u8 = 2;
 const RESULT_EYE: u8 = 3;
 const RESULT_BATHTUB: u8 = 4;
 
+/// The highest wafer bin code (`FailMargin`).
+const MAX_BIN: u8 = 2;
+
 fn to_u32(n: usize, context: &'static str) -> Result<u32, FrameError> {
     u32::try_from(n).map_err(|_| FrameError::BadPayload { context })
 }
@@ -968,8 +972,29 @@ impl JobResult {
     ///
     /// # Errors
     ///
-    /// [`FrameError::Oversized`] if a sequence length exceeds u32.
+    /// [`FrameError::Oversized`] if a sequence length exceeds u32;
+    /// [`FrameError::BadPayload`] for a wafer bin code above 2, which
+    /// [`JobResult::decode`] would reject.
     pub fn encode(&self, w: &mut Writer) -> Result<(), FrameError> {
+        self.encode_marked(w, |_| {})
+    }
+
+    /// [`JobResult::encode`], calling `mark` with the end offset (from the
+    /// start of this result) of every stream chunk, in order: the
+    /// preamble (tag and dimensions), each bulk slice — one shmoo
+    /// pass-map row, one [`WAFER_STRIPE_RECORDS`]-die wafer stripe, one
+    /// [`EYE_COLUMN_POINTS`]-strobe eye column, one
+    /// [`BATHTUB_SEGMENT_PAIRS`]-pair bathtub segment — and the footer
+    /// (trailing scalars and the rendering). The last mark is the
+    /// result's length. [`JobResult::decode_marked`] reports the same
+    /// offsets.
+    pub(crate) fn encode_marked(
+        &self,
+        w: &mut Writer,
+        mut mark: impl FnMut(usize),
+    ) -> Result<(), FrameError> {
+        let base = w.position();
+        let mut cut = |w: &Writer| mark(w.position() - base);
         match self {
             JobResult::Shmoo { thresholds_mv, phases_fs, pass, rendered } => {
                 w.u8(RESULT_SHMOO);
@@ -982,8 +1007,12 @@ impl JobResult {
                     w.i64(*p);
                 }
                 w.count(pass.len())?;
-                for b in pass {
-                    w.bool(*b);
+                cut(w);
+                for row in pass.chunks(shmoo_row(phases_fs.len())) {
+                    for b in row {
+                        w.bool(*b);
+                    }
+                    cut(w);
                 }
                 w.str(rendered)?;
             }
@@ -996,17 +1025,24 @@ impl JobResult {
             } => {
                 w.u8(RESULT_WAFER);
                 w.count(records.len())?;
-                for rec in records {
-                    w.u32(rec.die);
-                    w.u8(rec.bin);
-                    w.u32(rec.bist_errors);
-                    match rec.eye_ui {
-                        Some(ui) => {
-                            w.bool(true);
-                            w.f64(ui);
+                cut(w);
+                for stripe in records.chunks(WAFER_STRIPE_RECORDS) {
+                    for rec in stripe {
+                        if rec.bin > MAX_BIN {
+                            return Err(FrameError::BadPayload { context: "bin code" });
                         }
-                        None => w.bool(false),
+                        w.u32(rec.die);
+                        w.u8(rec.bin);
+                        w.u32(rec.bist_errors);
+                        match rec.eye_ui {
+                            Some(ui) => {
+                                w.bool(true);
+                                w.f64(ui);
+                            }
+                            None => w.bool(false),
+                        }
                     }
+                    cut(w);
                 }
                 w.u32(*touchdowns);
                 w.u32(*injected_hard);
@@ -1016,10 +1052,14 @@ impl JobResult {
             JobResult::Eye { points, step_fs, rendered } => {
                 w.u8(RESULT_EYE);
                 w.count(points.len())?;
-                for (phase, compared, errors) in points {
-                    w.i64(*phase);
-                    w.u32(*compared);
-                    w.u32(*errors);
+                cut(w);
+                for column in points.chunks(EYE_COLUMN_POINTS) {
+                    for (phase, compared, errors) in column {
+                        w.i64(*phase);
+                        w.u32(*compared);
+                        w.u32(*errors);
+                    }
+                    cut(w);
                 }
                 w.i64(*step_fs);
                 w.str(rendered)?;
@@ -1027,13 +1067,18 @@ impl JobResult {
             JobResult::Bathtub { pairs, rendered } => {
                 w.u8(RESULT_BATHTUB);
                 w.count(pairs.len())?;
-                for (phase, ber) in pairs {
-                    w.f64(*phase);
-                    w.f64(*ber);
+                cut(w);
+                for segment in pairs.chunks(BATHTUB_SEGMENT_PAIRS) {
+                    for (phase, ber) in segment {
+                        w.f64(*phase);
+                        w.f64(*ber);
+                    }
+                    cut(w);
                 }
                 w.str(rendered)?;
             }
         }
+        cut(w);
         Ok(())
     }
 
@@ -1042,7 +1087,7 @@ impl JobResult {
     ///
     /// # Errors
     ///
-    /// [`FrameError::Oversized`] if a sequence length exceeds u32.
+    /// As [`JobResult::encode`].
     pub fn encoded(&self) -> Result<Vec<u8>, FrameError> {
         let mut w = Writer::new();
         self.encode(&mut w)?;
@@ -1055,7 +1100,19 @@ impl JobResult {
     ///
     /// [`FrameError`] on truncation or an unknown result tag.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        match r.u8()? {
+        JobResult::decode_marked(r, |_| {})
+    }
+
+    /// [`JobResult::decode`], calling `mark` with the end offset of every
+    /// stream chunk exactly as [`JobResult::encode_marked`] does for the
+    /// decoded result.
+    pub(crate) fn decode_marked(
+        r: &mut Reader<'_>,
+        mut mark: impl FnMut(usize),
+    ) -> Result<Self, FrameError> {
+        let start = r.remaining();
+        let mut cut = |r: &Reader<'_>| mark(start - r.remaining());
+        let result = match r.u8()? {
             RESULT_SHMOO => {
                 let n = r.count(4)?;
                 let mut thresholds_mv = Vec::with_capacity(n);
@@ -1068,52 +1125,83 @@ impl JobResult {
                     phases_fs.push(r.i64()?);
                 }
                 let n = r.count(1)?;
+                cut(r);
                 let mut pass = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pass.push(r.bool()?);
+                for row in groups(n, shmoo_row(phases_fs.len())) {
+                    for _ in 0..row {
+                        pass.push(r.bool()?);
+                    }
+                    cut(r);
                 }
-                Ok(JobResult::Shmoo { thresholds_mv, phases_fs, pass, rendered: r.str()? })
+                JobResult::Shmoo { thresholds_mv, phases_fs, pass, rendered: r.str()? }
             }
             RESULT_WAFER => {
                 let n = r.count(10)?;
+                cut(r);
                 let mut records = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let die = r.u32()?;
-                    let bin = r.u8()?;
-                    if bin > 2 {
-                        return Err(FrameError::BadPayload { context: "bin code" });
+                for stripe in groups(n, WAFER_STRIPE_RECORDS) {
+                    for _ in 0..stripe {
+                        let die = r.u32()?;
+                        let bin = r.u8()?;
+                        if bin > MAX_BIN {
+                            return Err(FrameError::BadPayload { context: "bin code" });
+                        }
+                        let bist_errors = r.u32()?;
+                        let eye_ui = if r.bool()? { Some(r.f64()?) } else { None };
+                        records.push(WireDieRecord { die, bin, bist_errors, eye_ui });
                     }
-                    let bist_errors = r.u32()?;
-                    let eye_ui = if r.bool()? { Some(r.f64()?) } else { None };
-                    records.push(WireDieRecord { die, bin, bist_errors, eye_ui });
+                    cut(r);
                 }
-                Ok(JobResult::Wafer {
+                JobResult::Wafer {
                     records,
                     touchdowns: r.u32()?,
                     injected_hard: r.u32()?,
                     injected_marginal: r.u32()?,
                     rendered: r.str()?,
-                })
+                }
             }
             RESULT_EYE => {
                 let n = r.count(16)?;
+                cut(r);
                 let mut points = Vec::with_capacity(n);
-                for _ in 0..n {
-                    points.push((r.i64()?, r.u32()?, r.u32()?));
+                for column in groups(n, EYE_COLUMN_POINTS) {
+                    for _ in 0..column {
+                        points.push((r.i64()?, r.u32()?, r.u32()?));
+                    }
+                    cut(r);
                 }
-                Ok(JobResult::Eye { points, step_fs: r.i64()?, rendered: r.str()? })
+                JobResult::Eye { points, step_fs: r.i64()?, rendered: r.str()? }
             }
             RESULT_BATHTUB => {
                 let n = r.count(16)?;
+                cut(r);
                 let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pairs.push((r.f64()?, r.f64()?));
+                for segment in groups(n, BATHTUB_SEGMENT_PAIRS) {
+                    for _ in 0..segment {
+                        pairs.push((r.f64()?, r.f64()?));
+                    }
+                    cut(r);
                 }
-                Ok(JobResult::Bathtub { pairs, rendered: r.str()? })
+                JobResult::Bathtub { pairs, rendered: r.str()? }
             }
-            _ => Err(FrameError::BadPayload { context: "job result tag" }),
-        }
+            _ => return Err(FrameError::BadPayload { context: "job result tag" }),
+        };
+        cut(r);
+        Ok(result)
     }
+}
+
+/// Pass-map cells per shmoo stream chunk: one row, a full strobe sweep
+/// at one threshold. A pass map that is not a whole number of rows ends
+/// in a short chunk.
+fn shmoo_row(phases: usize) -> usize {
+    phases.max(1)
+}
+
+/// The sizes of the `size`-item groups `n` items split into, the last
+/// one short — what `slice.chunks(size)` yields, by length.
+fn groups(n: usize, size: usize) -> impl Iterator<Item = usize> {
+    (0..n).step_by(size).map(move |start| size.min(n - start))
 }
 
 /// The service's cumulative counters, reported by

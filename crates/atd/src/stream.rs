@@ -17,7 +17,7 @@ use std::ops::Deref;
 use std::sync::OnceLock;
 
 use crate::proto::{msg, JobResult, Provenance, Response, ServiceStats};
-use crate::wire::{self, FrameError, Reader, MAX_PAYLOAD};
+use crate::wire::{self, FrameError, Reader, Writer, MAX_PAYLOAD};
 
 /// Incremental 64-bit digest over a chunk stream's bytes.
 ///
@@ -129,10 +129,11 @@ const CHUNK_SEQ_BYTES: u64 = 4;
 /// shared (behind an `Arc`) by every tier that serves the result again.
 ///
 /// The daemon streams an answer by slicing its bytes at its cuts, so a
-/// cache hit or a coalesced copy re-derives nothing. An answer's bytes
-/// are always exactly one canonical [`JobResult`]: both constructors run
-/// one validating decode, and a result whose bytes cannot be cut into
-/// frames has no answer at all.
+/// cache hit or a coalesced copy re-derives nothing. The cuts come from
+/// the codec itself: encoding a result, or decoding one, reports every
+/// chunk boundary as it passes it, so they are defined in one place.
+/// An answer's bytes are always exactly one canonical [`JobResult`], and
+/// a result whose bytes cannot be cut into frames has no answer at all.
 ///
 /// The decoded result is available through [`Deref`], decoded from the
 /// bytes on first use, so only one copy of the bulk data stays resident
@@ -148,28 +149,36 @@ pub struct Answer {
 }
 
 impl Answer {
-    /// The answer to `result`.
+    /// The answer to `result`: one encode, which also yields the cuts.
     ///
     /// # Errors
     ///
-    /// [`FrameError`] if the result does not encode, its encoding does
-    /// not decode back, or a chunk is too large for one frame.
+    /// [`FrameError`] if the result does not encode or a chunk is too
+    /// large for one frame.
     pub fn new(result: &JobResult) -> Result<Self, FrameError> {
-        Answer::from_bytes(result.encoded()?)
+        let (bytes, ends) = encode_cut(result)?;
+        Ok(Answer::digested(bytes, ends))
     }
 
     /// The answer whose canonical bytes are `bytes` — a stored payload,
-    /// say.
+    /// say: one validating decode, which also yields the cuts.
     ///
     /// # Errors
     ///
     /// [`FrameError`] unless `bytes` is exactly one result's canonical
     /// encoding whose chunks each fit one frame.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, FrameError> {
-        let result = decode_exact(&bytes)?;
-        let ends = cut_ends(&result, bytes.len())?;
+        let mut ends = Vec::new();
+        let mut r = Reader::new(&bytes);
+        JobResult::decode_marked(&mut r, |end| ends.push(end))?;
+        r.expect_end()?;
+        fit_frames(&ends)?;
+        Ok(Answer::digested(bytes, ends))
+    }
+
+    fn digested(bytes: Vec<u8>, ends: Vec<usize>) -> Self {
         let digest = stream_digest(&bytes);
-        Ok(Answer { bytes, ends, digest, decoded: OnceLock::new() })
+        Answer { bytes, ends, digest, decoded: OnceLock::new() }
     }
 
     /// The canonical encoding, [`JobResult::encoded`] byte for byte.
@@ -253,9 +262,9 @@ impl Deref for Answer {
 
     fn deref(&self) -> &JobResult {
         self.decoded.get_or_init(|| {
-            // These bytes already decoded once, in `from_bytes`, and
-            // decoding is a pure function of them: the fallback is never
-            // taken.
+            // The bytes are one canonical result: `from_bytes` decoded
+            // them, and `encode` writes only what `decode` accepts. The
+            // fallback is never taken.
             decode_exact(&self.bytes)
                 .unwrap_or(JobResult::Bathtub { pairs: Vec::new(), rendered: String::new() })
         })
@@ -270,70 +279,32 @@ fn decode_exact(bytes: &[u8]) -> Result<JobResult, FrameError> {
     Ok(result)
 }
 
-/// Where `result`'s canonical encoding (`len` bytes) is cut into chunks:
-/// the end offset of every chunk. This is the one definition of the cut
-/// positions. Every result yields at least a preamble (tag and
-/// dimensions) and a footer (trailing scalars plus the rendering), with
-/// the bulk payload sliced between them: one chunk per shmoo pass-row,
-/// per [`WAFER_STRIPE_RECORDS`]-die wafer stripe, per
-/// [`EYE_COLUMN_POINTS`]-strobe eye column, per
-/// [`BATHTUB_SEGMENT_PAIRS`]-pair bathtub segment.
+/// `result`'s canonical encoding and the end offset of every chunk in
+/// it (see [`JobResult::encode_marked`] for where the cuts fall).
 ///
-/// The sizes follow the field widths of [`JobResult::encode`]: `u8` and
-/// `bool` 1 byte, `u32`/`i32` and every count 4, `i64`/`f64` 8.
-fn cut_ends(result: &JobResult, len: usize) -> Result<Vec<usize>, FrameError> {
+/// # Errors
+///
+/// [`FrameError`] if the result does not encode or a chunk is too large
+/// for one frame.
+fn encode_cut(result: &JobResult) -> Result<(Vec<u8>, Vec<usize>), FrameError> {
+    let mut w = Writer::new();
     let mut ends = Vec::new();
-    let mut at = 0usize;
-    let mut cut = |size: usize| {
-        at = at.saturating_add(size);
-        ends.push(at);
-    };
-    match result {
-        JobResult::Shmoo { thresholds_mv: rows, phases_fs: columns, pass, .. } => {
-            cut(1 + 4 + 4 * rows.len() + 4 + 8 * columns.len() + 4);
-            // One chunk per pass-map row (a full strobe sweep at one
-            // threshold). Hand-built results whose pass length is not a
-            // multiple of the phase count still chunk exactly — the last
-            // slice is simply short.
-            for row in pass.chunks(columns.len().max(1)) {
-                cut(row.len());
-            }
-        }
-        JobResult::Wafer { records, .. } => {
-            cut(1 + 4);
-            for stripe in records.chunks(WAFER_STRIPE_RECORDS) {
-                // die, bin, BIST errors, the eye flag, and the eye if any.
-                cut(stripe.iter().map(|rec| if rec.eye_ui.is_some() { 18 } else { 10 }).sum());
-            }
-        }
-        JobResult::Eye { points, .. } => {
-            cut(1 + 4);
-            for column in points.chunks(EYE_COLUMN_POINTS) {
-                cut(16 * column.len());
-            }
-        }
-        JobResult::Bathtub { pairs, .. } => {
-            cut(1 + 4);
-            for segment in pairs.chunks(BATHTUB_SEGMENT_PAIRS) {
-                cut(16 * segment.len());
-            }
-        }
-    }
-    // The footer is the rest, never empty: it ends in a length-prefixed
-    // string.
-    if at >= len {
-        return Err(FrameError::BadPayload { context: "chunk cuts overrun the encoding" });
-    }
-    ends.push(len);
+    result.encode_marked(&mut w, |end| ends.push(end))?;
+    fit_frames(&ends)?;
+    Ok((w.finish(), ends))
+}
+
+/// Fails unless every chunk ending at `ends` fits one `CHUNK` frame.
+fn fit_frames(ends: &[usize]) -> Result<(), FrameError> {
     let mut start = 0;
-    for &end in &ends {
+    for &end in ends {
         let frame = u64::try_from(end - start).unwrap_or(u64::MAX).saturating_add(CHUNK_SEQ_BYTES);
         if frame > u64::from(MAX_PAYLOAD) {
             return Err(FrameError::Oversized { len: frame, max: u64::from(MAX_PAYLOAD) });
         }
         start = end;
     }
-    Ok(ends)
+    Ok(())
 }
 
 /// `bytes` cut at `ends`.
@@ -348,11 +319,10 @@ fn slices<'a>(bytes: &'a [u8], ends: &'a [usize]) -> impl Iterator<Item = &'a [u
 ///
 /// # Errors
 ///
-/// [`FrameError::Oversized`] if a sequence length exceeds u32 or a slice
-/// is too large for one frame.
+/// [`FrameError`] if the result does not encode or a slice is too large
+/// for one frame.
 pub fn chunk_result(result: &JobResult) -> Result<Vec<Vec<u8>>, FrameError> {
-    let bytes = result.encoded()?;
-    let ends = cut_ends(result, bytes.len())?;
+    let (bytes, ends) = encode_cut(result)?;
     Ok(slices(&bytes, &ends).map(<[u8]>::to_vec).collect())
 }
 
@@ -753,6 +723,23 @@ mod tests {
         let mut out = vec![7u8];
         assert!(push_stream(&mut out, 1, 1, Provenance::Computed, &result).is_err());
         assert_eq!(out, vec![7u8]);
+    }
+
+    /// A result the decoder would reject does not encode, so it has no
+    /// answer either: an answer's bytes always decode.
+    #[test]
+    fn a_result_that_would_not_decode_has_no_answer() {
+        let result = JobResult::Wafer {
+            records: vec![WireDieRecord { die: 0, bin: 3, bist_errors: 0, eye_ui: None }],
+            touchdowns: 1,
+            injected_hard: 0,
+            injected_marginal: 0,
+            rendered: String::new(),
+        };
+        let bin_code = FrameError::BadPayload { context: "bin code" };
+        assert_eq!(result.encoded(), Err(bin_code.clone()));
+        assert_eq!(Answer::new(&result).err(), Some(bin_code));
+        assert!(chunk_result(&result).is_err());
     }
 
     /// The digest is a function of the byte sequence alone — any split

@@ -321,6 +321,11 @@ impl Writer {
         self.buf
     }
 
+    /// Bytes written so far.
+    pub fn position(&self) -> usize {
+        self.buf.len()
+    }
+
     /// Appends a raw byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);

@@ -12,7 +12,6 @@
 //! it replaces, so a crash between the rename and the old-segment
 //! cleanup leaves a store that recovers to the identical index.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -37,6 +36,11 @@ pub const DEFAULT_MAX_BYTES: u64 = 64 << 20;
 /// Smallest accepted rotation threshold; lower settings are clamped up
 /// so a degenerate knob cannot produce a segment per record.
 pub const MIN_SEGMENT_BYTES: u64 = 4096;
+
+/// Segment read handles a store keeps open at most: the most recently
+/// read segments. The bound keeps descriptor use fixed however many
+/// segments accumulate before the disk bound compacts them.
+const READ_HANDLES: usize = 8;
 
 /// Scratch name a compaction writes into before the atomic rename; a
 /// leftover (crash mid-compaction) is deleted at open, never read.
@@ -140,9 +144,10 @@ pub struct Store {
     segments: BTreeMap<u64, u64>,
     active: u64,
     active_file: File,
-    /// Segment id → read handle, opened by the first read from that
-    /// segment and dropped before the segment is deleted.
-    readers: BTreeMap<u64, File>,
+    /// Read handles of the most recently read segments, most recent
+    /// last, at most [`READ_HANDLES`] of them; all are dropped before a
+    /// compaction deletes their segments.
+    readers: Vec<(u64, File)>,
     index: BTreeMap<u64, RecordLoc>,
     next_seq: u64,
     live_bytes: u64,
@@ -226,7 +231,7 @@ impl Store {
             segments: BTreeMap::new(),
             active,
             active_file,
-            readers: BTreeMap::new(),
+            readers: Vec::new(),
             index: BTreeMap::new(),
             next_seq: 0,
             live_bytes: 0,
@@ -298,19 +303,14 @@ impl Store {
             self.misses += 1;
             return Ok(None);
         };
-        let mut bytes = self.read_record_bytes(loc)?;
+        let bytes = self.read_record_bytes(loc)?;
         let (found, _) = record::decode(&bytes).map_err(StoreError::Record)?;
         if found.key != key {
             self.misses += 1;
             return Ok(None);
         }
-        let start = record::HEADER_BYTES + found.key.len();
-        let end = start + found.payload.len();
         self.hits += 1;
-        // The payload is served out of the record buffer itself.
-        bytes.truncate(end);
-        bytes.drain(..start);
-        Ok(Some(bytes))
+        Ok(Some(found.payload.to_vec()))
     }
 
     /// Appends a record for `key`, superseding any older record with the
@@ -451,21 +451,24 @@ impl Store {
     }
 
     /// Reads one record's raw bytes back off its segment, through the
-    /// segment's read handle.
+    /// segment's read handle: a kept one if the segment was read
+    /// recently, else a fresh one that displaces the least recently read.
     fn read_record_bytes(&mut self, loc: RecordLoc) -> Result<Vec<u8>, StoreError> {
-        let Store { dir, readers, .. } = self;
-        let path = || dir.join(segment_file_name(loc.segment));
-        let file = match readers.entry(loc.segment) {
-            Entry::Occupied(slot) => slot.into_mut(),
-            Entry::Vacant(slot) => slot.insert(
-                File::open(path()).map_err(|e| StoreError::io("open segment", &path(), &e))?,
-            ),
+        let path = || self.dir.join(segment_file_name(loc.segment));
+        let kept = self.readers.iter().position(|(id, _)| *id == loc.segment);
+        let mut file = match kept {
+            Some(at) => self.readers.remove(at).1,
+            None => File::open(path()).map_err(|e| StoreError::io("open segment", &path(), &e))?,
         };
         file.seek(SeekFrom::Start(loc.offset))
             .map_err(|e| StoreError::io("seek record", &path(), &e))?;
         let len = usize::try_from(loc.len).unwrap_or(0);
         let mut bytes = vec![0u8; len];
         file.read_exact(&mut bytes).map_err(|e| StoreError::io("read record", &path(), &e))?;
+        if self.readers.len() >= READ_HANDLES {
+            self.readers.remove(0);
+        }
+        self.readers.push((loc.segment, file));
         Ok(bytes)
     }
 
@@ -669,6 +672,32 @@ mod tests {
         store.compact().expect("compact again");
         check(&mut store, 0..12);
         assert_eq!(store.stats().segments, 2, "one compacted segment plus the fresh active one");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// However many segments pile up before the disk bound compacts
+    /// them, reads keep at most `READ_HANDLES` segment files open.
+    #[test]
+    fn open_read_handles_stay_bounded() {
+        let dir = scratch_dir("bounded-handles");
+        let config = StoreConfig::new(&dir).segment_bytes(MIN_SEGMENT_BYTES);
+        let mut store = Store::open(config).expect("open");
+        let payload = |i: u32| -> Vec<u8> { (0..1500).map(|b: u32| (b ^ i) as u8).collect() };
+        let keys = 0..80u32;
+        for i in keys.clone() {
+            store.put(&i.to_be_bytes(), &payload(i)).expect("put");
+        }
+        let segments = usize::try_from(store.stats().segments).expect("segments");
+        assert!(segments >= 4 * READ_HANDLES, "only {segments} segments");
+        // Forward, backward, and striding across segments.
+        let order = keys.clone().chain(keys.clone().rev()).chain(keys.map(|i| (i * 37) % 80));
+        for i in order {
+            assert_eq!(store.get(&i.to_be_bytes()).expect("get"), Some(payload(i)), "key {i}");
+            assert!(store.readers.len() <= READ_HANDLES, "{} handles", store.readers.len());
+        }
+        assert_eq!(store.readers.len(), READ_HANDLES);
+        store.compact().expect("compact");
+        assert!(store.readers.is_empty(), "compaction closes every read handle");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
