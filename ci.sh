@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
 # Hermetic CI: every step runs with --offline — the workspace has no
 # third-party dependencies, so a fresh checkout must build, test, lint,
-# and document with zero network access. (The criterion benches live
-# outside the workspace in crates/bench-criterion and are exercised
-# separately, where a registry is available.)
+# and document with zero network access.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -83,29 +81,29 @@ diff "$canary_dir/t1.txt" "$canary_dir/t4.txt"
 echo "canary: sweep outputs identical at EXEC_THREADS=1 and 4"
 # Service-layer invariance: the atd integration suites (golden THP/2
 # wire vectors plus the loopback protocol walk) ran under both thread
-# counts above; here the load generator's deterministic loopback canary —
+# counts above; here atd-load's deterministic loopback row —
 # result digests, cache/batch counters — must also be byte-identical
 # whether the daemon's pool runs 1 worker or 4.
-EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --canary > "$canary_dir/atd1.txt"
-EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --canary > "$canary_dir/atd4.txt"
+EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- loopback > "$canary_dir/atd1.txt"
+EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- loopback > "$canary_dir/atd4.txt"
 diff "$canary_dir/atd1.txt" "$canary_dir/atd4.txt"
 echo "canary: atd service outputs identical at EXEC_THREADS=1 and 4"
 # TCP invariance: the same specs through pipelined TCP sessions —
 # chunked streaming, out-of-order completion, reassembly — must be
 # byte-identical regardless of pool width (and, below, must reproduce
 # the loopback canary's digests exactly).
-EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --pipeline --canary > "$canary_dir/thp2_1.txt"
-EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --pipeline --canary > "$canary_dir/thp2_4.txt"
+EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- tcp > "$canary_dir/thp2_1.txt"
+EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- tcp > "$canary_dir/thp2_4.txt"
 diff "$canary_dir/thp2_1.txt" "$canary_dir/thp2_4.txt"
 echo "canary: atd pipelined outputs identical at EXEC_THREADS=1 and 4"
 # Farm invariance: the coordinator's merged digests must not depend on
 # the fleet shape (1 head = pass-through, 3 heads = shard + re-merge) or
 # on the pool width inside each head. Two diffs pin both axes.
-EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --farm 1 --canary > "$canary_dir/farm_h1.txt"
-EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --farm 3 --canary > "$canary_dir/farm_h3.txt"
+EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- farm 1 > "$canary_dir/farm_h1.txt"
+EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- farm 3 > "$canary_dir/farm_h3.txt"
 diff "$canary_dir/farm_h1.txt" "$canary_dir/farm_h3.txt"
 echo "canary: farm outputs identical at 1 and 3 heads"
-EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --farm 3 --canary > "$canary_dir/farm_t1.txt"
+EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- farm 3 > "$canary_dir/farm_t1.txt"
 diff "$canary_dir/farm_t1.txt" "$canary_dir/farm_h3.txt"
 echo "canary: farm outputs identical at EXEC_THREADS=1 and 4"
 # Store invariance: a store-backed daemon is killed after half the
@@ -115,8 +113,8 @@ echo "canary: farm outputs identical at EXEC_THREADS=1 and 4"
 # workers, and the per-spec digest table must match the in-memory
 # canary's exactly — the durable tier may never change a result byte,
 # even across a crash/recover boundary.
-EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --restart --canary > "$canary_dir/store_t1.txt"
-EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --restart --canary > "$canary_dir/store_t4.txt"
+EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- restart > "$canary_dir/store_t1.txt"
+EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- restart > "$canary_dir/store_t4.txt"
 diff "$canary_dir/store_t1.txt" "$canary_dir/store_t4.txt"
 echo "canary: store outputs identical at EXEC_THREADS=1 and 4"
 grep -E '^[a-z]+ +[0-9a-f]{16} [0-9a-f]{16}' "$canary_dir/atd1.txt" > "$canary_dir/mem_digests.txt"
@@ -128,3 +126,8 @@ echo "canary: store-backed digests identical to the in-memory run across a kill/
 grep -E '^[a-z]+ +[0-9a-f]{16} [0-9a-f]{16}' "$canary_dir/thp2_1.txt" > "$canary_dir/tcp_digests.txt"
 diff "$canary_dir/mem_digests.txt" "$canary_dir/tcp_digests.txt"
 echo "canary: loopback digests identical to the TCP daemon's"
+# The farm's merged digests (3 heads, one pool worker) must equal the
+# loopback's too: sharding and re-merging may never change a result byte.
+grep -E '^[a-z]+ +[0-9a-f]{16} [0-9a-f]{16}' "$canary_dir/farm_t1.txt" > "$canary_dir/farm_digests.txt"
+diff "$canary_dir/mem_digests.txt" "$canary_dir/farm_digests.txt"
+echo "canary: farm merged digests identical to the loopback's"

@@ -195,8 +195,14 @@ mod tests {
             result.worst_residual
         );
         assert!(result.meets(paper_accuracy_target()));
-        // The uncalibrated spread was larger than the residual.
-        assert!(fanout.max_skew_spread() > result.worst_residual);
+        // Calibration dominates: the uncalibrated spread (~47 ps) is more
+        // than three times the residual (~5 ps).
+        assert!(
+            fanout.max_skew_spread() > result.worst_residual * 3,
+            "raw {} vs residual {}",
+            fanout.max_skew_spread(),
+            result.worst_residual
+        );
     }
 
     #[test]

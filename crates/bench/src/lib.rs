@@ -3,8 +3,7 @@
 //! One function per figure/table of Keezer et al. (DATE 2005). Each runs
 //! the corresponding experiment on the simulated system and returns
 //! [`ate::Report`] rows comparing the paper's number with this
-//! reproduction's measurement. The `figures` binary prints the full report;
-//! the Criterion benches in `benches/` time the same experiments.
+//! reproduction's measurement. The `figures` binary prints the full report.
 //!
 //! The paper has no numbered tables — its evaluation is Figures 4 and 6–19
 //! plus the summary claims — so the experiment ids are figure numbers.

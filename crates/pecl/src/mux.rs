@@ -276,6 +276,7 @@ mod tests {
         assert!(t16.total_dcd() > t2.total_dcd());
         assert!(t16.total_dcd() < t2.total_dcd() * 2);
         assert!(t16.total_added_rj() > t2.total_added_rj());
+        assert!(t16.total_added_rj() < t2.total_added_rj() * 3);
         assert!((t16.max_rate_gbps() - 5.0).abs() < 1e-12);
     }
 

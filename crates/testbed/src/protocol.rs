@@ -222,6 +222,12 @@ mod tests {
         assert!(catalog[1].efficiency() < catalog[2].efficiency());
         assert!((ProtocolVariant::paper().efficiency() - 0.5).abs() < 1e-12);
         assert!((ProtocolVariant::aggressive().efficiency() - 2.0 / 3.0).abs() < 1e-12);
+        // Evaluated against the test-bed receiver, the catalog keeps its
+        // spread of efficiencies and the paper's layout stays viable.
+        let evals = evaluate_catalog(&ReceiverRequirements::testbed(), 1).unwrap();
+        assert!(evals.iter().any(|e| e.name == "paper-fig4" && e.viable()));
+        let effs: Vec<f64> = evals.iter().map(|e| e.efficiency).collect();
+        assert!(effs.windows(2).all(|w| w[0] < w[1]), "efficiencies {effs:?}");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! stream names may be replayed in tests, and the unit-safety rules only
 //! bind outside the crates that own the escape hatch. This module maps
 //! every `.rs` file under the root to a [`FileClass`] and skips the trees
-//! that are not ours to lint (`target/`, the registry-dependent
-//! `bench-criterion` island, and the linter's own violation fixtures).
+//! that are not ours to lint (`target/` and the linter's own violation
+//! fixtures).
 
 use std::path::{Path, PathBuf};
 
@@ -43,7 +43,7 @@ pub struct SourceFile {
 }
 
 /// Directory names never descended into.
-const SKIP_DIRS: &[&str] = &["target", ".git", "bench-criterion", "xlint_fixtures"];
+const SKIP_DIRS: &[&str] = &["target", ".git", "xlint_fixtures"];
 
 /// Walk `root` and classify every `.rs` file the linter owns.
 pub fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, XlintError> {

@@ -272,15 +272,18 @@ fn farm_merges_are_byte_identical_to_a_single_head_at_any_fleet_size() {
 /// and 4-thread pools — and stays identical when the store-backed daemon
 /// is killed mid-campaign and a fresh one reboots over the same
 /// directory, with the finished half then replayed straight off the
-/// rehydrated store.
+/// rehydrated store — also when the kill tore a record half-way through
+/// the newest segment's tail.
 #[test]
 fn store_backed_daemon_matches_in_memory_across_a_kill_and_restart() {
     use atd::scheduler::Scheduler;
+    use atd::store::record::RECORD_MAGIC;
     use atd::store::{Store, StoreConfig};
     use atd::{Client, Event, JobSpec, Loopback, Provenance, Service};
     use exec::ExecPool;
     use minitester::{ShmooConfig, WaferRunConfig};
     use pstime::Duration;
+    use std::io::Write;
 
     let rate = DataRate::from_gbps(2.5);
     let campaign = [
@@ -331,29 +334,48 @@ fn store_backed_daemon_matches_in_memory_across_a_kill_and_restart() {
         drop(durable);
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Killed after two specs, restarted over the same directory.
-        let dir = std::env::temp_dir()
-            .join(format!("atd-determinism-restart-{}-t{threads}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut durable = durable_daemon(&dir, threads);
-        let mut observed: Vec<Vec<u8>> =
-            campaign[..2].iter().map(|spec| submit(&mut durable, *spec).1).collect();
-        drop(durable); // the kill
-        let mut durable = durable_daemon(&dir, threads);
-        observed.extend(campaign[2..].iter().map(|spec| submit(&mut durable, *spec).1));
-        assert_eq!(
-            observed, reference,
-            "a kill/restart mid-campaign must not change a byte ({threads} threads)"
-        );
+        // Killed after two specs, restarted over the same directory; the
+        // torn case first appends a record cut off inside its header, the
+        // tail a crash mid-`put` leaves, which the reboot must recover past
+        // with both finished records intact.
+        for torn in [false, true] {
+            let dir = std::env::temp_dir().join(format!(
+                "atd-determinism-restart-{}-t{threads}-torn{torn}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut durable = durable_daemon(&dir, threads);
+            let mut observed: Vec<Vec<u8>> =
+                campaign[..2].iter().map(|spec| submit(&mut durable, *spec).1).collect();
+            drop(durable); // the kill
+            if torn {
+                let mut segments: Vec<_> = std::fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|entry| entry.unwrap().path())
+                    .filter(|path| path.extension().is_some_and(|ext| ext == "atds"))
+                    .collect();
+                segments.sort();
+                let newest = segments.last().expect("the kill left a segment");
+                let mut file = std::fs::OpenOptions::new().append(true).open(newest).unwrap();
+                file.write_all(&[&RECORD_MAGIC[..], &[0; 3]].concat()).unwrap();
+            }
+            let mut durable = durable_daemon(&dir, threads);
+            observed.extend(campaign[2..].iter().map(|spec| submit(&mut durable, *spec).1));
+            assert_eq!(
+                observed, reference,
+                "a kill/restart mid-campaign must not change a byte ({threads} threads, torn {torn})"
+            );
 
-        // The half finished before the kill replays off the rehydrated
-        // store: cache provenance, identical bytes, no recompute.
-        for (spec, want) in campaign[..2].iter().zip(&reference) {
-            let (provenance, bytes) = submit(&mut durable, *spec);
-            assert_eq!(provenance, Provenance::Cache, "{} must be store-served", spec.kind());
-            assert_eq!(&bytes, want);
+            // The half finished before the kill replays off the rehydrated
+            // store: cache provenance, identical bytes, no recompute.
+            for (spec, want) in campaign[..2].iter().zip(&reference) {
+                let (provenance, bytes) = submit(&mut durable, *spec);
+                assert_eq!(provenance, Provenance::Cache, "{} must be store-served", spec.kind());
+                assert_eq!(&bytes, want);
+            }
+            assert_eq!(durable.stats().unwrap().store_recovered, 2, "torn {torn}");
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
