@@ -598,3 +598,128 @@ fn every_answer_tier_streams_identical_frames_apart_from_provenance() {
     }
     assert_eq!(by_threads[0], by_threads[1], "1- and 4-thread pools stream different frames");
 }
+
+/// Result bytes pinned against an earlier commit, not against the tree
+/// itself: FNV-1a digests frozen from the sampled kernels, from the
+/// canonical wire bytes of a fixed spec table, and from the rendered
+/// paper report. Every other determinism test compares two runs of the
+/// same code; this one fails when a kernel rewrite changes a single bit.
+///
+/// Job results are discrete (pass maps, bins, error counts), so part (a)
+/// hashes the raw `f64` samples: that is the part that catches a
+/// last-place drift in the waveform arithmetic.
+#[test]
+fn kernel_outputs_match_frozen_digests() {
+    const FROZEN: [(&str, u64); 11] = [
+        ("jittered", 0xc4a3_c90c_ef7c_c824),
+        ("asymmetric", 0xbffa_c6c0_cc79_9bc7),
+        ("isi-5g", 0x2601_1ae0_9033_bb2f),
+        ("shmoo", 0xf0ba_82d4_fd3e_4bc3),
+        ("shmoo-rows", 0xd8ca_e0d8_1f41_f965),
+        ("wafer", 0xf454_25d9_98d9_b5a4),
+        ("wafer-dies", 0x8905_8949_bb6d_15f8),
+        ("eye", 0x4cc1_6ae8_e71a_e366),
+        ("eye-range", 0x11ce_777c_0a7b_4c9c),
+        ("bathtub", 0x2a80_f668_760f_8a96),
+        ("full_report", 0xcdd1_3851_8c28_be92),
+    ];
+    use atd::cache::fnv1a64;
+    use atd::JobSpec;
+    use exec::ExecPool;
+    use minitester::{ShmooConfig, WaferRunConfig};
+    use pstime::Duration;
+    use rng::SeedTree;
+    use signal::jitter::{JitterBudget, NoJitter};
+    use signal::{AnalogWaveform, BitStream, DigitalWaveform, EdgeShape, LevelSet};
+
+    // (a) Raw samples over fixed waveforms, from before the start to past
+    // the end, on a grid that is not a divisor of the unit interval.
+    let mut rng = SeedTree::new(0x601D).stream("determinism.golden").rng();
+    let bits = BitStream::from_fn(512, |_| rng.bool());
+    let rate = DataRate::from_gbps(2.5);
+    let jitter = JitterBudget::new().with_rj_rms_ps(3.0).with_dcd_ps(12.0);
+    let waves = [
+        (
+            "jittered",
+            AnalogWaveform::new(
+                DigitalWaveform::from_bits(&bits, rate, &jitter, 11),
+                LevelSet::pecl(),
+                EdgeShape::default(),
+            ),
+        ),
+        (
+            "asymmetric",
+            AnalogWaveform::new(
+                DigitalWaveform::from_bits(&bits, rate, &jitter, 12),
+                LevelSet::pecl().with_swing(pstime::Millivolts::new(650)),
+                EdgeShape::from_rise_fall_2080_ps(58.0, 97.0),
+            ),
+        ),
+        (
+            "isi-5g",
+            AnalogWaveform::new(
+                DigitalWaveform::from_bits(&bits, DataRate::from_gbps(5.0), &NoJitter, 0),
+                LevelSet::pecl(),
+                EdgeShape::from_rise_2080_ps(120.0),
+            ),
+        ),
+    ];
+    let sample_digests: Vec<(&str, u64)> = waves
+        .iter()
+        .map(|(name, wave)| {
+            let t0 = wave.digital().start() - Duration::from_ps(1_500);
+            let dt = Duration::from_fs(1_337);
+            let span = wave.digital().span() + Duration::from_ps(3_000);
+            let n = usize::try_from(span.as_fs() / dt.as_fs()).unwrap();
+            let samples = wave.sample_uniform(t0, dt, n);
+            assert!(t0 + dt * (i64::try_from(n).unwrap() - 1) > wave.digital().end());
+            let bytes: Vec<u8> = samples.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+            (*name, fnv1a64(&bytes))
+        })
+        .collect();
+
+    // (b) Canonical encoded results of a fixed spec table, whole and
+    // sliced.
+    let wafer = JobSpec::wafer(&WaferRunConfig {
+        dies: 12,
+        columns: 4,
+        sites: 4,
+        test_bits: 256,
+        seed: 7,
+        ..WaferRunConfig::default()
+    });
+    let shmoo = JobSpec::shmoo(rate, 256, 17, &ShmooConfig::pecl(), 5);
+    let eye = JobSpec::eye(rate, 256, 17, 5);
+    let specs = [
+        ("shmoo", shmoo),
+        ("shmoo-rows", shmoo.slice(3, 4).unwrap()),
+        ("wafer", wafer),
+        ("wafer-dies", wafer.slice(5, 3).unwrap()),
+        ("eye", eye),
+        ("eye-range", eye.slice(10, 12).unwrap()),
+        ("bathtub", JobSpec::bathtub(Duration::from_ps(3), Duration::from_ps(20), rate, 0.5, 101)),
+    ];
+    let pool = ExecPool::from_env();
+    let result_digests: Vec<(&str, u64)> = specs
+        .iter()
+        .map(|(name, spec)| {
+            let result = atd::workload::execute(spec, &pool).unwrap();
+            (*name, fnv1a64(&result.encoded().unwrap()))
+        })
+        .collect();
+
+    // (c) The rendered paper report.
+    let report = bench_support::full_report(2005).unwrap().to_string();
+    let report_digest = ("full_report", fnv1a64(report.as_bytes()));
+
+    let got: Vec<(&str, u64)> = sample_digests
+        .into_iter()
+        .chain(result_digests)
+        .chain(std::iter::once(report_digest))
+        .collect();
+    for ((name, digest), (frozen_name, frozen)) in got.iter().zip(FROZEN) {
+        assert_eq!(*name, frozen_name);
+        assert_eq!(*digest, frozen, "{name}: digest {digest:016x} drifted from {frozen:016x}");
+    }
+    assert_eq!(got.len(), FROZEN.len());
+}
