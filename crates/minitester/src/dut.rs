@@ -134,10 +134,11 @@ impl WlpDut {
         // stops slicing reliably.
         const APERTURE_RJ_PS: f64 = 2.0;
         const COMPARATOR_NOISE_RMS_MV: f64 = 8.0;
+        let mut cursor = wave.cursor();
         BitStream::from_fn(n, |i| {
             let aperture = Duration::from_ps_f64(rng.gaussian() * APERTURE_RJ_PS);
             let t = start + ui * i as i64 + ui / 2 + aperture;
-            let v = wave.value_at(t) + rng.gaussian() * COMPARATOR_NOISE_RMS_MV;
+            let v = cursor.value_at(t) + rng.gaussian() * COMPARATOR_NOISE_RMS_MV;
             v >= threshold.as_f64()
         })
     }

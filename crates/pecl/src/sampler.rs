@@ -90,12 +90,23 @@ impl StrobedSampler {
     /// Samples the waveform once at `strobe` (with aperture jitter drawn
     /// from `rng`).
     pub fn sample_at(&self, wave: &AnalogWaveform, strobe: Instant, rng: &mut Rng) -> bool {
+        self.decide(strobe, rng, |t| wave.value_at(t))
+    }
+
+    /// The one comparison: jitters `strobe` by the aperture, evaluates the
+    /// input there with `value_at`, and slices it against the threshold.
+    fn decide(
+        &self,
+        strobe: Instant,
+        rng: &mut Rng,
+        value_at: impl FnOnce(Instant) -> f64,
+    ) -> bool {
         let t = if self.aperture_rj.is_zero() {
             strobe
         } else {
             strobe + gaussian(rng, self.aperture_rj)
         };
-        wave.value_at(t) >= (self.threshold + self.input_offset).as_f64()
+        value_at(t) >= (self.threshold + self.input_offset).as_f64()
     }
 
     /// Captures `n` bits: one strobe per unit interval at phase offset
@@ -111,8 +122,10 @@ impl StrobedSampler {
         let ui = rate.unit_interval();
         let start = wave.digital().start();
         let mut rng = SeedTree::new(seed).derive(SAMPLER_STREAM).rng();
+        // Strobes run forward one UI at a time, so a cursor follows them.
+        let mut cursor = wave.cursor();
         BitStream::from_fn(n, |i| {
-            self.sample_at(wave, start + ui * i as i64 + strobe_phase, &mut rng)
+            self.decide(start + ui * i as i64 + strobe_phase, &mut rng, |t| cursor.value_at(t))
         })
     }
 

@@ -287,27 +287,43 @@ impl AnalogWaveform {
     /// Superposes every transition whose logistic tail is non-negligible at
     /// `t`; with well-separated edges this is the settled VOH/VOL, with
     /// overlapping edges it reproduces ISI amplitude compression.
+    ///
+    /// Costs O(log n + edges in the window): a binary search for the
+    /// window, then one logistic term per edge inside it. A sweep whose
+    /// instants mostly run forward should use [`cursor`](Self::cursor),
+    /// which carries the window between calls instead of searching.
     pub fn value_at(&self, t: Instant) -> f64 {
-        let swing = self.levels.swing().as_f64();
-        let base = if self.digital.initial_level() {
-            self.levels.voh().as_f64()
-        } else {
-            self.levels.vol().as_f64()
-        };
-        let edges = self.digital.edges();
-        if edges.is_empty() {
-            return base;
-        }
-        // Find the window of edges that can influence t.
+        let win = self.window();
+        let lo_idx = self.digital.edges().partition_point(|e| e.at < t - win);
+        self.value_from(lo_idx, win, t)
+    }
+
+    /// A forward cursor over the waveform: [`WaveCursor::value_at`] returns
+    /// the same bits as [`value_at`](Self::value_at) for any sequence of
+    /// instants, in O(edges stepped over + edges in the window) per call.
+    pub fn cursor(&self) -> WaveCursor<'_> {
+        WaveCursor { wave: self, win: self.window(), lo_idx: 0 }
+    }
+
+    /// How far from `t` an edge can still influence the value at `t`.
+    fn window(&self) -> Duration {
         let max_tau = self.shape.rise_tau_fs.max(self.shape.fall_tau_fs);
-        let win = Duration::from_fs((max_tau * EDGE_WINDOW_TAUS).ceil() as i64);
-        let lo_idx = edges.partition_point(|e| e.at < t - win);
-        let mut v = base;
-        // Edges fully in the past (before the window) contribute their full step.
-        for e in &edges[..lo_idx] {
-            v += e.polarity.sign() * swing;
-        }
-        for e in &edges[lo_idx..] {
+        Duration::from_fs((max_tau * EDGE_WINDOW_TAUS).ceil() as i64)
+    }
+
+    /// The value at `t`, given that the first `lo_idx` edges lie before the
+    /// window `t - win` — the one place the waveform is evaluated.
+    ///
+    /// Edges alternate in polarity (every [`DigitalWaveform`] constructor
+    /// keeps them so) and levels are whole millivolts, so the settled
+    /// level after `lo_idx` edges is exactly VOH or VOL by parity: the
+    /// ±swing steps of the edges behind the window sum to that level with
+    /// no rounding.
+    fn value_from(&self, lo_idx: usize, win: Duration, t: Instant) -> f64 {
+        let swing = self.levels.swing().as_f64();
+        let high = self.digital.initial_level() ^ (lo_idx % 2 == 1);
+        let mut v = if high { self.levels.voh().as_f64() } else { self.levels.vol().as_f64() };
+        for e in self.digital.edges().get(lo_idx..).unwrap_or_default() {
             let dt = (t - e.at).as_fs() as f64;
             if dt < -win.as_fs() as f64 {
                 break;
@@ -371,7 +387,8 @@ impl AnalogWaveform {
     /// Panics if `dt` is not positive.
     pub fn sample_uniform(&self, t0: Instant, dt: Duration, n: usize) -> Vec<f64> {
         assert!(dt > Duration::ZERO, "sample spacing must be positive");
-        (0..n).map(|i| self.value_at(t0 + dt * i as i64)).collect()
+        let mut cursor = self.cursor();
+        (0..n).map(|i| cursor.value_at(t0 + dt * i as i64)).collect()
     }
 
     /// Minimum and maximum voltage over `[lo, hi]`, scanned at `step`
@@ -387,9 +404,10 @@ impl AnalogWaveform {
         assert!(hi > lo, "scan window must be nonempty");
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
+        let mut cursor = self.cursor();
         let mut t = lo;
         while t <= hi {
-            let v = self.value_at(t);
+            let v = cursor.value_at(t);
             min = min.min(v);
             max = max.max(v);
             t += step;
@@ -401,6 +419,54 @@ impl AnalogWaveform {
     #[must_use]
     pub fn with_levels(&self, levels: LevelSet) -> AnalogWaveform {
         AnalogWaveform { digital: self.digital.clone(), levels, shape: self.shape }
+    }
+}
+
+/// A position in an [`AnalogWaveform`] for sweeps whose instants run
+/// forward — a strobe stepped across a capture, a uniform sample grid.
+///
+/// It remembers how many edges lie behind the influence window of the last
+/// instant and moves that count forward (or back, when aperture jitter
+/// reorders two strobes) instead of searching the edge list again, so a
+/// sweep of n instants costs O(n + edges) rather than O(n log edges).
+///
+/// # Examples
+///
+/// ```
+/// use pstime::{DataRate, Instant};
+/// use signal::jitter::NoJitter;
+/// use signal::{AnalogWaveform, BitStream, DigitalWaveform, EdgeShape, LevelSet};
+///
+/// let rate = DataRate::from_gbps(2.5);
+/// let bits = BitStream::from_str_bits("0110");
+/// let d = DigitalWaveform::from_bits(&bits, rate, &NoJitter, 0);
+/// let a = AnalogWaveform::new(d, LevelSet::pecl(), EdgeShape::default());
+/// let mut cursor = a.cursor();
+/// for ps in [200, 600, 1000, 700, 1400] {
+///     let t = Instant::from_ps(ps);
+///     assert_eq!(cursor.value_at(t).to_bits(), a.value_at(t).to_bits());
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct WaveCursor<'a> {
+    wave: &'a AnalogWaveform,
+    win: Duration,
+    lo_idx: usize,
+}
+
+impl WaveCursor<'_> {
+    /// The instantaneous voltage (millivolts) at `t`, bit-identical to
+    /// [`AnalogWaveform::value_at`].
+    pub fn value_at(&mut self, t: Instant) -> f64 {
+        let edges = self.wave.digital.edges();
+        let before = t - self.win;
+        while edges.get(self.lo_idx).is_some_and(|e| e.at < before) {
+            self.lo_idx += 1;
+        }
+        while self.lo_idx > 0 && edges.get(self.lo_idx - 1).is_some_and(|e| e.at >= before) {
+            self.lo_idx -= 1;
+        }
+        self.wave.value_from(self.lo_idx, self.win, t)
     }
 }
 

@@ -116,12 +116,13 @@ impl EyeDiagram {
         let mut high_min = f64::INFINITY;
         let mut v_min = f64::INFINITY;
         let mut v_max = f64::NEG_INFINITY;
+        let mut cursor = wave.cursor();
         for i in 0..n_bits {
             let t = digital.start() + ui * i + center_phase;
             if t >= digital.end() {
                 break;
             }
-            let v = wave.value_at(t);
+            let v = cursor.value_at(t);
             v_min = v_min.min(v);
             v_max = v_max.max(v);
             if v >= threshold {
@@ -272,9 +273,10 @@ impl EyeRaster {
         // 4 samples per column per UI pass is plenty for a persistence plot.
         let dt = span / i64::try_from(cols * 4).unwrap_or(i64::MAX);
         let dt = if dt.is_zero() { Duration::from_fs(1) } else { dt };
+        let mut cursor = wave.cursor();
         let mut t = digital.start();
         while t < digital.end() {
-            let v = wave.value_at(t);
+            let v = cursor.value_at(t);
             let phase = t.phase_in(span);
             let scaled = u128::try_from(phase.as_fs()).unwrap_or(0)
                 * u128::try_from(cols).unwrap_or(u128::MAX)

@@ -55,7 +55,7 @@ pub mod render;
 pub mod spectrum;
 mod stats;
 
-pub use analog::{AnalogWaveform, EdgeShape, LevelSet};
+pub use analog::{AnalogWaveform, EdgeShape, LevelSet, WaveCursor};
 pub use ber::{ber_from_q, q_from_ber, BathtubCurve, BathtubSweep, BerEstimate};
 pub use bits::BitStream;
 pub use decompose::JitterDecomposition;

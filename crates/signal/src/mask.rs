@@ -135,11 +135,12 @@ pub fn mask_test(
     let mut samples = 0usize;
     let mut violations = 0usize;
     let mut worst: Option<(f64, f64, f64)> = None; // (margin, x, y)
+    let mut cursor = wave.cursor();
     let mut t = digital.start();
     while t < digital.end() {
         let phase = t.phase_in(ui);
         let x = phase.ratio(ui) - 0.5;
-        let y = wave.value_at(t) - centre_v;
+        let y = cursor.value_at(t) - centre_v;
         samples += 1;
         if mask.contains(x, y) {
             violations += 1;

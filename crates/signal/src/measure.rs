@@ -130,9 +130,10 @@ pub fn measure_levels(wave: &AnalogWaveform, rate: DataRate) -> Result<LevelMeas
     let threshold = wave.levels().mid().as_f64();
     let mut high = RunningStats::new();
     let mut low = RunningStats::new();
+    let mut cursor = wave.cursor();
     for i in 0..n {
         let t = digital.start() + ui * i as i64 + ui / 2;
-        let v = wave.value_at(t);
+        let v = cursor.value_at(t);
         if v >= threshold {
             high.push(v);
         } else {

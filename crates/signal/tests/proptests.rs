@@ -4,10 +4,12 @@
 //! every run covers the same randomized slice of the input space
 //! deterministically.
 
-use pstime::{DataRate, Duration, Instant};
+use pstime::{DataRate, Duration, Instant, Millivolts};
 use rng::{Rng, SeedTree};
 use signal::jitter::{JitterBudget, NoJitter};
-use signal::{AnalogWaveform, BitStream, DigitalWaveform, EdgeShape, EyeDiagram, LevelSet};
+use signal::{
+    AnalogWaveform, BitStream, DigitalWaveform, EdgePolarity, EdgeShape, EyeDiagram, LevelSet,
+};
 
 const CASES: usize = 64;
 
@@ -217,5 +219,91 @@ fn level_set_invariants() {
             (resized.mid() - levels.mid()).abs() <= pstime::Millivolts::new(1),
             "voh={voh} swing={swing}"
         );
+    }
+}
+
+/// `2·ln 4`: the 20–80 % transition time per logistic τ, as the library
+/// converts an [`EdgeShape`]'s rise and fall times.
+const T2080_PER_TAU: f64 = 2.772588722239781;
+
+/// The original O(n) evaluator, kept here only as an oracle: every edge
+/// before the influence window adds its full ±swing step, then each edge
+/// inside the window adds its logistic term.
+fn full_sum_value_at(w: &AnalogWaveform, rise_ps: f64, fall_ps: f64, t: Instant) -> f64 {
+    let rise_tau = rise_ps * 1_000.0 / T2080_PER_TAU;
+    let fall_tau = fall_ps * 1_000.0 / T2080_PER_TAU;
+    let levels = w.levels();
+    let swing = levels.swing().as_f64();
+    let base =
+        if w.digital().initial_level() { levels.voh().as_f64() } else { levels.vol().as_f64() };
+    let edges = w.digital().edges();
+    if edges.is_empty() {
+        return base;
+    }
+    let win = Duration::from_fs((rise_tau.max(fall_tau) * 20.0).ceil() as i64);
+    let lo_idx = edges.partition_point(|e| e.at < t - win);
+    let mut v = base;
+    for e in &edges[..lo_idx] {
+        v += e.polarity.sign() * swing;
+    }
+    for e in &edges[lo_idx..] {
+        let dt = (t - e.at).as_fs() as f64;
+        if dt < -win.as_fs() as f64 {
+            break;
+        }
+        let tau = match e.polarity {
+            EdgePolarity::Rising => rise_tau,
+            EdgePolarity::Falling => fall_tau,
+        };
+        let x = dt / tau;
+        let logistic = if x >= 0.0 {
+            1.0 / (1.0 + (-x).exp())
+        } else {
+            let e = x.exp();
+            e / (1.0 + e)
+        };
+        v += e.polarity.sign() * swing * logistic;
+    }
+    v
+}
+
+#[test]
+fn cursor_and_random_access_match_the_full_sum_bit_for_bit() {
+    let (mut rng, n) = cases("evaluator-oracle");
+    for case in 0..n {
+        let rate = DataRate::from_gbps([1.0, 2.5, 5.0][rng.range_usize(0..3)]);
+        let rise = rng.range_f64(20.0, 150.0);
+        let fall = rng.range_f64(20.0, 150.0);
+        let start = Instant::from_ps(rng.range_i64(-2_000..2_000));
+        let digital = if case % 8 == 0 {
+            // No edges at all: the value is the initial level everywhere.
+            DigitalWaveform::constant(rng.bool(), start, start + Duration::from_ps(5_000))
+        } else {
+            let bits = random_bits(&mut rng, 256);
+            let jitter = JitterBudget::new()
+                .with_rj_rms_ps(rng.range_f64(0.0, 15.0))
+                .with_dcd_ps(rng.range_f64(0.0, 30.0));
+            DigitalWaveform::from_bits_at(start, &bits, rate, &jitter, rng.next_u64())
+        };
+        let levels = LevelSet::pecl().with_swing(Millivolts::new(rng.range_i32(100..1_200)));
+        let wave =
+            AnalogWaveform::new(digital, levels, EdgeShape::from_rise_fall_2080_ps(rise, fall));
+
+        // Mostly forward strobe steps with occasional steps back (aperture
+        // jitter) and far jumps, from well before start() to past end().
+        let lo = wave.digital().start() - Duration::from_ps(3_000);
+        let hi = wave.digital().end() + Duration::from_ps(3_000);
+        let mut cursor = wave.cursor();
+        let mut t = lo;
+        for _ in 0..400 {
+            t = if rng.range_u32(0..20) == 0 {
+                lo + Duration::from_fs(rng.range_i64(0..(hi - lo).as_fs()))
+            } else {
+                t + Duration::from_fs(rng.range_i64(-40_000..150_000))
+            };
+            let oracle = full_sum_value_at(&wave, rise, fall, t).to_bits();
+            assert_eq!(wave.value_at(t).to_bits(), oracle, "value_at, case {case} at {t}");
+            assert_eq!(cursor.value_at(t).to_bits(), oracle, "cursor, case {case} at {t}");
+        }
     }
 }
