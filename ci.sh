@@ -10,6 +10,10 @@ cargo build --release --offline
 # with the exec engine fanned out to four workers.
 EXEC_THREADS=1 cargo test -q --offline
 EXEC_THREADS=4 cargo test -q --offline
+# headbench is a workspace of its own (it builds against these crates by
+# path), so the suites above do not reach it: run its generator-purity,
+# short-run and relay wire tests here.
+cargo test --release --offline --manifest-path headbench/Cargo.toml
 cargo clippy --offline --all-targets -- -D warnings
 # First-party static analysis: determinism, unit-safety, panic-freedom,
 # job-purity, and dataflow contracts (rules R1–R8 plus the call-graph and
@@ -75,8 +79,8 @@ cargo fmt --check
 # byte-identical whether the exec pool runs 1 worker or 4.
 canary_dir="$(mktemp -d)"
 trap 'rm -rf "$canary_dir"' EXIT
-EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-bench --bin bench_exec -- --canary > "$canary_dir/t1.txt"
-EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-bench --bin bench_exec -- --canary > "$canary_dir/t4.txt"
+EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-bench --bin bench_exec > "$canary_dir/t1.txt"
+EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-bench --bin bench_exec > "$canary_dir/t4.txt"
 diff "$canary_dir/t1.txt" "$canary_dir/t4.txt"
 echo "canary: sweep outputs identical at EXEC_THREADS=1 and 4"
 # Service-layer invariance: the atd integration suites (golden THP/2
