@@ -447,7 +447,7 @@ impl AnalogWaveform {
 ///     assert_eq!(cursor.value_at(t).to_bits(), a.value_at(t).to_bits());
 /// }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct WaveCursor<'a> {
     wave: &'a AnalogWaveform,
     win: Duration,
