@@ -610,7 +610,7 @@ fn every_answer_tier_streams_identical_frames_apart_from_provenance() {
 /// last-place drift in the waveform arithmetic.
 #[test]
 fn kernel_outputs_match_frozen_digests() {
-    const FROZEN: [(&str, u64); 11] = [
+    const FROZEN: [(&str, u64); 14] = [
         ("jittered", 0xc4a3_c90c_ef7c_c824),
         ("asymmetric", 0xbffa_c6c0_cc79_9bc7),
         ("isi-5g", 0x2601_1ae0_9033_bb2f),
@@ -621,6 +621,9 @@ fn kernel_outputs_match_frozen_digests() {
         ("eye", 0x4cc1_6ae8_e71a_e366),
         ("eye-range", 0x11ce_777c_0a7b_4c9c),
         ("bathtub", 0x2a80_f668_760f_8a96),
+        ("shmoo-5g", 0xe580_39b9_b15c_4344),
+        ("wafer-marginal", 0x786b_eed9_d819_ed16),
+        ("eye-1g", 0x1f53_9198_9dc6_3b43),
         ("full_report", 0xcdd1_3851_8c28_be92),
     ];
     use atd::cache::fnv1a64;
@@ -679,7 +682,10 @@ fn kernel_outputs_match_frozen_digests() {
         .collect();
 
     // (b) Canonical encoded results of a fixed spec table, whole and
-    // sliced.
+    // sliced. The last three are the regimes where a strobe most often
+    // lands near the threshold: a 5 Gbps shmoo (ISI-compressed swing), a
+    // wafer of degraded channels only, and a 1 Gbps eye (slow edges
+    // relative to the scan's 10 ps steps).
     let wafer = JobSpec::wafer(&WaferRunConfig {
         dies: 12,
         columns: 4,
@@ -698,6 +704,21 @@ fn kernel_outputs_match_frozen_digests() {
         ("eye", eye),
         ("eye-range", eye.slice(10, 12).unwrap()),
         ("bathtub", JobSpec::bathtub(Duration::from_ps(3), Duration::from_ps(20), rate, 0.5, 101)),
+        ("shmoo-5g", JobSpec::shmoo(DataRate::from_gbps(5.0), 256, 17, &ShmooConfig::pecl(), 5)),
+        (
+            "wafer-marginal",
+            JobSpec::wafer(&WaferRunConfig {
+                dies: 8,
+                columns: 4,
+                sites: 4,
+                hard_defect_rate: 0.0,
+                marginal_rate: 1.0,
+                test_bits: 256,
+                seed: 9,
+                ..WaferRunConfig::default()
+            }),
+        ),
+        ("eye-1g", JobSpec::eye(DataRate::from_gbps(1.0), 256, 17, 5)),
     ];
     let pool = ExecPool::from_env();
     let result_digests: Vec<(&str, u64)> = specs
