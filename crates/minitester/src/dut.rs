@@ -266,6 +266,82 @@ mod tests {
         assert_eq!(errors, 0, "loopback data intact (shift {shift})");
     }
 
+    /// The per-bit slicer loop as it stood before bits were decided from
+    /// a bound on the waveform, kept here only as an oracle.
+    fn per_bit_slice(
+        dut: &WlpDut,
+        stimulus: &AnalogWaveform,
+        rate: DataRate,
+        n: usize,
+        seed: u64,
+    ) -> BitStream {
+        let wave = dut.received_waveform(stimulus, rate);
+        let mut threshold = dut.input_threshold;
+        for defect in dut.defects() {
+            match defect {
+                Defect::StuckInput { level } => return BitStream::from_fn(n, |_| *level),
+                Defect::ShiftedThreshold { offset } => threshold += *offset,
+                Defect::LossyLead { .. } => {}
+            }
+        }
+        let mut rng = SeedTree::new(seed).derive(DUT_SLICER_STREAM).rng();
+        let ui = rate.unit_interval();
+        let start = wave.digital().start();
+        BitStream::from_fn(n, |i| {
+            let aperture = Duration::from_ps_f64(rng.gaussian() * 2.0);
+            let t = start + ui * i as i64 + ui / 2 + aperture;
+            let v = wave.value_at(t) + rng.gaussian() * 8.0;
+            v >= threshold.as_f64()
+        })
+    }
+
+    #[test]
+    fn sliced_bits_match_the_per_bit_loop_bit_for_bit() {
+        use signal::jitter::JitterBudget;
+        let mut rng = SeedTree::new(0xD07).stream("minitester.dut.oracle").rng();
+        for case in 0..48 {
+            let rate = DataRate::from_gbps([1.0, 2.5, 5.0][case % 3]);
+            let bits = BitStream::from_fn(rng.range_usize(64..400), |_| rng.bool());
+            let jitter = JitterBudget::new().with_rj_rms_ps(rng.range_f64(0.0, 6.0));
+            let d = DigitalWaveform::from_bits(&bits, rate, &jitter, rng.next_u64());
+            let stimulus =
+                AnalogWaveform::new(d, LevelSet::pecl(), EdgeShape::from_rise_2080_ps(120.0));
+            let channel = match rng.range_usize(0..3) {
+                0 => WlpChannel::interposer(),
+                1 => WlpChannel::degraded(),
+                _ => WlpChannel::ideal(),
+            };
+            let base = WlpDut::good(channel);
+            let received = *base.received_waveform(&stimulus, rate).levels();
+            let (vol, voh) = (received.vol().as_mv(), received.voh().as_mv());
+            // Thresholds relative to the received levels, moved there by a
+            // shifted input stage.
+            let mut duts: Vec<WlpDut> =
+                [vol + 50, received.mid().as_mv(), voh - 50, vol - 100, voh + 100]
+                    .into_iter()
+                    .map(|mv| {
+                        base.clone().with_defect(Defect::ShiftedThreshold {
+                            offset: Millivolts::new(mv) - base.input_threshold,
+                        })
+                    })
+                    .collect();
+            duts.push(base.clone());
+            duts.push(base.clone().with_defect(Defect::LossyLead { extra_attenuation: 0.3 }));
+            duts.push(base.clone().with_defect(Defect::LossyLead { extra_attenuation: 0.05 }));
+            duts.push(base.clone().with_defect(Defect::StuckInput { level: case % 2 == 0 }));
+            let n = bits.len() + rng.range_usize(0..3);
+            for dut in &duts {
+                let seed = rng.next_u64();
+                assert_eq!(
+                    dut.sliced_bits(&stimulus, rate, n, seed),
+                    per_bit_slice(dut, &stimulus, rate, n, seed),
+                    "case {case}: {:?}",
+                    dut.defects()
+                );
+            }
+        }
+    }
+
     #[test]
     fn channel_accessor() {
         let dut = WlpDut::good(WlpChannel::degraded());

@@ -143,3 +143,84 @@ fn sampler_recovers_clean_data_at_any_sane_threshold() {
         assert_eq!(captured, stream, "threshold={threshold_mv}");
     }
 }
+
+/// The per-strobe capture loop as it stood before strobes were decided
+/// from a bound on the waveform, kept here only as an oracle: draw the
+/// aperture deviate, move the strobe, evaluate the waveform there and
+/// slice it.
+fn per_strobe_capture(
+    sampler: &pecl::StrobedSampler,
+    wave: &signal::AnalogWaveform,
+    rate: DataRate,
+    phase: Duration,
+    n: usize,
+    seed: u64,
+) -> BitStream {
+    let ui = rate.unit_interval();
+    let start = wave.digital().start();
+    let mut rng = SeedTree::new(seed).derive(pecl::sampler::SAMPLER_STREAM).rng();
+    let threshold = (sampler.threshold() + sampler.input_offset()).as_f64();
+    let sigma_fs = sampler.aperture_rj().as_fs() as f64;
+    BitStream::from_fn(n, |i| {
+        let strobe = start + ui * i as i64 + phase;
+        let t = if sampler.aperture_rj().is_zero() {
+            strobe
+        } else {
+            strobe + Duration::from_fs((rng.gaussian() * sigma_fs).round() as i64)
+        };
+        wave.value_at(t) >= threshold
+    })
+}
+
+#[test]
+fn capture_matches_the_per_strobe_loop_bit_for_bit() {
+    use signal::jitter::JitterBudget;
+    use signal::{AnalogWaveform, DigitalWaveform, EdgeShape, LevelSet};
+    let (mut rng, n) = cases("sampler-oracle");
+    for case in 0..n {
+        let rate = DataRate::from_gbps([1.0, 2.5, 5.0][rng.range_usize(0..3)]);
+        let stream = random_bits(&mut rng, 16, 300);
+        let jitter = JitterBudget::new()
+            .with_rj_rms_ps(rng.range_f64(0.0, 12.0))
+            .with_dcd_ps(rng.range_f64(0.0, 25.0));
+        let levels = LevelSet::pecl().with_swing(Millivolts::new(rng.range_i32(150..1_000)));
+        let shape = EdgeShape::from_rise_fall_2080_ps(
+            rng.range_f64(30.0, 140.0),
+            rng.range_f64(30.0, 140.0),
+        );
+        let wave = AnalogWaveform::new(
+            DigitalWaveform::from_bits(&stream, rate, &jitter, rng.next_u64()),
+            levels,
+            shape,
+        );
+        let (vol, voh) = (levels.vol().as_mv(), levels.voh().as_mv());
+        let thresholds = [
+            vol + 50,
+            levels.mid().as_mv(),
+            voh - 50,
+            vol - 100,
+            voh + 100,
+            rng.range_i32(vol..voh),
+        ];
+        // Strobes from before the first bit's centre to past the last bit.
+        let phase = Duration::from_fs(rng.range_i64(-200_000..rate.unit_interval().as_fs()));
+        let bits = stream.len() + rng.range_usize(0..3);
+        for aperture_ps in [0, 2, 20] {
+            for threshold in thresholds {
+                let mut sampler = pecl::StrobedSampler::new(
+                    Millivolts::new(threshold),
+                    Duration::from_ps(aperture_ps),
+                );
+                if case % 4 == 1 {
+                    sampler.set_input_offset(Millivolts::new(rng.range_i32(-30..30)));
+                }
+                let seed = rng.next_u64();
+                assert_eq!(
+                    sampler.capture(&wave, rate, phase, bits, seed),
+                    per_strobe_capture(&sampler, &wave, rate, phase, bits, seed),
+                    "case {case}: aperture {aperture_ps} ps, threshold {threshold} mV"
+                );
+            }
+        }
+    }
+}
