@@ -56,4 +56,4 @@ pub mod xoshiro;
 
 pub use splitmix::{mix, SplitMix64, GOLDEN_GAMMA};
 pub use stream::{SeedTree, StreamId};
-pub use xoshiro::Rng;
+pub use xoshiro::{GaussPair, Rng};

@@ -24,7 +24,8 @@ const fn rotl(x: u64, k: u32) -> u64 {
 /// * [`f64`](Rng::f64) — uniform in `[0, 1)` with 53-bit resolution,
 /// * [`gaussian`](Rng::gaussian) — standard normal via Box–Muller (the
 ///   spare deviate is cached, so consecutive draws cost one transcendental
-///   pair per two values),
+///   pair per two values), and [`gauss_pair`](Rng::gauss_pair) for callers
+///   that take the pair apart themselves,
 /// * bounded integers via [`range_u32`](Rng::range_u32) and friends.
 ///
 /// # Examples
@@ -156,22 +157,92 @@ impl Rng {
         lo + self.f64() * (hi - lo)
     }
 
-    /// A standard normal deviate via Box–Muller, caching the spare.
+    /// A standard normal deviate via Box–Muller, caching the spare: the
+    /// [`first`](GaussPair::first) deviate of a fresh
+    /// [`gauss_pair`](Rng::gauss_pair), then its
+    /// [`second`](GaussPair::second).
     pub fn gaussian(&mut self) -> f64 {
         if let Some(z) = self.spare.take() {
             return z;
         }
+        let pair = self.gauss_pair();
+        self.spare = Some(pair.second());
+        pair.first()
+    }
+
+    /// The two uniforms of the next Box–Muller transform, drawn exactly as
+    /// [`gaussian`](Rng::gaussian) draws them. A caller that only needs to
+    /// know how large the deviates can be reads
+    /// [`radius_bound`](GaussPair::radius_bound) and skips the
+    /// transcendentals.
+    pub fn gauss_pair(&mut self) -> GaussPair {
         loop {
             let u1 = self.f64();
             let u2 = self.f64();
-            if u1 <= f64::MIN_POSITIVE {
-                continue;
+            if u1 > f64::MIN_POSITIVE {
+                return GaussPair { u1, u2 };
             }
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * core::f64::consts::PI * u2;
-            self.spare = Some(r * theta.sin());
-            return r * theta.cos();
         }
+    }
+}
+
+/// `2·ln 2`, rounded up by one part in 10¹²: the squared Box–Muller radius
+/// per binade of `u1`. The excess covers the rounding of `ln` and `sqrt`
+/// in [`GaussPair::first`] and [`GaussPair::second`].
+const TWO_LN_2_ROUNDED_UP: f64 = 1.386_294_361_121_277;
+
+/// The two uniforms of one Box–Muller transform, from
+/// [`Rng::gauss_pair`].
+///
+/// The deviates are `r·cos θ` and `r·sin θ` with `r = √(−2 ln u1)` and
+/// `θ = 2π·u2`, so neither exceeds `r` in magnitude, and `r` is bounded by
+/// the binade of `u1` alone.
+///
+/// # Examples
+///
+/// ```
+/// use rng::Rng;
+///
+/// let mut a = Rng::seed_from_u64(5);
+/// let mut b = Rng::seed_from_u64(5);
+/// let pair = b.gauss_pair();
+/// assert_eq!(a.gaussian().to_bits(), pair.first().to_bits());
+/// assert_eq!(a.gaussian().to_bits(), pair.second().to_bits());
+/// assert!(pair.radius_bound() >= pair.first().abs().max(pair.second().abs()));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GaussPair {
+    u1: f64,
+    u2: f64,
+}
+
+impl GaussPair {
+    /// The first standard normal deviate, `r·cos θ`.
+    pub fn first(&self) -> f64 {
+        self.radius() * self.angle().cos()
+    }
+
+    /// The second standard normal deviate, `r·sin θ`.
+    pub fn second(&self) -> f64 {
+        self.radius() * self.angle().sin()
+    }
+
+    /// An upper bound on `|first()|` and `|second()|`, read from the binary
+    /// exponent of `u1` with no transcendental: `u1 ≥ 2⁻ᵏ` for the `k`
+    /// its exponent gives, so `r² = −2 ln u1 ≤ 2k·ln 2`.
+    pub fn radius_bound(&self) -> f64 {
+        // u1 is a positive normal number below 1, so its sign bit is clear
+        // and it lies in [2^-k, 2^(1-k)) with k in 1..=1022.
+        let k = 1023u64.saturating_sub(self.u1.to_bits() >> 52);
+        (k as f64 * TWO_LN_2_ROUNDED_UP).sqrt() // xlint::allow(no-lossy-cast, k is at most 1023 and exact in f64)
+    }
+
+    fn radius(&self) -> f64 {
+        (-2.0 * self.u1.ln()).sqrt()
+    }
+
+    fn angle(&self) -> f64 {
+        2.0 * core::f64::consts::PI * self.u2
     }
 }
 
@@ -228,6 +299,53 @@ mod tests {
         // P(|Z| > 3) = 0.27%; allow generous counting noise.
         let tail = beyond_3 as f64 / n as f64;
         assert!((0.0015..0.0045).contains(&tail), "3-sigma tail {tail}");
+    }
+
+    #[test]
+    fn gaussian_is_the_interleaved_pair_stream() {
+        let mut a = Rng::seed_from_u64(2005);
+        let mut b = Rng::seed_from_u64(2005);
+        for _ in 0..10_000 {
+            let pair = b.gauss_pair();
+            assert_eq!(a.gaussian().to_bits(), pair.first().to_bits());
+            assert_eq!(a.gaussian().to_bits(), pair.second().to_bits());
+        }
+        assert_eq!(a.next_u64(), b.next_u64(), "both consumed the same uniforms");
+    }
+
+    #[test]
+    fn radius_bound_covers_both_deviates_in_every_binade() {
+        // `f64()` yields multiples of 2^-53, so u1 spans the binades
+        // [2^-k, 2^(1-k)) for k = 1..=53. Check both ends of each, at the
+        // angles where cos or sin reaches ±1 and at a few in between.
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        for k in 1..=53 {
+            let low = 1.0 / (1u64 << k) as f64;
+            let high = 2.0 * low - ulp;
+            for u1 in [low, high] {
+                for u2 in [0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0 - ulp] {
+                    let pair = GaussPair { u1, u2 };
+                    let largest = pair.first().abs().max(pair.second().abs());
+                    assert!(
+                        pair.radius_bound() >= largest,
+                        "k={k} u1={u1:e} u2={u2}: bound {} < {largest}",
+                        pair.radius_bound()
+                    );
+                }
+            }
+        }
+        // The bound is tight to within one binade of u1.
+        let pair = GaussPair { u1: 0.5, u2: 0.0 };
+        assert!(pair.radius_bound() - pair.first() < 1e-9);
+    }
+
+    #[test]
+    fn radius_bound_covers_drawn_pairs() {
+        let mut g = Rng::seed_from_u64(17);
+        for _ in 0..100_000 {
+            let pair = g.gauss_pair();
+            assert!(pair.radius_bound() >= pair.first().abs().max(pair.second().abs()));
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Analytic continuous-time analog waveforms.
 
 use core::fmt;
+use std::sync::OnceLock;
 
 use pstime::{Duration, Instant, Millivolts};
 
@@ -302,7 +303,14 @@ impl AnalogWaveform {
     /// the same bits as [`value_at`](Self::value_at) for any sequence of
     /// instants, in O(edges stepped over + edges in the window) per call.
     pub fn cursor(&self) -> WaveCursor<'_> {
-        WaveCursor { wave: self, win: self.window(), lo_idx: 0 }
+        WaveCursor {
+            wave: self,
+            win: self.window(),
+            lo_idx: 0,
+            table: logistic_table(),
+            rise_scale: LOGISTIC_STEPS / self.shape.rise_tau_fs,
+            fall_scale: LOGISTIC_STEPS / self.shape.fall_tau_fs,
+        }
     }
 
     /// How far from `t` an edge can still influence the value at `t`.
@@ -452,12 +460,107 @@ pub struct WaveCursor<'a> {
     wave: &'a AnalogWaveform,
     win: Duration,
     lo_idx: usize,
+    table: &'static LogisticTable,
+    /// Logistic table positions per femtosecond from a rising edge.
+    rise_scale: f64,
+    /// Logistic table positions per femtosecond from a falling edge.
+    fall_scale: f64,
 }
 
 impl WaveCursor<'_> {
     /// The instantaneous voltage (millivolts) at `t`, bit-identical to
     /// [`AnalogWaveform::value_at`].
     pub fn value_at(&mut self, t: Instant) -> f64 {
+        self.seek(t);
+        self.wave.value_from(self.lo_idx, self.win, t)
+    }
+
+    /// Decides `value_at(t) + n >= threshold` for every `t` in `[ta, tb]`
+    /// and every `n` in `[−margin, margin]` at once, without evaluating
+    /// the waveform: `Some(bit)` when the comparison comes out `bit`
+    /// throughout, `None` when it may not.
+    ///
+    /// A strobe whose instant and comparator noise are only known to lie
+    /// in such a box can store `Some(bit)` directly and evaluate the exact
+    /// path only on `None`; `Some` is never wrong about the `f64`
+    /// comparison the exact path makes. The bound uses no `exp`: each
+    /// edge's logistic term is read off a monotone table at both ends of
+    /// the span, and an edge that crosses the influence window inside the
+    /// span is allowed to be either a full step or a logistic term, as the
+    /// exact path may treat it either way.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pstime::{DataRate, Instant};
+    /// use signal::jitter::NoJitter;
+    /// use signal::{AnalogWaveform, BitStream, DigitalWaveform, EdgeShape, LevelSet};
+    ///
+    /// let rate = DataRate::from_gbps(2.5);
+    /// let bits = BitStream::from_str_bits("0110");
+    /// let d = DigitalWaveform::from_bits(&bits, rate, &NoJitter, 0);
+    /// let a = AnalogWaveform::new(d, LevelSet::pecl(), EdgeShape::default());
+    /// let mut cursor = a.cursor();
+    /// let (ta, tb) = (Instant::from_ps(590), Instant::from_ps(610));
+    /// assert_eq!(cursor.decide(ta, tb, -1300.0, 8.0), Some(true));
+    /// assert_eq!(cursor.decide(ta, tb, -900.0, 0.0), Some(false));
+    /// // Across an edge the answer depends on the instant.
+    /// let (ta, tb) = (Instant::from_ps(390), Instant::from_ps(410));
+    /// assert_eq!(cursor.decide(ta, tb, -1300.0, 0.0), None);
+    /// ```
+    pub fn decide(
+        &mut self,
+        ta: Instant,
+        tb: Instant,
+        threshold: f64,
+        margin: f64,
+    ) -> Option<bool> {
+        self.seek(ta);
+        let wave = self.wave;
+        let win = self.win.as_fs();
+        let swing = wave.levels.swing().as_f64();
+        let high = wave.digital.initial_level() ^ (self.lo_idx % 2 == 1);
+        let base = if high { wave.levels.voh().as_f64() } else { wave.levels.vol().as_f64() };
+        let (mut lo, mut hi, mut terms) = (base, base, 1.0);
+        for e in wave.digital.edges().get(self.lo_idx..).unwrap_or_default() {
+            let dt_b = (tb - e.at).as_fs();
+            if dt_b < -win {
+                break;
+            }
+            let dt_a = (ta - e.at).as_fs();
+            let (scale, step) = match e.polarity {
+                EdgePolarity::Rising => (self.rise_scale, swing),
+                EdgePolarity::Falling => (self.fall_scale, -swing),
+            };
+            // Past the window the exact path adds nothing; behind it, the
+            // full step. Every treatment over the span lies in [s_lo, s_hi].
+            let s_lo = if dt_a < -win { 0.0 } else { self.table.lower(dt_a as f64 * scale) }; // xlint::allow(no-lossy-cast, fs offsets stay far below 2^53 so the conversion is exact, as in value_from)
+            let s_hi = if dt_b > win { 1.0 } else { self.table.upper(dt_b as f64 * scale) }; // xlint::allow(no-lossy-cast, fs offsets stay far below 2^53 so the conversion is exact, as in value_from)
+            if step > 0.0 {
+                lo += step * s_lo;
+                hi += step * s_hi;
+            } else {
+                lo += step * s_hi;
+                hi += step * s_lo;
+            }
+            terms += 1.0;
+        }
+        // Covers the rounding of both sums, of the table entries and of
+        // the table positions, each far below 2^-40 of the magnitudes
+        // involved per term.
+        let tol = (base.abs() + swing) * terms * BOUND_SLACK;
+        if lo - tol - margin >= threshold {
+            Some(true)
+        } else if hi + tol + margin < threshold {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Moves `lo_idx` to the number of edges before `t`'s influence
+    /// window, forward or back.
+    fn seek(&mut self, t: Instant) {
         let edges = self.wave.digital.edges();
         let before = t - self.win;
         while edges.get(self.lo_idx).is_some_and(|e| e.at < before) {
@@ -466,8 +569,70 @@ impl WaveCursor<'_> {
         while self.lo_idx > 0 && edges.get(self.lo_idx - 1).is_some_and(|e| e.at >= before) {
             self.lo_idx -= 1;
         }
-        self.wave.value_from(self.lo_idx, self.win, t)
     }
+}
+
+/// Relative slack of [`WaveCursor::decide`]'s bounds per term: far above
+/// the `f64` rounding of a sum of logistic terms (about 2⁻⁵² of the
+/// magnitudes per addition) and far below any voltage this crate resolves.
+const BOUND_SLACK: f64 = 1e-9;
+
+/// Grid points per unit of `t/τ` in the logistic bound table.
+const LOGISTIC_STEPS: f64 = 32.0;
+
+/// The table spans `t/τ` in `[−LOGISTIC_SPAN, LOGISTIC_SPAN]`; the
+/// influence window ends at 20 τ of the slower edge, so this also covers
+/// a faster edge up to 1.2× as steep.
+const LOGISTIC_SPAN: f64 = 24.0;
+
+/// [`logistic`] sampled on the grid `j / LOGISTIC_STEPS − LOGISTIC_SPAN`,
+/// so a lookup at a grid point on either side bounds it from below or
+/// above (it is monotone). Lookups take `pos = x · LOGISTIC_STEPS` and
+/// truncate with `as`, which rounds toward zero with no libm call.
+#[derive(Debug)]
+struct LogisticTable {
+    grid: Vec<f64>,
+    /// The last grid value, a lower bound anywhere past the table.
+    last: f64,
+}
+
+/// `LOGISTIC_SPAN · LOGISTIC_STEPS`: the table index of `x = 0`.
+const LOGISTIC_ORIGIN: f64 = LOGISTIC_SPAN * LOGISTIC_STEPS;
+
+impl LogisticTable {
+    /// A value at most `logistic(x)`, given `pos = x · LOGISTIC_STEPS`.
+    #[inline]
+    fn lower(&self, pos: f64) -> f64 {
+        let at = pos + LOGISTIC_ORIGIN;
+        if at < 0.0 {
+            return 0.0;
+        }
+        // Truncation is the floor for a nonnegative position.
+        self.grid.get(at as usize).copied().unwrap_or(self.last) // xlint::allow(no-lossy-cast, truncating a nonnegative position is its floor and saturates past the table)
+    }
+
+    /// A value at least `logistic(x)`, given `pos = x · LOGISTIC_STEPS`.
+    #[inline]
+    fn upper(&self, pos: f64) -> f64 {
+        let at = pos + LOGISTIC_ORIGIN;
+        // One past the truncation is at or above the ceiling (a negative
+        // position saturates to 0, still ahead of x); past the table, 1.
+        self.grid.get(at as usize + 1).copied().unwrap_or(1.0) // xlint::allow(no-lossy-cast, the truncation saturates at both ends and only picks a grid point at or past x)
+    }
+}
+
+fn logistic_table() -> &'static LogisticTable {
+    static TABLE: OnceLock<LogisticTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let points = 2.0 * LOGISTIC_ORIGIN;
+        let grid: Vec<f64> = (0u32..)
+            .map(f64::from)
+            .take_while(|j| *j <= points)
+            .map(|j| logistic(j / LOGISTIC_STEPS - LOGISTIC_SPAN))
+            .collect();
+        let last = grid.last().copied().unwrap_or(0.0);
+        LogisticTable { grid, last }
+    })
 }
 
 #[inline]

@@ -307,3 +307,104 @@ fn cursor_and_random_access_match_the_full_sum_bit_for_bit() {
         }
     }
 }
+
+#[test]
+fn decide_agrees_with_every_sampled_instant_and_noise() {
+    let (mut rng, n) = cases("decide-oracle");
+    for case in 0..n {
+        let rate = DataRate::from_gbps([1.0, 2.5, 5.0][rng.range_usize(0..3)]);
+        let rise = rng.range_f64(20.0, 150.0);
+        let fall = if case % 2 == 0 { rise } else { rng.range_f64(20.0, 150.0) };
+        let start = Instant::from_ps(rng.range_i64(-2_000..2_000));
+        let digital = if case % 8 == 0 {
+            DigitalWaveform::constant(rng.bool(), start, start + Duration::from_ps(5_000))
+        } else {
+            let bits = random_bits(&mut rng, 128);
+            let jitter = JitterBudget::new()
+                .with_rj_rms_ps(rng.range_f64(0.0, 15.0))
+                .with_dcd_ps(rng.range_f64(0.0, 30.0));
+            DigitalWaveform::from_bits_at(start, &bits, rate, &jitter, rng.next_u64())
+        };
+        let levels = LevelSet::pecl().with_swing(Millivolts::new(rng.range_i32(100..1_200)));
+        let wave =
+            AnalogWaveform::new(digital, levels, EdgeShape::from_rise_fall_2080_ps(rise, fall));
+        // Spans start anywhere from well before start() to past end(), so
+        // some straddle the influence window's border and the ends.
+        let lo = wave.digital().start() - Duration::from_ps(3_000);
+        let hi = wave.digital().end() + Duration::from_ps(3_000);
+        let mut cursor = wave.cursor();
+        let mut decided = 0;
+        for span in 0..120 {
+            let ta = lo + Duration::from_fs(rng.range_i64(0..(hi - lo).as_fs()));
+            let tb = ta + Duration::from_fs(rng.range_i64(0..[1, 40_000, 400_000][span % 3]));
+            let instants: Vec<Instant> = [ta, tb]
+                .into_iter()
+                .chain(
+                    (0..6).map(|_| ta + Duration::from_fs(rng.range_i64(0..(tb - ta).as_fs() + 1))),
+                )
+                .collect();
+            let values: Vec<f64> = instants.iter().map(|t| wave.value_at(*t)).collect();
+            let margin = [0.0, 8.0 * rng.range_f64(0.0, 4.0), 1e-9][span % 3];
+            // Thresholds exactly at sampled values (the ties), just off
+            // them, at and beyond the rails.
+            let v = values[rng.range_usize(0..values.len())];
+            let (vol, voh) = (levels.vol().as_f64(), levels.voh().as_f64());
+            for threshold in [
+                v,
+                v + margin,
+                v - margin,
+                f64::from_bits(v.to_bits() + 1),
+                vol,
+                voh,
+                vol - 50.0,
+                voh + 50.0,
+                rng.range_f64(vol - 20.0, voh + 20.0),
+            ] {
+                let Some(bit) = cursor.decide(ta, tb, threshold, margin) else {
+                    continue;
+                };
+                decided += 1;
+                for (t, value) in instants.iter().zip(&values) {
+                    for noise in [-margin, 0.0, margin] {
+                        assert_eq!(
+                            value + noise >= threshold,
+                            bit,
+                            "case {case}: decide({ta}, {tb}, {threshold}, {margin}) at {t}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(decided > 0, "case {case}: decide never answered");
+    }
+}
+
+#[test]
+fn decide_answers_most_mid_bit_strobes_of_a_prbs() {
+    let mut rng = SeedTree::new(0x51634).stream("signal.proptests").stream("decide-rate").rng();
+    let rate = DataRate::from_gbps(2.5);
+    let bits = BitStream::from_fn(2_048, |_| rng.bool());
+    let jitter = JitterBudget::new().with_rj_rms_ps(2.0);
+    let wave = AnalogWaveform::new(
+        DigitalWaveform::from_bits(&bits, rate, &jitter, 3),
+        LevelSet::pecl(),
+        EdgeShape::default(),
+    );
+    let ui = rate.unit_interval();
+    // ±4 ps: a 2 ps aperture deviate of up to two sigma.
+    let slack = Duration::from_ps(4);
+    for threshold in [-1650.0, -1300.0, -950.0] {
+        let mut cursor = wave.cursor();
+        let answered = (0..bits.len())
+            .filter(|i| {
+                let strobe = wave.digital().start() + ui * *i as i64 + ui / 2;
+                cursor.decide(strobe - slack, strobe + slack, threshold, 8.0).is_some()
+            })
+            .count();
+        assert!(
+            answered * 10 >= bits.len() * 9,
+            "threshold {threshold}: decided {answered} of {} mid-bit strobes",
+            bits.len()
+        );
+    }
+}
