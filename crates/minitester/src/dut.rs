@@ -128,6 +128,7 @@ impl WlpDut {
         let mut rng = SeedTree::new(seed).derive(DUT_SLICER_STREAM).rng();
         let ui = rate.unit_interval();
         let start = wave.digital().start();
+        let threshold = threshold.as_f64();
         // The die's input stage: ~2 ps aperture jitter and ~8 mV rms
         // input-referred comparator noise. The noise is what lets the
         // tester catch resistive defects — a signal crushed by lead loss
@@ -136,10 +137,23 @@ impl WlpDut {
         const COMPARATOR_NOISE_RMS_MV: f64 = 8.0;
         let mut cursor = wave.cursor();
         BitStream::from_fn(n, |i| {
-            let aperture = Duration::from_ps_f64(rng.gaussian() * APERTURE_RJ_PS);
-            let t = start + ui * i as i64 + ui / 2 + aperture;
-            let v = cursor.value_at(t) + rng.gaussian() * COMPARATOR_NOISE_RMS_MV;
-            v >= threshold.as_f64()
+            // One Box–Muller pair per bit: the first deviate jitters the
+            // aperture, the second is the comparator noise. Their radius
+            // bound confines both, so `decide` settles most bits over the
+            // whole box without evaluating the waveform. The aperture
+            // rounds |z|·2 ps ≤ bound·2 ps to the fs, at most the
+            // truncation plus 1 fs; one more fs spares it.
+            let pair = rng.gauss_pair();
+            let bound = pair.radius_bound();
+            let strobe = start + ui * i as i64 + ui / 2;
+            let slack = Duration::from_fs((bound * APERTURE_RJ_PS * 1_000.0) as i64 + 2); // xlint::allow(no-lossy-cast, a nonnegative aperture bound of a few ps in fs; truncation stays below its ceiling)
+            let margin = bound * COMPARATOR_NOISE_RMS_MV;
+            cursor.decide(strobe - slack, strobe + slack, threshold, margin).unwrap_or_else(|| {
+                let aperture = Duration::from_ps_f64(pair.first() * APERTURE_RJ_PS);
+                let v =
+                    cursor.value_at(strobe + aperture) + pair.second() * COMPARATOR_NOISE_RMS_MV;
+                v >= threshold
+            })
         })
     }
 
@@ -302,10 +316,12 @@ mod tests {
         for case in 0..48 {
             let rate = DataRate::from_gbps([1.0, 2.5, 5.0][case % 3]);
             let bits = BitStream::from_fn(rng.range_usize(64..400), |_| rng.bool());
-            let jitter = JitterBudget::new().with_rj_rms_ps(rng.range_f64(0.0, 6.0));
+            // Fast, heavily jittered edges put some transitions next to the
+            // mid-bit strobe, where the aperture deviate decides the bit.
+            let jitter = JitterBudget::new().with_rj_rms_ps(rng.range_f64(0.0, 40.0));
             let d = DigitalWaveform::from_bits(&bits, rate, &jitter, rng.next_u64());
-            let stimulus =
-                AnalogWaveform::new(d, LevelSet::pecl(), EdgeShape::from_rise_2080_ps(120.0));
+            let rise = EdgeShape::from_rise_2080_ps(rng.range_f64(20.0, 120.0));
+            let stimulus = AnalogWaveform::new(d, LevelSet::pecl(), rise);
             let channel = match rng.range_usize(0..3) {
                 0 => WlpChannel::interposer(),
                 1 => WlpChannel::degraded(),

@@ -8,7 +8,7 @@
 //! without a bench oscilloscope.
 
 use pstime::{DataRate, Duration, Instant, Millivolts};
-use rng::{Rng, SeedTree, StreamId};
+use rng::{GaussPair, Rng, SeedTree, StreamId};
 use signal::{AnalogWaveform, BitStream};
 
 /// Substream identity for capture aperture-jitter draws.
@@ -90,27 +90,30 @@ impl StrobedSampler {
     /// Samples the waveform once at `strobe` (with aperture jitter drawn
     /// from `rng`).
     pub fn sample_at(&self, wave: &AnalogWaveform, strobe: Instant, rng: &mut Rng) -> bool {
-        self.decide(strobe, rng, |t| wave.value_at(t))
+        let z = if self.aperture_rj.is_zero() { 0.0 } else { rng.gaussian() };
+        self.slice(strobe, z, |t| wave.value_at(t))
     }
 
-    /// The one comparison: jitters `strobe` by the aperture, evaluates the
-    /// input there with `value_at`, and slices it against the threshold.
-    fn decide(
-        &self,
-        strobe: Instant,
-        rng: &mut Rng,
-        value_at: impl FnOnce(Instant) -> f64,
-    ) -> bool {
-        let t = if self.aperture_rj.is_zero() {
-            strobe
-        } else {
-            strobe + gaussian(rng, self.aperture_rj)
-        };
-        value_at(t) >= (self.threshold + self.input_offset).as_f64()
+    /// The one exact comparison: moves `strobe` by the aperture deviate
+    /// `z` (in sigmas), evaluates the input there with `value_at`, and
+    /// slices it against the threshold.
+    fn slice(&self, strobe: Instant, z: f64, value_at: impl FnOnce(Instant) -> f64) -> bool {
+        value_at(strobe + aperture_offset(z, self.aperture_rj)) >= self.decision_level()
+    }
+
+    fn decision_level(&self) -> f64 {
+        (self.threshold + self.input_offset).as_f64()
     }
 
     /// Captures `n` bits: one strobe per unit interval at phase offset
     /// `strobe_phase` into each bit, starting from the waveform start.
+    ///
+    /// Most strobes never evaluate the waveform: the pair's
+    /// [`radius_bound`](rng::GaussPair::radius_bound) confines the
+    /// jittered instant to a span around the strobe, and
+    /// [`WaveCursor::decide`](signal::WaveCursor::decide) settles the bit
+    /// over that whole span when it can. Only the undecided strobes take
+    /// the exact path, so every bit is the one the exact path stores.
     pub fn capture(
         &self,
         wave: &AnalogWaveform,
@@ -122,10 +125,32 @@ impl StrobedSampler {
         let ui = rate.unit_interval();
         let start = wave.digital().start();
         let mut rng = SeedTree::new(seed).derive(SAMPLER_STREAM).rng();
-        // Strobes run forward one UI at a time, so a cursor follows them.
+        let level = self.decision_level();
+        let sigma_fs = self.aperture_rj.as_fs() as f64; // xlint::allow(no-lossy-cast, aperture jitter in fs stays far below 2^53, as in aperture_offset)
+                                                        // Strobes run forward one UI at a time, so a cursor follows them.
         let mut cursor = wave.cursor();
+        // Strobe 2k takes the first deviate of the k-th Box–Muller pair and
+        // strobe 2k + 1 the second, the order `Rng::gaussian` hands them
+        // out in. A zero aperture draws pairs it never reads, which the
+        // discarded generator makes harmless.
+        let mut held: Option<GaussPair> = None;
         BitStream::from_fn(n, |i| {
-            self.decide(start + ui * i as i64 + strobe_phase, &mut rng, |t| cursor.value_at(t))
+            let strobe = start + ui * i as i64 + strobe_phase;
+            let (pair, second) = match held.take() {
+                Some(pair) => (pair, true),
+                None => {
+                    let pair = rng.gauss_pair();
+                    held = Some(pair);
+                    (pair, false)
+                }
+            };
+            // |z|·σ ≤ bound·σ, whose rounding is at most its truncation
+            // plus 1 fs; one more fs spares it.
+            let slack = Duration::from_fs((pair.radius_bound() * sigma_fs) as i64 + 2); // xlint::allow(no-lossy-cast, a nonnegative product of a few sigmas in fs; truncation stays below its ceiling)
+            cursor.decide(strobe - slack, strobe + slack, level, 0.0).unwrap_or_else(|| {
+                let z = if second { pair.second() } else { pair.first() };
+                self.slice(strobe, z, |t| cursor.value_at(t))
+            })
         })
     }
 
@@ -157,8 +182,10 @@ impl StrobedSampler {
     }
 }
 
-fn gaussian(rng: &mut Rng, sigma: Duration) -> Duration {
-    Duration::from_fs((rng.gaussian() * sigma.as_fs() as f64).round() as i64)
+/// The aperture offset of a standard normal deviate `z` at rms `sigma`,
+/// rounded to the femtosecond; zero whenever `sigma` is.
+fn aperture_offset(z: f64, sigma: Duration) -> Duration {
+    Duration::from_fs((z * sigma.as_fs() as f64).round() as i64)
 }
 
 #[cfg(test)]
