@@ -18,6 +18,20 @@ fn to_usize(v: u32) -> usize {
     usize::try_from(v).unwrap_or(usize::MAX)
 }
 
+/// The expected bits and the rendered stimulus of a `bits`-long PRBS at
+/// `rate`, from one booted datapath: its lanes are regenerated from fixed
+/// seeds on every call, so both come from the same lanes.
+fn prbs_stimulus(
+    rate: DataRate,
+    bits: u32,
+    stim_seed: u64,
+) -> Result<(signal::BitStream, signal::AnalogWaveform), AtdError> {
+    let mut path = minitester::MiniTesterDatapath::new()?;
+    let expected = path.expected_prbs(rate, to_usize(bits))?;
+    let wave = path.prbs_stimulus(rate, to_usize(bits), stim_seed)?;
+    Ok((expected, wave))
+}
+
 /// Runs one job spec on `pool`, returning its wire-form result.
 ///
 /// Identical specs produce byte-identical results at any pool width: the
@@ -42,11 +56,7 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
             seed,
         } => {
             let rate = DataRate::from_bps(rate_bps);
-            let n_bits = to_usize(bits);
-            let mut path = minitester::MiniTesterDatapath::new()?;
-            let expected = path.expected_prbs(rate, n_bits)?;
-            let mut stim_path = minitester::MiniTesterDatapath::new()?;
-            let wave = stim_path.prbs_stimulus(rate, n_bits, stim_seed)?;
+            let (expected, wave) = prbs_stimulus(rate, bits, stim_seed)?;
             let config = minitester::ShmooConfig {
                 phase_step: Duration::from_fs(phase_step_fs),
                 v_start: Millivolts::new(v_start_mv),
@@ -83,11 +93,7 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
         }
         JobSpec::Eye { rate_bps, bits, stim_seed, seed } => {
             let rate = DataRate::from_bps(rate_bps);
-            let n_bits = to_usize(bits);
-            let mut path = minitester::MiniTesterDatapath::new()?;
-            let expected = path.expected_prbs(rate, n_bits)?;
-            let mut stim_path = minitester::MiniTesterDatapath::new()?;
-            let wave = stim_path.prbs_stimulus(rate, n_bits, stim_seed)?;
+            let (expected, wave) = prbs_stimulus(rate, bits, stim_seed)?;
             let capture = minitester::EtCapture::new();
             let scan = minitester::EyeScanJob {
                 capture: &capture,
@@ -127,11 +133,7 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
             row_count,
         } => {
             let rate = DataRate::from_bps(rate_bps);
-            let n_bits = to_usize(bits);
-            let mut path = minitester::MiniTesterDatapath::new()?;
-            let expected = path.expected_prbs(rate, n_bits)?;
-            let mut stim_path = minitester::MiniTesterDatapath::new()?;
-            let wave = stim_path.prbs_stimulus(rate, n_bits, stim_seed)?;
+            let (expected, wave) = prbs_stimulus(rate, bits, stim_seed)?;
             let config = minitester::ShmooConfig {
                 phase_step: Duration::from_fs(phase_step_fs),
                 v_start: Millivolts::new(v_start_mv),
@@ -170,11 +172,7 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
         }
         JobSpec::EyeRange { rate_bps, bits, stim_seed, seed, phase_start, phase_count } => {
             let rate = DataRate::from_bps(rate_bps);
-            let n_bits = to_usize(bits);
-            let mut path = minitester::MiniTesterDatapath::new()?;
-            let expected = path.expected_prbs(rate, n_bits)?;
-            let mut stim_path = minitester::MiniTesterDatapath::new()?;
-            let wave = stim_path.prbs_stimulus(rate, n_bits, stim_seed)?;
+            let (expected, wave) = prbs_stimulus(rate, bits, stim_seed)?;
             let capture = minitester::EtCapture::new();
             let scan = minitester::EyeScanJob {
                 capture: &capture,

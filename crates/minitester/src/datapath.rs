@@ -83,8 +83,9 @@ impl MiniTesterDatapath {
         }
     }
 
-    /// Interleaves 16 physical lanes in the two-stage mux's serial order.
-    fn two_stage_interleave(lanes: &[BitStream]) -> BitStream {
+    /// Interleaves 16 physical lanes in the two-stage mux's serial order:
+    /// the serial bits the rendered lanes carry.
+    pub(crate) fn two_stage_interleave(lanes: &[BitStream]) -> BitStream {
         let reordered: Vec<BitStream> =
             (0..LANES).map(|i| lanes[Self::serial_lane_for_position(i)].clone()).collect(); // xlint::allow(panic-reachable, callers pass exactly LANES lanes and serial_lane_for_position maps 0..LANES into 0..LANES)
         BitStream::interleave(&reordered)
@@ -103,7 +104,19 @@ impl MiniTesterDatapath {
         seed: u64,
     ) -> Result<AnalogWaveform> {
         let lanes = self.prbs_lanes(rate, n_bits)?;
-        Ok(self.chain.serialize_16(&lanes, rate, seed)?)
+        self.render_lanes(&lanes, rate, seed)
+    }
+
+    /// Renders 16 lanes through the mux structure at `rate`: the analog
+    /// half of [`prbs_stimulus`](Self::prbs_stimulus), which needs no DLC
+    /// state.
+    pub(crate) fn render_lanes(
+        &self,
+        lanes: &[BitStream],
+        rate: DataRate,
+        seed: u64,
+    ) -> Result<AnalogWaveform> {
+        Ok(self.chain.serialize_16(lanes, rate, seed)?)
     }
 
     /// Hashed per-lane LFSR seed: the first ~15 output bits of a Fibonacci
@@ -115,8 +128,9 @@ impl MiniTesterDatapath {
     }
 
     /// Configures and runs the 16 PRBS lanes, discarding one LFSR length of
-    /// warm-up bits per lane.
-    fn prbs_lanes(&mut self, rate: DataRate, n_bits: usize) -> Result<Vec<BitStream>> {
+    /// warm-up bits per lane. Each call reconfigures every lane from its
+    /// fixed seed, so the lanes depend only on `rate` and `n_bits`.
+    pub(crate) fn prbs_lanes(&mut self, rate: DataRate, n_bits: usize) -> Result<Vec<BitStream>> {
         let lane_rate = Self::lane_rate(rate);
         for lane in 0..LANES {
             self.core.configure_channel(

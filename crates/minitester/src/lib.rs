@@ -55,7 +55,7 @@ pub use dut::{BistMode, Defect, WlpDut};
 pub use error::MiniTesterError;
 pub use multisite::{run_wafer, Bin, DieRecord, WaferReport, WaferRunConfig};
 pub use shmoo::{ShmooConfig, ShmooJob, ShmooPlot};
-pub use tester::{MiniTester, TestOutcome, TestPlan};
+pub use tester::{MiniTester, PreparedPlan, TestOutcome, TestPlan};
 
 /// Convenient result alias for mini-tester operations.
 pub type Result<T> = std::result::Result<T, MiniTesterError>;

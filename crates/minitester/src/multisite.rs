@@ -283,17 +283,25 @@ fn run_wafer_inner(
     let die_tree = tree.derive(WAFER_DIE_STREAM);
     let array = ProbeArray::new(config.sites);
 
-    let bist_plan = TestPlan::prbs_bist(config.rate, config.test_bits);
-    let mut margin_plan = TestPlan::prbs_loopback(config.rate, config.test_bits);
-    margin_plan.min_eye_ui = 0.8;
+    // One tester serves every die. A plan's lanes depend only on its rate
+    // and length, so they are generated once; each die renders its own
+    // stimulus from them with its own seed.
+    let mut tester = MiniTester::new()?;
+    let bist_plan = tester.prepare(&TestPlan::prbs_bist(config.rate, config.test_bits))?;
+    let margin_plan = tester.prepare(&TestPlan {
+        min_eye_ui: 0.8,
+        ..TestPlan::prbs_loopback(config.rate, config.test_bits)
+    })?;
+    let tester = &tester;
 
     let outcome = pool.run(die_count, |job| -> Result<DieOutcome> {
         // Substreams key on the global die index, so a die range
         // reproduces the full run's dies bit-for-bit.
         let die = die_start + job;
         let die_id = die as u64; // xlint::allow(no-lossy-cast, die index widens losslessly to u64)
-                                 // Build this die. Defect rolls come from a die-indexed substream
-                                 // (not one sequential stream) so injection is order-free.
+
+        // Build this die. Defect rolls come from a die-indexed substream
+        // (not one sequential stream) so injection is order-free.
         let mut rng = defect_tree.channel(die_id).rng();
         let roll: f64 = rng.f64();
         let mut injected_hard = false;
@@ -309,18 +317,13 @@ fn run_wafer_inner(
             WlpDut::good(WlpChannel::interposer())
         };
 
-        // Each die job boots its own tester: the datapath reconfigures all
-        // lanes on every run, so a fresh tester reproduces a reused site
-        // exactly — and jobs never contend on shared hardware state.
-        let mut tester = MiniTester::new()?;
-        tester.insert_dut(dut);
         let per_die = die_tree.channel(die_id);
-
-        let bist = tester.run(&bist_plan, per_die.stream("bist").seed())?;
+        let bist = tester.run_prepared(&dut, &bist_plan, per_die.stream("bist").seed())?;
         let (bin, eye_ui) = if !bist.passed() {
             (Bin::FailBist, None)
         } else {
-            let margin = tester.run(&margin_plan, per_die.stream("margin").seed())?;
+            let margin =
+                tester.run_prepared(&dut, &margin_plan, per_die.stream("margin").seed())?;
             let eye = margin.eye_ui.map(|u| u.value());
             if margin.passed() {
                 (Bin::Good, eye)

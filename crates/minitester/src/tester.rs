@@ -8,6 +8,7 @@
 use core::fmt;
 
 use pstime::{DataRate, UnitInterval};
+use signal::BitStream;
 
 use crate::capture::EtCapture;
 use crate::channel::WlpChannel;
@@ -153,19 +154,50 @@ impl MiniTester {
         &mut self.datapath
     }
 
-    /// Runs one plan against the socketed device.
+    /// Runs one plan against the socketed device: [`prepare`](Self::prepare)
+    /// then [`run_prepared`](Self::run_prepared).
     ///
     /// # Errors
     ///
     /// Propagates plan validation, datapath, and capture errors.
     pub fn run(&mut self, plan: &TestPlan, seed: u64) -> Result<TestOutcome> {
+        let prepared = self.prepare(plan)?;
+        self.run_prepared(&self.dut, &prepared, seed)
+    }
+
+    /// Validates `plan` and generates its PRBS lanes and expected bits on
+    /// the DLC. Both depend only on the plan's rate and length, so one
+    /// prepared plan serves every die a wafer run probes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates plan validation and DLC errors.
+    pub fn prepare(&mut self, plan: &TestPlan) -> Result<PreparedPlan> {
         plan.validate()?;
-        let expected = self.datapath.expected_prbs(plan.rate, plan.n_bits)?;
-        let stimulus = self.datapath.prbs_stimulus(plan.rate, plan.n_bits, seed)?;
+        let lanes = self.datapath.prbs_lanes(plan.rate, plan.n_bits)?;
+        let expected = MiniTesterDatapath::two_stage_interleave(&lanes);
+        Ok(PreparedPlan { plan: plan.clone(), lanes, expected })
+    }
+
+    /// Runs a prepared plan against `dut`: renders the stimulus from the
+    /// plan's lanes with `seed`, then checks the die in the plan's BIST
+    /// mode. Needs no DLC state, so dies can share one tester.
+    ///
+    /// # Errors
+    ///
+    /// Propagates PECL rendering and capture errors.
+    pub fn run_prepared(
+        &self,
+        dut: &WlpDut,
+        prepared: &PreparedPlan,
+        seed: u64,
+    ) -> Result<TestOutcome> {
+        let PreparedPlan { plan, lanes, expected } = prepared;
+        let stimulus = self.datapath.render_lanes(lanes, plan.rate, seed)?;
 
         match plan.mode {
             BistMode::PrbsChecker => {
-                let errors = self.dut.bist_check(&stimulus, plan.rate, &expected, seed);
+                let errors = dut.bist_check(&stimulus, plan.rate, expected, seed);
                 Ok(TestOutcome {
                     errors,
                     compared: expected.len(),
@@ -175,16 +207,14 @@ impl MiniTester {
                 })
             }
             BistMode::Loopback => {
-                let returned = self.dut.loopback(&stimulus, plan.rate, plan.n_bits, seed);
-                let scan = self.capture.eye_scan(&returned, plan.rate, &expected, seed)?;
+                let returned = dut.loopback(&stimulus, plan.rate, plan.n_bits, seed);
+                let scan = self.capture.eye_scan(&returned, plan.rate, expected, seed)?;
                 let eye = scan.opening_ui().ok();
                 let errors = match scan.best_phase() {
                     Ok(phase) => {
                         let best =
                             rng::SeedTree::new(seed).stream("minitester.tester.best-phase").seed();
-                        self.capture
-                            .capture_at(&returned, plan.rate, &expected, phase, best)?
-                            .errors
+                        self.capture.capture_at(&returned, plan.rate, expected, phase, best)?.errors
                     }
                     Err(_) => expected.len(),
                 };
@@ -198,6 +228,15 @@ impl MiniTester {
             }
         }
     }
+}
+
+/// A [`TestPlan`] with its PRBS lanes and expected bits generated, from
+/// [`MiniTester::prepare`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PreparedPlan {
+    plan: TestPlan,
+    lanes: Vec<BitStream>,
+    expected: BitStream,
 }
 
 #[cfg(test)]
