@@ -532,10 +532,12 @@ impl WaveCursor<'_> {
                 EdgePolarity::Rising => (self.rise_scale, swing),
                 EdgePolarity::Falling => (self.fall_scale, -swing),
             };
+            // xlint::allow(no-lossy-cast, fs offsets stay far below 2^53 so both conversions are exact, as in value_from)
+            let (pos_a, pos_b) = (dt_a as f64 * scale, dt_b as f64 * scale);
             // Past the window the exact path adds nothing; behind it, the
             // full step. Every treatment over the span lies in [s_lo, s_hi].
-            let s_lo = if dt_a < -win { 0.0 } else { self.table.lower(dt_a as f64 * scale) }; // xlint::allow(no-lossy-cast, fs offsets stay far below 2^53 so the conversion is exact, as in value_from)
-            let s_hi = if dt_b > win { 1.0 } else { self.table.upper(dt_b as f64 * scale) }; // xlint::allow(no-lossy-cast, fs offsets stay far below 2^53 so the conversion is exact, as in value_from)
+            let s_lo = if dt_a < -win { 0.0 } else { self.table.lower(pos_a) };
+            let s_hi = if dt_b > win { 1.0 } else { self.table.upper(pos_b) };
             if step > 0.0 {
                 lo += step * s_lo;
                 hi += step * s_hi;
