@@ -83,6 +83,13 @@ EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-bench --bin bench_ex
 EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-bench --bin bench_exec > "$canary_dir/t4.txt"
 diff "$canary_dir/t1.txt" "$canary_dir/t4.txt"
 echo "canary: sweep outputs identical at EXEC_THREADS=1 and 4"
+# Figure invariance: the paper-vs-measured table (EXPERIMENTS.md) is part
+# of the determinism contract, so it too must be byte-identical at 1 and
+# 4 workers.
+EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-bench --bin figures > "$canary_dir/figures1.txt"
+EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-bench --bin figures > "$canary_dir/figures4.txt"
+diff "$canary_dir/figures1.txt" "$canary_dir/figures4.txt"
+echo "canary: figures identical at EXEC_THREADS=1 and 4"
 # Service-layer invariance: the atd integration suites (golden THP/2
 # wire vectors plus the loopback protocol walk) ran under both thread
 # counts above; here atd-load's deterministic loopback row —
