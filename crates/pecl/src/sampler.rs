@@ -126,8 +126,9 @@ impl StrobedSampler {
         let start = wave.digital().start();
         let mut rng = SeedTree::new(seed).derive(SAMPLER_STREAM).rng();
         let level = self.decision_level();
-        let sigma_fs = self.aperture_rj.as_fs() as f64; // xlint::allow(no-lossy-cast, aperture jitter in fs stays far below 2^53, as in aperture_offset)
-                                                        // Strobes run forward one UI at a time, so a cursor follows them.
+        // xlint::allow(no-lossy-cast, aperture jitter in fs stays far below 2^53, as in aperture_offset)
+        let sigma_fs = self.aperture_rj.as_fs() as f64;
+        // Strobes run forward one UI at a time, so a cursor follows them.
         let mut cursor = wave.cursor();
         // Strobe 2k takes the first deviate of the k-th Box–Muller pair and
         // strobe 2k + 1 the second, the order `Rng::gaussian` hands them
