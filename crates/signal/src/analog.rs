@@ -548,8 +548,8 @@ impl WaveCursor<'_> {
             terms += 1.0;
         }
         // Covers the rounding of both sums, of the table entries and of
-        // the table positions, each far below 2^-40 of the magnitudes
-        // involved per term.
+        // the table positions, each below 2^-40 of |level| + swing per
+        // term.
         let tol = (base.abs() + swing) * terms * BOUND_SLACK;
         if lo - tol - margin >= threshold {
             Some(true)
@@ -609,7 +609,6 @@ impl LogisticTable {
         if at < 0.0 {
             return 0.0;
         }
-        // Truncation is the floor for a nonnegative position.
         self.grid.get(at as usize).copied().unwrap_or(self.last) // xlint::allow(no-lossy-cast, truncating a nonnegative position is its floor and saturates past the table)
     }
 
@@ -619,7 +618,7 @@ impl LogisticTable {
         let at = pos + LOGISTIC_ORIGIN;
         // One past the truncation is at or above the ceiling (a negative
         // position saturates to 0, still ahead of x); past the table, 1.
-        self.grid.get(at as usize + 1).copied().unwrap_or(1.0) // xlint::allow(no-lossy-cast, the truncation saturates at both ends and only picks a grid point at or past x)
+        self.grid.get((at as usize).saturating_add(1)).copied().unwrap_or(1.0) // xlint::allow(no-lossy-cast, the truncation saturates at both ends and only picks a grid point at or past x)
     }
 }
 
