@@ -1567,54 +1567,68 @@ mod tests {
 
     #[test]
     fn out_of_range_shard_specs_rejected_on_decode() {
-        let specs = [
-            JobSpec::ShmooRows {
-                rate_bps: GBPS,
-                bits: 256,
-                stim_seed: 17,
-                phase_step_fs: 10_000_000,
-                v_start_mv: -1650,
-                v_end_mv: -950,
-                v_step_mv: 50,
-                seed: 5,
-                row_start: 14,
-                row_count: 2, // 15-row sweep: overruns by one
-            },
-            JobSpec::WaferDies {
-                columns: 8,
-                dies: 64,
-                sites: 16,
-                hard_defect_rate: 0.06,
-                marginal_rate: 0.08,
-                rate_bps: GBPS,
-                test_bits: 512,
-                seed: 1,
-                die_start: 0,
-                die_count: 0, // empty range
-            },
-            JobSpec::EyeRange {
-                rate_bps: GBPS,
-                bits: 512,
-                stim_seed: 21,
-                seed: 9,
-                phase_start: 40, // 40-step scan: starts past the end
-                phase_count: 1,
-            },
-            JobSpec::EyeRange {
-                // Bad parent (zero rate) embedded in a shard variant.
-                rate_bps: 0,
-                bits: 512,
-                stim_seed: 21,
-                seed: 9,
-                phase_start: 0,
-                phase_count: 1,
-            },
+        let overruns =
+            FrameError::BadPayload { context: "shard range overruns the parent spec's extent" };
+        let cases = [
+            (
+                JobSpec::ShmooRows {
+                    rate_bps: GBPS,
+                    bits: 256,
+                    stim_seed: 17,
+                    phase_step_fs: 10_000_000,
+                    v_start_mv: -1650,
+                    v_end_mv: -950,
+                    v_step_mv: 50,
+                    seed: 5,
+                    row_start: 14,
+                    row_count: 2, // 15-row sweep: overruns by one
+                },
+                overruns.clone(),
+            ),
+            (
+                JobSpec::WaferDies {
+                    columns: 8,
+                    dies: 64,
+                    sites: 16,
+                    hard_defect_rate: 0.06,
+                    marginal_rate: 0.08,
+                    rate_bps: GBPS,
+                    test_bits: 512,
+                    seed: 1,
+                    die_start: 0,
+                    die_count: 0, // empty range
+                },
+                FrameError::BadPayload { context: "shard range must be non-empty" },
+            ),
+            (
+                JobSpec::EyeRange {
+                    rate_bps: GBPS,
+                    bits: 512,
+                    stim_seed: 21,
+                    seed: 9,
+                    phase_start: 40, // 40-step scan: starts past the end
+                    phase_count: 1,
+                },
+                overruns,
+            ),
+            (
+                JobSpec::EyeRange {
+                    // Bad parent (zero rate) embedded in a shard variant.
+                    rate_bps: 0,
+                    bits: 512,
+                    stim_seed: 21,
+                    seed: 9,
+                    phase_start: 0,
+                    phase_count: 1,
+                },
+                FrameError::BadPayload { context: "data rate below the 1 Mb/s service minimum" },
+            ),
         ];
-        for spec in specs {
-            assert!(spec.validate().is_err(), "{spec:?}");
+        for (spec, err) in cases {
+            assert_eq!(spec.validate(), Err(err.clone()), "{spec:?}");
             let bytes = spec.key_bytes();
             let mut r = Reader::new(&bytes);
-            assert!(JobSpec::decode(&mut r).is_err(), "{spec:?}");
+            assert_eq!(JobSpec::decode(&mut r), Err(err), "{spec:?}");
         }
     }
 

@@ -249,6 +249,63 @@ fn bathtub_cache_key_is_frozen() {
     assert_eq!(fnv1a64(&key), 0x6B67_8C1A_D11E_E228);
 }
 
+/// One spec of each of the seven kinds (three of them shard variants)
+/// with the length and FNV-1a digest of its canonical bytes. These bytes
+/// are the LRU key, the store key and the farm's route key, so no codec
+/// change may move one of them.
+fn frozen_spec_keys() -> [(JobSpec, usize, u64); 7] {
+    let shmoo = JobSpec::Shmoo {
+        rate_bps: 2_500_000_000,
+        bits: 256,
+        stim_seed: 17,
+        phase_step_fs: 10_000,
+        v_start_mv: -1650,
+        v_end_mv: -950,
+        v_step_mv: 50,
+        seed: 5,
+    };
+    let wafer = JobSpec::Wafer {
+        columns: 8,
+        dies: 64,
+        sites: 16,
+        hard_defect_rate: 0.06,
+        marginal_rate: 0.08,
+        rate_bps: 5_000_000_000,
+        test_bits: 512,
+        seed: 1,
+    };
+    let eye = JobSpec::Eye { rate_bps: 2_500_000_000, bits: 512, stim_seed: 21, seed: 9 };
+    let slice = |spec: JobSpec, start, count| spec.slice(start, count).expect("in-range slice");
+    [
+        (shmoo, 49, 0x38A5_C5D3_EDAB_32EF),
+        (wafer, 49, 0xEF36_D6E1_6F49_E28A),
+        (eye, 29, 0x4A4B_98F0_42A5_8532),
+        (golden_submit_spec(), 37, 0x6B67_8C1A_D11E_E228),
+        (slice(shmoo, 3, 4), 57, 0x05E3_03CD_EDA0_8A6A),
+        (slice(wafer, 10, 6), 57, 0x1DBE_C172_C768_9492),
+        (slice(eye, 7, 20), 37, 0x6E53_CE0B_FBE6_72B3),
+    ]
+}
+
+/// Every spec kind's cache key is frozen: its length and digest are
+/// pinned, it decodes back to the spec, and every strict prefix of it is
+/// rejected as truncated.
+#[test]
+fn every_spec_kind_cache_key_is_frozen() {
+    for (spec, len, digest) in frozen_spec_keys() {
+        let key = spec.key_bytes();
+        assert_eq!((key.len(), fnv1a64(&key)), (len, digest), "{spec:?}");
+        let mut r = wire::Reader::new(&key);
+        assert_eq!(JobSpec::decode(&mut r), Ok(spec));
+        assert_eq!(r.expect_end(), Ok(()), "{spec:?}");
+        for cut in 0..key.len() {
+            let err = JobSpec::decode(&mut wire::Reader::new(&key[..cut]))
+                .expect_err("a strict prefix of a key decoded");
+            assert!(matches!(err, FrameError::Truncated { .. }), "{spec:?} cut {cut}: {err:?}");
+        }
+    }
+}
+
 /// Payload-free control messages are a bare 20-byte header.
 #[test]
 fn control_frames_are_bare_headers() {
