@@ -365,8 +365,15 @@ impl JobSpec {
         if count == 0 || start.checked_add(count)? > extent {
             return None;
         }
-        let (s, c) = (u32::try_from(start).ok()?, u32::try_from(count).ok()?);
-        match *self {
+        self.shard(u32::try_from(start).ok()?, u32::try_from(count).ok()?)
+    }
+
+    /// The shard variant covering `[start, start + count)` of this spec,
+    /// built without any check: [`JobSpec::slice`] checks the range first,
+    /// and [`JobSpec::decode`] validates the result. `None` for specs that
+    /// have no shard form (bathtub, and the shard variants themselves).
+    fn shard(self, start: u32, count: u32) -> Option<JobSpec> {
+        match self {
             JobSpec::Shmoo {
                 rate_bps,
                 bits,
@@ -385,8 +392,8 @@ impl JobSpec {
                 v_end_mv,
                 v_step_mv,
                 seed,
-                row_start: s,
-                row_count: c,
+                row_start: start,
+                row_count: count,
             }),
             JobSpec::Wafer {
                 columns,
@@ -406,16 +413,16 @@ impl JobSpec {
                 rate_bps,
                 test_bits,
                 seed,
-                die_start: s,
-                die_count: c,
+                die_start: start,
+                die_count: count,
             }),
             JobSpec::Eye { rate_bps, bits, stim_seed, seed } => Some(JobSpec::EyeRange {
                 rate_bps,
                 bits,
                 stim_seed,
                 seed,
-                phase_start: s,
-                phase_count: c,
+                phase_start: start,
+                phase_count: count,
             }),
             _ => None,
         }
@@ -424,6 +431,13 @@ impl JobSpec {
     /// The full spec a shard variant was sliced from; `None` for specs
     /// that are not shard variants.
     pub fn parent(&self) -> Option<JobSpec> {
+        self.split().map(|(parent, _, _)| parent)
+    }
+
+    /// A shard variant as its parent spec and its band `(start, count)`:
+    /// the inverse of [`JobSpec::shard`]. `None` for specs that are not
+    /// shard variants.
+    pub(crate) fn split(&self) -> Option<(JobSpec, u32, u32)> {
         match *self {
             JobSpec::ShmooRows {
                 rate_bps,
@@ -434,17 +448,22 @@ impl JobSpec {
                 v_end_mv,
                 v_step_mv,
                 seed,
-                ..
-            } => Some(JobSpec::Shmoo {
-                rate_bps,
-                bits,
-                stim_seed,
-                phase_step_fs,
-                v_start_mv,
-                v_end_mv,
-                v_step_mv,
-                seed,
-            }),
+                row_start,
+                row_count,
+            } => Some((
+                JobSpec::Shmoo {
+                    rate_bps,
+                    bits,
+                    stim_seed,
+                    phase_step_fs,
+                    v_start_mv,
+                    v_end_mv,
+                    v_step_mv,
+                    seed,
+                },
+                row_start,
+                row_count,
+            )),
             JobSpec::WaferDies {
                 columns,
                 dies,
@@ -454,19 +473,24 @@ impl JobSpec {
                 rate_bps,
                 test_bits,
                 seed,
-                ..
-            } => Some(JobSpec::Wafer {
-                columns,
-                dies,
-                sites,
-                hard_defect_rate,
-                marginal_rate,
-                rate_bps,
-                test_bits,
-                seed,
-            }),
-            JobSpec::EyeRange { rate_bps, bits, stim_seed, seed, .. } => {
-                Some(JobSpec::Eye { rate_bps, bits, stim_seed, seed })
+                die_start,
+                die_count,
+            } => Some((
+                JobSpec::Wafer {
+                    columns,
+                    dies,
+                    sites,
+                    hard_defect_rate,
+                    marginal_rate,
+                    rate_bps,
+                    test_bits,
+                    seed,
+                },
+                die_start,
+                die_count,
+            )),
+            JobSpec::EyeRange { rate_bps, bits, stim_seed, seed, phase_start, phase_count } => {
+                Some((JobSpec::Eye { rate_bps, bits, stim_seed, seed }, phase_start, phase_count))
             }
             _ => None,
         }
@@ -574,19 +598,17 @@ impl JobSpec {
             // parent's shard extent. `shard_extent` returns `Some` exactly
             // when the parent validates, so a `None` here means the
             // embedded parent itself is bad.
-            JobSpec::ShmooRows { row_start, row_count, .. }
-            | JobSpec::WaferDies { die_start: row_start, die_count: row_count, .. }
-            | JobSpec::EyeRange { phase_start: row_start, phase_count: row_count, .. } => {
-                let Some(parent) = self.parent() else {
+            JobSpec::ShmooRows { .. } | JobSpec::WaferDies { .. } | JobSpec::EyeRange { .. } => {
+                let Some((parent, start, count)) = self.split() else {
                     return bad("shard variant without a parent spec");
                 };
                 let Some(extent) = parent.shard_extent() else {
                     return parent.validate();
                 };
-                if row_count == 0 {
+                if count == 0 {
                     return bad("shard range must be non-empty");
                 }
-                if u64::from(row_start).saturating_add(u64::from(row_count)) > extent {
+                if u64::from(start).saturating_add(u64::from(count)) > extent {
                     return bad("shard range overruns the parent spec's extent");
                 }
             }
@@ -607,9 +629,29 @@ impl JobSpec {
         }
     }
 
-    /// Canonical encoding — the bytes the result cache keys on.
+    /// The spec's wire tag.
+    fn tag(&self) -> u8 {
+        match self {
+            JobSpec::Shmoo { .. } => SPEC_SHMOO,
+            JobSpec::Wafer { .. } => SPEC_WAFER,
+            JobSpec::Eye { .. } => SPEC_EYE,
+            JobSpec::Bathtub { .. } => SPEC_BATHTUB,
+            JobSpec::ShmooRows { .. } => SPEC_SHMOO_ROWS,
+            JobSpec::WaferDies { .. } => SPEC_WAFER_DIES,
+            JobSpec::EyeRange { .. } => SPEC_EYE_RANGE,
+        }
+    }
+
+    /// Canonical encoding — the bytes the result cache keys on. A shard
+    /// variant is its own tag, then its parent's body, then its band's
+    /// start and count.
     pub fn encode(&self, w: &mut Writer) {
-        match *self {
+        w.u8(self.tag());
+        let (body, band) = match self.split() {
+            Some((parent, start, count)) => (parent, Some((start, count))),
+            None => (*self, None),
+        };
+        match body {
             JobSpec::Shmoo {
                 rate_bps,
                 bits,
@@ -620,7 +662,6 @@ impl JobSpec {
                 v_step_mv,
                 seed,
             } => {
-                w.u8(SPEC_SHMOO);
                 w.u64(rate_bps);
                 w.u32(bits);
                 w.u64(stim_seed);
@@ -640,7 +681,6 @@ impl JobSpec {
                 test_bits,
                 seed,
             } => {
-                w.u8(SPEC_WAFER);
                 w.u32(columns);
                 w.u32(dies);
                 w.u32(sites);
@@ -651,77 +691,24 @@ impl JobSpec {
                 w.u64(seed);
             }
             JobSpec::Eye { rate_bps, bits, stim_seed, seed } => {
-                w.u8(SPEC_EYE);
                 w.u64(rate_bps);
                 w.u32(bits);
                 w.u64(stim_seed);
                 w.u64(seed);
             }
             JobSpec::Bathtub { rj_rms_fs, dj_pp_fs, rate_bps, transition_density, points } => {
-                w.u8(SPEC_BATHTUB);
                 w.i64(rj_rms_fs);
                 w.i64(dj_pp_fs);
                 w.u64(rate_bps);
                 w.f64(transition_density);
                 w.u32(points);
             }
-            JobSpec::ShmooRows {
-                rate_bps,
-                bits,
-                stim_seed,
-                phase_step_fs,
-                v_start_mv,
-                v_end_mv,
-                v_step_mv,
-                seed,
-                row_start,
-                row_count,
-            } => {
-                w.u8(SPEC_SHMOO_ROWS);
-                w.u64(rate_bps);
-                w.u32(bits);
-                w.u64(stim_seed);
-                w.i64(phase_step_fs);
-                w.i32(v_start_mv);
-                w.i32(v_end_mv);
-                w.i32(v_step_mv);
-                w.u64(seed);
-                w.u32(row_start);
-                w.u32(row_count);
-            }
-            JobSpec::WaferDies {
-                columns,
-                dies,
-                sites,
-                hard_defect_rate,
-                marginal_rate,
-                rate_bps,
-                test_bits,
-                seed,
-                die_start,
-                die_count,
-            } => {
-                w.u8(SPEC_WAFER_DIES);
-                w.u32(columns);
-                w.u32(dies);
-                w.u32(sites);
-                w.f64(hard_defect_rate);
-                w.f64(marginal_rate);
-                w.u64(rate_bps);
-                w.u32(test_bits);
-                w.u64(seed);
-                w.u32(die_start);
-                w.u32(die_count);
-            }
-            JobSpec::EyeRange { rate_bps, bits, stim_seed, seed, phase_start, phase_count } => {
-                w.u8(SPEC_EYE_RANGE);
-                w.u64(rate_bps);
-                w.u32(bits);
-                w.u64(stim_seed);
-                w.u64(seed);
-                w.u32(phase_start);
-                w.u32(phase_count);
-            }
+            // A parent is never itself a shard variant.
+            JobSpec::ShmooRows { .. } | JobSpec::WaferDies { .. } | JobSpec::EyeRange { .. } => {}
+        }
+        if let Some((start, count)) = band {
+            w.u32(start);
+            w.u32(count);
         }
     }
 
@@ -739,7 +726,14 @@ impl JobSpec {
     /// [`FrameError`] on truncation, an unknown spec tag, or an
     /// out-of-domain field.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        let spec = match r.u8()? {
+        let tag = r.u8()?;
+        let body_tag = match tag {
+            SPEC_SHMOO_ROWS => SPEC_SHMOO,
+            SPEC_WAFER_DIES => SPEC_WAFER,
+            SPEC_EYE_RANGE => SPEC_EYE,
+            _ => tag,
+        };
+        let body = match body_tag {
             SPEC_SHMOO => JobSpec::Shmoo {
                 rate_bps: r.u64()?,
                 bits: r.u32()?,
@@ -773,39 +767,14 @@ impl JobSpec {
                 transition_density: r.f64()?,
                 points: r.u32()?,
             },
-            SPEC_SHMOO_ROWS => JobSpec::ShmooRows {
-                rate_bps: r.u64()?,
-                bits: r.u32()?,
-                stim_seed: r.u64()?,
-                phase_step_fs: r.i64()?,
-                v_start_mv: r.i32()?,
-                v_end_mv: r.i32()?,
-                v_step_mv: r.i32()?,
-                seed: r.u64()?,
-                row_start: r.u32()?,
-                row_count: r.u32()?,
-            },
-            SPEC_WAFER_DIES => JobSpec::WaferDies {
-                columns: r.u32()?,
-                dies: r.u32()?,
-                sites: r.u32()?,
-                hard_defect_rate: r.f64()?,
-                marginal_rate: r.f64()?,
-                rate_bps: r.u64()?,
-                test_bits: r.u32()?,
-                seed: r.u64()?,
-                die_start: r.u32()?,
-                die_count: r.u32()?,
-            },
-            SPEC_EYE_RANGE => JobSpec::EyeRange {
-                rate_bps: r.u64()?,
-                bits: r.u32()?,
-                stim_seed: r.u64()?,
-                seed: r.u64()?,
-                phase_start: r.u32()?,
-                phase_count: r.u32()?,
-            },
             _ => return Err(FrameError::BadPayload { context: "job spec tag" }),
+        };
+        let spec = if body_tag == tag {
+            body
+        } else {
+            let start = r.u32()?;
+            let count = r.u32()?;
+            body.shard(start, count).ok_or(FrameError::BadPayload { context: "job spec tag" })?
         };
         spec.validate()?;
         Ok(spec)

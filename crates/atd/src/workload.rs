@@ -13,6 +13,7 @@ use pstime::{DataRate, Duration, Millivolts};
 
 use crate::error::AtdError;
 use crate::proto::{JobResult, JobSpec};
+use crate::wire::FrameError;
 
 fn to_usize(v: u32) -> usize {
     usize::try_from(v).unwrap_or(usize::MAX)
@@ -44,7 +45,14 @@ fn prbs_stimulus(
 /// errors otherwise.
 pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
     spec.validate()?;
-    match *spec {
+    // A shard variant runs its parent's workload through the band entry
+    // point, so every cell/die/point seeds from its global substream: the
+    // sub-result is byte-for-byte the band a full run would have produced.
+    let (spec, band) = match spec.split() {
+        Some((parent, start, count)) => (parent, Some((to_usize(start), to_usize(count)))),
+        None => (*spec, None),
+    };
+    match spec {
         JobSpec::Shmoo {
             rate_bps,
             bits,
@@ -63,9 +71,11 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
                 v_end: Millivolts::new(v_end_mv),
                 v_step: Millivolts::new(v_step_mv),
             };
-            let plot =
-                minitester::ShmooJob { wave: &wave, rate, expected: &expected, config, seed }
-                    .run_on(pool)?;
+            let job = minitester::ShmooJob { wave: &wave, rate, expected: &expected, config, seed };
+            let plot = match band {
+                Some((start, count)) => job.run_rows_on(pool, start, count)?,
+                None => job.run_on(pool)?,
+            };
             Ok(JobResult::from_shmoo(&plot)?)
         }
         JobSpec::Wafer {
@@ -88,21 +98,27 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
                 test_bits: to_usize(test_bits),
                 seed,
             };
-            let report = config.run_on(pool)?;
+            let report = match band {
+                Some((start, count)) => config.run_dies_on(pool, start, count)?,
+                None => config.run_on(pool)?,
+            };
             Ok(JobResult::from_wafer(&report)?)
         }
         JobSpec::Eye { rate_bps, bits, stim_seed, seed } => {
             let rate = DataRate::from_bps(rate_bps);
             let (expected, wave) = prbs_stimulus(rate, bits, stim_seed)?;
             let capture = minitester::EtCapture::new();
-            let scan = minitester::EyeScanJob {
+            let job = minitester::EyeScanJob {
                 capture: &capture,
                 wave: &wave,
                 rate,
                 expected: &expected,
                 seed,
-            }
-            .run_on(pool)?;
+            };
+            let scan = match band {
+                Some((start, count)) => job.run_range_on(pool, start, count)?,
+                None => job.run_on(pool)?,
+            };
             Ok(JobResult::from_eye(&scan)?)
         }
         JobSpec::Bathtub { rj_rms_fs, dj_pp_fs, rate_bps, transition_density, points } => {
@@ -116,73 +132,9 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
                 signal::BathtubSweep { curve: &curve, points: to_usize(points) }.run_on(pool)?;
             Ok(JobResult::from_bathtub(pairs))
         }
-        // Shard variants: identical argument reconstruction to their
-        // parents, run through the range entry points so every cell/die/
-        // point seeds from its global substream — the sub-result is
-        // byte-for-byte the band a full run would have produced.
-        JobSpec::ShmooRows {
-            rate_bps,
-            bits,
-            stim_seed,
-            phase_step_fs,
-            v_start_mv,
-            v_end_mv,
-            v_step_mv,
-            seed,
-            row_start,
-            row_count,
-        } => {
-            let rate = DataRate::from_bps(rate_bps);
-            let (expected, wave) = prbs_stimulus(rate, bits, stim_seed)?;
-            let config = minitester::ShmooConfig {
-                phase_step: Duration::from_fs(phase_step_fs),
-                v_start: Millivolts::new(v_start_mv),
-                v_end: Millivolts::new(v_end_mv),
-                v_step: Millivolts::new(v_step_mv),
-            };
-            let plot =
-                minitester::ShmooJob { wave: &wave, rate, expected: &expected, config, seed }
-                    .run_rows_on(pool, to_usize(row_start), to_usize(row_count))?;
-            Ok(JobResult::from_shmoo(&plot)?)
-        }
-        JobSpec::WaferDies {
-            columns,
-            dies,
-            sites,
-            hard_defect_rate,
-            marginal_rate,
-            rate_bps,
-            test_bits,
-            seed,
-            die_start,
-            die_count,
-        } => {
-            let config = minitester::WaferRunConfig {
-                columns: to_usize(columns),
-                dies: to_usize(dies),
-                sites: to_usize(sites),
-                hard_defect_rate,
-                marginal_rate,
-                rate: DataRate::from_bps(rate_bps),
-                test_bits: to_usize(test_bits),
-                seed,
-            };
-            let report = config.run_dies_on(pool, to_usize(die_start), to_usize(die_count))?;
-            Ok(JobResult::from_wafer(&report)?)
-        }
-        JobSpec::EyeRange { rate_bps, bits, stim_seed, seed, phase_start, phase_count } => {
-            let rate = DataRate::from_bps(rate_bps);
-            let (expected, wave) = prbs_stimulus(rate, bits, stim_seed)?;
-            let capture = minitester::EtCapture::new();
-            let scan = minitester::EyeScanJob {
-                capture: &capture,
-                wave: &wave,
-                rate,
-                expected: &expected,
-                seed,
-            }
-            .run_range_on(pool, to_usize(phase_start), to_usize(phase_count))?;
-            Ok(JobResult::from_eye(&scan)?)
+        // `split` never yields a shard variant as a parent.
+        JobSpec::ShmooRows { .. } | JobSpec::WaferDies { .. } | JobSpec::EyeRange { .. } => {
+            Err(FrameError::BadPayload { context: "shard variant without a parent spec" }.into())
         }
     }
 }
@@ -203,7 +155,8 @@ mod tests {
         let expected = path.expected_prbs(rate, 256).unwrap();
         let mut stim = minitester::MiniTesterDatapath::new().unwrap();
         let wave = stim.prbs_stimulus(rate, 256, 17).unwrap();
-        let plot = minitester::ShmooPlot::run_with_pool(&wave, rate, &expected, &config, 5, &pool)
+        let plot = minitester::ShmooJob { wave: &wave, rate, expected: &expected, config, seed: 5 }
+            .run_on(&pool)
             .unwrap();
         assert_eq!(remote, JobResult::from_shmoo(&plot).unwrap());
         assert_eq!(remote.rendered(), plot.to_string());
@@ -218,7 +171,9 @@ mod tests {
         let spec = JobSpec::bathtub(rj, dj, rate, 0.5, 101);
         let remote = execute(&spec, &pool).unwrap();
         let curve = signal::BathtubCurve::new(rj, dj, rate, 0.5);
-        let pairs = curve.sweep(101).unwrap();
+        let pairs = signal::BathtubSweep { curve: &curve, points: 101 }
+            .run_on(&ExecPool::serial())
+            .unwrap();
         assert_eq!(remote, JobResult::from_bathtub(pairs));
     }
 

@@ -131,23 +131,15 @@ impl PlacementPoint {
 /// reports achieved placement — quantization plus INL. The worst-case error
 /// bounds the system's edge-placement accuracy (the SUMMARY experiment).
 ///
-/// # Errors
-///
-/// Propagates vernier range errors; [`AteError::BadProgram`] for a
-/// non-positive step.
-pub fn placement_audit(range: Duration, step: Duration) -> Result<Vec<PlacementPoint>> {
-    placement_audit_with_pool(range, step, &exec::ExecPool::serial())
-}
-
-/// [`placement_audit`] fanned out over an explicit worker pool: each
-/// requested placement `step × k` is an independent vernier programming,
-/// so the audit is bit-identical for every thread count.
+/// Each requested placement `step × k` is an independent vernier
+/// programming fanned out over `pool`, so the audit is bit-identical for
+/// every thread count.
 ///
 /// # Errors
 ///
 /// Propagates vernier range and execution errors; [`AteError::BadProgram`]
 /// for a non-positive step.
-pub fn placement_audit_with_pool(
+pub fn placement_audit(
     range: Duration,
     step: Duration,
     pool: &exec::ExecPool,
@@ -231,7 +223,9 @@ mod tests {
     fn placement_audit_bounds_error() {
         // Sweep the full 10 ns range in 137 ps requests (odd step exercises
         // quantization).
-        let points = placement_audit(Duration::from_ns(10), Duration::from_ps(137)).unwrap();
+        let serial = exec::ExecPool::serial();
+        let points =
+            placement_audit(Duration::from_ns(10), Duration::from_ps(137), &serial).unwrap();
         assert!(points.len() > 70);
         let worst = worst_placement_error(&points);
         // Half a 10 ps step + 2 ps INL = 7 ps, far inside ±25 ps.
@@ -244,7 +238,8 @@ mod tests {
 
     #[test]
     fn exact_requests_have_only_inl_error() {
-        let points = placement_audit(Duration::from_ns(5), Duration::from_ps(10)).unwrap();
+        let serial = exec::ExecPool::serial();
+        let points = placement_audit(Duration::from_ns(5), Duration::from_ps(10), &serial).unwrap();
         let worst = worst_placement_error(&points);
         assert!(worst <= Duration::from_ps(2), "worst {worst}");
     }
@@ -258,18 +253,19 @@ mod tests {
     fn audit_is_thread_count_invariant() {
         let range = Duration::from_ns(10);
         let step = Duration::from_ps(137);
-        let serial = placement_audit(range, step).unwrap();
+        let serial = placement_audit(range, step, &exec::ExecPool::serial()).unwrap();
         for threads in [2, 8] {
-            let parallel =
-                placement_audit_with_pool(range, step, &exec::ExecPool::new(threads)).unwrap();
+            let parallel = placement_audit(range, step, &exec::ExecPool::new(threads)).unwrap();
             assert_eq!(parallel, serial, "threads={threads}");
         }
     }
 
     #[test]
     fn audit_rejects_nonpositive_step() {
-        let err = placement_audit(Duration::from_ns(1), Duration::ZERO).unwrap_err();
+        let serial = exec::ExecPool::serial();
+        let err = placement_audit(Duration::from_ns(1), Duration::ZERO, &serial).unwrap_err();
         assert!(matches!(err, AteError::BadProgram { .. }));
-        assert!(placement_audit(Duration::from_ns(-1), Duration::from_ps(10)).unwrap().is_empty());
+        let empty = placement_audit(Duration::from_ns(-1), Duration::from_ps(10), &serial).unwrap();
+        assert!(empty.is_empty());
     }
 }

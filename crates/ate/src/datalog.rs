@@ -337,7 +337,8 @@ mod tests {
 
     #[test]
     fn datalog_from_a_wafer_run() {
-        use minitester::{run_wafer, WaferRunConfig};
+        use exec::PoolJob;
+        use minitester::WaferRunConfig;
         let config = WaferRunConfig {
             dies: 12,
             columns: 4,
@@ -348,7 +349,7 @@ mod tests {
             seed: 11,
             ..WaferRunConfig::default()
         };
-        let report = run_wafer(&config).unwrap();
+        let report = config.run_on(&exec::ExecPool::from_env()).unwrap();
         let datalog = from_wafer(&report, 0.8);
         assert_eq!(datalog.devices().len(), 12);
         // Datalog yield equals the wafer report's.

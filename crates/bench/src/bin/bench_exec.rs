@@ -11,20 +11,23 @@
 //! `headbench`, the one timed harness.
 
 use ate::AteError;
-use exec::ExecPool;
+use exec::{ExecPool, PoolJob};
 use minitester::multisite::WaferRunConfig;
-use minitester::{EtCapture, MiniTesterDatapath, ShmooConfig, ShmooPlot};
+use minitester::{EtCapture, EyeScanJob, MiniTesterDatapath, ShmooConfig, ShmooJob};
 use pecl::SignalChain;
 use pstime::DataRate;
-use signal::BathtubCurve;
+use signal::{BathtubCurve, BathtubSweep};
 
 /// Prints deterministic sweep outputs and nothing else; byte-identical
 /// output for every `EXEC_THREADS` is the cross-layer determinism proof.
 fn canary() -> Result<(), AteError> {
+    let pool = ExecPool::from_env();
     let rate = DataRate::from_gbps(2.5);
     let expected = MiniTesterDatapath::new()?.expected_prbs(rate, 512)?;
     let wave = MiniTesterDatapath::new()?.prbs_stimulus(rate, 512, 17)?;
-    let plot = ShmooPlot::run(&wave, rate, &expected, &ShmooConfig::pecl(), 1)?;
+    let (wave, expected) = (&wave, &expected);
+    let config = ShmooConfig::pecl();
+    let plot = ShmooJob { wave, rate, expected, config, seed: 1 }.run_on(&pool)?;
     println!("== shmoo ==\n{plot}");
 
     let wafer = WaferRunConfig {
@@ -34,19 +37,19 @@ fn canary() -> Result<(), AteError> {
         test_bits: 256,
         ..WaferRunConfig::default()
     };
-    let report = minitester::multisite::run_wafer(&wafer)?;
+    let report = wafer.run_on(&pool)?;
     println!("== wafer ==\n{report}");
 
-    let scan =
-        EtCapture::new().eye_scan_with_pool(&wave, rate, &expected, 5, &ExecPool::from_env())?;
+    let capture = EtCapture::new();
+    let scan = EyeScanJob { capture: &capture, wave, rate, expected, seed: 5 }.run_on(&pool)?;
     println!("== eye ==\n{scan}");
 
-    let jitter = bench_support::fig09_edge_jitter(400, 9)?;
+    let jitter = bench_support::fig09_edge_jitter(400, 9, &pool)?;
     println!("== jitter ==\n{jitter}");
 
     let chain = SignalChain::minitester_datapath();
     let bathtub = BathtubCurve::new(chain.rj_rms(), chain.dj_pp(), rate, 0.5);
-    let sweep = bathtub.sweep_with_pool(10_001, &ExecPool::from_env())?;
+    let sweep = BathtubSweep { curve: &bathtub, points: 10_001 }.run_on(&pool)?;
     let digest = sweep
         .iter()
         .fold(0u64, |acc, (phase, ber)| acc ^ phase.to_bits() ^ ber.to_bits().rotate_left(17));

@@ -151,23 +151,12 @@ pub fn fig08_eye_4g0(seed: u64) -> Result<Report, AteError> {
 /// acquisitions (no data-dependent effects).
 ///
 /// Each acquisition renders an independently seeded edge, so the loop fans
-/// out over the default [`exec::ExecPool`] with bit-identical results for
-/// every thread count.
+/// out over `pool` with bit-identical results for every thread count.
 ///
 /// # Errors
 ///
 /// Propagates render, edge-measurement, and execution errors.
-pub fn fig09_edge_jitter(acquisitions: usize, seed: u64) -> Result<Report, AteError> {
-    fig09_edge_jitter_with_pool(acquisitions, seed, &exec::ExecPool::from_env())
-}
-
-/// [`fig09_edge_jitter`] with an explicit worker pool — the hook used by
-/// benchmarks and thread-count-invariance tests.
-///
-/// # Errors
-///
-/// Propagates render, edge-measurement, and execution errors.
-pub fn fig09_edge_jitter_with_pool(
+pub fn fig09_edge_jitter(
     acquisitions: usize,
     seed: u64,
     pool: &exec::ExecPool,
@@ -387,7 +376,8 @@ pub fn fig19_mini_eye_5g0(seed: u64) -> Result<Report, AteError> {
 ///
 /// Propagates placement-audit errors.
 pub fn summary_timing_accuracy() -> Result<Report, AteError> {
-    let points = placement_audit(Duration::from_ns(10), Duration::from_ps(137))?;
+    let points =
+        placement_audit(Duration::from_ns(10), Duration::from_ps(137), &exec::ExecPool::serial())?;
     let worst = worst_placement_error(&points);
     let mut report = Report::new();
     // The paper claims a ±25 ps bound; our measured worst-case placement
@@ -501,7 +491,7 @@ pub fn full_report(seed: u64) -> Result<Report, AteError> {
         fig06_tx_waveforms(seed)?,
         fig07_eye_2g5(seed)?,
         fig08_eye_4g0(seed)?,
-        fig09_edge_jitter(2_000, seed)?,
+        fig09_edge_jitter(2_000, seed, &exec::ExecPool::from_env())?,
         fig10_fig11_levels(seed)?,
         fig13_parallel_probe()?,
         fig16_mini_eye_1g0(seed)?,
@@ -558,8 +548,8 @@ mod tests {
 
     #[test]
     fn fig09_is_thread_count_invariant() {
-        let serial = fig09_edge_jitter_with_pool(200, 9, &exec::ExecPool::serial()).expect("runs");
-        let wide = fig09_edge_jitter_with_pool(200, 9, &exec::ExecPool::new(4)).expect("runs");
+        let serial = fig09_edge_jitter(200, 9, &exec::ExecPool::serial()).expect("runs");
+        let wide = fig09_edge_jitter(200, 9, &exec::ExecPool::new(4)).expect("runs");
         assert_eq!(serial.rows().len(), wide.rows().len());
         for (a, b) in serial.rows().iter().zip(wide.rows()) {
             assert_eq!(a.measured.to_bits(), b.measured.to_bits());

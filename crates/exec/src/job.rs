@@ -2,13 +2,14 @@
 //! sweep.
 //!
 //! Every exec-powered sweep in the workspace — shmoo grids, wafer runs,
-//! eye scans, bathtub sweeps — used to expose a `run`/`run_with_pool`
-//! pair whose relationship was convention, not contract. [`PoolJob`]
-//! makes the pool-parameterized form the single canonical entry point:
+//! eye scans, bathtub sweeps — has one entry point, [`PoolJob::run_on`]:
 //! a workload is a value describing *what* to compute, and `run_on`
-//! computes it on an explicit [`crate::ExecPool`]. The old names remain
-//! as thin wrappers; schedulers (benchmarks, the `atd` service layer)
-//! drive every workload through this one trait.
+//! computes it on an explicit [`crate::ExecPool`]. The caller chooses the
+//! pool, so the nesting policy is visible at each call site: an outermost
+//! loop passes [`crate::ExecPool::from_env`], and work already running
+//! inside a pool job passes [`crate::ExecPool::serial`]. Schedulers
+//! (benchmarks, the `atd` service layer) drive every workload through
+//! this one trait.
 
 use crate::error::ExecError;
 use crate::pool::ExecPool;

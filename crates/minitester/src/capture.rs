@@ -148,7 +148,8 @@ impl fmt::Display for EyeScan {
 /// # Examples
 ///
 /// ```
-/// use minitester::{EtCapture, MiniTesterDatapath};
+/// use exec::{ExecPool, PoolJob};
+/// use minitester::{EtCapture, EyeScanJob, MiniTesterDatapath};
 /// use pstime::DataRate;
 ///
 /// let mut path = MiniTesterDatapath::new()?;
@@ -156,7 +157,8 @@ impl fmt::Display for EyeScan {
 /// let expected = path.expected_prbs(rate, 512)?;
 /// let wave = path.prbs_stimulus(rate, 512, 3)?;
 /// let capture = EtCapture::new();
-/// let scan = capture.eye_scan(&wave, rate, &expected, 11)?;
+/// let job = EyeScanJob { capture: &capture, wave: &wave, rate, expected: &expected, seed: 11 };
+/// let scan = job.run_on(&ExecPool::serial())?;
 /// assert!(scan.opening_ui()?.value() > 0.7);
 /// # Ok::<(), minitester::MiniTesterError>(())
 /// ```
@@ -212,53 +214,18 @@ impl EtCapture {
         let (errors, compared) = got.hamming_distance(expected);
         Ok(ScanPoint { phase: vernier.nominal_delay(), compared, errors })
     }
-
-    /// Sweeps the strobe across one unit interval in vernier steps,
-    /// reconstructing the horizontal eye.
-    ///
-    /// Runs serially: eye scans typically execute *inside* a die- or
-    /// cell-level job that is already fanned out (wafer sweeps, shmoo
-    /// grids), so nesting another pool here would oversubscribe. Direct
-    /// callers with an otherwise idle machine can use
-    /// [`EtCapture::eye_scan_with_pool`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates vernier errors.
-    pub fn eye_scan(
-        &self,
-        wave: &AnalogWaveform,
-        rate: DataRate,
-        expected: &BitStream,
-        seed: u64,
-    ) -> Result<EyeScan> {
-        self.eye_scan_with_pool(wave, rate, expected, seed, &exec::ExecPool::serial())
-    }
-
-    /// [`EtCapture::eye_scan`] with an explicit worker pool: one job per
-    /// strobe phase, each drawing from its own `tree.index(k)` substream,
-    /// so the scan is bit-identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates vernier and execution errors.
-    pub fn eye_scan_with_pool(
-        &self,
-        wave: &AnalogWaveform,
-        rate: DataRate,
-        expected: &BitStream,
-        seed: u64,
-        pool: &exec::ExecPool,
-    ) -> Result<EyeScan> {
-        use exec::PoolJob;
-        EyeScanJob { capture: self, wave, rate, expected, seed }.run_on(pool)
-    }
 }
 
-/// An equivalent-time eye scan described as a value: the canonical
-/// pool-parameterized entry point ([`exec::PoolJob`]) behind
-/// [`EtCapture::eye_scan`] / [`EtCapture::eye_scan_with_pool`], and the
+/// An equivalent-time eye scan described as a value: the one entry point
+/// ([`exec::PoolJob::run_on`]) that sweeps the strobe across one unit
+/// interval in vernier steps, reconstructing the horizontal eye, and the
 /// scheduling surface the `atd` service layer drives.
+///
+/// One job per strobe phase, each drawing from its own `tree.index(k)`
+/// substream, so the scan is bit-identical for every thread count. A scan
+/// that runs inside a job already fanned out (a wafer die, a shmoo cell)
+/// passes [`exec::ExecPool::serial`], so thread counts compose instead of
+/// multiplying.
 #[derive(Debug, Clone, Copy)]
 pub struct EyeScanJob<'a> {
     /// The capture head (sampler threshold + strobe vernier).
@@ -347,6 +314,7 @@ impl Default for EtCapture {
 mod tests {
     use super::*;
     use crate::datapath::MiniTesterDatapath;
+    use exec::PoolJob;
 
     fn prbs_setup(gbps: f64, bits: usize) -> (AnalogWaveform, DataRate, BitStream) {
         let mut path = MiniTesterDatapath::new().unwrap();
@@ -357,10 +325,22 @@ mod tests {
         (wave, rate, expected)
     }
 
+    /// A serial scan with a fresh capture head.
+    fn serial_scan(
+        wave: &AnalogWaveform,
+        rate: DataRate,
+        expected: &BitStream,
+        seed: u64,
+    ) -> Result<EyeScan> {
+        let capture = EtCapture::new();
+        EyeScanJob { capture: &capture, wave, rate, expected, seed }
+            .run_on(&exec::ExecPool::serial())
+    }
+
     #[test]
     fn scan_reconstructs_the_paper_eye_at_2g5() {
         let (wave, rate, expected) = prbs_setup(2.5, 1024);
-        let scan = EtCapture::new().eye_scan(&wave, rate, &expected, 5).unwrap();
+        let scan = serial_scan(&wave, rate, &expected, 5).unwrap();
         // 400 ps UI / 10 ps steps = 40 points.
         assert_eq!(scan.points().len(), 40);
         assert_eq!(scan.step(), Duration::from_ps(10));
@@ -376,9 +356,8 @@ mod tests {
     fn five_gbps_eye_is_narrower() {
         let (w2, r2, e2) = prbs_setup(2.5, 1024);
         let (w5, r5, e5) = prbs_setup(5.0, 1024);
-        let cap = EtCapture::new();
-        let s2 = cap.eye_scan(&w2, r2, &e2, 1).unwrap().opening_ui().unwrap();
-        let s5 = cap.eye_scan(&w5, r5, &e5, 1).unwrap().opening_ui().unwrap();
+        let s2 = serial_scan(&w2, r2, &e2, 1).unwrap().opening_ui().unwrap();
+        let s5 = serial_scan(&w5, r5, &e5, 1).unwrap().opening_ui().unwrap();
         assert!(s5.value() < s2.value(), "5G {} !< 2.5G {}", s5, s2);
         assert!(s5.value() > 0.5);
     }
@@ -386,7 +365,7 @@ mod tests {
     #[test]
     fn best_phase_is_mid_eye() {
         let (wave, rate, expected) = prbs_setup(2.5, 512);
-        let scan = EtCapture::new().eye_scan(&wave, rate, &expected, 2).unwrap();
+        let scan = serial_scan(&wave, rate, &expected, 2).unwrap();
         let best = scan.best_phase().unwrap();
         // Somewhere near the middle of the 400 ps UI, away from edges.
         let ps = best.as_ps_f64();
@@ -398,14 +377,13 @@ mod tests {
         // Expected bits uncorrelated with the waveform: every phase errors.
         let (wave, rate, _) = prbs_setup(2.5, 512);
         let garbage = BitStream::alternating(512);
-        let scan = EtCapture::new().eye_scan(&wave, rate, &garbage, 3).unwrap();
+        let scan = serial_scan(&wave, rate, &garbage, 3).unwrap();
         assert!(matches!(scan.opening_ui(), Err(MiniTesterError::EyeClosed)));
         assert!(matches!(scan.best_phase(), Err(MiniTesterError::EyeClosed)));
     }
 
     #[test]
     fn strobe_ranges_concatenate_to_the_full_scan() {
-        use exec::PoolJob;
         let (wave, rate, expected) = prbs_setup(2.5, 512);
         let capture = EtCapture::new();
         let job = EyeScanJob { capture: &capture, wave: &wave, rate, expected: &expected, seed: 5 };
@@ -425,7 +403,6 @@ mod tests {
 
     #[test]
     fn out_of_range_strobe_ranges_rejected() {
-        use exec::PoolJob;
         let (wave, rate, expected) = prbs_setup(2.5, 512);
         let capture = EtCapture::new();
         let job = EyeScanJob { capture: &capture, wave: &wave, rate, expected: &expected, seed: 5 };
@@ -474,7 +451,9 @@ mod bathtub_tests {
         let expected = path.expected_prbs(rate, 1_024).unwrap();
         let mut path2 = MiniTesterDatapath::new().unwrap();
         let wave = path2.prbs_stimulus(rate, 1_024, 31).unwrap();
-        let scan = EtCapture::new().eye_scan(&wave, rate, &expected, 7).unwrap();
+        let capture = EtCapture::new();
+        let job = EyeScanJob { capture: &capture, wave: &wave, rate, expected: &expected, seed: 7 };
+        let scan = exec::PoolJob::run_on(&job, &exec::ExecPool::serial()).unwrap();
         let tub = scan.bathtub();
         assert_eq!(tub.len(), 40);
         // Phases span one UI.

@@ -53,7 +53,7 @@ pub use channel::WlpChannel;
 pub use datapath::MiniTesterDatapath;
 pub use dut::{BistMode, Defect, WlpDut};
 pub use error::MiniTesterError;
-pub use multisite::{run_wafer, Bin, DieRecord, WaferReport, WaferRunConfig};
+pub use multisite::{Bin, DieRecord, WaferReport, WaferRunConfig};
 pub use shmoo::{ShmooConfig, ShmooJob, ShmooPlot};
 pub use tester::{MiniTester, PreparedPlan, TestOutcome, TestPlan};
 

@@ -201,40 +201,19 @@ struct DieOutcome {
     injected_marginal: bool,
 }
 
-/// Runs a full wafer through an array of real mini-testers.
-///
-/// Each die gets a BIST pass/fail and, if it passes, an at-speed loopback
-/// margin test. Defects are injected per the configured rates (seeded,
-/// reproducible). Dies are fanned out over the default [`exec::ExecPool`];
-/// every die derives both its defect roll and its test-content seeds from
-/// die-indexed substreams, so the report is bit-identical for every thread
-/// count.
-///
-/// # Errors
-///
-/// Propagates tester construction/run and execution errors.
-pub fn run_wafer(config: &WaferRunConfig) -> Result<WaferReport> {
-    run_wafer_with_pool(config, &exec::ExecPool::from_env())
-}
-
-/// [`run_wafer`] with an explicit worker pool — the hook used by
-/// benchmarks and thread-count-invariance tests.
-///
-/// # Errors
-///
-/// Propagates tester construction/run and execution errors.
-pub fn run_wafer_with_pool(config: &WaferRunConfig, pool: &exec::ExecPool) -> Result<WaferReport> {
-    use exec::PoolJob;
-    config.run_on(pool)
-}
-
 impl exec::PoolJob for WaferRunConfig {
     type Output = WaferReport;
     type Error = crate::MiniTesterError;
 
-    /// The canonical pool-parameterized wafer run ([`run_wafer`] and
-    /// [`run_wafer_with_pool`] are thin wrappers): one job per die, each
-    /// deriving defect and test-content seeds from die-indexed substreams.
+    /// Runs a full wafer through an array of real mini-testers: the one
+    /// entry point for a wafer run.
+    ///
+    /// Each die gets a BIST pass/fail and, if it passes, an at-speed
+    /// loopback margin test. Defects are injected per the configured rates
+    /// (seeded, reproducible). Dies are fanned out over `pool`, one job per
+    /// die; every die derives both its defect roll and its test-content
+    /// seeds from die-indexed substreams, so the report is bit-identical
+    /// for every thread count.
     fn run_on(&self, pool: &exec::ExecPool) -> Result<WaferReport> {
         run_wafer_inner(self, pool, 0, self.dies)
     }
@@ -363,6 +342,7 @@ fn run_wafer_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exec::PoolJob;
 
     #[test]
     fn clean_wafer_yields_everything() {
@@ -375,7 +355,7 @@ mod tests {
             test_bits: 256,
             ..WaferRunConfig::default()
         };
-        let report = run_wafer(&config).unwrap();
+        let report = config.run_on(&exec::ExecPool::from_env()).unwrap();
         assert_eq!(report.bins().len(), 8);
         assert_eq!(report.yield_ratio(), 1.0);
         assert_eq!(report.escapes(), 0);
@@ -395,7 +375,7 @@ mod tests {
             seed: 5,
             ..WaferRunConfig::default()
         };
-        let report = run_wafer(&config).unwrap();
+        let report = config.run_on(&exec::ExecPool::from_env()).unwrap();
         let (hard, _) = report.injected_defects();
         assert!(hard > 0, "the seed should inject some defects");
         assert_eq!(report.count(Bin::FailBist), hard, "every stuck die caught");
@@ -415,7 +395,7 @@ mod tests {
             test_bits: 512,
             seed: 7,
         };
-        let report = run_wafer(&config).unwrap();
+        let report = config.run_on(&exec::ExecPool::from_env()).unwrap();
         assert_eq!(report.count(Bin::Good), 0, "{report}");
         assert!(report.count(Bin::FailMargin) + report.count(Bin::FailBist) == 8);
     }
@@ -431,7 +411,7 @@ mod tests {
             seed: 11,
             ..WaferRunConfig::default()
         };
-        let report = run_wafer(&config).unwrap();
+        let report = config.run_on(&exec::ExecPool::from_env()).unwrap();
         let map = report.to_string();
         assert!(map.contains("yield"));
         assert_eq!(map.lines().count(), 5); // 4 rows + summary
@@ -451,7 +431,7 @@ mod tests {
             ..WaferRunConfig::default()
         };
         let pool = exec::ExecPool::new(2);
-        let full = run_wafer_with_pool(&config, &pool).unwrap();
+        let full = config.run_on(&pool).unwrap();
         for split in [1, 5, 11] {
             let lo = config.run_dies_on(&pool, 0, split).unwrap();
             let hi = config.run_dies_on(&pool, split, config.dies - split).unwrap();
@@ -486,8 +466,8 @@ mod tests {
     fn reproducible_given_seed() {
         let config =
             WaferRunConfig { dies: 8, sites: 4, test_bits: 256, ..WaferRunConfig::default() };
-        let a = run_wafer(&config).unwrap();
-        let b = run_wafer(&config).unwrap();
+        let a = config.run_on(&exec::ExecPool::from_env()).unwrap();
+        let b = config.run_on(&exec::ExecPool::from_env()).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -70,10 +70,13 @@ impl ShmooConfig {
     }
 }
 
-/// A shmoo sweep described as a value: the canonical pool-parameterized
-/// entry point ([`exec::PoolJob`]) shared by in-process callers and the
-/// `atd` service layer. [`ShmooPlot::run`] and
-/// [`ShmooPlot::run_with_pool`] are thin wrappers over this.
+/// A shmoo sweep described as a value: the one entry point
+/// ([`exec::PoolJob::run_on`]) shared by in-process callers and the `atd`
+/// service layer.
+///
+/// Grid cells are fanned out over the pool; every cell draws its
+/// randomness from its own `tree.index(row).index(col)` substream, so the
+/// plot is bit-identical for every thread count.
 #[derive(Debug, Clone, Copy)]
 pub struct ShmooJob<'a> {
     /// The stimulus waveform presented to the sampler.
@@ -213,45 +216,6 @@ impl ShmooPlot {
         Ok(ShmooPlot { thresholds, phases, pass })
     }
 
-    /// Runs the shmoo: for each (threshold, phase) point, capture the
-    /// pattern and mark pass (zero errors) or fail.
-    ///
-    /// Grid cells are fanned out over the default [`exec::ExecPool`]
-    /// (`EXEC_THREADS` / available parallelism); every cell draws its
-    /// randomness from its own `tree.index(row).index(col)` substream, so
-    /// the plot is bit-identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration, capture, and execution errors.
-    pub fn run(
-        wave: &AnalogWaveform,
-        rate: DataRate,
-        expected: &BitStream,
-        config: &ShmooConfig,
-        seed: u64,
-    ) -> Result<ShmooPlot> {
-        ShmooPlot::run_with_pool(wave, rate, expected, config, seed, &exec::ExecPool::from_env())
-    }
-
-    /// [`ShmooPlot::run`] with an explicit worker pool — the hook used by
-    /// benchmarks and thread-count-invariance tests.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration, capture, and execution errors.
-    pub fn run_with_pool(
-        wave: &AnalogWaveform,
-        rate: DataRate,
-        expected: &BitStream,
-        config: &ShmooConfig,
-        seed: u64,
-        pool: &exec::ExecPool,
-    ) -> Result<ShmooPlot> {
-        use exec::PoolJob;
-        ShmooJob { wave, rate, expected, config: *config, seed }.run_on(pool)
-    }
-
     /// Threshold rows (ascending).
     pub fn thresholds(&self) -> &[Millivolts] {
         &self.thresholds
@@ -332,6 +296,7 @@ impl fmt::Display for ShmooPlot {
 mod tests {
     use super::*;
     use crate::datapath::MiniTesterDatapath;
+    use exec::PoolJob;
 
     fn prbs_setup(gbps: f64) -> (AnalogWaveform, DataRate, BitStream) {
         let mut path = MiniTesterDatapath::new().unwrap();
@@ -342,10 +307,21 @@ mod tests {
         (wave, rate, expected)
     }
 
+    /// A full sweep on the default pool, as an outermost caller runs it.
+    fn run(
+        wave: &AnalogWaveform,
+        rate: DataRate,
+        expected: &BitStream,
+        config: &ShmooConfig,
+        seed: u64,
+    ) -> Result<ShmooPlot> {
+        ShmooJob { wave, rate, expected, config: *config, seed }.run_on(&exec::ExecPool::from_env())
+    }
+
     #[test]
     fn shmoo_shows_an_open_region() {
         let (wave, rate, expected) = prbs_setup(2.5);
-        let plot = ShmooPlot::run(&wave, rate, &expected, &ShmooConfig::pecl(), 1).unwrap();
+        let plot = run(&wave, rate, &expected, &ShmooConfig::pecl(), 1).unwrap();
         assert_eq!(plot.thresholds().len(), 15);
         assert_eq!(plot.phases().len(), 40);
         let ratio = plot.pass_ratio();
@@ -360,7 +336,7 @@ mod tests {
     #[test]
     fn best_operating_point_is_sane() {
         let (wave, rate, expected) = prbs_setup(2.5);
-        let plot = ShmooPlot::run(&wave, rate, &expected, &ShmooConfig::pecl(), 2).unwrap();
+        let plot = run(&wave, rate, &expected, &ShmooConfig::pecl(), 2).unwrap();
         let (v, phase) = plot.best_operating_point().expect("open region exists");
         // Threshold near mid-PECL, phase mid-UI.
         assert!((-1500..=-1100).contains(&v.as_mv()), "threshold {v}");
@@ -371,7 +347,7 @@ mod tests {
     #[test]
     fn rendering_looks_like_a_shmoo() {
         let (wave, rate, expected) = prbs_setup(2.5);
-        let plot = ShmooPlot::run(&wave, rate, &expected, &ShmooConfig::pecl(), 3).unwrap();
+        let plot = run(&wave, rate, &expected, &ShmooConfig::pecl(), 3).unwrap();
         let text = plot.to_string();
         assert!(text.contains('*'));
         assert!(text.contains('.'));
@@ -387,7 +363,7 @@ mod tests {
             v_end: Millivolts::new(-400),
             ..ShmooConfig::pecl()
         };
-        let plot = ShmooPlot::run(&wave, rate, &expected, &config, 4).unwrap();
+        let plot = run(&wave, rate, &expected, &config, 4).unwrap();
         assert_eq!(plot.pass_ratio(), 0.0);
         assert!(plot.best_operating_point().is_none());
     }
@@ -414,13 +390,12 @@ mod tests {
         // `ui + step - 1` intermediate; it must mean "one strobe column".
         let (wave, rate, expected) = prbs_setup(2.5);
         let config = ShmooConfig { phase_step: Duration::from_fs(i64::MAX), ..ShmooConfig::pecl() };
-        let plot = ShmooPlot::run(&wave, rate, &expected, &config, 1).unwrap();
+        let plot = run(&wave, rate, &expected, &config, 1).unwrap();
         assert_eq!(plot.phases().len(), 1);
     }
 
     #[test]
     fn row_bands_concatenate_to_the_full_sweep() {
-        use exec::PoolJob;
         let (wave, rate, expected) = prbs_setup(2.5);
         let job = ShmooJob {
             wave: &wave,
@@ -447,7 +422,6 @@ mod tests {
 
     #[test]
     fn out_of_range_row_bands_rejected() {
-        use exec::PoolJob;
         let (wave, rate, expected) = prbs_setup(2.5);
         let job = ShmooJob {
             wave: &wave,
@@ -484,12 +458,12 @@ mod tests {
     fn bad_configs_rejected() {
         let (wave, rate, expected) = prbs_setup(2.5);
         let bad_phase = ShmooConfig { phase_step: Duration::ZERO, ..ShmooConfig::pecl() };
-        assert!(ShmooPlot::run(&wave, rate, &expected, &bad_phase, 0).is_err());
+        assert!(run(&wave, rate, &expected, &bad_phase, 0).is_err());
         let bad_v = ShmooConfig {
             v_start: Millivolts::new(-900),
             v_end: Millivolts::new(-1700),
             ..ShmooConfig::pecl()
         };
-        assert!(ShmooPlot::run(&wave, rate, &expected, &bad_v, 0).is_err());
+        assert!(run(&wave, rate, &expected, &bad_v, 0).is_err());
     }
 }

@@ -7,10 +7,11 @@
 
 use core::fmt;
 
+use exec::PoolJob;
 use pstime::{DataRate, UnitInterval};
 use signal::BitStream;
 
-use crate::capture::EtCapture;
+use crate::capture::{EtCapture, EyeScanJob};
 use crate::channel::WlpChannel;
 use crate::datapath::MiniTesterDatapath;
 use crate::dut::{BistMode, WlpDut};
@@ -208,7 +209,16 @@ impl MiniTester {
             }
             BistMode::Loopback => {
                 let returned = dut.loopback(&stimulus, plan.rate, plan.n_bits, seed);
-                let scan = self.capture.eye_scan(&returned, plan.rate, expected, seed)?;
+                // Serial: a wafer run fans dies out over the pool, and this
+                // scan runs inside one die's job.
+                let scan = EyeScanJob {
+                    capture: &self.capture,
+                    wave: &returned,
+                    rate: plan.rate,
+                    expected,
+                    seed,
+                }
+                .run_on(&exec::ExecPool::serial())?;
                 let eye = scan.opening_ui().ok();
                 let errors = match scan.best_phase() {
                     Ok(phase) => {

@@ -154,35 +154,6 @@ impl BathtubCurve {
         self.dj_pp + self.rj_rms.mul_f64(2.0 * q)
     }
 
-    /// Evaluates the bathtub at `points` evenly spaced phases across one
-    /// unit interval (inclusive of both crossovers), returning
-    /// `(phase in UI, BER)` pairs — the curve a plotting or margining tool
-    /// consumes.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SignalError::InvalidParameter`] if `points < 2`.
-    pub fn sweep(&self, points: usize) -> crate::Result<Vec<(f64, f64)>> {
-        self.sweep_with_pool(points, &exec::ExecPool::serial())
-    }
-
-    /// [`BathtubCurve::sweep`] fanned out over an explicit worker pool.
-    /// Each phase is an independent pure evaluation, so the sweep is
-    /// bit-identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SignalError::InvalidParameter`] if `points < 2`; propagates
-    /// execution errors.
-    pub fn sweep_with_pool(
-        &self,
-        points: usize,
-        pool: &exec::ExecPool,
-    ) -> crate::Result<Vec<(f64, f64)>> {
-        use exec::PoolJob;
-        BathtubSweep { curve: self, points }.run_on(pool)
-    }
-
     /// The RJ rms this curve was built from.
     pub fn rj_rms(&self) -> Duration {
         self.rj_rms
@@ -194,10 +165,20 @@ impl BathtubCurve {
     }
 }
 
-/// A bathtub sweep described as a value: the canonical pool-parameterized
-/// entry point ([`exec::PoolJob`]) behind [`BathtubCurve::sweep`] /
-/// [`BathtubCurve::sweep_with_pool`], and the scheduling surface the
+/// A bathtub sweep described as a value: the one entry point
+/// ([`exec::PoolJob::run_on`]) that evaluates a [`BathtubCurve`] at
+/// `points` evenly spaced phases across one unit interval (inclusive of
+/// both crossovers), returning `(phase in UI, BER)` pairs — the curve a
+/// plotting or margining tool consumes — and the scheduling surface the
 /// `atd` service layer drives.
+///
+/// Each phase is an independent pure evaluation, so the sweep is
+/// bit-identical for every thread count.
+///
+/// # Errors
+///
+/// [`crate::SignalError::InvalidParameter`] from `run_on` if
+/// `points < 2`; execution errors propagate.
 #[derive(Debug, Clone, Copy)]
 pub struct BathtubSweep<'a> {
     /// The modeled curve to evaluate.
@@ -230,6 +211,7 @@ impl exec::PoolJob for BathtubSweep<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exec::PoolJob;
 
     #[test]
     fn q_ber_round_trip() {
@@ -316,7 +298,9 @@ mod tests {
             DataRate::from_gbps(2.5),
             0.5,
         );
-        let serial = tub.sweep(101).unwrap();
+        let sweep =
+            |points, pool: &exec::ExecPool| BathtubSweep { curve: &tub, points }.run_on(pool);
+        let serial = sweep(101, &exec::ExecPool::serial()).unwrap();
         assert_eq!(serial.len(), 101);
         assert_eq!(serial[0].0, 0.0);
         assert_eq!(serial[100].0, 1.0);
@@ -324,10 +308,10 @@ mod tests {
             assert_eq!(*ber, tub.ber_at_ui(*phase));
         }
         for threads in [2, 8] {
-            let parallel = tub.sweep_with_pool(101, &exec::ExecPool::new(threads)).unwrap();
+            let parallel = sweep(101, &exec::ExecPool::new(threads)).unwrap();
             assert_eq!(parallel, serial, "threads={threads}");
         }
-        assert!(tub.sweep(1).is_err());
+        assert!(sweep(1, &exec::ExecPool::serial()).is_err());
     }
 
     #[test]

@@ -19,7 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Timing accuracy: the +/-25 ps claim ==\n");
 
     // 1. Edge placement across the full 10 ns range in odd 137 ps steps.
-    let points = placement_audit(Duration::from_ns(10), Duration::from_ps(137))?;
+    let serial = exec::ExecPool::serial();
+    let points = placement_audit(Duration::from_ns(10), Duration::from_ps(137), &serial)?;
     let worst = worst_placement_error(&points);
     println!(
         "placement audit: {} requests over 10 ns, worst error {} (claim: +/-25 ps)",

@@ -5,9 +5,10 @@
 //! cargo run --release -p gigatest-ate --example wafer_probe
 //! ```
 
+use exec::{ExecPool, PoolJob};
 use minitester::{
-    Defect, EtCapture, MiniTester, MiniTesterDatapath, ProbeArray, ShmooConfig, ShmooPlot,
-    TestPlan, WlpChannel, WlpDut,
+    Defect, EtCapture, EyeScanJob, MiniTester, MiniTesterDatapath, ProbeArray, ShmooConfig,
+    ShmooJob, TestPlan, WlpChannel, WlpDut,
 };
 use pstime::{DataRate, Millivolts};
 
@@ -42,14 +43,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut path = MiniTesterDatapath::new()?;
     let expected = path.expected_prbs(rate, 1_024)?;
     let wave = path.prbs_stimulus(rate, 1_024, 5)?;
-    let plot = ShmooPlot::run(&wave, rate, &expected, &ShmooConfig::pecl(), 5)?;
+    let (wave, expected) = (&wave, &expected);
+    let config = ShmooConfig::pecl();
+    let plot = ShmooJob { wave, rate, expected, config, seed: 5 }.run_on(&ExecPool::from_env())?;
     println!("{plot}");
     if let Some((v, phase)) = plot.best_operating_point() {
         println!("\nbest operating point: threshold {v}, strobe at {phase}");
     }
 
     // The 10 ps equivalent-time eye scan the sampler gives us for free.
-    let scan = EtCapture::new().eye_scan(&wave, rate, &expected, 5)?;
+    let capture = EtCapture::new();
+    let scan = EyeScanJob { capture: &capture, wave, rate, expected, seed: 5 }
+        .run_on(&ExecPool::serial())?;
     println!("\nstrobe scan across one UI: {scan}");
     println!("eye opening from the scan: {}", scan.opening_ui()?);
 

@@ -6,7 +6,8 @@
 //! mini-tester wafer flow. These tests pin that contract end to end.
 
 use ate::{SystemKind, TestProgram, TestSystem};
-use minitester::multisite::{run_wafer, WaferRunConfig};
+use exec::PoolJob;
+use minitester::multisite::WaferRunConfig;
 use pstime::DataRate;
 use testbed::e2e::{self, E2eConfig};
 
@@ -71,11 +72,12 @@ fn testbed_e2e_reports_are_reproducible() {
 #[test]
 fn wafer_runs_are_reproducible() {
     let config = WaferRunConfig { seed: 7, ..WaferRunConfig::default() };
-    let a = run_wafer(&config).unwrap();
-    let b = run_wafer(&config).unwrap();
+    let pool = exec::ExecPool::from_env();
+    let a = config.run_on(&pool).unwrap();
+    let b = config.run_on(&pool).unwrap();
     assert_eq!(a, b);
 
-    let c = run_wafer(&WaferRunConfig { seed: 8, ..config }).unwrap();
+    let c = WaferRunConfig { seed: 8, ..config }.run_on(&pool).unwrap();
     assert_eq!(c.touchdowns(), a.touchdowns(), "wafer geometry is seed-independent");
     assert_ne!(a.records(), c.records(), "distinct seeds must draw a distinct defect population");
 }
@@ -87,8 +89,7 @@ fn wafer_runs_are_reproducible() {
 #[test]
 fn sweeps_are_thread_count_invariant() {
     use exec::ExecPool;
-    use minitester::multisite::run_wafer_with_pool;
-    use minitester::{EtCapture, MiniTesterDatapath, ShmooConfig, ShmooPlot};
+    use minitester::{EtCapture, EyeScanJob, MiniTesterDatapath, ShmooConfig, ShmooJob};
 
     let rate = DataRate::from_gbps(2.5);
     let mut path = MiniTesterDatapath::new().unwrap();
@@ -98,11 +99,9 @@ fn sweeps_are_thread_count_invariant() {
 
     let pools = [ExecPool::new(1), ExecPool::new(2), ExecPool::new(8)];
 
-    let shmoos: Vec<_> = pools
-        .iter()
-        .map(|p| ShmooPlot::run_with_pool(&wave, rate, &expected, &ShmooConfig::pecl(), 3, p))
-        .map(|r| r.unwrap())
-        .collect();
+    let (wave, expected) = (&wave, &expected);
+    let shmoo = ShmooJob { wave, rate, expected, config: ShmooConfig::pecl(), seed: 3 };
+    let shmoos: Vec<_> = pools.iter().map(|p| shmoo.run_on(p).unwrap()).collect();
     assert_eq!(shmoos[0], shmoos[1], "shmoo differs between 1 and 2 threads");
     assert_eq!(shmoos[0], shmoos[2], "shmoo differs between 1 and 8 threads");
     assert_eq!(shmoos[0].to_string(), shmoos[2].to_string());
@@ -115,17 +114,14 @@ fn sweeps_are_thread_count_invariant() {
         seed: 7,
         ..WaferRunConfig::default()
     };
-    let wafers: Vec<_> =
-        pools.iter().map(|p| run_wafer_with_pool(&wafer_config, p).unwrap()).collect();
+    let wafers: Vec<_> = pools.iter().map(|p| wafer_config.run_on(p).unwrap()).collect();
     assert_eq!(wafers[0], wafers[1], "wafer differs between 1 and 2 threads");
     assert_eq!(wafers[0], wafers[2], "wafer differs between 1 and 8 threads");
     assert_eq!(wafers[0].to_string(), wafers[2].to_string());
 
-    let cap = EtCapture::new();
-    let eyes: Vec<_> = pools
-        .iter()
-        .map(|p| cap.eye_scan_with_pool(&wave, rate, &expected, 5, p).unwrap())
-        .collect();
+    let capture = EtCapture::new();
+    let eye = EyeScanJob { capture: &capture, wave, rate, expected, seed: 5 };
+    let eyes: Vec<_> = pools.iter().map(|p| eye.run_on(p).unwrap()).collect();
     assert_eq!(eyes[0], eyes[1], "eye scan differs between 1 and 2 threads");
     assert_eq!(eyes[0], eyes[2], "eye scan differs between 1 and 8 threads");
     assert_eq!(eyes[0].to_string(), eyes[2].to_string());
@@ -177,7 +173,7 @@ fn loopback_submitted_shmoo_matches_direct_run_at_any_thread_count() {
     use atd::scheduler::Scheduler;
     use atd::{Client, Event, JobResult, JobSpec, Loopback, Provenance, Service};
     use exec::ExecPool;
-    use minitester::{MiniTesterDatapath, ShmooConfig, ShmooPlot};
+    use minitester::{MiniTesterDatapath, ShmooConfig, ShmooJob};
 
     let rate = DataRate::from_gbps(2.5);
     let config = ShmooConfig::pecl();
@@ -189,7 +185,8 @@ fn loopback_submitted_shmoo_matches_direct_run_at_any_thread_count() {
     let mut stim = MiniTesterDatapath::new().unwrap();
     let wave = stim.prbs_stimulus(rate, 256, 17).unwrap();
     let pool = ExecPool::new(2);
-    let plot = ShmooPlot::run_with_pool(&wave, rate, &expected, &config, 5, &pool).unwrap();
+    let (wave, expected) = (&wave, &expected);
+    let plot = ShmooJob { wave, rate, expected, config, seed: 5 }.run_on(&pool).unwrap();
     let direct = JobResult::from_shmoo(&plot).unwrap().encoded().unwrap();
 
     // The same spec through the wire protocol, on daemons of width 1 and 4.
@@ -392,7 +389,7 @@ fn loopback_chunk_stream_matches_tcp_at_any_thread_count() {
         Service,
     };
     use exec::ExecPool;
-    use minitester::{MiniTesterDatapath, ShmooConfig, ShmooPlot};
+    use minitester::{MiniTesterDatapath, ShmooConfig, ShmooJob};
     use std::io::{Read, Write};
     use std::net::TcpListener;
 
@@ -406,7 +403,8 @@ fn loopback_chunk_stream_matches_tcp_at_any_thread_count() {
     let mut stim = MiniTesterDatapath::new().unwrap();
     let wave = stim.prbs_stimulus(rate, 256, 17).unwrap();
     let pool = ExecPool::new(2);
-    let plot = ShmooPlot::run_with_pool(&wave, rate, &expected, &config, 5, &pool).unwrap();
+    let (wave, expected) = (&wave, &expected);
+    let plot = ShmooJob { wave, rate, expected, config, seed: 5 }.run_on(&pool).unwrap();
     let direct = JobResult::from_shmoo(&plot).unwrap().encoded().unwrap();
 
     /// Submits `spec` and collects its chunks, in order, plus the

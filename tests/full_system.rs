@@ -151,12 +151,15 @@ fn e2e_bit_errors_scale_with_optical_power() {
 fn shmoo_operating_point_decodes_cleanly() {
     // Close the loop: pick the shmoo's best operating point, then capture
     // at exactly that strobe/threshold and expect zero errors.
-    use minitester::{EtCapture, MiniTesterDatapath, ShmooConfig, ShmooPlot};
+    use exec::{ExecPool, PoolJob};
+    use minitester::{EtCapture, MiniTesterDatapath, ShmooConfig, ShmooJob};
     let rate = DataRate::from_gbps(2.5);
     let mut path = MiniTesterDatapath::new().expect("boots");
     let expected = path.expected_prbs(rate, 1_024).expect("expected bits");
     let wave = path.prbs_stimulus(rate, 1_024, 17).expect("stimulus");
-    let plot = ShmooPlot::run(&wave, rate, &expected, &ShmooConfig::pecl(), 4).expect("shmoo");
+    let job =
+        ShmooJob { wave: &wave, rate, expected: &expected, config: ShmooConfig::pecl(), seed: 4 };
+    let plot = job.run_on(&ExecPool::from_env()).expect("shmoo");
     let (threshold, phase) = plot.best_operating_point().expect("open region");
     let mut capture = EtCapture::new();
     capture.sampler_mut().set_threshold(threshold);

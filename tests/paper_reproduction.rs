@@ -28,7 +28,8 @@ fn fig08_eye_at_4g0() {
 
 #[test]
 fn fig09_single_edge_jitter() {
-    let r = bench_support::fig09_edge_jitter(2_000, 2005).expect("experiment runs");
+    let pool = exec::ExecPool::from_env();
+    let r = bench_support::fig09_edge_jitter(2_000, 2005, &pool).expect("experiment runs");
     assert!(r.all_within_tolerance(), "FIG9 drifted:\n{r}");
 }
 
