@@ -334,11 +334,6 @@ impl Fpga {
         ))
     }
 
-    /// Replaces the CMOS I/O jitter model (for what-if studies).
-    pub fn set_io_jitter(&mut self, budget: JitterBudget) {
-        self.io_jitter = budget;
-    }
-
     /// Resets every channel's pattern engine to its seed state.
     pub fn reset_engines(&mut self) {
         for ch in &mut self.channels {

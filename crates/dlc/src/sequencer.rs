@@ -213,16 +213,6 @@ impl SequencerProgram {
         Ok(())
     }
 
-    /// Converts the expanded program into a [`crate::PatternKind`] for a
-    /// DLC channel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates expansion errors.
-    pub fn into_pattern(self) -> Result<crate::PatternKind> {
-        Ok(crate::PatternKind::Explicit(self.run()?))
-    }
-
     /// Total expanded length without materializing the bits.
     ///
     /// # Errors
