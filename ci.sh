@@ -72,7 +72,9 @@ if grep -rn "xlint::allow([a-z-]*)" --include='*.rs' crates tests \
   exit 1
 fi
 echo "xlint: every suppression carries a reason"
-cargo doc --offline --no-deps
+# Rustdoc warnings fail CI, so an intra-doc link to a deleted name cannot
+# outlive the item it named.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps
 cargo fmt --check
 # Thread-count invariance canary: the deterministic sweep outputs (shmoo
 # plot, wafer map, eye scan, jitter report, BER digest) must be
