@@ -223,8 +223,9 @@ impl EtCapture {
 ///
 /// One job per strobe phase, each drawing from its own `tree.index(k)`
 /// substream, so the scan is bit-identical for every thread count. A scan
-/// that runs inside a job already fanned out (a wafer die, a shmoo cell)
-/// passes [`exec::ExecPool::serial`], so thread counts compose instead of
+/// that runs inside a job already fanned out, such as the one
+/// [`crate::MiniTester`] runs for each wafer die, passes
+/// [`exec::ExecPool::serial`], so thread counts compose instead of
 /// multiplying.
 #[derive(Debug, Clone, Copy)]
 pub struct EyeScanJob<'a> {

@@ -72,7 +72,8 @@ impl ShmooConfig {
 
 /// A shmoo sweep described as a value: the one entry point
 /// ([`exec::PoolJob::run_on`]) shared by in-process callers and the `atd`
-/// service layer.
+/// service layer. For each (threshold, phase) point it captures the
+/// pattern and marks pass (zero errors) or fail.
 ///
 /// Grid cells are fanned out over the pool; every cell draws its
 /// randomness from its own `tree.index(row).index(col)` substream, so the
