@@ -608,7 +608,7 @@ fn every_answer_tier_streams_identical_frames_apart_from_provenance() {
 /// last-place drift in the waveform arithmetic.
 #[test]
 fn kernel_outputs_match_frozen_digests() {
-    const FROZEN: [(&str, u64); 14] = [
+    const FROZEN: [(&str, u64); 16] = [
         ("jittered", 0xc4a3_c90c_ef7c_c824),
         ("asymmetric", 0xbffa_c6c0_cc79_9bc7),
         ("isi-5g", 0x2601_1ae0_9033_bb2f),
@@ -622,6 +622,8 @@ fn kernel_outputs_match_frozen_digests() {
         ("shmoo-5g", 0xe580_39b9_b15c_4344),
         ("wafer-marginal", 0x786b_eed9_d819_ed16),
         ("eye-1g", 0x1f53_9198_9dc6_3b43),
+        ("shmoo-mid", 0x09e8_9bfd_32b3_59ef),
+        ("shmoo-mid-rows", 0x459f_9563_dcbf_08d0),
         ("full_report", 0xcdd1_3851_8c28_be92),
     ];
     use atd::cache::fnv1a64;
@@ -683,7 +685,9 @@ fn kernel_outputs_match_frozen_digests() {
     // sliced. The last three are the regimes where a strobe most often
     // lands near the threshold: a 5 Gbps shmoo (ISI-compressed swing), a
     // wafer of degraded channels only, and a 1 Gbps eye (slow edges
-    // relative to the scan's 10 ps steps).
+    // relative to the scan's 10 ps steps). The mid-swing shmoo steps its
+    // threshold by 10 mV across −1400…−1200 mV, where many rows sit inside
+    // a strobe's bound and need their own decision or the exact path.
     let wafer = JobSpec::wafer(&WaferRunConfig {
         dies: 12,
         columns: 4,
@@ -694,6 +698,18 @@ fn kernel_outputs_match_frozen_digests() {
     });
     let shmoo = JobSpec::shmoo(rate, 256, 17, &ShmooConfig::pecl(), 5);
     let eye = JobSpec::eye(rate, 256, 17, 5);
+    let mid_swing = JobSpec::shmoo(
+        rate,
+        256,
+        17,
+        &ShmooConfig {
+            v_start: pstime::Millivolts::new(-1400),
+            v_end: pstime::Millivolts::new(-1200),
+            v_step: pstime::Millivolts::new(10),
+            ..ShmooConfig::pecl()
+        },
+        5,
+    );
     let specs = [
         ("shmoo", shmoo),
         ("shmoo-rows", shmoo.slice(3, 4).unwrap()),
@@ -717,6 +733,8 @@ fn kernel_outputs_match_frozen_digests() {
             }),
         ),
         ("eye-1g", JobSpec::eye(DataRate::from_gbps(1.0), 256, 17, 5)),
+        ("shmoo-mid", mid_swing),
+        ("shmoo-mid-rows", mid_swing.slice(6, 9).unwrap()),
     ];
     let pool = ExecPool::from_env();
     let result_digests: Vec<(&str, u64)> = specs
