@@ -92,6 +92,14 @@ EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-bench --bin figures 
 EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-bench --bin figures > "$canary_dir/figures4.txt"
 diff "$canary_dir/figures1.txt" "$canary_dir/figures4.txt"
 echo "canary: figures identical at EXEC_THREADS=1 and 4"
+# Example invariance: the wafer_probe example prints a shmoo plot (one
+# pool job per phase column, every row of the column inside it) and a
+# wafer map (one job per die), so a change to how the pool splits either
+# sweep shows up here byte for byte.
+EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-ate --example wafer_probe > "$canary_dir/wafer1.txt"
+EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-ate --example wafer_probe > "$canary_dir/wafer4.txt"
+diff "$canary_dir/wafer1.txt" "$canary_dir/wafer4.txt"
+echo "canary: wafer_probe output identical at EXEC_THREADS=1 and 4"
 # Service-layer invariance: the atd integration suites (golden THP/2
 # wire vectors plus the loopback protocol walk) ran under both thread
 # counts above; here atd-load's deterministic loopback row —

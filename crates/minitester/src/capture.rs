@@ -10,7 +10,7 @@
 use core::fmt;
 
 use pecl::{ProgrammableDelayLine, StrobedSampler};
-use pstime::{DataRate, Duration, UnitInterval};
+use pstime::{DataRate, Duration, Millivolts, UnitInterval};
 use signal::{AnalogWaveform, BitStream};
 
 use crate::{MiniTesterError, Result};
@@ -73,27 +73,7 @@ impl EyeScan {
     ///
     /// [`MiniTesterError::EyeClosed`] when no phase is error-free.
     pub fn opening_ui(&self) -> Result<UnitInterval> {
-        let n = self.points.len();
-        let pass: Vec<bool> = self.points.iter().map(|p| p.errors == 0).collect();
-        if !pass.iter().any(|p| *p) {
-            return Err(MiniTesterError::EyeClosed);
-        }
-        if pass.iter().all(|p| *p) {
-            return Ok(UnitInterval::ONE);
-        }
-        // Longest circular run of passes.
-        let mut best = 0usize;
-        let mut run = 0usize;
-        for i in 0..2 * n {
-            if pass[i % n] {
-                run += 1;
-                best = best.max(run.min(n));
-            } else {
-                run = 0;
-            }
-        }
-        let opening = self.step * best as i64;
-        Ok(UnitInterval::from_duration(opening, self.rate).clamp_unit())
+        self.clean_phases().opening_ui()
     }
 
     /// The error-ratio bathtub: `(phase as a UI fraction, error ratio)`
@@ -110,15 +90,58 @@ impl EyeScan {
     ///
     /// [`MiniTesterError::EyeClosed`] when no phase passes.
     pub fn best_phase(&self) -> Result<Duration> {
-        let n = self.points.len();
-        let pass: Vec<bool> = self.points.iter().map(|p| p.errors == 0).collect();
-        if !pass.iter().any(|p| *p) {
+        self.clean_phases().best_phase()
+    }
+
+    fn clean_phases(&self) -> CleanPhases {
+        CleanPhases {
+            phases: self.points.iter().map(|p| p.phase).collect(),
+            clean: self.points.iter().map(|p| p.errors == 0).collect(),
+            rate: self.rate,
+            step: self.step,
+        }
+    }
+}
+
+/// Which strobe phases of a scan captured every bit: all that the eye
+/// opening and the best phase are read from.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CleanPhases {
+    phases: Vec<Duration>,
+    clean: Vec<bool>,
+    rate: DataRate,
+    step: Duration,
+}
+
+impl CleanPhases {
+    /// As [`EyeScan::opening_ui`].
+    pub(crate) fn opening_ui(&self) -> Result<UnitInterval> {
+        let (len, _) = self.widest_run()?;
+        if len == self.clean.len() {
+            return Ok(UnitInterval::ONE);
+        }
+        let opening = self.step * len as i64;
+        Ok(UnitInterval::from_duration(opening, self.rate).clamp_unit())
+    }
+
+    /// As [`EyeScan::best_phase`].
+    pub(crate) fn best_phase(&self) -> Result<Duration> {
+        let (len, start) = self.widest_run()?;
+        Ok(self.phases[(start + len / 2) % self.clean.len()])
+    }
+
+    /// The widest circular run of clean phases, as (length, start): the
+    /// first of the widest in scan order, the whole scan from 0 when every
+    /// phase is clean.
+    fn widest_run(&self) -> Result<(usize, usize)> {
+        let n = self.clean.len();
+        if !self.clean.iter().any(|c| *c) {
             return Err(MiniTesterError::EyeClosed);
         }
         let mut best = (0usize, 0usize); // (length, start)
         let mut run = 0usize;
         for i in 0..2 * n {
-            if pass[i % n] {
+            if self.clean[i % n] {
                 run += 1;
                 if run > best.0 {
                     best = (run.min(n), i + 1 - run);
@@ -127,8 +150,7 @@ impl EyeScan {
                 run = 0;
             }
         }
-        let centre = (best.1 + best.0 / 2) % n;
-        Ok(self.points[centre].phase)
+        Ok(best)
     }
 }
 
@@ -214,6 +236,26 @@ impl EtCapture {
         let (errors, compared) = got.hamming_distance(expected);
         Ok(ScanPoint { phase: vernier.nominal_delay(), compared, errors })
     }
+
+    /// Whether the capture at one strobe phase (quantized as in
+    /// [`capture_at`](Self::capture_at)) matches `expected` in every bit,
+    /// once per (threshold, seed) row, through
+    /// [`StrobedSampler::capture_passes`]. Also returns the nominal phase.
+    /// Row `r` passes exactly when `capture_at` with the sampler at
+    /// threshold `rows[r].0` and seed `rows[r].1` would count no error.
+    pub(crate) fn passes_at(
+        &self,
+        wave: &AnalogWaveform,
+        rate: DataRate,
+        expected: &BitStream,
+        phase: Duration,
+        rows: &[(Millivolts, u64)],
+    ) -> Result<(Duration, Vec<bool>)> {
+        let mut vernier = self.vernier.clone();
+        vernier.set_delay(phase)?;
+        let pass = self.sampler.capture_passes(wave, rate, vernier.actual_delay(), expected, rows);
+        Ok((vernier.nominal_delay(), pass))
+    }
 }
 
 /// An equivalent-time eye scan described as a value: the one entry point
@@ -223,10 +265,11 @@ impl EtCapture {
 ///
 /// One job per strobe phase, each drawing from its own `tree.index(k)`
 /// substream, so the scan is bit-identical for every thread count. A scan
-/// that runs inside a job already fanned out, such as the one
-/// [`crate::MiniTester`] runs for each wafer die, passes
+/// that runs inside a job already fanned out passes
 /// [`exec::ExecPool::serial`], so thread counts compose instead of
-/// multiplying.
+/// multiplying. The margin scan [`crate::MiniTester`] runs for each wafer
+/// die reads only which phases are clean; it runs the same phases and
+/// seeds through the pass-only kernel on the calling thread.
 #[derive(Debug, Clone, Copy)]
 pub struct EyeScanJob<'a> {
     /// The capture head (sampler threshold + strobe vernier).
@@ -274,6 +317,51 @@ impl EyeScanJob<'_> {
         self.run_band(pool, phase_start, Some(phase_count))
     }
 
+    /// Which phases of the full scan capture every bit, on the calling
+    /// thread: the pass-only form of [`run_on`](exec::PoolJob::run_on),
+    /// for a caller that reads only the opening and the best phase. Each
+    /// phase seeds as in the full scan, so both agree phase by phase.
+    ///
+    /// # Errors
+    ///
+    /// As [`exec::PoolJob::run_on`].
+    pub(crate) fn clean_phases(&self) -> Result<CleanPhases> {
+        let (step, steps) = self.steps();
+        let tree = self.seeds();
+        let threshold = self.capture.sampler.threshold();
+        let mut phases = Vec::with_capacity(steps);
+        let mut clean = Vec::with_capacity(steps);
+        // Step k strobes at k steps, as in the full scan.
+        let mut phase = Duration::ZERO;
+        for k in (0u64..).take(steps) {
+            let seed = tree.index(k).seed();
+            let (nominal, pass) = self.capture.passes_at(
+                self.wave,
+                self.rate,
+                self.expected,
+                phase,
+                &[(threshold, seed)],
+            )?;
+            phases.push(nominal);
+            clean.push(pass.iter().all(|p| *p));
+            phase += step;
+        }
+        Ok(CleanPhases { phases, clean, rate: self.rate, step })
+    }
+
+    /// The vernier step and the number of steps in one unit interval.
+    fn steps(&self) -> (Duration, usize) {
+        let ui = self.rate.unit_interval();
+        let step = self.capture.vernier.step();
+        let steps = ((ui.as_fs() + step.as_fs() - 1) / step.as_fs()).max(1);
+        (step, usize::try_from(steps).unwrap_or(0))
+    }
+
+    /// The tree whose `index(k)` seeds strobe step `k`.
+    fn seeds(&self) -> rng::SeedTree {
+        rng::SeedTree::new(self.seed).stream("minitester.capture.eye-scan")
+    }
+
     /// Shared body of the full scan and the banded scan: `phase_count` of
     /// `None` means "every strobe step in one unit interval".
     fn run_band(
@@ -282,13 +370,10 @@ impl EyeScanJob<'_> {
         phase_start: usize,
         phase_count: Option<usize>,
     ) -> Result<EyeScan> {
-        let ui = self.rate.unit_interval();
-        let step = self.capture.vernier.step();
-        let steps = ((ui.as_fs() + step.as_fs() - 1) / step.as_fs()).max(1);
-        let tree = rng::SeedTree::new(self.seed).stream("minitester.capture.eye-scan");
-        let steps_usize = usize::try_from(steps).unwrap_or(0);
-        let count = phase_count.unwrap_or(steps_usize);
-        if count == 0 || phase_start.checked_add(count).is_none_or(|end| end > steps_usize) {
+        let (step, steps) = self.steps();
+        let tree = self.seeds();
+        let count = phase_count.unwrap_or(steps);
+        if count == 0 || phase_start.checked_add(count).is_none_or(|end| end > steps) {
             return Err(crate::MiniTesterError::BadTestPlan {
                 reason: "eye-scan strobe range empty or past the unit interval",
             });
@@ -381,6 +466,55 @@ mod tests {
         let scan = serial_scan(&wave, rate, &garbage, 3).unwrap();
         assert!(matches!(scan.opening_ui(), Err(MiniTesterError::EyeClosed)));
         assert!(matches!(scan.best_phase(), Err(MiniTesterError::EyeClosed)));
+    }
+
+    #[test]
+    fn scan_is_clean_at_mid_ui_and_errors_at_the_crossover() {
+        // A clean 2.5 Gbps signal with 3 ps of random jitter: the eye
+        // centre (step 20 of 40, UI/2) captures every bit, the crossover
+        // (step 0) does not.
+        let rate = DataRate::from_gbps(2.5);
+        let bits = BitStream::alternating(64);
+        let wave = AnalogWaveform::new(
+            signal::DigitalWaveform::from_bits(
+                &bits,
+                rate,
+                &signal::jitter::JitterBudget::new().with_rj_rms_ps(3.0),
+                5,
+            ),
+            signal::LevelSet::pecl(),
+            signal::EdgeShape::default(),
+        );
+        let scan = serial_scan(&wave, rate, &bits, 11).unwrap();
+        assert_eq!(scan.points().len(), 40);
+        let centre = scan.points()[20];
+        assert_eq!(centre.phase, Duration::from_ps(200));
+        assert_eq!(centre.errors, 0, "errors at centre phase {}", centre.phase);
+        assert!(scan.points()[0].errors > 0, "expected errors at the crossover");
+    }
+
+    #[test]
+    fn clean_phases_agree_with_the_full_scan() {
+        for (gbps, seed) in [(2.5, 4), (5.0, 8), (1.0, 2)] {
+            let (wave, rate, expected) = prbs_setup(gbps, 512);
+            let capture = EtCapture::new();
+            let job =
+                EyeScanJob { capture: &capture, wave: &wave, rate, expected: &expected, seed };
+            let scan = job.run_on(&exec::ExecPool::serial()).unwrap();
+            let clean = job.clean_phases().unwrap();
+            let want: Vec<bool> = scan.points().iter().map(|p| p.errors == 0).collect();
+            assert_eq!(clean.clean, want, "{gbps} Gbps");
+            assert_eq!(clean.opening_ui().ok(), scan.opening_ui().ok());
+            assert_eq!(clean.best_phase().ok(), scan.best_phase().ok());
+        }
+        // A closed eye closes both ways.
+        let (wave, rate, _) = prbs_setup(2.5, 512);
+        let garbage = BitStream::alternating(512);
+        let capture = EtCapture::new();
+        let job = EyeScanJob { capture: &capture, wave: &wave, rate, expected: &garbage, seed: 3 };
+        let clean = job.clean_phases().unwrap();
+        assert!(matches!(clean.opening_ui(), Err(MiniTesterError::EyeClosed)));
+        assert!(matches!(clean.best_phase(), Err(MiniTesterError::EyeClosed)));
     }
 
     #[test]

@@ -75,9 +75,13 @@ impl ShmooConfig {
 /// service layer. For each (threshold, phase) point it captures the
 /// pattern and marks pass (zero errors) or fail.
 ///
-/// Grid cells are fanned out over the pool; every cell draws its
-/// randomness from its own `tree.index(row).index(col)` substream, so the
-/// plot is bit-identical for every thread count.
+/// Phase columns are fanned out over the pool, one job per column
+/// covering every threshold row: the rows strobe the same instants, so a
+/// column is one pass-only capture
+/// ([`pecl::StrobedSampler::capture_passes`]) that stops each row at its
+/// first mismatch. Every cell still draws its randomness from its own
+/// `tree.index(row).index(col)` substream, as when each cell ran alone, so
+/// the plot is bit-identical for every thread count.
 #[derive(Debug, Clone, Copy)]
 pub struct ShmooJob<'a> {
     /// The stimulus waveform presented to the sampler.
@@ -155,33 +159,27 @@ impl ShmooJob<'_> {
             all_thresholds.iter().skip(row_start).take(rows).copied().collect();
 
         let tree = rng::SeedTree::new(self.seed).stream("minitester.shmoo");
-        let cols = phases.len();
-        let cells = thresholds.len() * cols;
-        // One job per grid cell. Each job builds its own capture head (the
-        // equivalent-time sampler is stateless between captures, so a fresh
-        // head at the cell's threshold reproduces the serial sweep exactly)
-        // and seeds from the cell's *global* (row, col) substream —
-        // `row_start` offsets the seed row so a band reproduces the full
-        // sweep's cells bit-for-bit.
-        let outcome = pool.run(cells, |cell| {
-            let ti = row_start + cell / cols;
-            let pi = cell % cols;
-            let mut capture = EtCapture::new();
-            capture.sampler_mut().set_threshold(thresholds[ti - row_start]);
+        let capture = EtCapture::new();
+        // One job per phase column, covering every row of the band: the
+        // rows strobe the same instants, so one pass-only capture decides
+        // them together. Each cell still seeds from its *global* (row, col)
+        // substream — `row_start` offsets the seed row so a band
+        // reproduces the full sweep's cells bit-for-bit.
+        let outcome = pool.run(phases.len(), |col| {
+            let rows: Vec<(Millivolts, u64)> = thresholds
+                .iter()
+                .enumerate()
+                .map(|(r, v)| (*v, tree.index((row_start + r) as u64).index(col as u64).seed()))
+                .collect();
             capture
-                .capture_at(
-                    self.wave,
-                    self.rate,
-                    self.expected,
-                    phases[pi],
-                    tree.index(ti as u64).index(pi as u64).seed(),
-                )
-                .map(|point| point.errors == 0)
+                .passes_at(self.wave, self.rate, self.expected, phases[col], &rows)
+                .map(|(_, pass)| pass)
         })?;
-        let mut pass = Vec::with_capacity(cells);
-        for cell in outcome.results {
-            pass.push(cell?);
-        }
+        let columns = outcome.results.into_iter().collect::<Result<Vec<_>>>()?;
+        // Row-major, as the plot stores it.
+        let pass = (0..thresholds.len())
+            .flat_map(|row| columns.iter().map(move |column| column[row]))
+            .collect();
         Ok(ShmooPlot { thresholds, phases, pass })
     }
 }

@@ -7,7 +7,6 @@
 
 use core::fmt;
 
-use exec::PoolJob;
 use pstime::{DataRate, UnitInterval};
 use signal::BitStream;
 
@@ -209,8 +208,9 @@ impl MiniTester {
             }
             BistMode::Loopback => {
                 let returned = dut.loopback(&stimulus, plan.rate, plan.n_bits, seed);
-                // Serial: a wafer run fans dies out over the pool, and this
-                // scan runs inside one die's job.
+                // The margin scan reads only which phases are clean. It
+                // runs on this thread: a wafer run fans dies out over the
+                // pool, and this scan runs inside one die's job.
                 let scan = EyeScanJob {
                     capture: &self.capture,
                     wave: &returned,
@@ -218,7 +218,7 @@ impl MiniTester {
                     expected,
                     seed,
                 }
-                .run_on(&exec::ExecPool::serial())?;
+                .clean_phases()?;
                 let eye = scan.opening_ui().ok();
                 let errors = match scan.best_phase() {
                     Ok(phase) => {

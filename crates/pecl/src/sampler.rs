@@ -9,7 +9,7 @@
 
 use pstime::{DataRate, Duration, Instant, Millivolts};
 use rng::{GaussPair, Rng, SeedTree, StreamId};
-use signal::{AnalogWaveform, BitStream};
+use signal::{AnalogWaveform, BitStream, WaveCursor};
 
 /// Substream identity for capture aperture-jitter draws.
 pub const SAMPLER_STREAM: StreamId = StreamId::named("pecl.sampler");
@@ -91,18 +91,45 @@ impl StrobedSampler {
     /// from `rng`).
     pub fn sample_at(&self, wave: &AnalogWaveform, strobe: Instant, rng: &mut Rng) -> bool {
         let z = if self.aperture_rj.is_zero() { 0.0 } else { rng.gaussian() };
-        self.slice(strobe, z, |t| wave.value_at(t))
+        self.slice(strobe, z, self.decision_level(), |t| wave.value_at(t))
     }
 
     /// The one exact comparison: moves `strobe` by the aperture deviate
     /// `z` (in sigmas), evaluates the input there with `value_at`, and
-    /// slices it against the threshold.
-    fn slice(&self, strobe: Instant, z: f64, value_at: impl FnOnce(Instant) -> f64) -> bool {
-        value_at(strobe + aperture_offset(z, self.aperture_rj)) >= self.decision_level()
+    /// slices it against the decision level `level`.
+    fn slice(
+        &self,
+        strobe: Instant,
+        z: f64,
+        level: f64,
+        value_at: impl FnOnce(Instant) -> f64,
+    ) -> bool {
+        value_at(strobe + aperture_offset(z, self.aperture_rj)) >= level
     }
 
     fn decision_level(&self) -> f64 {
-        (self.threshold + self.input_offset).as_f64()
+        self.decision_level_at(self.threshold)
+    }
+
+    /// The level the comparator slices at when programmed to `threshold`.
+    fn decision_level_at(&self, threshold: Millivolts) -> f64 {
+        (threshold + self.input_offset).as_f64()
+    }
+
+    /// Decides one strobe at decision level `level`: from the waveform
+    /// bound over the draw's span when that settles it, otherwise on the
+    /// exact path with the draw's deviate. Either way the bit is the one
+    /// the exact path gives.
+    fn strobe_bit(
+        &self,
+        cursor: &mut WaveCursor<'_>,
+        strobe: Instant,
+        level: f64,
+        draw: Draw,
+    ) -> bool {
+        cursor
+            .decide(strobe - draw.slack, strobe + draw.slack, level, 0.0)
+            .unwrap_or_else(|| self.slice(strobe, draw.deviate(), level, |t| cursor.value_at(t)))
     }
 
     /// Captures `n` bits: one strobe per unit interval at phase offset
@@ -111,9 +138,9 @@ impl StrobedSampler {
     /// Most strobes never evaluate the waveform: the pair's
     /// [`radius_bound`](rng::GaussPair::radius_bound) confines the
     /// jittered instant to a span around the strobe, and
-    /// [`WaveCursor::decide`](signal::WaveCursor::decide) settles the bit
-    /// over that whole span when it can. Only the undecided strobes take
-    /// the exact path, so every bit is the one the exact path stores.
+    /// [`WaveCursor::decide`] settles the bit over that whole span when it
+    /// can. Only the undecided strobes take the exact path, so every bit
+    /// is the one the exact path stores.
     pub fn capture(
         &self,
         wave: &AnalogWaveform,
@@ -124,63 +151,155 @@ impl StrobedSampler {
     ) -> BitStream {
         let ui = rate.unit_interval();
         let start = wave.digital().start();
-        let mut rng = SeedTree::new(seed).derive(SAMPLER_STREAM).rng();
         let level = self.decision_level();
-        // xlint::allow(no-lossy-cast, aperture jitter in fs stays far below 2^53, as in aperture_offset)
-        let sigma_fs = self.aperture_rj.as_fs() as f64;
+        let mut draws = Aperture::new(seed, self.aperture_rj);
         // Strobes run forward one UI at a time, so a cursor follows them.
         let mut cursor = wave.cursor();
-        // Strobe 2k takes the first deviate of the k-th Box–Muller pair and
-        // strobe 2k + 1 the second, the order `Rng::gaussian` hands them
-        // out in. A zero aperture draws pairs it never reads, which the
-        // discarded generator makes harmless.
-        let mut held: Option<GaussPair> = None;
         BitStream::from_fn(n, |i| {
             let strobe = start + ui * i as i64 + strobe_phase;
-            let (pair, second) = match held.take() {
-                Some(pair) => (pair, true),
-                None => {
-                    let pair = rng.gauss_pair();
-                    held = Some(pair);
-                    (pair, false)
-                }
-            };
-            // |z|·σ ≤ bound·σ, whose rounding is at most its truncation
-            // plus 1 fs; one more fs spares it.
-            let slack = Duration::from_fs((pair.radius_bound() * sigma_fs) as i64 + 2); // xlint::allow(no-lossy-cast, a nonnegative product of a few sigmas in fs; truncation stays below its ceiling)
-            cursor.decide(strobe - slack, strobe + slack, level, 0.0).unwrap_or_else(|| {
-                let z = if second { pair.second() } else { pair.first() };
-                self.slice(strobe, z, |t| cursor.value_at(t))
-            })
+            self.strobe_bit(&mut cursor, strobe, level, draws.next())
         })
     }
 
-    /// Equivalent-time scan: sweeps the strobe phase across one UI in
-    /// `steps` increments, capturing `n` bits at each phase, and returns
-    /// the per-phase error count against `expected`.
+    /// Whether each row's capture at `strobe_phase` matches `expected` in
+    /// every bit, where a row is a (threshold, seed) pair: row `r` answers
+    /// exactly what `capture` at threshold `rows[r].0` and seed `rows[r].1`
+    /// followed by a zero-mismatch check would.
     ///
-    /// This is the mini-tester's software-scope mode: the pass band of the
-    /// resulting curve *is* the horizontal eye opening.
-    pub fn phase_scan(
+    /// This is the pass-only kernel of a shmoo column, whose threshold rows
+    /// strobe the same instants. No row's jittered instant leaves ±S
+    /// around its strobe, S being the span of the largest deviate
+    /// [`GaussPair::max_radius_bound`] allows at this aperture, so one
+    /// [`WaveCursor::bound`] per bit over that span, while two or more rows
+    /// are live, settles every row whose decision level lies outside it.
+    /// Only the other rows take their own `decide` and, failing that, the
+    /// exact path. Each row draws its deviates from its own stream in
+    /// `capture`'s order, and stops at its first mismatch; the sweep stops
+    /// when no row is left.
+    pub fn capture_passes(
         &self,
         wave: &AnalogWaveform,
         rate: DataRate,
+        strobe_phase: Duration,
         expected: &BitStream,
-        steps: usize,
-        seed: u64,
-    ) -> Vec<(Duration, usize)> {
+        rows: &[(Millivolts, u64)],
+    ) -> Vec<bool> {
+        struct Row {
+            level: f64,
+            draws: Aperture,
+            pass: bool,
+        }
         let ui = rate.unit_interval();
-        let n = expected.len();
-        let tree = SeedTree::new(seed).stream("pecl.sampler.phase-scan");
-        (0..steps)
-            .map(|k| {
-                let phase = ui.mul_f64(k as f64 / steps as f64);
-                let captured = self.capture(wave, rate, phase, n, tree.index(k as u64).seed());
-                let (errors, _) = captured.hamming_distance(expected);
-                (phase, errors)
+        let span = slack_of(GaussPair::max_radius_bound(), self.aperture_rj);
+        let mut rows: Vec<Row> = rows
+            .iter()
+            .map(|&(threshold, seed)| Row {
+                level: self.decision_level_at(threshold),
+                draws: Aperture::new(seed, self.aperture_rj),
+                pass: true,
             })
-            .collect()
+            .collect();
+        let mut live = rows.len();
+        let mut cursor = wave.cursor();
+        // Bit i strobes at `start + ui·i + strobe_phase`, as in `capture`.
+        let mut strobe = wave.digital().start() + strobe_phase;
+        for want in expected.iter() {
+            if live == 0 {
+                break;
+            }
+            // A lone row's own span is narrower than ±S, so its own
+            // `decide` is the better bound; the shared one pays only when
+            // rows share it.
+            let share = live > 1;
+            let mut shared = None;
+            for row in rows.iter_mut().filter(|row| row.pass) {
+                let draw = row.draws.next();
+                // The guard keeps the shared bound sound whatever `span`
+                // is: a draw it does not cover decides on its own.
+                let settled = if share && draw.slack <= span {
+                    let (lo, hi) =
+                        *shared.get_or_insert_with(|| cursor.bound(strobe - span, strobe + span));
+                    if lo >= row.level {
+                        Some(true)
+                    } else if hi < row.level {
+                        Some(false)
+                    } else {
+                        None
+                    }
+                } else {
+                    None
+                };
+                let bit = settled
+                    .unwrap_or_else(|| self.strobe_bit(&mut cursor, strobe, row.level, draw));
+                if bit != want {
+                    row.pass = false;
+                    live -= 1;
+                }
+            }
+            strobe += ui;
+        }
+        rows.iter().map(|row| row.pass).collect()
     }
+}
+
+/// The aperture deviates of one capture, handed out one strobe at a time.
+///
+/// Strobe 2k takes the first deviate of the k-th Box–Muller pair and
+/// strobe 2k + 1 the second, the order `Rng::gaussian` hands them out in.
+/// A zero aperture draws pairs it never reads, which the discarded
+/// generator makes harmless.
+#[derive(Debug)]
+struct Aperture {
+    rng: Rng,
+    sigma: Duration,
+    held: Option<(GaussPair, Duration)>,
+}
+
+/// One strobe's share of a Box–Muller pair, and the span around the strobe
+/// its jittered instant cannot leave.
+#[derive(Debug, Clone, Copy)]
+struct Draw {
+    pair: GaussPair,
+    second: bool,
+    slack: Duration,
+}
+
+impl Aperture {
+    fn new(seed: u64, sigma: Duration) -> Self {
+        Aperture { rng: SeedTree::new(seed).derive(SAMPLER_STREAM).rng(), sigma, held: None }
+    }
+
+    fn next(&mut self) -> Draw {
+        match self.held.take() {
+            Some((pair, slack)) => Draw { pair, second: true, slack },
+            None => {
+                let pair = self.rng.gauss_pair();
+                let slack = slack_of(pair.radius_bound(), self.sigma);
+                self.held = Some((pair, slack));
+                Draw { pair, second: false, slack }
+            }
+        }
+    }
+}
+
+impl Draw {
+    fn deviate(&self) -> f64 {
+        if self.second {
+            self.pair.second()
+        } else {
+            self.pair.first()
+        }
+    }
+}
+
+/// The span around a strobe that an aperture offset of at most `radius`
+/// sigmas cannot leave. `|z|·σ ≤ radius·σ`, whose rounding to the fs in
+/// [`aperture_offset`] is at most its truncation plus 1 fs; one more fs
+/// spares it.
+fn slack_of(radius: f64, sigma: Duration) -> Duration {
+    // xlint::allow(no-lossy-cast, aperture jitter in fs stays far below 2^53, as in aperture_offset)
+    let sigma_fs = sigma.as_fs() as f64;
+    Duration::from_fs((radius * sigma_fs) as i64 + 2) // xlint::allow(no-lossy-cast, a nonnegative product of a few sigmas in fs; truncation stays below its ceiling)
 }
 
 /// The aperture offset of a standard normal deviate `z` at rms `sigma`,
@@ -192,7 +311,7 @@ fn aperture_offset(z: f64, sigma: Duration) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use signal::jitter::{JitterBudget, NoJitter};
+    use signal::jitter::NoJitter;
     use signal::{DigitalWaveform, EdgeShape, LevelSet};
 
     fn wave(bits: &str, gbps: f64) -> (AnalogWaveform, DataRate, BitStream) {
@@ -255,27 +374,6 @@ mod tests {
         let a = s.capture(&w, rate, Duration::from_ps(200), 10, 3);
         let b = s.capture(&w, rate, Duration::from_ps(200), 10, 3);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn phase_scan_shows_open_eye() {
-        // A clean 2.5 Gbps signal: errors at the crossover phases, none at
-        // the eye centre.
-        let rate = DataRate::from_gbps(2.5);
-        let bits = BitStream::alternating(64);
-        let w = AnalogWaveform::new(
-            DigitalWaveform::from_bits(&bits, rate, &JitterBudget::new().with_rj_rms_ps(3.0), 5),
-            LevelSet::pecl(),
-            EdgeShape::default(),
-        );
-        let s = StrobedSampler::minitester();
-        let scan = s.phase_scan(&w, rate, &bits, 40, 11);
-        assert_eq!(scan.len(), 40);
-        // Eye centre (phase ~UI/2) must be clean.
-        let centre = &scan[20];
-        assert_eq!(centre.1, 0, "errors at centre phase {}", centre.0);
-        // Crossover (phase ~0) must not be clean.
-        assert!(scan[0].1 > 0, "expected errors at the crossover");
     }
 
     #[test]

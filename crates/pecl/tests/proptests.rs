@@ -224,3 +224,69 @@ fn capture_matches_the_per_strobe_loop_bit_for_bit() {
         }
     }
 }
+
+#[test]
+fn capture_passes_matches_a_zero_mismatch_check_of_each_rows_capture() {
+    use signal::jitter::JitterBudget;
+    use signal::{AnalogWaveform, DigitalWaveform, EdgeShape, LevelSet};
+    let (mut rng, n) = cases("sampler-rows");
+    let (mut passed, mut failed) = (0, 0);
+    for case in 0..n {
+        let rate = DataRate::from_gbps(rng.range_f64(1.0, 6.0));
+        let stream = random_bits(&mut rng, 16, 300);
+        let jitter = JitterBudget::new()
+            .with_rj_rms_ps(rng.range_f64(0.0, 8.0))
+            .with_dcd_ps(rng.range_f64(0.0, 20.0));
+        let levels = LevelSet::pecl().with_swing(Millivolts::new(rng.range_i32(150..1_000)));
+        let rise = rng.range_f64(30.0, 140.0);
+        let fall = if case % 2 == 0 { rise } else { rng.range_f64(30.0, 140.0) };
+        let wave = AnalogWaveform::new(
+            DigitalWaveform::from_bits(&stream, rate, &jitter, rng.next_u64()),
+            levels,
+            EdgeShape::from_rise_fall_2080_ps(rise, fall),
+        );
+        // Mostly the bits the stimulus carries, so rows pass as well as
+        // fail; sometimes with one bit flipped, or a few bits past the end.
+        let mut expected = stream.clone();
+        if case % 3 == 1 {
+            let flip = rng.range_usize(0..expected.len());
+            expected = BitStream::from_fn(expected.len(), |i| expected[i] ^ (i == flip));
+        }
+        if case % 5 == 2 {
+            expected = expected.concat(&BitStream::from_fn(rng.range_usize(1..4), |_| rng.bool()));
+        }
+        let (vol, voh) = (levels.vol().as_mv(), levels.voh().as_mv());
+        let rows: Vec<(Millivolts, u64)> = (0..rng.range_usize(1..21))
+            .map(|r| {
+                let threshold = match r % 4 {
+                    0 => rng.range_i32(vol..voh),
+                    1 => levels.mid().as_mv() + rng.range_i32(-40..40),
+                    2 => [vol - 100, voh + 100, vol, voh][rng.range_usize(0..4)],
+                    _ => rng.range_i32(vol - 200..voh + 200),
+                };
+                (Millivolts::new(threshold), rng.next_u64())
+            })
+            .collect();
+        let phase = Duration::from_fs(rng.range_i64(0..rate.unit_interval().as_fs()));
+        let aperture = Duration::from_ps([0, 2, 2, 7][case % 4]);
+        let mut sampler = pecl::StrobedSampler::new(Millivolts::new(-1300), aperture);
+        if case % 4 == 3 {
+            sampler.set_input_offset(Millivolts::new(rng.range_i32(-30..30)));
+        }
+        let got = sampler.capture_passes(&wave, rate, phase, &expected, &rows);
+        assert_eq!(got.len(), rows.len());
+        for (r, (&(threshold, seed), pass)) in rows.iter().zip(&got).enumerate() {
+            let mut row_sampler = sampler.clone();
+            row_sampler.set_threshold(threshold);
+            let captured = row_sampler.capture(&wave, rate, phase, expected.len(), seed);
+            let (errors, _) = captured.hamming_distance(&expected);
+            assert_eq!(*pass, errors == 0, "case {case} row {r}: threshold {threshold}");
+            if *pass {
+                passed += 1;
+            } else {
+                failed += 1;
+            }
+        }
+    }
+    assert!(passed > 0 && failed > 0, "{passed} rows passed and {failed} failed");
+}

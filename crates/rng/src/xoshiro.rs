@@ -191,6 +191,11 @@ impl Rng {
 /// in [`GaussPair::first`] and [`GaussPair::second`].
 const TWO_LN_2_ROUNDED_UP: f64 = 1.386_294_361_121_277;
 
+/// The bound on the Box–Muller radius when `u1` lies in `[2⁻ᵏ, 2¹⁻ᵏ)`.
+fn radius_bound_of_binade(k: u64) -> f64 {
+    (k as f64 * TWO_LN_2_ROUNDED_UP).sqrt() // xlint::allow(no-lossy-cast, k is at most 1023 and exact in f64)
+}
+
 /// The two uniforms of one Box–Muller transform, from
 /// [`Rng::gauss_pair`].
 ///
@@ -233,8 +238,14 @@ impl GaussPair {
     pub fn radius_bound(&self) -> f64 {
         // u1 is a positive normal number below 1, so its sign bit is clear
         // and it lies in [2^-k, 2^(1-k)) with k in 1..=1022.
-        let k = 1023u64.saturating_sub(self.u1.to_bits() >> 52);
-        (k as f64 * TWO_LN_2_ROUNDED_UP).sqrt() // xlint::allow(no-lossy-cast, k is at most 1023 and exact in f64)
+        radius_bound_of_binade(1023u64.saturating_sub(self.u1.to_bits() >> 52))
+    }
+
+    /// The largest [`radius_bound`](GaussPair::radius_bound) a pair from
+    /// [`Rng::gauss_pair`] can have, about 8.57: [`Rng::f64`] has 53-bit
+    /// resolution, so a nonzero `u1` is at least 2⁻⁵³.
+    pub fn max_radius_bound() -> f64 {
+        radius_bound_of_binade(53)
     }
 
     fn radius(&self) -> f64 {
@@ -340,11 +351,21 @@ mod tests {
     }
 
     #[test]
+    fn max_radius_bound_covers_the_smallest_uniform() {
+        // The smallest nonzero `Rng::f64` is 2^-53, the bottom of binade 53.
+        let smallest = GaussPair { u1: 1.0 / (1u64 << 53) as f64, u2: 0.0 };
+        assert_eq!(smallest.radius_bound().to_bits(), GaussPair::max_radius_bound().to_bits());
+        assert!(smallest.first() <= GaussPair::max_radius_bound());
+        assert!((8.57..8.58).contains(&GaussPair::max_radius_bound()));
+    }
+
+    #[test]
     fn radius_bound_covers_drawn_pairs() {
         let mut g = Rng::seed_from_u64(17);
         for _ in 0..100_000 {
             let pair = g.gauss_pair();
             assert!(pair.radius_bound() >= pair.first().abs().max(pair.second().abs()));
+            assert!(pair.radius_bound() <= GaussPair::max_radius_bound());
         }
     }
 

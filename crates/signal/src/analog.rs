@@ -515,6 +515,42 @@ impl WaveCursor<'_> {
         threshold: f64,
         margin: f64,
     ) -> Option<bool> {
+        let (lo, hi) = self.bound(ta, tb);
+        if lo - margin >= threshold {
+            Some(true)
+        } else if hi + margin < threshold {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Bounds the waveform over `[ta, tb]` without evaluating it: every
+    /// `value_at(t)` for `t` in the span lies in the returned `(lo, hi)`.
+    ///
+    /// The bound is [`decide`](Self::decide)'s, rounding tolerance
+    /// included, so `lo >= threshold` and `hi < threshold` settle a
+    /// comparison for every instant in the span exactly as `decide` does
+    /// with no margin. One bound over a wide span serves every comparison
+    /// whose instant is known to lie inside it, whatever its threshold.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pstime::{DataRate, Instant};
+    /// use signal::jitter::NoJitter;
+    /// use signal::{AnalogWaveform, BitStream, DigitalWaveform, EdgeShape, LevelSet};
+    ///
+    /// let rate = DataRate::from_gbps(2.5);
+    /// let bits = BitStream::from_str_bits("0110");
+    /// let d = DigitalWaveform::from_bits(&bits, rate, &NoJitter, 0);
+    /// let a = AnalogWaveform::new(d, LevelSet::pecl(), EdgeShape::default());
+    /// let mut cursor = a.cursor();
+    /// let (lo, hi) = cursor.bound(Instant::from_ps(590), Instant::from_ps(610));
+    /// let v = a.value_at(Instant::from_ps(600));
+    /// assert!(lo <= v && v <= hi && lo > -1300.0);
+    /// ```
+    pub fn bound(&mut self, ta: Instant, tb: Instant) -> (f64, f64) {
         self.seek(ta);
         let wave = self.wave;
         let win = self.win.as_fs();
@@ -551,13 +587,7 @@ impl WaveCursor<'_> {
         // the table positions, each below 2^-40 of |level| + swing per
         // term.
         let tol = (base.abs() + swing) * terms * BOUND_SLACK;
-        if lo - tol - margin >= threshold {
-            Some(true)
-        } else if hi + tol + margin < threshold {
-            Some(false)
-        } else {
-            None
-        }
+        (lo - tol, hi + tol)
     }
 
     /// Moves `lo_idx` to the number of edges before `t`'s influence
@@ -574,7 +604,7 @@ impl WaveCursor<'_> {
     }
 }
 
-/// Relative slack of [`WaveCursor::decide`]'s bounds per term: far above
+/// Relative slack of [`WaveCursor::bound`] per term: far above
 /// the `f64` rounding of a sum of logistic terms (about 2⁻⁵² of the
 /// magnitudes per addition) and far below any voltage this crate resolves.
 const BOUND_SLACK: f64 = 1e-9;

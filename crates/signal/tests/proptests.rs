@@ -380,6 +380,47 @@ fn decide_agrees_with_every_sampled_instant_and_noise() {
 }
 
 #[test]
+fn bound_contains_every_sampled_instant() {
+    let (mut rng, n) = cases("bound-oracle");
+    for case in 0..n {
+        let rate = DataRate::from_gbps([1.0, 2.5, 5.0][rng.range_usize(0..3)]);
+        let rise = rng.range_f64(20.0, 150.0);
+        let fall = if case % 2 == 0 { rise } else { rng.range_f64(20.0, 150.0) };
+        let start = Instant::from_ps(rng.range_i64(-2_000..2_000));
+        let digital = if case % 8 == 0 {
+            DigitalWaveform::constant(rng.bool(), start, start + Duration::from_ps(5_000))
+        } else {
+            let bits = random_bits(&mut rng, 128);
+            let jitter = JitterBudget::new()
+                .with_rj_rms_ps(rng.range_f64(0.0, 15.0))
+                .with_dcd_ps(rng.range_f64(0.0, 30.0));
+            DigitalWaveform::from_bits_at(start, &bits, rate, &jitter, rng.next_u64())
+        };
+        let levels = LevelSet::pecl().with_swing(Millivolts::new(rng.range_i32(100..1_200)));
+        let wave =
+            AnalogWaveform::new(digital, levels, EdgeShape::from_rise_fall_2080_ps(rise, fall));
+        let lo = wave.digital().start() - Duration::from_ps(3_000);
+        let hi = wave.digital().end() + Duration::from_ps(3_000);
+        let mut cursor = wave.cursor();
+        for span in 0..120 {
+            let ta = lo + Duration::from_fs(rng.range_i64(0..(hi - lo).as_fs()));
+            let tb = ta + Duration::from_fs(rng.range_i64(0..[1, 40_000, 400_000][span % 3]));
+            let (low, high) = cursor.bound(ta, tb);
+            assert!(low <= high, "case {case}: bound({ta}, {tb}) = ({low}, {high})");
+            for t in [ta, tb].into_iter().chain(
+                (0..8).map(|_| ta + Duration::from_fs(rng.range_i64(0..(tb - ta).as_fs() + 1))),
+            ) {
+                let v = wave.value_at(t);
+                assert!(
+                    low <= v && v <= high,
+                    "case {case}: value_at({t}) = {v} outside bound({ta}, {tb}) = ({low}, {high})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn decide_answers_most_mid_bit_strobes_of_a_prbs() {
     let mut rng = SeedTree::new(0x51634).stream("signal.proptests").stream("decide-rate").rng();
     let rate = DataRate::from_gbps(2.5);
