@@ -608,7 +608,7 @@ fn every_answer_tier_streams_identical_frames_apart_from_provenance() {
 /// last-place drift in the waveform arithmetic.
 #[test]
 fn kernel_outputs_match_frozen_digests() {
-    const FROZEN: [(&str, u64); 16] = [
+    const FROZEN: [(&str, u64); 18] = [
         ("jittered", 0xc4a3_c90c_ef7c_c824),
         ("asymmetric", 0xbffa_c6c0_cc79_9bc7),
         ("isi-5g", 0x2601_1ae0_9033_bb2f),
@@ -624,6 +624,8 @@ fn kernel_outputs_match_frozen_digests() {
         ("eye-1g", 0x1f53_9198_9dc6_3b43),
         ("shmoo-mid", 0x09e8_9bfd_32b3_59ef),
         ("shmoo-mid-rows", 0x459f_9563_dcbf_08d0),
+        ("wafer-5g", 0x4f59_fda6_80ac_0477),
+        ("wafer-5g-dies", 0xbc2c_aedf_58c5_3341),
         ("full_report", 0xcdd1_3851_8c28_be92),
     ];
     use atd::cache::fnv1a64;
@@ -688,6 +690,8 @@ fn kernel_outputs_match_frozen_digests() {
     // relative to the scan's 10 ps steps). The mid-swing shmoo steps its
     // threshold by 10 mV across −1400…−1200 mV, where many rows sit inside
     // a strobe's bound and need their own decision or the exact path.
+    // The 5 Gbps wafer mixes hard and marginal dies: its eyes are narrow,
+    // so many strobe phases of each margin scan sit near the eye walls.
     let wafer = JobSpec::wafer(&WaferRunConfig {
         dies: 12,
         columns: 4,
@@ -710,6 +714,16 @@ fn kernel_outputs_match_frozen_digests() {
         },
         5,
     );
+    let wafer_5g = JobSpec::wafer(&WaferRunConfig {
+        dies: 12,
+        columns: 4,
+        sites: 4,
+        hard_defect_rate: 0.25,
+        marginal_rate: 0.5,
+        rate: DataRate::from_gbps(5.0),
+        test_bits: 256,
+        seed: 13,
+    });
     let specs = [
         ("shmoo", shmoo),
         ("shmoo-rows", shmoo.slice(3, 4).unwrap()),
@@ -735,6 +749,8 @@ fn kernel_outputs_match_frozen_digests() {
         ("eye-1g", JobSpec::eye(DataRate::from_gbps(1.0), 256, 17, 5)),
         ("shmoo-mid", mid_swing),
         ("shmoo-mid-rows", mid_swing.slice(6, 9).unwrap()),
+        ("wafer-5g", wafer_5g),
+        ("wafer-5g-dies", wafer_5g.slice(3, 6).unwrap()),
     ];
     let pool = ExecPool::from_env();
     let result_digests: Vec<(&str, u64)> = specs
