@@ -15,6 +15,9 @@ EXEC_THREADS=4 cargo test -q --offline
 # short-run and relay wire tests here.
 cargo test --release --offline --manifest-path headbench/Cargo.toml
 cargo clippy --offline --all-targets -- -D warnings
+# headbench's own workspace is out of reach of the clippy and fmt steps
+# of this one too, so both also run on it by its manifest.
+cargo clippy --offline --all-targets --manifest-path headbench/Cargo.toml -- -D warnings
 # First-party static analysis: determinism, unit-safety, panic-freedom,
 # job-purity, and dataflow contracts (rules R1–R8 plus the call-graph and
 # taint passes; see DESIGN.md "Enforced invariants", "Semantic analysis
@@ -76,6 +79,7 @@ echo "xlint: every suppression carries a reason"
 # outlive the item it named.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps
 cargo fmt --check
+cargo fmt --check --manifest-path headbench/Cargo.toml
 # Thread-count invariance canary: the deterministic sweep outputs (shmoo
 # plot, wafer map, eye scan, jitter report, BER digest) must be
 # byte-identical whether the exec pool runs 1 worker or 4.

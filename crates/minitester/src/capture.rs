@@ -10,7 +10,7 @@
 use core::fmt;
 
 use pecl::{ProgrammableDelayLine, StrobedSampler};
-use pstime::{DataRate, Duration, Millivolts, UnitInterval};
+use pstime::{DataRate, Duration, UnitInterval};
 use signal::{AnalogWaveform, BitStream};
 
 use crate::{MiniTesterError, Result};
@@ -229,32 +229,22 @@ impl EtCapture {
         phase: Duration,
         seed: u64,
     ) -> Result<ScanPoint> {
-        let mut vernier = self.vernier.clone();
-        vernier.set_delay(phase)?;
-        let actual_phase = vernier.actual_delay();
-        let got = self.sampler.capture(wave, rate, actual_phase, expected.len(), seed);
+        let (nominal, actual) = self.programmed(phase)?;
+        let got = self.sampler.capture(wave, rate, actual, expected.len(), seed);
         let (errors, compared) = got.hamming_distance(expected);
-        Ok(ScanPoint { phase: vernier.nominal_delay(), compared, errors })
+        Ok(ScanPoint { phase: nominal, compared, errors })
     }
 
-    /// Whether the capture at one strobe phase (quantized as in
-    /// [`capture_at`](Self::capture_at)) matches `expected` in every bit,
-    /// once per (threshold, seed) row, through
-    /// [`StrobedSampler::capture_passes`]. Also returns the nominal phase.
-    /// Row `r` passes exactly when `capture_at` with the sampler at
-    /// threshold `rows[r].0` and seed `rows[r].1` would count no error.
-    pub(crate) fn passes_at(
-        &self,
-        wave: &AnalogWaveform,
-        rate: DataRate,
-        expected: &BitStream,
-        phase: Duration,
-        rows: &[(Millivolts, u64)],
-    ) -> Result<(Duration, Vec<bool>)> {
+    /// The vernier's (nominal, actual) delay when programmed to `phase`:
+    /// the phase a point is filed under, and the one its strobes take.
+    ///
+    /// # Errors
+    ///
+    /// Propagates vernier range errors.
+    pub(crate) fn programmed(&self, phase: Duration) -> Result<(Duration, Duration)> {
         let mut vernier = self.vernier.clone();
         vernier.set_delay(phase)?;
-        let pass = self.sampler.capture_passes(wave, rate, vernier.actual_delay(), expected, rows);
-        Ok((vernier.nominal_delay(), pass))
+        Ok((vernier.nominal_delay(), vernier.actual_delay()))
     }
 }
 
@@ -268,8 +258,10 @@ impl EtCapture {
 /// that runs inside a job already fanned out passes
 /// [`exec::ExecPool::serial`], so thread counts compose instead of
 /// multiplying. The margin scan [`crate::MiniTester`] runs for each wafer
-/// die reads only which phases are clean; it runs the same phases and
-/// seeds through the pass-only kernel on the calling thread.
+/// die reads only which phases are clean; it strobes every phase with the
+/// same seeds in one pass-only sweep
+/// ([`pecl::StrobedSampler::capture_passes`]) on the calling thread, where
+/// adjacent phases, a vernier step apart, share waveform bounds.
 #[derive(Debug, Clone, Copy)]
 pub struct EyeScanJob<'a> {
     /// The capture head (sampler threshold + strobe vernier).
@@ -320,7 +312,10 @@ impl EyeScanJob<'_> {
     /// Which phases of the full scan capture every bit, on the calling
     /// thread: the pass-only form of [`run_on`](exec::PoolJob::run_on),
     /// for a caller that reads only the opening and the best phase. Each
-    /// phase seeds as in the full scan, so both agree phase by phase.
+    /// phase is one row of a single
+    /// [`StrobedSampler::capture_passes`] call: the vernier's actual delay,
+    /// the sampler's threshold and the full scan's seed, so both agree
+    /// phase by phase.
     ///
     /// # Errors
     ///
@@ -330,22 +325,17 @@ impl EyeScanJob<'_> {
         let tree = self.seeds();
         let threshold = self.capture.sampler.threshold();
         let mut phases = Vec::with_capacity(steps);
-        let mut clean = Vec::with_capacity(steps);
-        // Step k strobes at k steps, as in the full scan.
+        let mut rows = Vec::with_capacity(steps);
+        // Step k strobes at k steps and seeds from `tree.index(k)`, as in
+        // the full scan.
         let mut phase = Duration::ZERO;
         for k in (0u64..).take(steps) {
-            let seed = tree.index(k).seed();
-            let (nominal, pass) = self.capture.passes_at(
-                self.wave,
-                self.rate,
-                self.expected,
-                phase,
-                &[(threshold, seed)],
-            )?;
+            let (nominal, actual) = self.capture.programmed(phase)?;
             phases.push(nominal);
-            clean.push(pass.iter().all(|p| *p));
+            rows.push((actual, threshold, tree.index(k).seed()));
             phase += step;
         }
+        let clean = self.capture.sampler.capture_passes(self.wave, self.rate, self.expected, &rows);
         Ok(CleanPhases { phases, clean, rate: self.rate, step })
     }
 
@@ -495,18 +485,29 @@ mod tests {
 
     #[test]
     fn clean_phases_agree_with_the_full_scan() {
-        for (gbps, seed) in [(2.5, 4), (5.0, 8), (1.0, 2)] {
-            let (wave, rate, expected) = prbs_setup(gbps, 512);
+        let check = |wave: &AnalogWaveform, rate, expected: &BitStream, seed, what: &str| {
             let capture = EtCapture::new();
-            let job =
-                EyeScanJob { capture: &capture, wave: &wave, rate, expected: &expected, seed };
+            let job = EyeScanJob { capture: &capture, wave, rate, expected, seed };
             let scan = job.run_on(&exec::ExecPool::serial()).unwrap();
             let clean = job.clean_phases().unwrap();
             let want: Vec<bool> = scan.points().iter().map(|p| p.errors == 0).collect();
-            assert_eq!(clean.clean, want, "{gbps} Gbps");
+            assert_eq!(clean.clean, want, "{what}");
+            assert_eq!(clean.phases, scan.points().iter().map(|p| p.phase).collect::<Vec<_>>());
             assert_eq!(clean.opening_ui().ok(), scan.opening_ui().ok());
             assert_eq!(clean.best_phase().ok(), scan.best_phase().ok());
+            want
+        };
+        for (gbps, seed) in [(2.5, 4), (5.0, 8), (1.0, 2)] {
+            let (wave, rate, expected) = prbs_setup(gbps, 512);
+            check(&wave, rate, &expected, seed, &format!("{gbps} Gbps"));
         }
+        // A 5 Gbps loopback through a degraded channel: a narrow eye, so
+        // many phases sit near its walls.
+        let (stimulus, rate, expected) = prbs_setup(5.0, 512);
+        let dut = crate::WlpDut::good(crate::WlpChannel::degraded());
+        let returned = dut.loopback(&stimulus, rate, expected.len(), 6);
+        let clean = check(&returned, rate, &expected, 6, "degraded 5 Gbps loopback");
+        assert!(clean.contains(&true) && clean.contains(&false), "{clean:?}");
         // A closed eye closes both ways.
         let (wave, rate, _) = prbs_setup(2.5, 512);
         let garbage = BitStream::alternating(512);

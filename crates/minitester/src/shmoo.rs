@@ -166,14 +166,15 @@ impl ShmooJob<'_> {
         // substream — `row_start` offsets the seed row so a band
         // reproduces the full sweep's cells bit-for-bit.
         let outcome = pool.run(phases.len(), |col| {
-            let rows: Vec<(Millivolts, u64)> = thresholds
+            let (_, strobe) = capture.programmed(phases[col])?;
+            let rows: Vec<(Duration, Millivolts, u64)> = thresholds
                 .iter()
                 .enumerate()
-                .map(|(r, v)| (*v, tree.index((row_start + r) as u64).index(col as u64).seed()))
+                .map(|(r, v)| {
+                    (strobe, *v, tree.index((row_start + r) as u64).index(col as u64).seed())
+                })
                 .collect();
-            capture
-                .passes_at(self.wave, self.rate, self.expected, phases[col], &rows)
-                .map(|(_, pass)| pass)
+            Ok(capture.sampler().capture_passes(self.wave, self.rate, self.expected, &rows))
         })?;
         let columns = outcome.results.into_iter().collect::<Result<Vec<_>>>()?;
         // Row-major, as the plot stores it.

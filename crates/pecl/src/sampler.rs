@@ -161,84 +161,198 @@ impl StrobedSampler {
         })
     }
 
-    /// Whether each row's capture at `strobe_phase` matches `expected` in
-    /// every bit, where a row is a (threshold, seed) pair: row `r` answers
-    /// exactly what `capture` at threshold `rows[r].0` and seed `rows[r].1`
-    /// followed by a zero-mismatch check would.
+    /// Whether each row's capture matches `expected` in every bit, where a
+    /// row is a (strobe phase, threshold, seed) triple: row `r` answers
+    /// exactly what `capture` at phase `rows[r].0`, threshold `rows[r].1`
+    /// and seed `rows[r].2` followed by a zero-mismatch check would.
     ///
-    /// This is the pass-only kernel of a shmoo column, whose threshold rows
-    /// strobe the same instants. No row's jittered instant leaves ±S
-    /// around its strobe, S being the span of the largest deviate
-    /// [`GaussPair::max_radius_bound`] allows at this aperture, so one
-    /// [`WaveCursor::bound`] per bit over that span, while two or more rows
-    /// are live, settles every row whose decision level lies outside it.
-    /// Only the other rows take their own `decide` and, failing that, the
-    /// exact path. Each row draws its deviates from its own stream in
-    /// `capture`'s order, and stops at its first mismatch; the sweep stops
-    /// when no row is left.
+    /// This is the one pass-only kernel: a shmoo column's threshold rows
+    /// strobe one phase, an eye scan's phases sit a vernier step apart,
+    /// and both read only `errors == 0`. No row's jittered instant leaves
+    /// ±S around its strobe, S being the span of the largest deviate
+    /// [`GaussPair::max_radius_bound`] allows at this aperture. So per bit,
+    /// one [`WaveCursor::bound`] over [earliest strobe − S, latest
+    /// strobe + S] of a group of live rows settles every row of the group
+    /// whose decision level lies outside it, whatever its deviate. Groups
+    /// run depth-first in strobe order, starting with all live rows, each
+    /// of which draws its deviate in `capture`'s order. When the rows a
+    /// bound leaves open share one phase, each takes its own `decide` and,
+    /// failing that, the exact path; otherwise they split at their middle
+    /// into two groups. A lone row skips the shared bound, whose span is
+    /// wider than its own. A shmoo column is thus one bound per bit and a
+    /// `decide` per row it leaves open, while adjacent phases share
+    /// bounds. Rows may come in any order; the result is in theirs. A row
+    /// stops at its first mismatch, and the sweep stops when no row is
+    /// left.
     pub fn capture_passes(
         &self,
         wave: &AnalogWaveform,
         rate: DataRate,
-        strobe_phase: Duration,
         expected: &BitStream,
-        rows: &[(Millivolts, u64)],
+        rows: &[(Duration, Millivolts, u64)],
     ) -> Vec<bool> {
-        struct Row {
-            level: f64,
-            draws: Aperture,
-            pass: bool,
-        }
+        let levels: Vec<f64> =
+            rows.iter().map(|&(_, threshold, _)| self.decision_level_at(threshold)).collect();
+        let mut sweep = Sweep {
+            sampler: self,
+            cursor: wave.cursor(),
+            span: slack_of(GaussPair::max_radius_bound(), self.aperture_rj),
+            phases: rows.iter().map(|&(phase, _, _)| phase).collect(),
+            lowest: levels.iter().copied().fold(f64::INFINITY, f64::min),
+            highest: levels.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            levels,
+            pass: vec![true; rows.len()],
+            failed: 0,
+            // Bit i strobes at `start + ui·i + phase`, as in `capture`.
+            base: wave.digital().start(),
+            want: false,
+        };
+        let mut draws: Vec<Aperture> =
+            rows.iter().map(|&(_, _, seed)| Aperture::new(seed, self.aperture_rj)).collect();
+        // Live rows in strobe order, so that a group's ends are its
+        // earliest and latest strobes.
+        let mut live: Vec<usize> = (0..rows.len()).collect();
+        live.sort_by_key(|&r| sweep.phases[r]);
+        let mut group = Vec::with_capacity(live.len());
         let ui = rate.unit_interval();
-        let span = slack_of(GaussPair::max_radius_bound(), self.aperture_rj);
-        let mut rows: Vec<Row> = rows
-            .iter()
-            .map(|&(threshold, seed)| Row {
-                level: self.decision_level_at(threshold),
-                draws: Aperture::new(seed, self.aperture_rj),
-                pass: true,
-            })
-            .collect();
-        let mut live = rows.len();
-        let mut cursor = wave.cursor();
-        // Bit i strobes at `start + ui·i + strobe_phase`, as in `capture`.
-        let mut strobe = wave.digital().start() + strobe_phase;
         for want in expected.iter() {
-            if live == 0 {
-                break;
-            }
-            // A lone row's own span is narrower than ±S, so its own
-            // `decide` is the better bound; the shared one pays only when
-            // rows share it.
-            let share = live > 1;
-            let mut shared = None;
-            for row in rows.iter_mut().filter(|row| row.pass) {
-                let draw = row.draws.next();
-                // The guard keeps the shared bound sound whatever `span`
-                // is: a draw it does not cover decides on its own.
-                let settled = if share && draw.slack <= span {
-                    let (lo, hi) =
-                        *shared.get_or_insert_with(|| cursor.bound(strobe - span, strobe + span));
-                    if lo >= row.level {
-                        Some(true)
-                    } else if hi < row.level {
-                        Some(false)
-                    } else {
-                        None
+            sweep.want = want;
+            // The first group is every live row. Its bound is taken before
+            // the draws, so that each row is drawn and settled against it
+            // in one pass; a lone row skips it.
+            let shared = match live[..] {
+                [] => break,
+                [_] => None,
+                [first, .., last] => Some(sweep.bound(first, last)),
+            };
+            group.clear();
+            for &r in &live {
+                let draw = draws[r].next();
+                match shared {
+                    // The guard keeps the shared bounds sound whatever
+                    // `span` is: a draw they do not cover decides on its
+                    // own.
+                    Some(bound) if draw.slack <= sweep.span => {
+                        if !sweep.settled_by(r, bound) {
+                            group.push((r, draw));
+                        }
                     }
-                } else {
-                    None
-                };
-                let bit = settled
-                    .unwrap_or_else(|| self.strobe_bit(&mut cursor, strobe, row.level, draw));
-                if bit != want {
-                    row.pass = false;
-                    live -= 1;
+                    _ => sweep.strobe(r, draw),
                 }
             }
-            strobe += ui;
+            sweep.resolve(&mut group);
+            if sweep.failed > 0 {
+                live.retain(|&r| sweep.pass[r]);
+                sweep.failed = 0;
+            }
+            sweep.base += ui;
         }
-        rows.iter().map(|row| row.pass).collect()
+        sweep.pass
+    }
+}
+
+/// The state of one [`StrobedSampler::capture_passes`] call: the rows'
+/// phases, decision levels and verdicts, indexed by row.
+struct Sweep<'a> {
+    sampler: &'a StrobedSampler,
+    cursor: WaveCursor<'a>,
+    /// The span ±S no jittered instant leaves around its strobe.
+    span: Duration,
+    phases: Vec<Duration>,
+    levels: Vec<f64>,
+    /// The lowest and highest of `levels`.
+    lowest: f64,
+    highest: f64,
+    pass: Vec<bool>,
+    /// Rows failed at the current bit.
+    failed: usize,
+    /// The current bit's strobe at phase zero.
+    base: Instant,
+    /// The current bit's expected value.
+    want: bool,
+}
+
+impl Sweep<'_> {
+    /// The waveform bound over [phase of `first` − S, phase of `last` + S]
+    /// at the current bit.
+    fn bound(&mut self, first: usize, last: usize) -> (f64, f64) {
+        let (ta, tb) = (self.base + self.phases[first], self.base + self.phases[last]);
+        self.cursor.bound(ta - self.span, tb + self.span)
+    }
+
+    /// Decides the current bit of every row in `group`, a list of (row,
+    /// draw) pairs in strobe order whose draws `span` covers.
+    fn settle(&mut self, group: &mut [(usize, Draw)]) {
+        let (lo, hi) = match group {
+            [] => return,
+            [(r, draw)] => return self.strobe(*r, *draw),
+            [(first, _), .., (last, _)] => self.bound(*first, *last),
+        };
+        // Against the extreme levels first: a single-threshold scan
+        // settles, or leaves open, the whole group at once.
+        if lo >= self.highest || hi < self.lowest {
+            if (lo >= self.highest) != self.want {
+                for &(r, _) in group.iter() {
+                    self.record(r, !self.want);
+                }
+            }
+        } else if lo < self.lowest && hi >= self.highest {
+            self.resolve(group);
+        } else {
+            // Keep the rows the bound leaves open, in order, at the front.
+            let mut open = 0;
+            for j in 0..group.len() {
+                let (r, draw) = group[j];
+                if !self.settled_by(r, (lo, hi)) {
+                    group[open] = (r, draw);
+                    open += 1;
+                }
+            }
+            self.resolve(&mut group[..open]);
+        }
+    }
+
+    /// Decides the rows a group's bound left open: each on its own when
+    /// they share one phase, otherwise by halves.
+    fn resolve(&mut self, open: &mut [(usize, Draw)]) {
+        match open {
+            [] => {}
+            [(first, _), .., (last, _)] if self.phases[*first] != self.phases[*last] => {
+                let (left, right) = open.split_at_mut(open.len() / 2);
+                self.settle(left);
+                self.settle(right);
+            }
+            _ => {
+                for &(r, draw) in open.iter() {
+                    self.strobe(r, draw);
+                }
+            }
+        }
+    }
+
+    /// Settles row `r`'s current bit from the bound `(lo, hi)` when its
+    /// decision level lies outside it; false when the bound leaves it open.
+    fn settled_by(&mut self, r: usize, (lo, hi): (f64, f64)) -> bool {
+        let level = self.levels[r];
+        let settled = lo >= level || hi < level;
+        if settled {
+            self.record(r, lo >= level);
+        }
+        settled
+    }
+
+    /// Decides row `r`'s current bit on its own.
+    fn strobe(&mut self, r: usize, draw: Draw) {
+        let strobe = self.base + self.phases[r];
+        let bit = self.sampler.strobe_bit(&mut self.cursor, strobe, self.levels[r], draw);
+        self.record(r, bit);
+    }
+
+    fn record(&mut self, r: usize, bit: bool) {
+        if bit != self.want {
+            self.pass[r] = false;
+            self.failed += 1;
+        }
     }
 }
 

@@ -256,31 +256,60 @@ fn capture_passes_matches_a_zero_mismatch_check_of_each_rows_capture() {
             expected = expected.concat(&BitStream::from_fn(rng.range_usize(1..4), |_| rng.bool()));
         }
         let (vol, voh) = (levels.vol().as_mv(), levels.voh().as_mv());
-        let rows: Vec<(Millivolts, u64)> = (0..rng.range_usize(1..21))
-            .map(|r| {
+        let ui = rate.unit_interval().as_fs();
+        let count = rng.range_usize(1..41);
+        // Strobe phases, from before the first bit's centre to past one
+        // UI: one column (a shmoo's), a vernier ladder with INL in order
+        // or shuffled, or a few phases each repeated in any order.
+        let start = rng.range_i64(-200_000..ui);
+        let mut phases: Vec<i64> = match case % 4 {
+            0 => vec![start; count],
+            1 | 2 => (0i64..)
+                .take(count)
+                .map(|k| start + 10_000 * k + rng.range_i64(-2_000..2_000))
+                .collect(),
+            _ => {
+                let distinct: Vec<i64> =
+                    (0..rng.range_usize(2..5)).map(|_| rng.range_i64(-200_000..2 * ui)).collect();
+                (0..count).map(|_| distinct[rng.range_usize(0..distinct.len())]).collect()
+            }
+        };
+        if case % 4 == 2 {
+            for k in (1..phases.len()).rev() {
+                phases.swap(k, rng.range_usize(0..k + 1));
+            }
+        }
+        let rows: Vec<(Duration, Millivolts, u64)> = phases
+            .iter()
+            .enumerate()
+            .map(|(r, &phase)| {
                 let threshold = match r % 4 {
                     0 => rng.range_i32(vol..voh),
                     1 => levels.mid().as_mv() + rng.range_i32(-40..40),
                     2 => [vol - 100, voh + 100, vol, voh][rng.range_usize(0..4)],
                     _ => rng.range_i32(vol - 200..voh + 200),
                 };
-                (Millivolts::new(threshold), rng.next_u64())
+                (Duration::from_fs(phase), Millivolts::new(threshold), rng.next_u64())
             })
             .collect();
-        let phase = Duration::from_fs(rng.range_i64(0..rate.unit_interval().as_fs()));
-        let aperture = Duration::from_ps([0, 2, 2, 7][case % 4]);
+        // Every layout meets every aperture, with and without an offset.
+        let aperture = Duration::from_ps([0, 2, 7][(case / 4) % 3]);
         let mut sampler = pecl::StrobedSampler::new(Millivolts::new(-1300), aperture);
-        if case % 4 == 3 {
+        if (case / 12) % 2 == 1 {
             sampler.set_input_offset(Millivolts::new(rng.range_i32(-30..30)));
         }
-        let got = sampler.capture_passes(&wave, rate, phase, &expected, &rows);
+        let got = sampler.capture_passes(&wave, rate, &expected, &rows);
         assert_eq!(got.len(), rows.len());
-        for (r, (&(threshold, seed), pass)) in rows.iter().zip(&got).enumerate() {
+        for (r, (&(phase, threshold, seed), pass)) in rows.iter().zip(&got).enumerate() {
             let mut row_sampler = sampler.clone();
             row_sampler.set_threshold(threshold);
             let captured = row_sampler.capture(&wave, rate, phase, expected.len(), seed);
             let (errors, _) = captured.hamming_distance(&expected);
-            assert_eq!(*pass, errors == 0, "case {case} row {r}: threshold {threshold}");
+            assert_eq!(
+                *pass,
+                errors == 0,
+                "case {case} row {r}: phase {phase}, threshold {threshold}"
+            );
             if *pass {
                 passed += 1;
             } else {
