@@ -348,6 +348,7 @@ impl Sweep<'_> {
         self.record(r, bit);
     }
 
+    /// Fails row `r` when its current bit came out other than expected.
     fn record(&mut self, r: usize, bit: bool) {
         if bit != self.want {
             self.pass[r] = false;
