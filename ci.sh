@@ -21,7 +21,9 @@ cargo clippy --offline --all-targets --manifest-path headbench/Cargo.toml -- -D 
 # First-party static analysis: determinism, unit-safety, panic-freedom,
 # job-purity, and dataflow contracts (rules R1–R8 plus the call-graph and
 # taint passes; see DESIGN.md "Enforced invariants", "Semantic analysis
-# layer", and "Dataflow analysis layer"). The rule fixtures under
+# layer", and "Dataflow analysis layer"), and `unreached-pub`: a pub fn
+# in library source that no other file (headbench's included) names is
+# a warn-tier finding, ratcheted like the rest. The rule fixtures under
 # tests/xlint_fixtures — one seeded firing and one reasoned suppression
 # per rule, including the three dataflow rules — ran inside the test
 # suites above (crates/xlint/tests). Run the real tree twice through the
@@ -75,6 +77,17 @@ if grep -rn "xlint::allow([a-z-]*)" --include='*.rs' crates tests \
   exit 1
 fi
 echo "xlint: every suppression carries a reason"
+# rustc's dead_code lint is the other half of the unreached-pub ratchet:
+# once xlint has a pub fn made private, rustc finds whatever is left
+# unused, with full type resolution. An allow(dead_code) or
+# allow(unused...) attribute would switch that half off, so none may
+# appear outside the xlint fixtures.
+if grep -rnE "(allow|expect)\([^)]*\b(dead_code|unused)" --include='*.rs' crates tests examples \
+    | grep -v "tests/xlint_fixtures"; then
+  echo "ci: allow(dead_code)/allow(unused...) hides code rustc would report dead" >&2
+  exit 1
+fi
+echo "rustc: no dead_code or unused lint is silenced"
 # Rustdoc warnings fail CI, so an intra-doc link to a deleted name cannot
 # outlive the item it named.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps

@@ -120,7 +120,7 @@ impl<L: Read + Write> Client<L> {
     /// # Errors
     ///
     /// [`AtdError::Io`] on a failed write.
-    pub fn flush_out(&mut self) -> Result<(), AtdError> {
+    fn flush_out(&mut self) -> Result<(), AtdError> {
         if !self.out.is_empty() {
             self.link.write_all(&self.out).map_err(|e| io_err("write frames", &e))?;
             self.link.flush().map_err(|e| io_err("flush frames", &e))?;

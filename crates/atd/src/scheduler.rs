@@ -150,7 +150,7 @@ impl Scheduler {
     /// `None` when `ATD_STORE_DIR` is unset or blank, or when the open
     /// fails — the durable tier is an accelerator, never an availability
     /// dependency, so a bad disk degrades to memory-only service.
-    pub fn store_from_env() -> Option<Store> {
+    fn store_from_env() -> Option<Store> {
         let dir = exec::env::non_empty(ATD_STORE_DIR_ENV)?;
         let config = StoreConfig::new(dir)
             .segment_bytes(exec::env::positive_u64_or(
@@ -174,17 +174,6 @@ impl Scheduler {
         self
     }
 
-    /// Whether a durable tier is attached.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
-    }
-
-    /// A snapshot of the durable tier's own counters, when one is
-    /// attached.
-    pub fn store_stats(&self) -> Option<store::StoreStats> {
-        self.store.as_ref().map(Store::stats)
-    }
-
     /// The admission queue's capacity.
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
@@ -198,11 +187,6 @@ impl Scheduler {
     /// A snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
         self.stats
-    }
-
-    /// Entries currently resident in the result cache.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
     }
 
     /// Admits `specs` for `session`, all-or-nothing against the queue
@@ -522,7 +506,7 @@ mod tests {
         sched.submit(1, &[bathtub(31), bad_spec()]);
         let first = sched.drain(&pool);
         assert!(first.iter().any(|c| c.outcome.is_err()));
-        assert_eq!(sched.cache_len(), 1, "errors are not cached");
+        assert_eq!(sched.cache.len(), 1, "errors are not cached");
         // Resubmit: the good spec is a cache hit, the bad one fails again.
         sched.submit(1, &[bathtub(31), bad_spec()]);
         let second = sched.drain(&pool);
@@ -597,7 +581,7 @@ mod tests {
         let computed = sched.drain(&pool);
         sched.submit(1, &[bathtub(62)]);
         sched.drain(&pool);
-        assert_eq!(sched.cache_len(), 1, "entry bound must have evicted bathtub(61)");
+        assert_eq!(sched.cache.len(), 1, "entry bound must have evicted bathtub(61)");
         sched.submit(1, &[bathtub(61)]);
         let replayed = sched.drain(&pool);
         assert_eq!(replayed.first().map(|c| c.provenance), Some(Provenance::Cache));
@@ -680,8 +664,7 @@ mod tests {
     fn no_store_means_no_store_counters() {
         let pool = ExecPool::serial();
         let mut sched = Scheduler::new(16, 16);
-        assert!(!sched.has_store());
-        assert!(sched.store_stats().is_none());
+        assert!(sched.store.is_none());
         sched.submit(1, &[bathtub(91)]);
         sched.drain(&pool);
         let stats = sched.stats();

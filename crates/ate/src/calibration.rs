@@ -28,7 +28,7 @@ pub struct DeskewResult {
 
 impl DeskewResult {
     /// Whether every channel meets the accuracy target.
-    pub fn meets(&self, target: Duration) -> bool {
+    fn meets(&self, target: Duration) -> bool {
         self.worst_residual <= target
     }
 }

@@ -27,7 +27,7 @@ impl BomLine {
     }
 
     /// Extended cost of the line.
-    pub fn extended(&self) -> f64 {
+    fn extended(&self) -> f64 {
         f64::from(self.quantity) * self.unit_cost
     }
 }
@@ -75,7 +75,7 @@ impl BillOfMaterials {
 
     /// The Optical Test Bed PECL board (§3): serializers, SiGe buffers,
     /// delay verniers, DACs, connectors — for 10 channels.
-    pub fn testbed_pecl() -> Self {
+    fn testbed_pecl() -> Self {
         BillOfMaterials::new()
             .with("PECL 8:1 serializer", 5, 42.0)
             .with("SiGe output buffer", 10, 28.0)
@@ -88,7 +88,7 @@ impl BillOfMaterials {
 
     /// The mini-tester PECL additions (§4): two 8:1 groups, final 2:1 mux,
     /// sampler, verniers.
-    pub fn minitester_pecl() -> Self {
+    fn minitester_pecl() -> Self {
         BillOfMaterials::new()
             .with("PECL 8:1 serializer", 2, 42.0)
             .with("PECL 2:1 output mux", 1, 38.0)
@@ -144,12 +144,12 @@ impl CostComparison {
     }
 
     /// The custom system's cost per high-speed pin.
-    pub fn custom_cost_per_pin(&self) -> f64 {
+    fn custom_cost_per_pin(&self) -> f64 {
         self.custom_total / f64::from(self.pins)
     }
 
     /// Equivalent conventional-ATE cost for the same pins.
-    pub fn ate_total(&self) -> f64 {
+    fn ate_total(&self) -> f64 {
         self.ate_cost_per_pin * f64::from(self.pins)
     }
 

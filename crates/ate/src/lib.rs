@@ -42,7 +42,6 @@
 
 pub mod calibration;
 pub mod cost;
-pub mod datalog;
 mod error;
 pub mod measurement;
 pub mod program;

@@ -41,7 +41,7 @@ pub struct TimingPlan {
 
 impl TimingPlan {
     /// Mid-bit strobing at `rate` with no extra launch delay.
-    pub fn centered(rate: DataRate) -> Self {
+    fn centered(rate: DataRate) -> Self {
         TimingPlan { rate, strobe_offset: rate.unit_interval() / 2, launch_delay: Duration::ZERO }
     }
 }

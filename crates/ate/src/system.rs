@@ -111,7 +111,7 @@ impl TestSystem {
     /// # Errors
     ///
     /// Propagates DLC errors; `BadProgram` for invalid programs.
-    pub fn synthesize_pattern(&mut self, program: &TestProgram) -> Result<BitStream> {
+    fn synthesize_pattern(&mut self, program: &TestProgram) -> Result<BitStream> {
         program.validate()?;
         let n_bits = program.n_bits();
         match &program.pattern {

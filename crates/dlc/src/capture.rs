@@ -104,11 +104,6 @@ impl CaptureEngine {
         }
     }
 
-    /// Capture RAM capacity in bits.
-    pub fn capacity_bits(&self) -> usize {
-        self.capacity_bits
-    }
-
     /// Whether a capture is armed.
     pub fn is_armed(&self) -> bool {
         self.mode.is_some()
@@ -140,7 +135,7 @@ impl CaptureEngine {
 
     /// Feeds one sampled bit into the armed engine. Bits pushed while
     /// unarmed are ignored (the hardware gate is closed).
-    pub fn push_bit(&mut self, bit: bool) {
+    fn push_bit(&mut self, bit: bool) {
         let Some(mode) = &self.mode else { return };
         match mode {
             CaptureMode::Store => {
@@ -186,24 +181,6 @@ impl CaptureEngine {
     /// The stored bits (store mode).
     pub fn ram(&self) -> &BitStream {
         &self.ram
-    }
-
-    /// The recorded mismatch positions (compare mode).
-    pub fn mismatch_positions(&self) -> &[u64] {
-        &self.mismatch_positions
-    }
-
-    /// Reads the capture RAM as 16-bit words for USB upload, LSB-first —
-    /// the same packing the SRAM uses.
-    pub fn read_words(&self) -> Vec<u16> {
-        let n_words = self.ram.len().div_ceil(16);
-        let mut words = vec![0u16; n_words];
-        for (i, b) in self.ram.iter().enumerate() {
-            if b {
-                words[i / 16] |= 1 << (i % 16);
-            }
-        }
-        words
     }
 }
 
@@ -259,7 +236,6 @@ mod tests {
         let s = e.stop();
         assert_eq!(s.bits_seen, 12);
         assert_eq!(s.errors, 1); // position 9: expected 0, got 1
-        assert_eq!(e.mismatch_positions(), &[9]);
         assert!(s.to_string().contains("1 errors"));
     }
 
@@ -298,23 +274,6 @@ mod tests {
     fn empty_compare_rejected() {
         let mut e = CaptureEngine::new(16);
         assert!(e.arm(CaptureMode::Compare(BitStream::new())).is_err());
-    }
-
-    #[test]
-    fn word_packing_for_usb() {
-        let mut e = CaptureEngine::new(64);
-        e.arm(CaptureMode::Store).unwrap();
-        e.push_bits(&BitStream::from_str_bits("1000_0000_0000_0000_1"));
-        e.stop();
-        let words = e.read_words();
-        assert_eq!(words.len(), 2);
-        assert_eq!(words[0], 0x0001);
-        assert_eq!(words[1], 0x0001);
-    }
-
-    #[test]
-    fn capacity_accessor() {
-        assert_eq!(CaptureEngine::new(128).capacity_bits(), 128);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! 12 MHz crystal — one struct a test application can hold and drive the
 //! way the PC in the paper drives the physical board.
 
-use pstime::{DataRate, Frequency};
+use pstime::DataRate;
 use signal::{BitStream, DigitalWaveform};
 
 use crate::flash::Bitstream;
@@ -14,9 +14,6 @@ use crate::jtag::JtagPort;
 use crate::pattern::PatternKind;
 use crate::usb::{Packet, UsbController};
 use crate::{DlcError, Result};
-
-/// The 12 MHz USB-microcontroller crystal on the DLC board.
-pub const CRYSTAL_12MHZ: u64 = 12_000_000;
 
 /// A complete Digital Logic Core: FPGA + FLASH (via JTAG) + USB ÂµC.
 ///
@@ -47,7 +44,6 @@ pub struct DigitalLogicCore {
     fpga: Fpga,
     jtag: JtagPort,
     usb: UsbController,
-    crystal: Frequency,
     powered: bool,
 }
 
@@ -59,24 +55,13 @@ impl DigitalLogicCore {
             fpga: Fpga::new(200),
             jtag: JtagPort::new(131_072),
             usb: UsbController::new(),
-            crystal: Frequency::from_hz(CRYSTAL_12MHZ),
             powered: false,
         }
     }
 
-    /// The USB crystal frequency (12 MHz).
-    pub fn crystal(&self) -> Frequency {
-        self.crystal
-    }
-
     /// Whether the FPGA booted successfully.
-    pub fn is_powered_up(&self) -> bool {
+    fn is_powered_up(&self) -> bool {
         self.powered && self.fpga.is_configured()
-    }
-
-    /// The JTAG port (for host tools that want pin-level control).
-    pub fn jtag_mut(&mut self) -> &mut JtagPort {
-        &mut self.jtag
     }
 
     /// The FPGA fabric.
@@ -156,21 +141,6 @@ impl DigitalLogicCore {
         self.fpga.render_channel(channel, n, seed)
     }
 
-    /// Renders one waveform per channel in `channels`, all sharing the
-    /// same burst timeline — the parallel word the PECL tree serializes.
-    ///
-    /// # Errors
-    ///
-    /// As [`render_channel`](Self::render_channel) for each channel.
-    pub fn render_channels(
-        &mut self,
-        channels: &[usize],
-        n: usize,
-        seed: u64,
-    ) -> Result<Vec<DigitalWaveform>> {
-        channels.iter().map(|&ch| self.render_channel(ch, n, seed)).collect()
-    }
-
     /// Performs one USB host transaction: parse request bytes, dispatch,
     /// return response bytes.
     ///
@@ -218,7 +188,6 @@ mod tests {
         core.program_flash_via_jtag(&Bitstream::example_design()).unwrap();
         core.power_up().unwrap();
         assert!(core.is_powered_up());
-        assert_eq!(core.crystal(), Frequency::from_mhz(12));
     }
 
     #[test]
@@ -250,7 +219,7 @@ mod tests {
     fn corrupt_flash_fails_boot() {
         let mut core = DigitalLogicCore::new();
         core.program_flash_via_jtag(&Bitstream::example_design()).unwrap();
-        core.jtag_mut().flash_mut().corrupt_bit(5, 0);
+        core.jtag.flash_mut().corrupt_bit(5, 0);
         assert!(core.power_up().is_err());
         assert!(!core.is_powered_up());
     }
@@ -262,7 +231,7 @@ mod tests {
         for ch in 0..8 {
             core.configure_channel(ch, PatternKind::Prbs15 { seed: 10 + ch as u32 }, rate).unwrap();
         }
-        let waves = core.render_channels(&[0, 1, 2, 3, 4, 5, 6, 7], 128, 99).unwrap();
+        let waves: Vec<_> = (0..8).map(|ch| core.render_channel(ch, 128, 99).unwrap()).collect();
         assert_eq!(waves.len(), 8);
         // Channels get decorrelated jitter but identical spans.
         assert!(waves.windows(2).all(|w| w[0].span() == w[1].span()));

@@ -62,11 +62,6 @@ impl Bitstream {
         self.device_id
     }
 
-    /// Number of payload frames.
-    pub fn num_frames(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Checks internal consistency (CRC over the frames).
     ///
     /// # Errors
@@ -257,7 +252,6 @@ mod tests {
         let words = bs.to_words();
         let back = Bitstream::from_words(&words).unwrap();
         assert_eq!(back, bs);
-        assert_eq!(back.num_frames(), 256);
         assert!(back.to_string().contains("256 frames"));
     }
 

@@ -46,34 +46,18 @@ impl fmt::Display for IoStandard {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoBlock {
     standard: IoStandard,
-    hard_limit_mbps: u64,
     derated_limit_mbps: u64,
 }
 
 impl IoBlock {
     /// The paper's I/O block: 800 Mbps capable, derated to 400 Mbps.
     pub fn new() -> Self {
-        IoBlock { standard: IoStandard::default(), hard_limit_mbps: 800, derated_limit_mbps: 400 }
+        IoBlock { standard: IoStandard::default(), derated_limit_mbps: 400 }
     }
 
     /// The configured I/O standard.
     pub fn standard(&self) -> IoStandard {
         self.standard
-    }
-
-    /// Sets the I/O standard.
-    pub fn set_standard(&mut self, standard: IoStandard) {
-        self.standard = standard;
-    }
-
-    /// The silicon rate ceiling (Mbps).
-    pub fn hard_limit_mbps(&self) -> u64 {
-        self.hard_limit_mbps
-    }
-
-    /// The design-margin derated limit (Mbps).
-    pub fn derated_limit_mbps(&self) -> u64 {
-        self.derated_limit_mbps
     }
 
     /// Checks a requested rate against the derated limit.
@@ -90,12 +74,6 @@ impl IoBlock {
             });
         }
         Ok(())
-    }
-
-    /// Raises the derated limit toward the hard ceiling (for designs that
-    /// accept less margin). Clamped to the hard limit.
-    pub fn set_derated_limit_mbps(&mut self, mbps: u64) {
-        self.derated_limit_mbps = mbps.min(self.hard_limit_mbps);
     }
 }
 
@@ -224,31 +202,6 @@ impl Fpga {
     /// Mutable capture-engine access (arm/stop/read-back).
     pub fn capture_mut(&mut self) -> &mut CaptureEngine {
         &mut self.capture
-    }
-
-    /// The I/O block of `channel`.
-    ///
-    /// # Errors
-    ///
-    /// [`DlcError::ChannelOutOfRange`] for a bad index.
-    pub fn io_block(&self, channel: usize) -> Result<&IoBlock> {
-        self.channels
-            .get(channel)
-            .map(|c| &c.io)
-            .ok_or(DlcError::ChannelOutOfRange { channel, available: self.channels.len() })
-    }
-
-    /// Mutable I/O block access.
-    ///
-    /// # Errors
-    ///
-    /// [`DlcError::ChannelOutOfRange`] for a bad index.
-    pub fn io_block_mut(&mut self, channel: usize) -> Result<&mut IoBlock> {
-        let available = self.channels.len();
-        self.channels
-            .get_mut(channel)
-            .map(|c| &mut c.io)
-            .ok_or(DlcError::ChannelOutOfRange { channel, available })
     }
 
     fn channel_mut(&mut self, channel: usize) -> Result<&mut Channel> {
@@ -400,25 +353,7 @@ mod tests {
         // 500 Mbps exceeds the 400 Mbps derated default.
         let err = f.configure_channel(0, PatternKind::Clock, DataRate::from_mbps(500)).unwrap_err();
         assert!(matches!(err, DlcError::RateTooHigh { requested_mbps: 500, limit_mbps: 400 }));
-        // Raising the derating (paper: pins are 800-capable) admits it.
-        f.io_block_mut(0).unwrap().set_derated_limit_mbps(800);
-        f.configure_channel(0, PatternKind::Clock, DataRate::from_mbps(500)).unwrap();
-        // But the hard ceiling holds.
-        f.io_block_mut(0).unwrap().set_derated_limit_mbps(2_000);
-        assert_eq!(f.io_block(0).unwrap().derated_limit_mbps(), 800);
         assert!(f.configure_channel(0, PatternKind::Clock, DataRate::from_mbps(900)).is_err());
-    }
-
-    #[test]
-    fn io_block_accessors() {
-        let mut f = configured();
-        assert_eq!(f.io_block(0).unwrap().standard(), IoStandard::Lvcmos18);
-        f.io_block_mut(0).unwrap().set_standard(IoStandard::Lvpecl);
-        assert_eq!(f.io_block(0).unwrap().standard(), IoStandard::Lvpecl);
-        assert_eq!(f.io_block(0).unwrap().hard_limit_mbps(), 800);
-        assert!(f.io_block(999).is_err());
-        assert_eq!(IoStandard::Lvds.to_string(), "LVDS");
-        assert_eq!(IoStandard::Lvpecl.to_string(), "LVPECL");
     }
 
     #[test]

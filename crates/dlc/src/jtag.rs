@@ -173,11 +173,6 @@ impl JtagPort {
         self.state
     }
 
-    /// The currently latched instruction.
-    pub fn instruction(&self) -> Instruction {
-        self.instruction
-    }
-
     /// Borrows the attached FLASH (e.g. to boot the FPGA from it).
     pub fn flash(&self) -> &FlashMemory {
         &self.flash
@@ -272,7 +267,7 @@ impl JtagPort {
     }
 
     /// Navigates from Run-Test/Idle (or reset) and latches `instruction`.
-    pub fn load_instruction(&mut self, instruction: Instruction) {
+    fn load_instruction(&mut self, instruction: Instruction) {
         self.reset();
         self.clock(false, false); // -> RunTestIdle
         self.clock(true, false); // -> SelectDrScan
@@ -297,7 +292,7 @@ impl JtagPort {
     /// # Errors
     ///
     /// [`DlcError::JtagProtocol`] if not in Run-Test/Idle.
-    pub fn shift_dr(&mut self, value: u64, width: u32) -> Result<u64> {
+    fn shift_dr(&mut self, value: u64, width: u32) -> Result<u64> {
         if self.state != TapState::RunTestIdle {
             return Err(DlcError::JtagProtocol { reason: "shift_dr requires Run-Test/Idle" });
         }
@@ -369,7 +364,6 @@ mod tests {
         }
         port.reset();
         assert_eq!(port.state(), TapState::TestLogicReset);
-        assert_eq!(port.instruction(), Instruction::Idcode);
     }
 
     #[test]

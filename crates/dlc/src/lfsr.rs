@@ -41,7 +41,7 @@ impl PrbsPolynomial {
 
     /// The two feedback tap positions `(a, b)` such that the next bit is
     /// `reg[a-1] ^ reg[b-1]` (1-indexed from the newest bit).
-    pub const fn taps(self) -> (u32, u32) {
+    const fn taps(self) -> (u32, u32) {
         match self {
             PrbsPolynomial::Prbs7 => (7, 6),
             PrbsPolynomial::Prbs9 => (9, 5),
@@ -67,9 +67,7 @@ impl PrbsPolynomial {
 ///
 /// let mut lfsr = Lfsr::new(PrbsPolynomial::Prbs7, 0x7F);
 /// let first: Vec<bool> = (0..7).map(|_| lfsr.next_bit()).collect();
-/// // Runs for its full period before repeating.
-/// assert_eq!(Lfsr::new(PrbsPolynomial::Prbs7, 1).cycle_length(), 127);
-/// # let _ = first;
+/// assert_eq!(first, [true; 7]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Lfsr {
@@ -87,11 +85,6 @@ impl Lfsr {
         let mask = ((1u64 << poly.order()) - 1) as u32;
         let state = seed & mask;
         Lfsr { poly, state: if state == 0 { mask } else { state } }
-    }
-
-    /// The polynomial in use.
-    pub fn polynomial(&self) -> PrbsPolynomial {
-        self.poly
     }
 
     /// The current register contents.
@@ -113,27 +106,6 @@ impl Lfsr {
     pub fn generate(&mut self, n: usize) -> BitStream {
         BitStream::from_fn(n, |_| self.next_bit())
     }
-
-    /// Steps until the register returns to its start state and reports the
-    /// cycle length. Intended for verification of short polynomials.
-    ///
-    /// # Panics
-    ///
-    /// Panics (after `2^(order+1)` steps) if the register never recurs,
-    /// which would indicate a broken polynomial table.
-    pub fn cycle_length(&self) -> u64 {
-        let mut probe = self.clone();
-        let start = probe.state;
-        let limit = 2u64 << self.poly.order();
-        for i in 1..=limit {
-            probe.next_bit();
-            if probe.state == start {
-                return i;
-            }
-        }
-        // xlint::allow(no-panic-in-lib, every PrbsPolynomial is primitive so the state must recur within 2^order steps; reaching here means the tap table itself is corrupt)
-        panic!("LFSR did not recur within {limit} steps — broken taps");
-    }
 }
 
 impl Iterator for Lfsr {
@@ -147,6 +119,19 @@ impl Iterator for Lfsr {
 mod tests {
     use super::*;
 
+    /// Steps a copy of `lfsr` until its register returns to the start
+    /// state and reports the cycle length.
+    fn cycle_length(lfsr: &Lfsr) -> u64 {
+        let mut probe = lfsr.clone();
+        let limit = 2u64 << lfsr.poly.order();
+        (1..=limit)
+            .find(|_| {
+                probe.next_bit();
+                probe.state == lfsr.state
+            })
+            .expect("a primitive polynomial recurs within 2^order steps")
+    }
+
     #[test]
     fn all_polynomials_are_maximal_length() {
         // Maximal-length check is cheap for the short ones.
@@ -157,7 +142,7 @@ mod tests {
             PrbsPolynomial::Prbs15,
         ] {
             let lfsr = Lfsr::new(poly, 1);
-            assert_eq!(lfsr.cycle_length(), poly.period(), "{poly:?}");
+            assert_eq!(cycle_length(&lfsr), poly.period(), "{poly:?}");
         }
     }
 
@@ -178,7 +163,7 @@ mod tests {
         let lfsr = Lfsr::new(PrbsPolynomial::Prbs7, 0);
         assert_ne!(lfsr.state(), 0);
         // And it still runs the full cycle.
-        assert_eq!(lfsr.cycle_length(), 127);
+        assert_eq!(cycle_length(&lfsr), 127);
     }
 
     #[test]
@@ -218,7 +203,6 @@ mod tests {
         let stream = gen.generate(32);
         let iter: Vec<bool> = Lfsr::new(PrbsPolynomial::Prbs9, 3).take(32).collect();
         assert_eq!(stream.as_slice(), &iter[..]);
-        assert_eq!(gen.polynomial(), PrbsPolynomial::Prbs9);
     }
 
     #[test]

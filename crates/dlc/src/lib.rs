@@ -43,9 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod boundary;
 pub mod capture;
-pub mod clocking;
 mod core;
 mod error;
 pub mod flash;

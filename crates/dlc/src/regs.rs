@@ -48,12 +48,12 @@ pub mod map {
 /// # Examples
 ///
 /// ```
-/// use dlc::{RegAddr, RegisterFile};
+/// use dlc::regs::map;
+/// use dlc::RegisterFile;
 ///
-/// let mut regs = RegisterFile::new();
-/// regs.define(RegAddr(0x10), 0);
-/// regs.write(RegAddr(0x10), 42)?;
-/// assert_eq!(regs.read(RegAddr(0x10))?, 42);
+/// let mut regs = RegisterFile::example_design();
+/// regs.write(map::CONTROL, 42)?;
+/// assert_eq!(regs.read(map::CONTROL)?, 42);
 /// # Ok::<(), dlc::DlcError>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -87,12 +87,12 @@ impl RegisterFile {
     }
 
     /// Declares a read/write register with a reset value.
-    pub fn define(&mut self, addr: RegAddr, reset: u16) {
+    fn define(&mut self, addr: RegAddr, reset: u16) {
         self.regs.insert(addr.0, reset);
     }
 
     /// Declares a read-only register with a fixed value.
-    pub fn define_read_only(&mut self, addr: RegAddr, value: u16) {
+    fn define_read_only(&mut self, addr: RegAddr, value: u16) {
         self.regs.insert(addr.0, value);
         self.read_only.push(addr.0);
     }
@@ -134,17 +134,6 @@ impl RegisterFile {
         }
         self.regs.insert(addr.0, value);
         Ok(())
-    }
-
-    /// Sets or clears a single bit (read-modify-write).
-    ///
-    /// # Errors
-    ///
-    /// [`DlcError::UnmappedRegister`] if `addr` was never defined.
-    pub fn write_bit(&mut self, addr: RegAddr, bit: u8, value: bool) -> Result<()> {
-        let old = self.read(addr)?;
-        let mask = 1u16 << bit;
-        self.write(addr, if value { old | mask } else { old & !mask })
     }
 
     /// Reads a single bit.
@@ -209,12 +198,10 @@ mod tests {
     fn bit_operations() {
         let mut rf = RegisterFile::new();
         rf.define(RegAddr(2), 0);
-        rf.write_bit(RegAddr(2), 0, true).unwrap();
-        rf.write_bit(RegAddr(2), 3, true).unwrap();
-        assert_eq!(rf.read(RegAddr(2)).unwrap(), 0b1001);
+        rf.write(RegAddr(2), 0b1001).unwrap();
+        assert!(rf.read_bit(RegAddr(2), 0).unwrap());
         assert!(rf.read_bit(RegAddr(2), 3).unwrap());
-        rf.write_bit(RegAddr(2), 3, false).unwrap();
-        assert!(!rf.read_bit(RegAddr(2), 3).unwrap());
+        assert!(!rf.read_bit(RegAddr(2), 1).unwrap());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::capture::CaptureMode;
 use crate::fpga::Fpga;
-use crate::regs::{map, RegAddr};
+use crate::regs::map;
 use crate::Result;
 
 /// CONTROL register bit 0: run the pattern engines.
@@ -65,26 +65,6 @@ fn status_with(fpga: &Fpga, bit: u8, value: bool) -> Result<u16> {
     Ok(if value { status | mask } else { status & !mask })
 }
 
-/// Host-side helper: writes CONTROL through the register file and applies
-/// the transition (what the USB `WriteReg` handler does for this address).
-///
-/// # Errors
-///
-/// Propagates register and capture errors.
-pub fn write_control(fpga: &mut Fpga, value: u16) -> Result<()> {
-    fpga.regs_mut().write(map::CONTROL, value)?;
-    apply_control(fpga)
-}
-
-/// Host-side helper: reads STATUS.
-///
-/// # Errors
-///
-/// Propagates register errors.
-pub fn read_status(fpga: &Fpga) -> Result<u16> {
-    fpga.regs().read(RegAddr(map::STATUS.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,6 +72,17 @@ mod tests {
     use crate::pattern::PatternKind;
     use pstime::DataRate;
     use signal::BitStream;
+
+    /// Writes CONTROL through the register file and applies the
+    /// transition, as the USB `WriteReg` handler does for this address.
+    fn write_control(fpga: &mut Fpga, value: u16) -> Result<()> {
+        fpga.regs_mut().write(map::CONTROL, value)?;
+        apply_control(fpga)
+    }
+
+    fn read_status(fpga: &Fpga) -> Result<u16> {
+        fpga.regs().read(map::STATUS)
+    }
 
     fn fpga() -> Fpga {
         let mut f = Fpga::new(16);

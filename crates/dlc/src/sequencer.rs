@@ -149,11 +149,6 @@ impl SequencerProgram {
         Ok(SequencerProgram { instructions })
     }
 
-    /// The instruction list.
-    pub fn instructions(&self) -> &[Instruction] {
-        &self.instructions
-    }
-
     /// Executes the program, expanding it into a bit stream.
     ///
     /// # Errors
@@ -212,54 +207,6 @@ impl SequencerProgram {
         out.append(bits);
         Ok(())
     }
-
-    /// Total expanded length without materializing the bits.
-    ///
-    /// # Errors
-    ///
-    /// [`DlcError::InvalidBitstream`] if it exceeds [`MAX_EXPANDED_BITS`].
-    pub fn expanded_len(&self) -> Result<usize> {
-        fn block(
-            insns: &[Instruction],
-            mut pc: usize,
-            last_vec_len: &mut Option<usize>,
-        ) -> Result<(usize, usize)> {
-            let mut total = 0usize;
-            while pc < insns.len() {
-                match &insns[pc] {
-                    Instruction::Vector(bits) => {
-                        total += bits.len();
-                        *last_vec_len = Some(bits.len());
-                        pc += 1;
-                    }
-                    Instruction::Repeat { count } => {
-                        let len = last_vec_len.ok_or(DlcError::InvalidBitstream {
-                            reason: "REPEAT must follow a vector",
-                        })?;
-                        total += len * *count as usize;
-                        pc += 1;
-                    }
-                    Instruction::LoopStart { count } => {
-                        let mut inner_last = *last_vec_len;
-                        let (body, end) = block(insns, pc + 1, &mut inner_last)?;
-                        total += body * *count as usize;
-                        *last_vec_len = inner_last;
-                        pc = end + 1;
-                    }
-                    Instruction::LoopEnd => return Ok((total, pc)),
-                    Instruction::Halt => return Ok((total, insns.len())),
-                }
-                if total > MAX_EXPANDED_BITS {
-                    return Err(DlcError::InvalidBitstream {
-                        reason: "program expansion too large",
-                    });
-                }
-            }
-            Ok((total, pc))
-        }
-        let mut last = None;
-        block(&self.instructions, 0, &mut last).map(|(t, _)| t)
-    }
 }
 
 impl fmt::Display for SequencerProgram {
@@ -283,8 +230,6 @@ mod tests {
     fn straight_line_program() {
         let p = SequencerProgram::assemble(vec![vec_of("11"), vec_of("00"), vec_of("10")]).unwrap();
         assert_eq!(p.run().unwrap().to_string(), "110010");
-        assert_eq!(p.expanded_len().unwrap(), 6);
-        assert_eq!(p.instructions().len(), 3);
     }
 
     #[test]
@@ -292,7 +237,6 @@ mod tests {
         let p = SequencerProgram::assemble(vec![vec_of("10"), Instruction::Repeat { count: 3 }])
             .unwrap();
         assert_eq!(p.run().unwrap().to_string(), "10101010");
-        assert_eq!(p.expanded_len().unwrap(), 8);
     }
 
     #[test]
@@ -305,7 +249,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(p.run().unwrap().to_string(), "1101100");
-        assert_eq!(p.expanded_len().unwrap(), 7);
     }
 
     #[test]
@@ -320,7 +263,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(p.run().unwrap().to_string(), "10001000");
-        assert_eq!(p.expanded_len().unwrap(), 8);
     }
 
     #[test]
@@ -328,7 +270,6 @@ mod tests {
         let p = SequencerProgram::assemble(vec![vec_of("11"), Instruction::Halt, vec_of("00")])
             .unwrap();
         assert_eq!(p.run().unwrap().to_string(), "11");
-        assert_eq!(p.expanded_len().unwrap(), 2);
     }
 
     #[test]
@@ -389,7 +330,6 @@ mod tests {
             Instruction::LoopEnd,
         ])
         .unwrap();
-        assert!(p.expanded_len().is_err());
         assert!(p.run().is_err());
     }
 
@@ -409,26 +349,5 @@ mod tests {
         assert!(text.contains("RPT 1"));
         assert!(text.contains("ENDL"));
         assert!(text.contains("HALT"));
-    }
-
-    #[test]
-    fn expanded_len_matches_run_for_many_shapes() {
-        let programs = [
-            vec![vec_of("101"), Instruction::Repeat { count: 5 }],
-            vec![
-                Instruction::LoopStart { count: 3 },
-                vec_of("1100"),
-                Instruction::LoopStart { count: 2 },
-                vec_of("01"),
-                Instruction::Repeat { count: 2 },
-                Instruction::LoopEnd,
-                Instruction::LoopEnd,
-            ],
-            vec![vec_of("1"), Instruction::Halt],
-        ];
-        for insns in programs {
-            let p = SequencerProgram::assemble(insns).unwrap();
-            assert_eq!(p.expanded_len().unwrap(), p.run().unwrap().len());
-        }
     }
 }

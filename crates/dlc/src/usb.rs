@@ -139,19 +139,12 @@ fn checksum(bytes: &[u8]) -> u8 {
 /// # Ok::<(), dlc::DlcError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct UsbController {
-    packets_handled: u64,
-}
+pub struct UsbController;
 
 impl UsbController {
     /// Creates a controller.
     pub fn new() -> Self {
-        UsbController::default()
-    }
-
-    /// Number of packets successfully dispatched.
-    pub fn packets_handled(&self) -> u64 {
-        self.packets_handled
+        UsbController
     }
 
     /// Dispatches one host command against the FPGA, returning the
@@ -203,7 +196,6 @@ impl UsbController {
                 Packet::command(Opcode::ReadSram, &words)
             }
         };
-        self.packets_handled += 1;
         Ok(response)
     }
 }
@@ -264,7 +256,6 @@ mod tests {
         let (mut fpga, mut usb) = setup();
         let resp = usb.handle(&Packet::command(Opcode::Ping, &[]), &mut fpga).unwrap();
         assert_eq!(resp.payload(), vec![PROTOCOL_VERSION]);
-        assert_eq!(usb.packets_handled(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 /// Parses a positive integer from an optional raw string; `None` for
 /// absent, unparsable, or zero values. The pure core of the idiom, kept
 /// separate from the environment read so it is trivially testable.
-pub fn parse_positive_usize(raw: Option<&str>) -> Option<usize> {
+fn parse_positive_usize(raw: Option<&str>) -> Option<usize> {
     raw.and_then(|s| s.trim().parse::<usize>().ok()).filter(|n| *n > 0)
 }
 
@@ -26,7 +26,7 @@ pub fn positive_usize_or(name: &str, default: usize) -> usize {
 /// absent or unparsable values. Unlike [`parse_positive_usize`], zero is
 /// a legal configuration here — knobs like retry budgets ("retry this
 /// many times", where 0 means fail fast) are counts, not capacities.
-pub fn parse_nonnegative_u32(raw: Option<&str>) -> Option<u32> {
+fn parse_nonnegative_u32(raw: Option<&str>) -> Option<u32> {
     raw.and_then(|s| s.trim().parse::<u32>().ok())
 }
 
@@ -42,7 +42,7 @@ pub fn nonnegative_u32_or(name: &str, default: u32) -> u32 {
 /// [`parse_positive_usize`], for byte-sized knobs that must not be
 /// clipped to the platform word (`ATD_STORE_SEGMENT_BYTES`,
 /// `ATD_STORE_MAX_BYTES`).
-pub fn parse_positive_u64(raw: Option<&str>) -> Option<u64> {
+fn parse_positive_u64(raw: Option<&str>) -> Option<u64> {
     raw.and_then(|s| s.trim().parse::<u64>().ok()).filter(|n| *n > 0)
 }
 

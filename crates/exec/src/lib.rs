@@ -15,12 +15,10 @@
 //!   dependencies, no unsafe). [`ExecPool::new`] pins the width explicitly;
 //!   [`ExecPool::from_env`] honors the `EXEC_THREADS` environment variable
 //!   and falls back to the machine's available parallelism.
-//! * [`ExecPool::run`] / [`ExecPool::par_map`] /
-//!   [`ExecPool::par_map_reduce`] — execute `n` indexed jobs with chunked
+//! * [`ExecPool::run`] — execute `n` indexed jobs with chunked
 //!   work-stealing and write every result into its **index-addressed slot**,
 //!   so the assembled output is bit-identical regardless of worker count or
-//!   steal schedule. Reductions fold the slots in index order on the calling
-//!   thread, which keeps even float accumulation deterministic.
+//!   steal schedule.
 //! * Panic capture — a panicking job is caught on its worker, converted
 //!   into [`ExecError::JobPanicked`], and the rest of the pool drains
 //!   instead of aborting the process.
@@ -41,9 +39,8 @@
 //!
 //! let wide = ExecPool::new(8);
 //! let narrow = ExecPool::new(1);
-//! let square = |i: usize, x: &u64| x * x + i as u64;
-//! let items: Vec<u64> = (0..100).collect();
-//! assert_eq!(wide.par_map(&items, square).unwrap(), narrow.par_map(&items, square).unwrap());
+//! let square = |i: usize| (i * i) as u64;
+//! assert_eq!(wide.run(100, square).unwrap().results, narrow.run(100, square).unwrap().results);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -104,46 +104,6 @@ impl ExecPool {
         }
         run_stealing(jobs, workers, &job)
     }
-
-    /// Maps `f` over `items` in parallel, preserving order: equivalent to
-    /// `items.iter().enumerate().map(|(i, x)| f(i, x)).collect()` for every
-    /// thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecPool::run`] errors.
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, ExecError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        Ok(self.run(items.len(), |i| f(i, &items[i]))?.results) // xlint::allow(panic-reachable, run only hands the job indices 0..items.len())
-    }
-
-    /// Maps in parallel, then folds the mapped values **in index order on
-    /// the calling thread** — so even order-sensitive accumulators (float
-    /// sums, running statistics) reduce deterministically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecPool::run`] errors.
-    pub fn par_map_reduce<T, R, A, F, G>(
-        &self,
-        items: &[T],
-        map: F,
-        init: A,
-        fold: G,
-    ) -> Result<A, ExecError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        let mapped = self.run(items.len(), |i| map(i, &items[i]))?; // xlint::allow(panic-reachable, run only hands the job indices 0..items.len())
-        Ok(mapped.results.into_iter().fold(init, fold))
-    }
 }
 
 impl Default for ExecPool {
@@ -371,16 +331,15 @@ mod tests {
         assert_eq!(out.stats.jobs, 0);
         assert_eq!(out.stats.steals, 0);
         assert!(out.stats.per_worker.is_empty());
-        assert_eq!(pool.par_map(&[] as &[u8], |_, b| *b).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn results_are_index_ordered_and_thread_count_invariant() {
         let items: Vec<u64> = (0..1_000).collect();
-        let f = |i: usize, x: &u64| x.wrapping_mul(0x9E37_79B9).rotate_left(7) ^ (i as u64);
-        let serial = ExecPool::serial().par_map(&items, f).unwrap();
+        let f = |i: usize| items[i].wrapping_mul(0x9E37_79B9).rotate_left(7) ^ (i as u64);
+        let serial = ExecPool::serial().run(items.len(), f).unwrap().results;
         for threads in [2, 3, 4, 8, 17] {
-            let parallel = ExecPool::new(threads).par_map(&items, f).unwrap();
+            let parallel = ExecPool::new(threads).run(items.len(), f).unwrap().results;
             assert_eq!(parallel, serial, "threads={threads}");
         }
     }
@@ -450,20 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_reduce_matches_serial_fold() {
-        let items: Vec<f64> = (0..500).map(|i| f64::from(i) * 0.001 + 1.0).collect();
-        let serial: f64 = items.iter().map(|x| x.ln()).fold(0.0, |a, b| a + b);
-        for threads in [1, 2, 8] {
-            let parallel = ExecPool::new(threads)
-                .par_map_reduce(&items, |_, x| x.ln(), 0.0f64, |a, b| a + b)
-                .unwrap();
-            // Bit-identical, not merely close: the fold runs in index order
-            // on the calling thread.
-            assert_eq!(parallel.to_bits(), serial.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn env_parsing() {
         // The lenient idiom itself is covered in `crate::env`; here we pin
         // that `from_env` goes through it and always yields a usable pool.
@@ -480,7 +425,7 @@ mod tests {
     #[test]
     fn jobs_can_borrow_caller_state() {
         let data: Vec<String> = (0..32).map(|i| format!("item-{i}")).collect();
-        let lens = ExecPool::new(4).par_map(&data, |_, s| s.len()).unwrap();
+        let lens = ExecPool::new(4).run(data.len(), |i| data[i].len()).unwrap().results;
         assert_eq!(lens.len(), 32);
         assert_eq!(lens[0], 6);
         assert_eq!(lens[10], 7);

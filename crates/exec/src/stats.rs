@@ -23,18 +23,6 @@ impl ExecStats {
     pub fn empty(workers: usize) -> Self {
         ExecStats { jobs: 0, workers, steals: 0, per_worker: Vec::new() }
     }
-
-    /// The busiest worker's share of the jobs, in `[0, 1]` — a quick
-    /// load-balance indicator (1/workers is perfect, 1.0 is fully serial).
-    pub fn max_share(&self) -> f64 {
-        let max = self.per_worker.iter().copied().max().unwrap_or(0);
-        if self.jobs == 0 {
-            0.0
-        } else {
-            // Job counts are small enough to convert exactly.
-            max as f64 / self.jobs as f64 // xlint::allow(no-lossy-cast, job counts stay far below 2^53 so the f64 conversion is exact)
-        }
-    }
 }
 
 impl fmt::Display for ExecStats {
@@ -56,13 +44,6 @@ mod tests {
         let s = ExecStats::empty(4);
         assert_eq!(s.jobs, 0);
         assert_eq!(s.workers, 4);
-        assert_eq!(s.max_share(), 0.0);
         assert!(s.to_string().contains("0 jobs"));
-    }
-
-    #[test]
-    fn max_share_reflects_imbalance() {
-        let s = ExecStats { jobs: 10, workers: 2, steals: 1, per_worker: vec![9, 1] };
-        assert!((s.max_share() - 0.9).abs() < 1e-12);
     }
 }

@@ -3,26 +3,12 @@
 //! "When WLP compliant leads are available on all die sites, the miniature
 //! tester may be replicated in array form … Functional testing can then be
 //! done in parallel, increasing production throughput by an order of
-//! magnitude" (§4). This module provides the throughput arithmetic and a
-//! site-level scheduler that runs an array of mini-testers over a wafer
-//! map.
+//! magnitude" (§4). This module provides the throughput arithmetic of an
+//! array of mini-testers over a wafer map.
 
 use core::fmt;
 
 use pstime::Duration;
-
-/// The outcome of testing one die site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiteResult {
-    /// Wafer-map die index.
-    pub die: usize,
-    /// Tester in the array that probed it.
-    pub tester: usize,
-    /// Whether the die passed.
-    pub passed: bool,
-    /// Touchdown (probe step) during which it was tested.
-    pub touchdown: usize,
-}
 
 /// Timing model of one test insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,13 +22,13 @@ pub struct ProbeTiming {
 impl ProbeTiming {
     /// A representative production insertion: 200 ms step, 150 ms of
     /// at-speed BIST per die.
-    pub fn production() -> Self {
+    fn production() -> Self {
         ProbeTiming { step_time: Duration::from_ms(200), test_time: Duration::from_ms(150) }
     }
 
     /// Time for one touchdown testing `sites` dies in parallel: the step
     /// plus one (shared) test time.
-    pub fn touchdown_time(&self) -> Duration {
+    fn touchdown_time(&self) -> Duration {
         self.step_time + self.test_time
     }
 }
@@ -76,16 +62,6 @@ impl ProbeArray {
         ProbeArray { sites, timing: ProbeTiming::production() }
     }
 
-    /// Creates an array with custom timing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sites` is zero.
-    pub fn with_timing(sites: usize, timing: ProbeTiming) -> Self {
-        assert!(sites > 0, "array needs at least one site");
-        ProbeArray { sites, timing }
-    }
-
     /// Number of parallel sites.
     pub fn sites(&self) -> usize {
         self.sites
@@ -97,46 +73,13 @@ impl ProbeArray {
     }
 
     /// Total probing time for a wafer of `dies` dies.
-    pub fn wafer_time(&self, dies: usize) -> Duration {
+    fn wafer_time(&self, dies: usize) -> Duration {
         self.timing.touchdown_time() * self.touchdowns(dies) as i64
-    }
-
-    /// Dies per hour at steady state.
-    pub fn throughput_per_hour(&self, dies: usize) -> f64 {
-        let t = self.wafer_time(dies).as_secs_f64();
-        if t == 0.0 {
-            return 0.0;
-        }
-        dies as f64 * 3600.0 / t
     }
 
     /// Throughput ratio of this array versus `other` on the same wafer.
     pub fn throughput_speedup(&self, other: &ProbeArray, dies: usize) -> f64 {
         other.wafer_time(dies).as_secs_f64() / self.wafer_time(dies).as_secs_f64()
-    }
-
-    /// Schedules a wafer of per-die pass/fail outcomes across the array:
-    /// dies are assigned to sites in touchdown order. Returns per-die
-    /// results with tester and touchdown assignments.
-    pub fn schedule(&self, outcomes: &[bool]) -> Vec<SiteResult> {
-        outcomes
-            .iter()
-            .enumerate()
-            .map(|(die, passed)| SiteResult {
-                die,
-                tester: die % self.sites,
-                passed: *passed,
-                touchdown: die / self.sites,
-            })
-            .collect()
-    }
-
-    /// Wafer yield from scheduled results.
-    pub fn yield_ratio(results: &[SiteResult]) -> f64 {
-        if results.is_empty() {
-            return 0.0;
-        }
-        results.iter().filter(|r| r.passed).count() as f64 / results.len() as f64
     }
 }
 
@@ -175,36 +118,16 @@ mod tests {
         let speedup = array16.throughput_speedup(&serial, 256);
         assert!((speedup - 16.0).abs() < 1e-9, "speedup {speedup}");
         assert!(speedup >= 10.0);
-        // Throughput numbers are consistent.
-        let t_serial = serial.throughput_per_hour(256);
-        let t_array = array16.throughput_per_hour(256);
-        assert!((t_array / t_serial - 16.0).abs() < 1e-9);
     }
 
     #[test]
     fn wafer_time_scales_with_touchdowns() {
         let timing =
             ProbeTiming { step_time: Duration::from_ms(100), test_time: Duration::from_ms(100) };
-        let array = ProbeArray::with_timing(4, timing);
+        let array = ProbeArray { sites: 4, timing };
         // 8 dies / 4 sites = 2 touchdowns x 200 ms.
         assert_eq!(array.wafer_time(8), Duration::from_ms(400));
         assert_eq!(timing.touchdown_time(), Duration::from_ms(200));
-    }
-
-    #[test]
-    fn scheduling_assigns_sites_round_robin() {
-        let array = ProbeArray::new(4);
-        let outcomes = vec![true, true, false, true, true, false];
-        let results = array.schedule(&outcomes);
-        assert_eq!(results.len(), 6);
-        assert_eq!(results[0].tester, 0);
-        assert_eq!(results[3].tester, 3);
-        assert_eq!(results[4].tester, 0);
-        assert_eq!(results[4].touchdown, 1);
-        assert!(!results[2].passed);
-        let y = ProbeArray::yield_ratio(&results);
-        assert!((y - 4.0 / 6.0).abs() < 1e-12);
-        assert_eq!(ProbeArray::yield_ratio(&[]), 0.0);
     }
 
     #[test]

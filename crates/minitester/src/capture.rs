@@ -608,129 +608,3 @@ mod bathtub_tests {
         assert!(model.ber_at_ui(0.02) > 1e-3);
     }
 }
-
-/// An equivalent-time reconstructed trace: the probability of sampling
-/// "high" at each 10 ps strobe offset across a repeating pattern — what the
-/// mini-tester shows instead of a bench scope photo (the paper's Fig. 18
-/// bit-pattern display).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EtTrace {
-    offsets: Vec<Duration>,
-    p_high: Vec<f64>,
-}
-
-impl EtTrace {
-    /// Strobe offsets from the waveform start.
-    pub fn offsets(&self) -> &[Duration] {
-        &self.offsets
-    }
-
-    /// Probability of reading high at each offset (0.0 settled low,
-    /// 1.0 settled high, in between on transitions/noise).
-    pub fn p_high(&self) -> &[f64] {
-        &self.p_high
-    }
-
-    /// Renders the trace as an ASCII strip: `_` low, `▔`-substitute `~`
-    /// high, `/` indeterminate (transition region).
-    pub fn render(&self) -> String {
-        self.p_high
-            .iter()
-            .map(|p| {
-                if *p >= 0.9 {
-                    '~'
-                } else if *p <= 0.1 {
-                    '_'
-                } else {
-                    '/'
-                }
-            })
-            .collect()
-    }
-}
-
-impl EtCapture {
-    /// Reconstructs `n_ui` unit intervals of the waveform in equivalent
-    /// time: every 10 ps strobe offset is sampled `acquisitions` times
-    /// (aperture jitter makes transition regions probabilistic) and
-    /// averaged.
-    pub fn reconstruct_trace(
-        &self,
-        wave: &AnalogWaveform,
-        rate: DataRate,
-        n_ui: usize,
-        acquisitions: usize,
-        seed: u64,
-    ) -> EtTrace {
-        let step = self.vernier.step();
-        let span = rate.unit_interval() * n_ui as i64;
-        let n_points = (span.as_fs() / step.as_fs()).max(1) as usize;
-        let start = wave.digital().start();
-        let mut offsets = Vec::with_capacity(n_points);
-        let mut p_high = Vec::with_capacity(n_points);
-        let mut rng = rng::SeedTree::new(seed).stream("minitester.capture.et").rng();
-        for k in 0..n_points {
-            let offset = step * k as i64;
-            let highs = (0..acquisitions.max(1))
-                .filter(|_| self.sampler.sample_at(wave, start + offset, &mut rng))
-                .count();
-            offsets.push(offset);
-            p_high.push(highs as f64 / acquisitions.max(1) as f64);
-        }
-        EtTrace { offsets, p_high }
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use pstime::DataRate;
-    use signal::jitter::NoJitter;
-    use signal::{AnalogWaveform, BitStream, DigitalWaveform, EdgeShape, LevelSet};
-
-    #[test]
-    fn reconstruction_recovers_the_pattern() {
-        let rate = DataRate::from_gbps(1.0);
-        let bits = BitStream::from_str_bits("11001010");
-        let wave = AnalogWaveform::new(
-            DigitalWaveform::from_bits(&bits, rate, &NoJitter, 0),
-            LevelSet::pecl(),
-            EdgeShape::from_rise_2080_ps(120.0),
-        );
-        let trace = EtCapture::new().reconstruct_trace(&wave, rate, 8, 16, 3);
-        // 8 UI x 1000 ps / 10 ps = 800 points.
-        assert_eq!(trace.offsets().len(), 800);
-        assert_eq!(trace.p_high().len(), 800);
-        // Sample the middle of each bit from the trace: it matches.
-        for (i, bit) in bits.iter().enumerate() {
-            let mid_idx = i * 100 + 50;
-            let p = trace.p_high()[mid_idx];
-            if bit {
-                assert!(p > 0.9, "bit {i} p_high {p}");
-            } else {
-                assert!(p < 0.1, "bit {i} p_high {p}");
-            }
-        }
-        // The render shows both rails and the transitions.
-        let strip = trace.render();
-        assert!(strip.contains('~'));
-        assert!(strip.contains('_'));
-        assert!(strip.contains('/'));
-    }
-
-    #[test]
-    fn transition_regions_are_probabilistic_with_jitter() {
-        use signal::jitter::JitterBudget;
-        let rate = DataRate::from_gbps(2.5);
-        let bits = BitStream::alternating(64);
-        let wave = AnalogWaveform::new(
-            DigitalWaveform::from_bits(&bits, rate, &JitterBudget::new().with_rj_rms_ps(5.0), 7),
-            LevelSet::pecl(),
-            EdgeShape::default(),
-        );
-        let trace = EtCapture::new().reconstruct_trace(&wave, rate, 16, 32, 9);
-        // Some points sit genuinely between the rails.
-        let fuzzy = trace.p_high().iter().filter(|p| (0.2..0.8).contains(*p)).count();
-        assert!(fuzzy > 4, "expected probabilistic transition points, got {fuzzy}");
-    }
-}

@@ -20,7 +20,6 @@ use signal::{AnalogWaveform, DigitalWaveform, Edge};
 /// use pstime::Duration;
 ///
 /// let ch = WlpChannel::interposer();
-/// assert!(ch.attenuation() > 0.8);
 /// assert_eq!(ch.delay(), Duration::from_ps(35));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -69,16 +68,6 @@ impl WlpChannel {
     /// An ideal connection (for A/B comparisons).
     pub fn ideal() -> Self {
         WlpChannel::new(1.0, 0.0, Duration::ZERO, 1.0, Duration::ZERO)
-    }
-
-    /// Linear amplitude attenuation factor.
-    pub fn attenuation(&self) -> f64 {
-        self.attenuation
-    }
-
-    /// Extra 20–80 % transition time contributed by the channel (ps).
-    pub fn extra_rise_ps(&self) -> f64 {
-        self.extra_rise_ps
     }
 
     /// Propagation delay.

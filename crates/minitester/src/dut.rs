@@ -94,7 +94,7 @@ impl WlpDut {
 
     /// What the die's input comparator sees: the stimulus propagated
     /// through the channel and any lead defects.
-    pub fn received_waveform(&self, stimulus: &AnalogWaveform, rate: DataRate) -> AnalogWaveform {
+    fn received_waveform(&self, stimulus: &AnalogWaveform, rate: DataRate) -> AnalogWaveform {
         let mut wave = self.channel.propagate(stimulus, rate);
         for defect in &self.defects {
             if let Defect::LossyLead { extra_attenuation } = defect {
@@ -106,7 +106,7 @@ impl WlpDut {
 
     /// The bit stream the die's input stage slices from the stimulus,
     /// sampling mid-bit at `rate` (`n` bits from the waveform start).
-    pub fn sliced_bits(
+    fn sliced_bits(
         &self,
         stimulus: &AnalogWaveform,
         rate: DataRate,

@@ -47,7 +47,7 @@ pub mod multisite;
 pub mod shmoo;
 mod tester;
 
-pub use array::{ProbeArray, SiteResult};
+pub use array::ProbeArray;
 pub use capture::{EtCapture, EyeScan, EyeScanJob};
 pub use channel::WlpChannel;
 pub use datapath::MiniTesterDatapath;

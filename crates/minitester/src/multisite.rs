@@ -147,7 +147,7 @@ impl WaferReport {
     }
 
     /// Wafer yield (fraction binned [`Bin::Good`]).
-    pub fn yield_ratio(&self) -> f64 {
+    fn yield_ratio(&self) -> f64 {
         if self.bins.is_empty() {
             return 0.0;
         }
@@ -163,12 +163,6 @@ impl WaferReport {
     /// analysis).
     pub fn injected_defects(&self) -> (usize, usize) {
         (self.injected_hard, self.injected_marginal)
-    }
-
-    /// Test escapes: defective dies binned good.
-    pub fn escapes(&self) -> usize {
-        let caught = self.count(Bin::FailBist) + self.count(Bin::FailMargin);
-        (self.injected_hard + self.injected_marginal).saturating_sub(caught)
     }
 }
 
@@ -358,7 +352,6 @@ mod tests {
         let report = config.run_on(&exec::ExecPool::from_env()).unwrap();
         assert_eq!(report.bins().len(), 8);
         assert_eq!(report.yield_ratio(), 1.0);
-        assert_eq!(report.escapes(), 0);
         assert_eq!(report.touchdowns(), 2);
         assert_eq!(report.injected_defects(), (0, 0));
     }
@@ -379,7 +372,6 @@ mod tests {
         let (hard, _) = report.injected_defects();
         assert!(hard > 0, "the seed should inject some defects");
         assert_eq!(report.count(Bin::FailBist), hard, "every stuck die caught");
-        assert_eq!(report.escapes(), 0);
         assert!(report.yield_ratio() < 1.0);
     }
 

@@ -236,14 +236,6 @@ impl ShmooPlot {
         self.pass[row * self.phases.len() + col]
     }
 
-    /// Fraction of points passing.
-    pub fn pass_ratio(&self) -> f64 {
-        if self.pass.is_empty() {
-            return 0.0;
-        }
-        self.pass.iter().filter(|p| **p).count() as f64 / self.pass.len() as f64
-    }
-
     /// The widest contiguous passing phase run at any threshold, with the
     /// threshold where it occurs: the operating point a production test
     /// would pick.
@@ -298,6 +290,11 @@ mod tests {
     use crate::datapath::MiniTesterDatapath;
     use exec::PoolJob;
 
+    /// Fraction of the plot's points that pass.
+    fn pass_ratio(plot: &ShmooPlot) -> f64 {
+        plot.pass.iter().filter(|p| **p).count() as f64 / plot.pass.len() as f64
+    }
+
     fn prbs_setup(gbps: f64) -> (AnalogWaveform, DataRate, BitStream) {
         let mut path = MiniTesterDatapath::new().unwrap();
         let rate = DataRate::from_gbps(gbps);
@@ -324,7 +321,7 @@ mod tests {
         let plot = run(&wave, rate, &expected, &ShmooConfig::pecl(), 1).unwrap();
         assert_eq!(plot.thresholds().len(), 15);
         assert_eq!(plot.phases().len(), 40);
-        let ratio = plot.pass_ratio();
+        let ratio = pass_ratio(&plot);
         assert!(ratio > 0.2 && ratio < 0.95, "pass ratio {ratio}");
         // The mid-threshold row must have a healthy pass band.
         let mid_row = plot.thresholds().iter().position(|v| *v == Millivolts::new(-1300));
@@ -364,7 +361,7 @@ mod tests {
             ..ShmooConfig::pecl()
         };
         let plot = run(&wave, rate, &expected, &config, 4).unwrap();
-        assert_eq!(plot.pass_ratio(), 0.0);
+        assert_eq!(pass_ratio(&plot), 0.0);
         assert!(plot.best_operating_point().is_none());
     }
 
@@ -445,7 +442,7 @@ mod tests {
             vec![true, false],
         )
         .unwrap();
-        assert_eq!(plot.pass_ratio(), 0.5);
+        assert_eq!(pass_ratio(&plot), 0.5);
         assert!(ShmooPlot::from_parts(
             vec![Millivolts::new(-1300)],
             vec![Duration::from_ps(0)],

@@ -149,11 +149,6 @@ impl MiniTester {
         &self.dut
     }
 
-    /// The stimulus datapath.
-    pub fn datapath_mut(&mut self) -> &mut MiniTesterDatapath {
-        &mut self.datapath
-    }
-
     /// Runs one plan against the socketed device: [`prepare`](Self::prepare)
     /// then [`run_prepared`](Self::run_prepared).
     ///
@@ -324,7 +319,7 @@ mod tests {
     fn datapath_access_for_level_experiments() {
         let mut tester = MiniTester::new().unwrap();
         tester
-            .datapath_mut()
+            .datapath
             .set_levels(signal::LevelSet::pecl().with_swing(pstime::Millivolts::new(600)));
         let outcome =
             tester.run(&TestPlan::prbs_loopback(DataRate::from_gbps(2.5), 1_024), 6).unwrap();

@@ -40,13 +40,6 @@ impl SiGeOutputBuffer {
         }
     }
 
-    /// Customizes the transition shape.
-    #[must_use]
-    pub fn with_shape(mut self, shape: EdgeShape) -> Self {
-        self.shape = shape;
-        self
-    }
-
     /// Customizes the output levels (driven by the tuning DACs).
     #[must_use]
     pub fn with_levels(mut self, levels: LevelSet) -> Self {
@@ -164,11 +157,5 @@ mod tests {
         assert_eq!(buf2.levels(), buf.levels());
         let cmos = CmosIoBuffer::new().with_levels(reduced);
         assert_eq!(cmos.levels().voh(), Millivolts::new(-1000));
-    }
-
-    #[test]
-    fn shape_customization() {
-        let fast = SiGeOutputBuffer::new().with_shape(EdgeShape::from_rise_2080_ps(50.0));
-        assert_eq!(fast.shape().rise_2080(), Duration::from_ps(50));
     }
 }

@@ -26,7 +26,6 @@ use signal::{AnalogWaveform, BitStream, DigitalWaveform, EdgeShape, LevelSet};
 
 use crate::buffer::{CmosIoBuffer, SiGeOutputBuffer};
 use crate::clock::{ClockFanout, RfClockSource};
-use crate::delay::ProgrammableDelayLine;
 use crate::mux::MuxTree;
 use crate::{PeclError, Result};
 
@@ -39,15 +38,11 @@ use crate::{PeclError, Result};
 ///
 /// ```
 /// use pecl::chain::SignalChain;
-/// use pecl::{Mux2, MuxTree, RfClockSource, SiGeOutputBuffer};
-/// use pstime::{DataRate, Duration, Frequency};
+/// use pecl::SiGeOutputBuffer;
+/// use pstime::DataRate;
 /// use signal::BitStream;
 ///
-/// let chain = SignalChain::builder("custom")
-///     .add_clock(&RfClockSource::bench_instrument(Frequency::from_ghz(1.25)))
-///     .add_mux_tree(&MuxTree::new(8)?)
-///     .add_sige_buffer(&SiGeOutputBuffer::new())
-///     .build();
+/// let chain = SignalChain::builder("custom").add_sige_buffer(&SiGeOutputBuffer::new()).build();
 /// let wave = chain.render(&BitStream::alternating(64), DataRate::from_gbps(2.5), 1)?;
 /// assert_eq!(wave.digital().num_edges(), 63);
 /// # Ok::<(), pecl::PeclError>(())
@@ -62,7 +57,6 @@ pub struct SignalChain {
     shape: EdgeShape,
     levels: LevelSet,
     max_rate_gbps: f64,
-    prop_delay: Duration,
     stages: Vec<String>,
 }
 
@@ -79,7 +73,6 @@ impl SignalChain {
                 shape: EdgeShape::from_rise_2080_ps(30.0), // bare PECL edge
                 levels: LevelSet::pecl(),
                 max_rate_gbps: 10.0,
-                prop_delay: Duration::ZERO,
                 stages: Vec::new(),
             },
         }
@@ -139,11 +132,6 @@ impl SignalChain {
         &self.name
     }
 
-    /// Stage descriptions, in order.
-    pub fn stages(&self) -> &[String] {
-        &self.stages
-    }
-
     /// Adds raw Gaussian jitter (quadrature).
     pub fn add_rj(&mut self, rms: Duration) {
         let fs = rms.as_fs() as f64;
@@ -194,11 +182,6 @@ impl SignalChain {
         self.max_rate_gbps
     }
 
-    /// Total propagation delay through the chain.
-    pub fn prop_delay(&self) -> Duration {
-        self.prop_delay
-    }
-
     /// The composite jitter model all of this chain's edges see.
     pub fn jitter_budget(&self) -> JitterBudget {
         let mut budget = JitterBudget::new();
@@ -217,7 +200,7 @@ impl SignalChain {
 
     /// Predicted total peak-to-peak jitter over `n_edges` observations
     /// (`DJ + 2·Q(n)·RJ`).
-    pub fn predicted_tj_pp(&self, n_edges: u64) -> Duration {
+    fn predicted_tj_pp(&self, n_edges: u64) -> Duration {
         self.dj_pp() + self.rj_rms().mul_f64(2.0 * gaussian_extreme_q(n_edges))
     }
 
@@ -240,8 +223,7 @@ impl SignalChain {
             });
         }
         let budget = self.jitter_budget();
-        let digital =
-            DigitalWaveform::from_bits(bits, rate, &budget, seed).delayed(self.prop_delay);
+        let digital = DigitalWaveform::from_bits(bits, rate, &budget, seed);
         Ok(AnalogWaveform::new(digital, self.levels, self.shape))
     }
 
@@ -267,26 +249,6 @@ impl SignalChain {
         let group_b = tree.serialize(&lanes[8..])?;
         let final_mux = crate::mux::Mux2::new();
         let serial = final_mux.serialize(&group_a, &group_b)?;
-        self.render(&serial, out_rate, seed)
-    }
-
-    /// Serializes 8 parallel lanes through one 8:1 tree and renders.
-    ///
-    /// # Errors
-    ///
-    /// As [`serialize_16`](Self::serialize_16), expecting 8 lanes.
-    pub fn serialize_8(
-        &self,
-        lanes: &[BitStream],
-        out_rate: DataRate,
-        seed: u64,
-    ) -> Result<AnalogWaveform> {
-        if lanes.len() != 8 {
-            return Err(PeclError::LaneMismatch { expected: 8, got: lanes.len() });
-        }
-        // xlint::allow(no-panic-in-lib, MuxTree::new only fails on a non-power-of-two way count and 8 is constant)
-        let tree = MuxTree::new(8).expect("8 is a power of two");
-        let serial = tree.serialize(lanes)?;
         self.render(&serial, out_rate, seed)
     }
 }
@@ -315,7 +277,7 @@ pub struct SignalChainBuilder {
 impl SignalChainBuilder {
     /// Adds the RF reference clock's phase jitter.
     #[must_use]
-    pub fn add_clock(mut self, clock: &RfClockSource) -> Self {
+    fn add_clock(mut self, clock: &RfClockSource) -> Self {
         self.chain.add_rj(clock.rj_rms());
         let n = self.chain.stages.len();
         self.chain.stages[n - 1] =
@@ -325,7 +287,7 @@ impl SignalChainBuilder {
 
     /// Adds a clock fanout's additive jitter.
     #[must_use]
-    pub fn add_fanout(mut self, fanout: &ClockFanout) -> Self {
+    fn add_fanout(mut self, fanout: &ClockFanout) -> Self {
         self.chain.add_rj(fanout.added_rj());
         let n = self.chain.stages.len();
         self.chain.stages[n - 1] =
@@ -335,7 +297,7 @@ impl SignalChainBuilder {
 
     /// Adds a mux tree's DCD, RJ, and rate limit.
     #[must_use]
-    pub fn add_mux_tree(mut self, tree: &MuxTree) -> Self {
+    fn add_mux_tree(mut self, tree: &MuxTree) -> Self {
         self.chain.dcd += tree.total_dcd();
         let fs = tree.total_added_rj().as_fs() as f64;
         self.chain.rj_rms_sq_fs2 += fs * fs;
@@ -346,21 +308,12 @@ impl SignalChainBuilder {
 
     /// Adds a single 2:1 mux stage.
     #[must_use]
-    pub fn add_mux2(mut self, mux: &crate::mux::Mux2) -> Self {
+    fn add_mux2(mut self, mux: &crate::mux::Mux2) -> Self {
         self.chain.dcd += mux.dcd();
         let fs = mux.added_rj().as_fs() as f64;
         self.chain.rj_rms_sq_fs2 += fs * fs;
         self.chain.max_rate_gbps = self.chain.max_rate_gbps.min(mux.max_rate_gbps());
         self.chain.stages.push("mux 2:1".to_string());
-        self
-    }
-
-    /// Adds a delay line's insertion delay (its programmed value is applied
-    /// separately when the line is used for deskew).
-    #[must_use]
-    pub fn add_delay_line(mut self, line: &ProgrammableDelayLine) -> Self {
-        self.chain.prop_delay += line.insertion_delay();
-        self.chain.stages.push(format!("delay-line ({} step)", line.step()));
         self
     }
 
@@ -378,7 +331,7 @@ impl SignalChainBuilder {
     /// Adds the slower CMOS I/O buffer: sets shape/levels and a 5 Gbps
     /// ceiling.
     #[must_use]
-    pub fn add_cmos_buffer(mut self, buffer: &CmosIoBuffer) -> Self {
+    fn add_cmos_buffer(mut self, buffer: &CmosIoBuffer) -> Self {
         self.chain.shape = *buffer.shape();
         self.chain.levels = *buffer.levels();
         let fs = buffer.added_rj().as_fs() as f64;
@@ -482,33 +435,12 @@ mod tests {
     }
 
     #[test]
-    fn serialize_8_lane_structure() {
-        let chain = SignalChain::testbed_transmitter();
-        let lanes: Vec<BitStream> = (0..8).map(|_| BitStream::ones(4)).collect();
-        let wave = chain.serialize_8(&lanes, DataRate::from_gbps(2.5), 1).unwrap();
-        assert_eq!(wave.digital().num_edges(), 0); // all ones
-        assert!(chain.serialize_8(&lanes[..4], DataRate::from_gbps(2.5), 1).is_err());
-    }
-
-    #[test]
     fn builder_accumulates_stages() {
         let chain = SignalChain::testbed_transmitter();
-        assert!(chain.stages().len() >= 4);
         assert!(chain.name().contains("testbed"));
         let text = chain.to_string();
         assert!(text.contains("RJ"));
         assert!(text.contains("DJ"));
-        assert!(chain.prop_delay() == Duration::ZERO);
-    }
-
-    #[test]
-    fn delay_line_contributes_insertion_delay() {
-        let line = ProgrammableDelayLine::standard();
-        let chain = SignalChain::builder("with-delay").add_delay_line(&line).build();
-        assert_eq!(chain.prop_delay(), Duration::from_ps(1200));
-        let wave =
-            chain.render(&BitStream::from_str_bits("10"), DataRate::from_gbps(1.0), 0).unwrap();
-        assert_eq!(wave.digital().start(), pstime::Instant::from_ps(1200));
     }
 
     #[test]

@@ -139,25 +139,9 @@ impl ProgrammableDelayLine {
     }
 
     /// The INL error at a given code.
-    pub fn inl_at(&self, code: u32) -> Duration {
+    fn inl_at(&self, code: u32) -> Duration {
         let phase = 2.0 * core::f64::consts::PI * code as f64 / self.codes as f64; // xlint::allow(no-lossy-cast, u32 code and count convert exactly to f64)
         self.inl_peak.mul_f64(phase.sin())
-    }
-
-    /// Worst-case INL across all codes.
-    pub fn max_inl(&self) -> Duration {
-        (0..self.codes).map(|c| self.inl_at(c).abs()).max().unwrap_or(Duration::ZERO)
-    }
-
-    /// The differential nonlinearity at `code` (step error vs. the ideal
-    /// step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code` is 0 (DNL is defined between adjacent codes).
-    pub fn dnl_at(&self, code: u32) -> Duration {
-        assert!(code > 0, "DNL is defined for codes >= 1");
-        (self.inl_at(code) - self.inl_at(code - 1)).abs()
     }
 
     /// Applies the current setting to a waveform: insertion + actual delay.
@@ -185,7 +169,8 @@ mod tests {
         assert_eq!(d.step(), Duration::from_ps(10));
         assert!(d.range() >= Duration::from_ns(10), "range {} >= 10 ns", d.range());
         assert_eq!(d.codes(), 1024);
-        assert!(d.max_inl() <= Duration::from_ps(2));
+        let max_inl = (0..d.codes()).map(|c| d.inl_at(c).abs()).max().unwrap();
+        assert!(max_inl <= Duration::from_ps(2));
         assert_eq!(d.insertion_delay(), Duration::from_ps(1200));
         assert_eq!(ProgrammableDelayLine::default(), d);
     }
@@ -233,7 +218,8 @@ mod tests {
     fn dnl_is_small() {
         let d = ProgrammableDelayLine::standard();
         for code in 1..1024 {
-            assert!(d.dnl_at(code) < Duration::from_ps(1), "DNL at {code}");
+            let dnl = (d.inl_at(code) - d.inl_at(code - 1)).abs();
+            assert!(dnl < Duration::from_ps(1), "DNL at {code}");
         }
     }
 
@@ -278,11 +264,5 @@ mod tests {
             worst = worst.max(err);
         }
         assert!(worst <= Duration::from_ps(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "DNL is defined for codes >= 1")]
-    fn dnl_at_zero_panics() {
-        let _ = ProgrammableDelayLine::standard().dnl_at(0);
     }
 }

@@ -49,7 +49,6 @@ mod error;
 pub mod levels;
 pub mod mux;
 pub mod sampler;
-pub mod timing;
 
 pub use buffer::{CmosIoBuffer, SiGeOutputBuffer};
 pub use chain::SignalChain;
@@ -59,7 +58,6 @@ pub use error::PeclError;
 pub use levels::VoltageTuningDac;
 pub use mux::{Mux2, MuxTree};
 pub use sampler::StrobedSampler;
-pub use timing::TimingGenerator;
 
 /// Convenient result alias for PECL operations.
 pub type Result<T> = std::result::Result<T, PeclError>;

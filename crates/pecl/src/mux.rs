@@ -50,19 +50,6 @@ impl Mux2 {
         Mux2 { dcd: Duration::from_ps(4), added_rj: Duration::from_ps_f64(0.8), max_rate_gbps: 5.0 }
     }
 
-    /// Customizes the impairments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any impairment is negative or the rate limit is not
-    /// positive.
-    pub fn with_impairments(dcd: Duration, added_rj: Duration, max_rate_gbps: f64) -> Self {
-        assert!(!dcd.is_negative(), "DCD must be nonnegative");
-        assert!(!added_rj.is_negative(), "added RJ must be nonnegative");
-        assert!(max_rate_gbps > 0.0, "rate limit must be positive");
-        Mux2 { dcd, added_rj, max_rate_gbps }
-    }
-
     /// Duty-cycle distortion contributed by this stage.
     pub fn dcd(&self) -> Duration {
         self.dcd
@@ -132,17 +119,6 @@ impl MuxTree {
             return Err(PeclError::LaneMismatch { expected: 2, got: ways });
         }
         Ok(MuxTree { ways, stage: Mux2::new() })
-    }
-
-    /// Creates a tree with custom per-stage impairments.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new).
-    pub fn with_stage(ways: usize, stage: Mux2) -> Result<Self> {
-        let mut tree = MuxTree::new(ways)?;
-        tree.stage = stage;
-        Ok(tree)
     }
 
     /// Fan-in of the tree.
@@ -281,14 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_stage_impairments() {
-        let stage = Mux2::with_impairments(Duration::from_ps(10), Duration::from_ps(2), 4.0);
-        let tree = MuxTree::with_stage(8, stage).unwrap();
-        assert!(tree.total_dcd() >= Duration::from_ps(10));
-        assert!((tree.max_rate_gbps() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn sixteen_to_one_mini_tester_path() {
         // Two 8:1 groups then a 2:1: must equal a flat 16:1.
         let lanes: Vec<BitStream> =
@@ -303,11 +271,5 @@ mod tests {
         let reordered: Vec<BitStream> =
             (0..16).map(|i| lanes[if i % 2 == 0 { i / 2 } else { 8 + i / 2 }].clone()).collect();
         assert_eq!(two_stage, BitStream::interleave(&reordered));
-    }
-
-    #[test]
-    #[should_panic(expected = "DCD must be nonnegative")]
-    fn negative_dcd_panics() {
-        let _ = Mux2::with_impairments(Duration::from_ps(-1), Duration::ZERO, 5.0);
     }
 }

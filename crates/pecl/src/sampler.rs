@@ -87,13 +87,6 @@ impl StrobedSampler {
         self.input_offset = offset;
     }
 
-    /// Samples the waveform once at `strobe` (with aperture jitter drawn
-    /// from `rng`).
-    pub fn sample_at(&self, wave: &AnalogWaveform, strobe: Instant, rng: &mut Rng) -> bool {
-        let z = if self.aperture_rj.is_zero() { 0.0 } else { rng.gaussian() };
-        self.slice(strobe, z, self.decision_level(), |t| wave.value_at(t))
-    }
-
     /// The one exact comparison: moves `strobe` by the aperture deviate
     /// `z` (in sigmas), evaluates the input there with `value_at`, and
     /// slices it against the decision level `level`.
@@ -460,15 +453,18 @@ mod tests {
     fn threshold_programming_affects_decisions() {
         let (w, _rate, _) = wave("1111", 2.5);
         let mut s = StrobedSampler::new(Millivolts::new(-1300), Duration::ZERO);
-        let mut rng = Rng::seed_from_u64(0);
-        assert!(s.sample_at(&w, Instant::from_ps(600), &mut rng));
+        // No aperture jitter: one strobe at 600 ps, sliced exactly.
+        let strobe = |s: &StrobedSampler| {
+            s.slice(Instant::from_ps(600), 0.0, s.decision_level(), |t| w.value_at(t))
+        };
+        assert!(strobe(&s));
         // Raise the threshold above VOH: everything reads low.
         s.set_threshold(Millivolts::new(-800));
-        assert!(!s.sample_at(&w, Instant::from_ps(600), &mut rng));
+        assert!(!strobe(&s));
         // Comparator offset shifts the effective threshold.
         s.set_threshold(Millivolts::new(-1300));
         s.set_input_offset(Millivolts::new(500));
-        assert!(!s.sample_at(&w, Instant::from_ps(600), &mut rng));
+        assert!(!strobe(&s));
         assert_eq!(s.input_offset(), Millivolts::new(500));
     }
 

@@ -57,12 +57,6 @@ impl Duration {
         Duration(ns * FS_PER_NS)
     }
 
-    /// Creates a duration from an exact microsecond count.
-    #[inline]
-    pub const fn from_us(us: i64) -> Self {
-        Duration(us * FS_PER_US)
-    }
-
     /// Creates a duration from an exact millisecond count.
     #[inline]
     pub const fn from_ms(ms: i64) -> Self {
@@ -115,13 +109,6 @@ impl Duration {
         self.0 as f64 // xlint::allow(no-lossy-cast, fs counts stay far below 2^53 so the f64 round-trip is exact at this documented float boundary)
     }
 
-    /// Returns the span in picoseconds, truncating sub-picosecond detail
-    /// toward zero.
-    #[inline]
-    pub const fn as_ps(self) -> i64 {
-        self.0 / FS_PER_PS
-    }
-
     /// Returns the span as fractional picoseconds.
     #[inline]
     pub fn as_ps_f64(self) -> f64 {
@@ -171,15 +158,6 @@ impl Duration {
     #[inline]
     pub const fn checked_sub(self, rhs: Duration) -> Option<Duration> {
         match self.0.checked_sub(rhs.0) {
-            Some(v) => Some(Duration(v)),
-            None => None,
-        }
-    }
-
-    /// Checked multiplication by an integer count; `None` on overflow.
-    #[inline]
-    pub const fn checked_mul(self, rhs: i64) -> Option<Duration> {
-        match self.0.checked_mul(rhs) {
             Some(v) => Some(Duration(v)),
             None => None,
         }
@@ -398,10 +376,8 @@ mod tests {
     fn constructors_are_exact() {
         assert_eq!(Duration::from_ps(400).as_fs(), 400_000);
         assert_eq!(Duration::from_ns(25).as_fs(), 25_000_000);
-        assert_eq!(Duration::from_us(1).as_fs(), 1_000_000_000);
         assert_eq!(Duration::from_ms(2).as_fs(), 2 * FS_PER_MS);
         assert_eq!(Duration::from_ps_f64(0.5).as_fs(), 500);
-        assert_eq!(Duration::from_ns_f64(25.6).as_ps(), 25_600);
         assert_eq!(Duration::from_secs_f64(1e-12), Duration::from_ps(1));
     }
 
@@ -438,7 +414,6 @@ mod tests {
     fn checked_ops() {
         assert_eq!(Duration::MAX.checked_add(Duration::from_fs(1)), None);
         assert_eq!(Duration::MIN.checked_sub(Duration::from_fs(1)), None);
-        assert_eq!(Duration::MAX.checked_mul(2), None);
         assert_eq!(
             Duration::from_ps(5).checked_add(Duration::from_ps(5)),
             Some(Duration::from_ps(10))
@@ -467,7 +442,7 @@ mod tests {
         assert_eq!(Duration::from_ns_f64(25.6).to_string(), "25.600 ns");
         assert_eq!(Duration::from_ns(7).to_string(), "7 ns");
         assert_eq!(Duration::from_ps(-400).to_string(), "-400 ps");
-        assert_eq!(Duration::from_us(3).to_string(), "3 us");
+        assert_eq!(Duration::from_ns(3_000).to_string(), "3 us");
         assert_eq!(Duration::from_ms(3).to_string(), "3 ms");
     }
 

@@ -48,12 +48,6 @@ impl Frequency {
         Frequency(hz)
     }
 
-    /// Creates a frequency from exact kilohertz.
-    #[inline]
-    pub fn from_khz(khz: u64) -> Self {
-        Frequency::from_hz(khz * 1_000)
-    }
-
     /// Creates a frequency from exact megahertz.
     #[inline]
     pub fn from_mhz(mhz: u64) -> Self {
@@ -75,12 +69,6 @@ impl Frequency {
     #[inline]
     pub const fn as_hz(self) -> u64 {
         self.0
-    }
-
-    /// The frequency as fractional gigahertz.
-    #[inline]
-    pub fn as_ghz(self) -> f64 {
-        approx_f64(self.0) / 1e9
     }
 
     /// The period, rounded to the nearest femtosecond.
@@ -140,7 +128,6 @@ impl fmt::Display for Frequency {
 ///
 /// let r = DataRate::from_gbps(5.0);
 /// assert_eq!(r.unit_interval(), Duration::from_ps(200));
-/// assert_eq!(r.ddr_clock().period(), Duration::from_ps(400));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DataRate(u64);
@@ -195,19 +182,6 @@ impl DataRate {
         Duration::from_fs(i64::try_from(fs).unwrap_or(i64::MAX))
     }
 
-    /// The half-rate clock that drives this stream through a DDR output
-    /// stage (the paper's final 2:1 PECL mux toggles on both clock edges).
-    #[inline]
-    pub fn ddr_clock(self) -> Frequency {
-        Frequency::from_hz(self.0 / 2)
-    }
-
-    /// The full-rate clock (one edge per bit).
-    #[inline]
-    pub fn sdr_clock(self) -> Frequency {
-        Frequency::from_hz(self.0)
-    }
-
     /// The per-lane rate when this stream is demultiplexed `ways` ways — the
     /// rate each FPGA I/O pin must sustain before the PECL mux tree.
     ///
@@ -224,12 +198,6 @@ impl DataRate {
     #[inline]
     pub fn aggregate(self, lanes: u64) -> DataRate {
         DataRate::from_bps(self.0 * lanes)
-    }
-
-    /// Number of whole unit intervals in `span`.
-    #[inline]
-    pub fn bits_in(self, span: Duration) -> i64 {
-        span / self.unit_interval()
     }
 }
 
@@ -270,14 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn ddr_relationship() {
-        // 5 Gbps stream driven by a 2.5 GHz DDR clock.
-        let r = DataRate::from_gbps(5.0);
-        assert_eq!(r.ddr_clock(), Frequency::from_ghz(2.5));
-        assert_eq!(r.sdr_clock().as_hz(), 5_000_000_000);
-    }
-
-    #[test]
     fn mux_tree_rates() {
         // Paper §4: 16 CMOS signals at 312.5 Mbps -> 5 Gbps serial.
         let out = DataRate::from_gbps(5.0);
@@ -294,16 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn bits_in_span() {
-        let r = DataRate::from_gbps(2.5);
-        assert_eq!(r.bits_in(Duration::from_ns_f64(25.6)), 64);
-    }
-
-    #[test]
     fn display() {
         assert_eq!(Frequency::from_ghz(1.25).to_string(), "1.250 GHz");
         assert_eq!(Frequency::from_mhz(12).to_string(), "12.000 MHz");
-        assert_eq!(Frequency::from_khz(32).to_string(), "32.000 kHz");
+        assert_eq!(Frequency::from_hz(32_000).to_string(), "32.000 kHz");
         assert_eq!(Frequency::from_hz(50).to_string(), "50 Hz");
         assert_eq!(DataRate::from_gbps(2.5).to_string(), "2.500 Gbps");
         assert_eq!(DataRate::from_mbps(400).to_string(), "400.0 Mbps");
@@ -325,7 +279,6 @@ mod tests {
 
     #[test]
     fn accessors() {
-        assert!((Frequency::from_ghz(1.25).as_ghz() - 1.25).abs() < 1e-12);
         assert!((DataRate::from_gbps(4.0).as_gbps() - 4.0).abs() < 1e-12);
     }
 }

@@ -34,22 +34,10 @@ impl Millivolts {
         Millivolts(mv)
     }
 
-    /// Creates a level from fractional volts, rounded to 1 mV.
-    #[inline]
-    pub fn from_volts(v: f64) -> Self {
-        Millivolts((v * 1000.0).round() as i32) // xlint::allow(no-lossy-cast, the saturating float cast is the intended rounding onto the representable millivolt range)
-    }
-
     /// The exact millivolt count.
     #[inline]
     pub const fn as_mv(self) -> i32 {
         self.0
-    }
-
-    /// The level as fractional volts.
-    #[inline]
-    pub fn as_volts(self) -> f64 {
-        f64::from(self.0) / 1000.0
     }
 
     /// The level as fractional millivolts (for analog math).
@@ -172,8 +160,6 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(Millivolts::from_volts(-1.3), Millivolts::new(-1300));
-        assert!((Millivolts::new(-1300).as_volts() + 1.3).abs() < 1e-12);
         assert!((Millivolts::new(250).as_f64() - 250.0).abs() < 1e-12);
     }
 

@@ -48,12 +48,6 @@ impl LevelSet {
         LevelSet::new(Millivolts::new(-900), Millivolts::new(-1700))
     }
 
-    /// Ground-referenced LVCMOS-ish levels for the DLC's direct I/O:
-    /// 0 / 1800 mV.
-    pub fn lvcmos18() -> Self {
-        LevelSet::new(Millivolts::new(1800), Millivolts::new(0))
-    }
-
     /// The high level.
     #[inline]
     pub fn voh(&self) -> Millivolts {
@@ -86,16 +80,6 @@ impl LevelSet {
     #[must_use]
     pub fn with_voh(&self, voh: Millivolts) -> LevelSet {
         LevelSet::new(voh, self.vol)
-    }
-
-    /// Returns a copy with a different low level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if VOH does not exceed the new VOL.
-    #[must_use]
-    pub fn with_vol(&self, vol: Millivolts) -> LevelSet {
-        LevelSet::new(self.voh, vol)
     }
 
     /// Returns a copy with the same midpoint but a new swing — the paper's
@@ -701,7 +685,6 @@ mod tests {
         assert_eq!(l.swing(), Millivolts::new(800));
         assert_eq!(l.mid(), Millivolts::new(-1300));
         assert_eq!(l.with_voh(Millivolts::new(-1000)).swing(), Millivolts::new(700));
-        assert_eq!(l.with_vol(Millivolts::new(-1600)).swing(), Millivolts::new(700));
         let s = l.with_swing(Millivolts::new(400));
         assert_eq!(s.swing(), Millivolts::new(400));
         assert_eq!(s.mid(), l.mid());
@@ -712,7 +695,6 @@ mod tests {
         assert_eq!(a.swing(), Millivolts::new(400));
         assert_eq!(a.mid(), l.mid());
         assert_eq!(LevelSet::default(), LevelSet::pecl());
-        assert!(LevelSet::lvcmos18().swing() == Millivolts::new(1800));
         assert!(l.to_string().contains("VOH=-900 mV"));
     }
 

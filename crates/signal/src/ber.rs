@@ -5,30 +5,21 @@
 //! eye opening" is defined by where the bathtub curve rises above the
 //! acceptable error rate. This module provides the standard dual-Dirac
 //! machinery to connect the two: given the RJ/DJ decomposition measured by
-//! [`crate::EyeDiagram`], it predicts BER versus sampling phase and the eye
-//! opening at any target BER.
+//! [`crate::EyeDiagram`], it predicts BER versus sampling phase and the
+//! total jitter at any target BER.
 
-use pstime::{DataRate, Duration, UnitInterval};
+use pstime::{DataRate, Duration};
 
 use crate::stats::erfc;
 
 const SQRT_2: f64 = core::f64::consts::SQRT_2;
 
 /// Converts a Gaussian Q factor to a bit error rate: `BER = ½·erfc(Q/√2)`.
-///
-/// # Examples
-///
-/// ```
-/// use signal::ber_from_q;
-///
-/// let ber = ber_from_q(7.0);
-/// assert!(ber > 1e-13 && ber < 1e-11); // Q = 7 ⇔ BER ≈ 1.3e-12
-/// ```
-pub fn ber_from_q(q: f64) -> f64 {
+fn ber_from_q(q: f64) -> f64 {
     0.5 * erfc(q / SQRT_2)
 }
 
-/// Inverts [`ber_from_q`] by bisection.
+/// Inverts `BER = ½·erfc(Q/√2)` by bisection.
 ///
 /// # Panics
 ///
@@ -56,21 +47,7 @@ pub struct BerEstimate {
     pub ber: f64,
 }
 
-impl BerEstimate {
-    /// Estimates BER from a vertical eye opening (mV) and amplitude-noise
-    /// rms (mV): `Q = height / (2σ)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `noise_rms_mv` is not positive or `eye_height_mv` is
-    /// negative.
-    pub fn from_eye_height(eye_height_mv: f64, noise_rms_mv: f64) -> Self {
-        assert!(noise_rms_mv > 0.0, "noise rms must be positive");
-        assert!(eye_height_mv >= 0.0, "eye height must be nonnegative");
-        let q = eye_height_mv / (2.0 * noise_rms_mv);
-        BerEstimate { q, ber: ber_from_q(q) }
-    }
-}
+impl BerEstimate {}
 
 /// A dual-Dirac timing bathtub: BER as a function of sampling phase for a
 /// signal with Gaussian RJ (rms σ) and bounded DJ (peak-to-peak W).
@@ -130,18 +107,6 @@ impl BathtubCurve {
         let left = 0.5 * erfc((x - w2) / (sigma * SQRT_2));
         let right = 0.5 * erfc(((ui_fs - x) - w2) / (sigma * SQRT_2));
         (self.transition_density * (left + right)).min(1.0)
-    }
-
-    /// The horizontal eye opening at a target BER, via the dual-Dirac total
-    /// jitter formula `TJ = DJ + 2·Q(BER)·σ`, clamped to `[0, 1]` UI.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ber` is not in `(0, 0.5]`.
-    pub fn opening_at_ber(&self, ber: f64) -> UnitInterval {
-        let q = q_from_ber(ber / self.transition_density.min(1.0));
-        let tj = self.dj_pp + self.rj_rms.mul_f64(2.0 * q);
-        (UnitInterval::ONE - UnitInterval::from_duration(tj, self.rate)).clamp_unit()
     }
 
     /// Total jitter at a target BER (dual-Dirac).
@@ -236,17 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn vertical_ber_estimate() {
-        // 700 mV eye with 20 mV noise: Q = 17.5, effectively error-free.
-        let est = BerEstimate::from_eye_height(700.0, 20.0);
-        assert!((est.q - 17.5).abs() < 1e-9);
-        assert!(est.ber < 1e-30);
-        // Collapsed eye: coin-flip.
-        let bad = BerEstimate::from_eye_height(0.0, 20.0);
-        assert!((bad.ber - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn bathtub_shape() {
         let tub = BathtubCurve::new(
             Duration::from_ps_f64(3.2),
@@ -273,21 +227,6 @@ mod tests {
             BathtubCurve::new(Duration::from_ps_f64(1.6), Duration::from_ps_f64(24.3), rate, 0.5);
         let tj = tub.total_jitter_at_ber(1e-12);
         assert!((tj.as_ps_f64() - 46.7).abs() < 2.0, "TJ {} ps, expected ~46.7", tj.as_ps_f64());
-        let opening = tub.opening_at_ber(1e-12);
-        assert!((opening.value() - 0.88).abs() < 0.01, "opening {opening}");
-    }
-
-    #[test]
-    fn opening_clamps_at_zero() {
-        let tub = BathtubCurve::new(
-            Duration::from_ps(50),
-            Duration::from_ps(300),
-            DataRate::from_gbps(5.0),
-            1.0,
-        );
-        assert_eq!(tub.opening_at_ber(1e-12).value(), 0.0);
-        assert_eq!(tub.rj_rms(), Duration::from_ps(50));
-        assert_eq!(tub.dj_pp(), Duration::from_ps(300));
     }
 
     #[test]

@@ -96,16 +96,6 @@ impl BitStream {
         BitStream { bits: (0..width).rev().map(|i| (word >> i) & 1 == 1).collect() }
     }
 
-    /// Packs the low `width` bits of `word`, least-significant bit first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` exceeds 64.
-    pub fn from_word_lsb_first(word: u64, width: u32) -> Self {
-        assert!(width <= 64, "word width exceeds 64 bits");
-        BitStream { bits: (0..width).map(|i| (word >> i) & 1 == 1).collect() }
-    }
-
     /// Generates a stream by calling `f(index)` for each bit.
     pub fn from_fn(len: usize, f: impl FnMut(usize) -> bool) -> Self {
         BitStream { bits: (0..len).map(f).collect() }
@@ -390,8 +380,6 @@ mod tests {
         let s = BitStream::from_word_msb_first(0xA5, 8);
         assert_eq!(s.to_string(), "10100101");
         assert_eq!(s.word_msb_first(0, 8), 0xA5);
-        let l = BitStream::from_word_lsb_first(0xA5, 8);
-        assert_eq!(l.to_string(), "10100101".chars().rev().collect::<String>());
     }
 
     #[test]

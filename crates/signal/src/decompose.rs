@@ -47,7 +47,7 @@ impl JitterDecomposition {
     ///
     /// [`SignalError::InsufficientTransitions`] with fewer than 400
     /// samples (the 0.5 % quantile needs at least a couple of points).
-    pub fn from_displacements_ps(samples: &[f64]) -> Result<JitterDecomposition> {
+    fn from_displacements_ps(samples: &[f64]) -> Result<JitterDecomposition> {
         const MIN_SAMPLES: usize = 400;
         if samples.len() < MIN_SAMPLES {
             return Err(SignalError::InsufficientTransitions {
@@ -104,7 +104,8 @@ impl JitterDecomposition {
     ///
     /// # Errors
     ///
-    /// As [`from_displacements_ps`](Self::from_displacements_ps).
+    /// [`SignalError::InsufficientTransitions`] with fewer than 400
+    /// crossings.
     pub fn from_eye(eye: &crate::EyeDiagram) -> Result<JitterDecomposition> {
         Self::from_displacements_ps(&eye.crossing_phases_ps())
     }
@@ -136,7 +137,7 @@ impl fmt::Display for JitterDecomposition {
 /// # Panics
 ///
 /// Panics if `p` is not strictly inside `(0, 1)`.
-pub fn normal_quantile(p: f64) -> f64 {
+fn normal_quantile(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "quantile probability must be in (0, 1)");
     let cdf = |x: f64| 0.5 * erfc(-x / core::f64::consts::SQRT_2);
     let (mut lo, mut hi) = (-9.0f64, 9.0f64);

@@ -66,12 +66,6 @@ impl Edge {
     pub fn rising(at: Instant) -> Self {
         Edge::new(at, EdgePolarity::Rising)
     }
-
-    /// A falling edge at `at`.
-    #[inline]
-    pub fn falling(at: Instant) -> Self {
-        Edge::new(at, EdgePolarity::Falling)
-    }
 }
 
 /// An NRZ digital waveform: an initial logic level plus a strictly
@@ -93,8 +87,7 @@ impl Edge {
 /// let w = DigitalWaveform::from_bits(&bits, DataRate::from_gbps(2.5), &NoJitter, 0);
 /// assert_eq!(w.num_edges(), 1); // one falling edge at 800 ps
 /// assert_eq!(w.edges()[0].at, Instant::from_ps(800));
-/// assert!(w.level_at(Instant::from_ps(100)));
-/// assert!(!w.level_at(Instant::from_ps(900)));
+/// assert!(w.initial_level());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DigitalWaveform {
@@ -194,7 +187,7 @@ impl DigitalWaveform {
 
     /// The logic level at `t` (the initial level before the first edge, the
     /// final level after the last).
-    pub fn level_at(&self, t: Instant) -> bool {
+    fn level_at(&self, t: Instant) -> bool {
         // Number of edges at or before t.
         let n = self.edges.partition_point(|e| e.at <= t);
         self.initial ^ (n % 2 == 1)
@@ -342,13 +335,6 @@ impl DigitalWaveform {
             .filter_map(|i| self.edges.get(i))
             .min_by_key(|e| (e.at - t).abs())
     }
-
-    /// Index range of edges within `[lo, hi]`, for windowed analysis.
-    pub fn edges_in(&self, lo: Instant, hi: Instant) -> &[Edge] {
-        let a = self.edges.partition_point(|e| e.at < lo);
-        let b = self.edges.partition_point(|e| e.at <= hi);
-        &self.edges[a..b]
-    }
 }
 
 impl fmt::Display for DigitalWaveform {
@@ -382,7 +368,7 @@ mod tests {
     fn edges_from_bits() {
         let w = wave("1100", 2.5);
         assert_eq!(w.num_edges(), 1);
-        assert_eq!(w.edges()[0], Edge::falling(Instant::from_ps(800)));
+        assert_eq!(w.edges()[0], Edge::new(Instant::from_ps(800), EdgePolarity::Falling));
         assert!(w.initial_level());
         assert_eq!(w.span(), Duration::from_ps(1600));
     }
@@ -460,8 +446,6 @@ mod tests {
         assert_eq!(w.nearest_edge(Instant::from_ps(700)).unwrap().at, Instant::from_ps(800));
         assert_eq!(w.nearest_edge(Instant::from_ps(0)).unwrap().at, Instant::from_ps(400));
         assert_eq!(w.nearest_edge(Instant::from_ps(9999)).unwrap().at, Instant::from_ps(1200));
-        let win = w.edges_in(Instant::from_ps(400), Instant::from_ps(800));
-        assert_eq!(win.len(), 2);
         assert!(wave("11", 2.5).nearest_edge(Instant::ZERO).is_none());
     }
 
@@ -477,7 +461,10 @@ mod tests {
     fn unordered_edges_panic() {
         let _ = DigitalWaveform::from_edges(
             false,
-            vec![Edge::rising(Instant::from_ps(10)), Edge::falling(Instant::from_ps(10))],
+            vec![
+                Edge::rising(Instant::from_ps(10)),
+                Edge::new(Instant::from_ps(10), EdgePolarity::Falling),
+            ],
             Instant::ZERO,
             Instant::from_ps(100),
         );

@@ -123,7 +123,7 @@ impl RandomJitter {
     }
 
     /// Creates Gaussian jitter from an rms value in picoseconds.
-    pub fn from_rms_ps(ps: f64) -> Self {
+    fn from_rms_ps(ps: f64) -> Self {
         RandomJitter::new(Duration::from_ps_f64(ps))
     }
 }
@@ -174,7 +174,7 @@ impl DutyCycleDistortion {
     }
 
     /// Creates DCD from a peak-to-peak value in picoseconds.
-    pub fn from_pp_ps(ps: f64) -> Self {
+    fn from_pp_ps(ps: f64) -> Self {
         DutyCycleDistortion::new(Duration::from_ps_f64(ps))
     }
 }
@@ -278,12 +278,6 @@ impl IsiJitter {
         assert!(tau_bits.is_finite() && tau_bits > 0.0, "ISI settling constant must be positive");
         IsiJitter { max_shift, tau_bits }
     }
-
-    /// Creates ISI jitter from a maximum shift in picoseconds with a 1-bit
-    /// settling constant (a mildly band-limited channel).
-    pub fn from_max_ps(ps: f64) -> Self {
-        IsiJitter::new(Duration::from_ps_f64(ps), 1.0)
-    }
 }
 
 struct IsiSampler {
@@ -320,14 +314,14 @@ impl JitterModel for IsiJitter {
 ///
 /// ```
 /// use pstime::Duration;
-/// use signal::jitter::{JitterBudget, JitterModel};
+/// use signal::jitter::{IsiJitter, JitterBudget, JitterModel};
 ///
 /// // The paper's test-bed output stage: 3.2 ps rms RJ, ~10 ps DCD,
 /// // a hair of ISI from the output network.
 /// let budget = JitterBudget::new()
 ///     .with_rj_rms_ps(3.2)
 ///     .with_dcd_ps(10.0)
-///     .with_isi_ps(12.0);
+///     .with_model(IsiJitter::new(Duration::from_ps(12), 1.0));
 /// assert_eq!(budget.rj_rms(), Duration::from_ps_f64(3.2));
 /// assert_eq!(budget.dj_pp(), Duration::from_ps(22));
 /// ```
@@ -353,20 +347,6 @@ impl JitterBudget {
     #[must_use]
     pub fn with_dcd_ps(mut self, ps: f64) -> Self {
         self.models.push(Box::new(DutyCycleDistortion::from_pp_ps(ps)));
-        self
-    }
-
-    /// Adds sinusoidal periodic jitter.
-    #[must_use]
-    pub fn with_pj(mut self, amplitude: Duration, freq: Frequency, phase: f64) -> Self {
-        self.models.push(Box::new(PeriodicJitter::new(amplitude, freq, phase)));
-        self
-    }
-
-    /// Adds ISI jitter with maximum shift `ps` picoseconds (τ = 1 bit).
-    #[must_use]
-    pub fn with_isi_ps(mut self, ps: f64) -> Self {
-        self.models.push(Box::new(IsiJitter::from_max_ps(ps)));
         self
     }
 
@@ -512,7 +492,7 @@ mod tests {
 
     #[test]
     fn isi_grows_with_run_length() {
-        let isi = IsiJitter::from_max_ps(12.0);
+        let isi = IsiJitter::new(Duration::from_ps(12), 1.0);
         let mut s = isi.sampler(0);
         let d1 = s.displacement(&ctx(0, 0, EdgePolarity::Rising, 1));
         let d2 = s.displacement(&ctx(1, 0, EdgePolarity::Rising, 2));
@@ -530,7 +510,7 @@ mod tests {
             .with_rj_rms_ps(3.0)
             .with_rj_rms_ps(4.0)
             .with_dcd_ps(10.0)
-            .with_isi_ps(6.0);
+            .with_model(IsiJitter::new(Duration::from_ps(6), 1.0));
         assert_eq!(b.len(), 4);
         assert!(!b.is_empty());
         // 3 and 4 in quadrature = 5.
@@ -542,7 +522,9 @@ mod tests {
 
     #[test]
     fn budget_sampler_sums_components() {
-        let b = JitterBudget::new().with_dcd_ps(10.0).with_isi_ps(12.0);
+        let b = JitterBudget::new()
+            .with_dcd_ps(10.0)
+            .with_model(IsiJitter::new(Duration::from_ps(12), 1.0));
         let mut s = b.sampler(0);
         // Rising edge after a very long run: +5 (DCD) + ~12 (ISI saturated).
         let d = s.displacement(&ctx(0, 0, EdgePolarity::Rising, 50));

@@ -48,22 +48,18 @@ mod digital;
 mod error;
 mod eye;
 pub mod jitter;
-pub mod mask;
 pub mod measure;
 mod quant;
 pub mod render;
-pub mod spectrum;
 mod stats;
 
 pub use analog::{AnalogWaveform, EdgeShape, LevelSet, WaveCursor};
-pub use ber::{ber_from_q, q_from_ber, BathtubCurve, BathtubSweep, BerEstimate};
+pub use ber::{q_from_ber, BathtubCurve, BathtubSweep, BerEstimate};
 pub use bits::BitStream;
 pub use decompose::JitterDecomposition;
 pub use digital::{DigitalWaveform, Edge, EdgePolarity};
 pub use error::SignalError;
 pub use eye::{EyeDiagram, EyeRaster};
-pub use mask::{mask_margin, mask_test, EyeMask, MaskTest};
-pub use spectrum::{jitter_spectrum, JitterSpectrum};
 pub use stats::{erfc, Histogram, RunningStats};
 
 /// Convenient result alias for fallible signal operations.

@@ -107,11 +107,6 @@ impl LevelMeasurement {
     pub fn swing_mv(&self) -> f64 {
         self.voh_mv - self.vol_mv
     }
-
-    /// Measured midpoint (mV).
-    pub fn mid_mv(&self) -> f64 {
-        (self.voh_mv + self.vol_mv) / 2.0
-    }
 }
 
 /// Samples every bit center and reports the mean settled high and low
@@ -302,7 +297,6 @@ mod tests {
         assert!((m.voh_mv + 1100.0).abs() < 5.0, "voh {}", m.voh_mv);
         assert!((m.vol_mv + 1700.0).abs() < 5.0, "vol {}", m.vol_mv);
         assert!((m.swing_mv() - 600.0).abs() < 10.0);
-        assert!((m.mid_mv() + 1400.0).abs() < 5.0);
         assert!(m.high_samples > 0 && m.low_samples > 0);
     }
 

@@ -1,13 +1,10 @@
-//! ASCII rendering of waveforms and eye diagrams.
+//! ASCII rendering of eye diagrams.
 //!
 //! The paper's figures are oscilloscope photographs; the closest honest
 //! equivalent in a terminal is an ASCII persistence plot. Examples and bench
 //! reports use these renderers so a human can eyeball "that's an open eye at
 //! 2.5 Gbps" the same way the paper's readers do.
 
-use pstime::{Duration, Instant};
-
-use crate::analog::AnalogWaveform;
 use crate::eye::EyeRaster;
 
 /// Density ramp used for persistence plots, dimmest to brightest.
@@ -56,47 +53,11 @@ pub fn render_eye(raster: &EyeRaster) -> String {
     out
 }
 
-/// Renders a time-domain strip chart of `wave` over `[t0, t0 + span]` as a
-/// `cols × rows` ASCII grid with a `*` trace.
-///
-/// # Panics
-///
-/// Panics if `cols`/`rows` is zero or `span` is not positive.
-pub fn render_waveform(
-    wave: &AnalogWaveform,
-    t0: Instant,
-    span: Duration,
-    cols: usize,
-    rows: usize,
-) -> String {
-    assert!(cols > 0 && rows > 0, "render grid must be nonzero");
-    assert!(span > Duration::ZERO, "render span must be positive");
-    let swing = wave.levels().swing().as_f64();
-    let v_lo = wave.levels().vol().as_f64() - 0.1 * swing;
-    let v_hi = wave.levels().voh().as_f64() + 0.1 * swing;
-    let mut grid = vec![b' '; cols * rows];
-    for col in 0..cols {
-        let t = t0 + span.mul_f64(col as f64 / (cols - 1).max(1) as f64);
-        let v = wave.value_at(t);
-        let frac = ((v - v_lo) / (v_hi - v_lo)).clamp(0.0, 1.0);
-        let row = ((1.0 - frac) * (rows - 1) as f64).round() as usize;
-        grid[row * cols + col] = b'*';
-    }
-    let mut out = String::with_capacity((cols + 3) * (rows + 2));
-    out.push_str(&format!("waveform {} .. {} ({:.0}..{:.0} mV)\n", t0, t0 + span, v_lo, v_hi));
-    for row in 0..rows {
-        out.push('|');
-        out.extend(grid[row * cols..(row + 1) * cols].iter().map(|b| char::from(*b)));
-        out.push_str("|\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::jitter::NoJitter;
-    use crate::{BitStream, DigitalWaveform, EdgeShape, EyeRaster, LevelSet};
+    use crate::{AnalogWaveform, BitStream, DigitalWaveform, EdgeShape, EyeRaster, LevelSet};
     use pstime::DataRate;
 
     fn sample_wave() -> (AnalogWaveform, DataRate) {
@@ -114,29 +75,5 @@ mod tests {
         assert_eq!(lines.len(), 13); // header + 12 rows
         assert!(lines[1].len() >= 42);
         assert!(txt.contains('@') || txt.contains('#') || txt.contains('%'));
-    }
-
-    #[test]
-    fn waveform_render_traces_transitions() {
-        let (a, _) = sample_wave();
-        let txt = render_waveform(&a, Instant::ZERO, Duration::from_ps(1600), 64, 10);
-        let lines: Vec<&str> = txt.lines().collect();
-        assert_eq!(lines.len(), 11);
-        // Trace visits near-top and near-bottom rows (settled rails sit
-        // just inside the 10 % display margin).
-        let star_rows: Vec<usize> =
-            lines.iter().enumerate().filter(|(_, l)| l.contains('*')).map(|(i, _)| i).collect();
-        assert!(*star_rows.iter().min().unwrap() <= 2, "rows {star_rows:?}");
-        assert!(*star_rows.iter().max().unwrap() >= 8, "rows {star_rows:?}");
-        // Every column has exactly one sample.
-        let stars: usize = txt.matches('*').count();
-        assert_eq!(stars, 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "render span must be positive")]
-    fn zero_span_panics() {
-        let (a, _) = sample_wave();
-        let _ = render_waveform(&a, Instant::ZERO, Duration::ZERO, 10, 10);
     }
 }

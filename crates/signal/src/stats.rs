@@ -140,15 +140,13 @@ impl RunningStats {
 /// h.push(9.5);
 /// h.push(9.6);
 /// assert_eq!(h.total(), 3);
-/// assert_eq!(h.bin_count(9), 2);
+/// assert_eq!(h.mode_bin(), Some(9));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
     bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
 }
 
 impl Histogram {
@@ -160,55 +158,28 @@ impl Histogram {
     pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
         assert!(lo < hi, "histogram range must be nonempty");
         assert!(bins > 0, "histogram needs at least one bin");
-        Histogram { lo, hi, bins: vec![0; bins], underflow: 0, overflow: 0 }
+        Histogram { lo, hi, bins: vec![0; bins] }
     }
 
-    /// Adds an observation; values outside the range count as under/overflow.
+    /// Adds an observation; values outside the range are not binned.
     pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
+        if x < self.lo || x >= self.hi {
+            return;
         }
-    }
-
-    /// Count in bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
+        let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
+        let idx = idx.min(self.bins.len() - 1);
+        self.bins[idx] += 1;
     }
 
     /// Center value of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
+    fn bin_center(&self, i: usize) -> f64 {
         let w = (self.hi - self.lo) / self.bins.len() as f64;
         self.lo + w * (i as f64 + 0.5)
-    }
-
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
     }
 
     /// Total observations inside the range.
     pub fn total(&self) -> u64 {
         self.bins.iter().sum()
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 
     /// Index of the fullest bin (`None` when empty).
@@ -336,14 +307,8 @@ mod tests {
         for x in [0.0, 1.9, 2.0, 5.5, 9.999, -1.0, 10.0, 42.0] {
             h.push(x);
         }
-        assert_eq!(h.num_bins(), 5);
-        assert_eq!(h.bin_count(0), 2);
-        assert_eq!(h.bin_count(1), 1);
-        assert_eq!(h.bin_count(2), 1);
-        assert_eq!(h.bin_count(4), 1);
+        assert_eq!(h.iter().map(|(_, c)| c).collect::<Vec<_>>(), vec![2, 1, 1, 0, 1]);
         assert_eq!(h.total(), 5);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
         assert_eq!(h.mode_bin(), Some(0));
         assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
         assert_eq!(h.iter().count(), 5);

@@ -21,7 +21,7 @@
 //!   allocation or enters length arithmetic.
 //! * [`Store`] — append-only segment files with size-bounded rotation,
 //!   an in-memory FNV index rebuilt by scanning the segments at open,
-//!   and offline [`Store::compact`]ion that rewrites live records into
+//!   and compaction that rewrites live records into
 //!   a fresh segment and swaps it in atomically (write-new, fsync,
 //!   rename).
 //!

@@ -79,7 +79,7 @@ fn field(bytes: &[u8], start: usize, len: usize) -> Result<&[u8], RecordError> {
 ///
 /// [`RecordError::Truncated`] with fewer than [`HEADER_BYTES`] bytes,
 /// [`RecordError::BadMagic`] when the magic does not match.
-pub fn decode_header(bytes: &[u8]) -> Result<RecordHeader, RecordError> {
+fn decode_header(bytes: &[u8]) -> Result<RecordHeader, RecordError> {
     if bytes.len() < HEADER_BYTES {
         return Err(RecordError::Truncated { needed: HEADER_BYTES, have: bytes.len() });
     }

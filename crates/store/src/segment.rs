@@ -112,7 +112,7 @@ pub struct StoreStats {
     pub compactions: u64,
 }
 
-/// What one [`Store::compact`] call did.
+/// What one compaction pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionReport {
     /// Live records carried into the fresh segment.
@@ -363,7 +363,7 @@ impl Store {
     ///
     /// [`StoreError::Io`] when the scratch cannot be written, synced, or
     /// renamed.
-    pub fn compact(&mut self) -> Result<CompactionReport, StoreError> {
+    fn compact(&mut self) -> Result<CompactionReport, StoreError> {
         let bytes_before = self.disk_bytes();
         let mut live: Vec<(u64, RecordLoc)> =
             self.index.iter().map(|(digest, loc)| (*digest, *loc)).collect();

@@ -128,7 +128,7 @@ impl StreamReceiver {
 
     /// Detects the slot-window lock instants on the clock channel: clock
     /// edges separated by more than the guard + dead gap start a new slot.
-    pub fn detect_slots(&self, stream: &StreamTransmission) -> Vec<Instant> {
+    fn detect_slots(&self, stream: &StreamTransmission) -> Vec<Instant> {
         let edges = stream.clock.digital().edges();
         // Between slots the clock is quiet for 2·guard + dead bits; inside
         // the window edges are one bit period apart. Use half the gap as

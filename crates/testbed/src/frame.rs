@@ -120,7 +120,7 @@ impl SlotTiming {
     }
 
     /// Bit offset of the window start within the slot (dead + guard).
-    pub fn window_start_bit(&self) -> usize {
+    fn window_start_bit(&self) -> usize {
         self.dead_bits + self.guard_bits
     }
 

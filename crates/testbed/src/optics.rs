@@ -7,9 +7,9 @@
 //! matter to the receiver's eye: finite extinction ratio, insertion loss,
 //! receiver responsivity, and additive receiver noise.
 
-use pstime::{Duration, Instant, Millivolts};
+use pstime::{Instant, Millivolts};
 use rng::{Rng, SeedTree, StreamId};
-use signal::{AnalogWaveform, LevelSet};
+use signal::AnalogWaveform;
 use vortex::Wavelength;
 
 /// An optical on-off-keyed signal on one wavelength: power as a function of
@@ -54,7 +54,7 @@ impl OpticalSignal {
     }
 
     /// Residual ("off") power in µW.
-    pub fn p_off_uw(&self) -> f64 {
+    fn p_off_uw(&self) -> f64 {
         self.p_off_uw
     }
 
@@ -64,7 +64,7 @@ impl OpticalSignal {
     }
 
     /// Instantaneous optical power (µW) at `t`.
-    pub fn power_at(&self, t: Instant) -> f64 {
+    fn power_at(&self, t: Instant) -> f64 {
         let levels = self.electrical.levels();
         let lo = levels.vol().as_f64();
         let hi = levels.voh().as_f64();
@@ -137,12 +137,6 @@ impl WdmLink {
             .find(|c| c.wavelength() == wavelength)
             .map(|c| c.attenuated(self.combiner_loss * self.splitter_loss))
     }
-
-    /// Total optical power (µW) on the fiber at `t` (what a power monitor
-    /// tap sees).
-    pub fn total_power_at(&self, t: Instant) -> f64 {
-        self.channels.iter().map(|c| c.power_at(t) * self.combiner_loss).sum()
-    }
 }
 
 /// A photodetector + transimpedance receiver: converts optical power back
@@ -172,11 +166,6 @@ impl Photodetector {
         Photodetector::new(2.0, 4.0)
     }
 
-    /// The receiver noise rms (mV).
-    pub fn noise_rms_mv(&self) -> f64 {
-        self.noise_rms_mv
-    }
-
     /// Sets the decision threshold (mV of detected signal).
     pub fn set_threshold(&mut self, threshold: Millivolts) {
         self.threshold = threshold;
@@ -189,7 +178,7 @@ impl Photodetector {
 
     /// The detected electrical level (mV) for an optical signal at `t`,
     /// noise-free.
-    pub fn detect_mv(&self, signal: &OpticalSignal, t: Instant) -> f64 {
+    fn detect_mv(&self, signal: &OpticalSignal, t: Instant) -> f64 {
         signal.power_at(t) * self.responsivity_mv_per_uw
     }
 
@@ -206,17 +195,6 @@ impl Photodetector {
         let lo = signal.p_off_uw() * self.responsivity_mv_per_uw;
         self.threshold = Millivolts::new(((hi + lo) / 2.0).round() as i32);
     }
-
-    /// The receiver's Q factor for a given optical signal (signal
-    /// separation over two noise sigmas) — feeds
-    /// [`signal::ber_from_q`].
-    pub fn q_factor(&self, signal: &OpticalSignal) -> f64 {
-        if self.noise_rms_mv == 0.0 {
-            return f64::INFINITY;
-        }
-        let separation = (signal.p_on_uw() - signal.p_off_uw()) * self.responsivity_mv_per_uw;
-        separation / (2.0 * self.noise_rms_mv)
-    }
 }
 
 /// Substream identity for receiver/photodetector noise.
@@ -227,25 +205,24 @@ pub fn noise_rng(seed: u64) -> Rng {
     SeedTree::new(seed).derive(RX_NOISE_STREAM).rng()
 }
 
-/// Builds an optical signal around a settled electrical level for testing
-/// and examples: a constant waveform at VOH or VOL.
-pub fn constant_optical(level_high: bool, wavelength: Wavelength) -> OpticalSignal {
-    use signal::{DigitalWaveform, EdgeShape};
-    let d = DigitalWaveform::constant(
-        level_high,
-        Instant::ZERO,
-        Instant::ZERO + Duration::from_ns(100),
-    );
-    let a = AnalogWaveform::new(d, LevelSet::pecl(), EdgeShape::default());
-    OpticalSignal::modulate(a, wavelength, 500.0, 10.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstime::DataRate;
+    use pstime::{DataRate, Duration};
     use signal::jitter::NoJitter;
-    use signal::{BitStream, DigitalWaveform, EdgeShape};
+    use signal::{BitStream, DigitalWaveform, EdgeShape, LevelSet};
+
+    /// An optical signal around a settled electrical level: a constant
+    /// waveform at VOH or VOL.
+    fn constant_optical(level_high: bool, wavelength: Wavelength) -> OpticalSignal {
+        let d = DigitalWaveform::constant(
+            level_high,
+            Instant::ZERO,
+            Instant::ZERO + Duration::from_ns(100),
+        );
+        let a = AnalogWaveform::new(d, LevelSet::pecl(), EdgeShape::default());
+        OpticalSignal::modulate(a, wavelength, 500.0, 10.0)
+    }
 
     fn electrical(bits: &str) -> AnalogWaveform {
         AnalogWaveform::new(
@@ -291,9 +268,6 @@ mod tests {
         let dropped = link.drop_channel(Wavelength(0)).unwrap();
         assert!((dropped.p_on_uw() - 200.0).abs() < 1e-9);
         assert!(link.drop_channel(Wavelength(9)).is_none());
-        // Total power at a settled instant: (500 + 50) * 0.8.
-        let total = link.total_power_at(Instant::from_ps(1000));
-        assert!((total - 440.0).abs() < 2.0, "total {total}");
     }
 
     #[test]
@@ -316,20 +290,6 @@ mod tests {
         assert!(pd.decide(&sig, Instant::from_ps(1400), &mut rng));
         // Detected level follows responsivity.
         assert!((pd.detect_mv(&sig, Instant::from_ps(1400)) - 1000.0).abs() < 2.0);
-    }
-
-    #[test]
-    fn q_factor_and_noise() {
-        let sig = OpticalSignal::modulate(electrical("01"), Wavelength(0), 500.0, 10.0);
-        let pd = Photodetector::testbed();
-        // Separation (500-50)*2 = 900 mV over 2*4 mV -> Q = 112.5.
-        assert!((pd.q_factor(&sig) - 112.5).abs() < 0.1);
-        let quiet = Photodetector::new(2.0, 0.0);
-        assert!(quiet.q_factor(&sig).is_infinite());
-        assert!((pd.noise_rms_mv() - 4.0).abs() < 1e-12);
-        // A heavily attenuated link degrades Q.
-        let weak = sig.attenuated(0.01);
-        assert!(pd.q_factor(&weak) < 2.0);
     }
 
     #[test]

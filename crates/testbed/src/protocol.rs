@@ -37,7 +37,7 @@ impl ProtocolVariant {
     /// shorter 48-bit slot (67 % efficient), minimal guards — fine with
     /// fast-locking receivers and a well-behaved switch, fragile
     /// otherwise.
-    pub fn aggressive() -> Self {
+    fn aggressive() -> Self {
         let mut t = SlotTiming::paper();
         t.slot_bits = 48;
         t.dead_bits = 6;
@@ -50,7 +50,7 @@ impl ProtocolVariant {
 
     /// A conservative layout: only 20 payload bits (31 % efficient) but
     /// big margins everywhere.
-    pub fn conservative() -> Self {
+    fn conservative() -> Self {
         let mut t = SlotTiming::paper();
         t.dead_bits = 10;
         t.guard_bits = 7;
@@ -61,12 +61,12 @@ impl ProtocolVariant {
     }
 
     /// All built-in variants, most conservative first.
-    pub fn catalog() -> Vec<ProtocolVariant> {
+    fn catalog() -> Vec<ProtocolVariant> {
         vec![Self::conservative(), Self::paper(), Self::aggressive()]
     }
 
     /// Payload efficiency: data bits over slot bits.
-    pub fn efficiency(&self) -> f64 {
+    fn efficiency(&self) -> f64 {
         self.timing.data_bits as f64 / self.timing.slot_bits as f64
     }
 }
@@ -123,20 +123,11 @@ pub struct ProtocolEvaluation {
 
 impl ProtocolEvaluation {
     /// Whether every requirement is met (including the measured loopback).
-    pub fn viable(&self) -> bool {
+    fn viable(&self) -> bool {
         self.startup_margin_cycles >= 0
             && self.flush_margin_cycles >= 0
             && !self.arrival_margin.is_negative()
             && self.loopback_clean
-    }
-
-    /// The figure of merit: efficiency if viable, zero otherwise.
-    pub fn score(&self) -> f64 {
-        if self.viable() {
-            self.efficiency
-        } else {
-            0.0
-        }
     }
 }
 
@@ -164,7 +155,7 @@ impl fmt::Display for ProtocolEvaluation {
 ///
 /// Propagates transmitter/receiver errors; invalid slot layouts fail at
 /// [`SlotTiming::validate`].
-pub fn evaluate(
+fn evaluate(
     variant: &ProtocolVariant,
     rx: &ReceiverRequirements,
     seed: u64,
@@ -211,6 +202,15 @@ pub fn evaluate_catalog(rx: &ReceiverRequirements, seed: u64) -> Result<Vec<Prot
 mod tests {
     use super::*;
 
+    /// The figure of merit: efficiency if viable, zero otherwise.
+    fn score(eval: &ProtocolEvaluation) -> f64 {
+        if eval.viable() {
+            eval.efficiency
+        } else {
+            0.0
+        }
+    }
+
     #[test]
     fn catalog_variants_are_valid_and_ordered_by_efficiency() {
         let catalog = ProtocolVariant::catalog();
@@ -236,7 +236,7 @@ mod tests {
             evaluate(&ProtocolVariant::paper(), &ReceiverRequirements::testbed(), 1).unwrap();
         assert!(eval.viable(), "{eval}");
         assert!(eval.loopback_clean);
-        assert!((eval.score() - 0.5).abs() < 1e-12);
+        assert!((score(&eval) - 0.5).abs() < 1e-12);
         // Pre-clocks: 7 bits = 3 cycles, exactly the requirement.
         assert_eq!(eval.startup_margin_cycles, 0);
         // Arrival slack: 3.2 + 2.0 = 5.2 ns vs 3 ns needed.
@@ -251,14 +251,14 @@ mod tests {
             arrival_uncertainty: Duration::from_ns(1),
         };
         let evals = evaluate_catalog(&easy, 2).unwrap();
-        let best = evals.iter().max_by(|a, b| a.score().total_cmp(&b.score())).unwrap();
+        let best = evals.iter().max_by(|a, b| score(a).total_cmp(&score(b))).unwrap();
         assert_eq!(best.name, "aggressive", "easy network favors payload");
 
         // A demanding network disqualifies it.
         let evals = evaluate_catalog(&ReceiverRequirements::demanding(), 2).unwrap();
         let aggressive = evals.iter().find(|e| e.name == "aggressive").unwrap();
         assert!(!aggressive.viable(), "{aggressive}");
-        assert_eq!(aggressive.score(), 0.0);
+        assert_eq!(score(aggressive), 0.0);
         // The conservative variant survives.
         let conservative = evals.iter().find(|e| e.name == "conservative").unwrap();
         assert!(conservative.viable(), "{conservative}");

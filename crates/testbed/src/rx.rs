@@ -74,11 +74,6 @@ impl Receiver {
         self.threshold = threshold;
     }
 
-    /// Overrides the intra-bit sampling phase (for timing-margin scans).
-    pub fn set_sample_offset(&mut self, offset: Duration) {
-        self.sample_offset = offset;
-    }
-
     /// Locks to the slot's clock: the first clock transition marks the
     /// window start.
     ///
@@ -263,11 +258,11 @@ mod tests {
         let slot = PacketSlot::new(SlotTiming::paper(), words, 0b0001);
         let sent = tx.transmit_slot(&slot, 4).unwrap();
         // Mid-bit sampling decodes cleanly.
-        rx.set_sample_offset(Duration::from_ps(200));
+        rx.sample_offset = Duration::from_ps(200);
         assert_eq!(rx.receive(&sent).unwrap().payload, words);
         // Sampling right at the bit boundary is unreliable (jittered
         // edges): decoded words differ from the sent ones.
-        rx.set_sample_offset(Duration::from_ps(0));
+        rx.sample_offset = Duration::ZERO;
         let edge_sampled = rx.receive(&sent).unwrap();
         assert_ne!(edge_sampled.payload, words);
     }

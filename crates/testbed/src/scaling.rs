@@ -23,11 +23,6 @@ pub struct ScalingPoint {
 }
 
 impl ScalingPoint {
-    /// The paper's demonstrated test bed: 4-bit word at 2.5 Gbps.
-    pub fn demonstrated() -> Self {
-        ScalingPoint { word_width: 4, rate_per_lambda: DataRate::from_gbps(2.5) }
-    }
-
     /// The paper's stated end goal: ≥64-bit word at 10 Gbps per λ.
     pub fn end_goal() -> Self {
         ScalingPoint { word_width: 64, rate_per_lambda: DataRate::from_gbps(10.0) }
@@ -45,14 +40,6 @@ impl ScalingPoint {
         DataRate::from_bps((num / timing.slot_bits as u64).max(1))
     }
 
-    /// Number of FPGA I/O pins needed to feed the serializers at
-    /// `lane_rate_mbps` per pin (the DLC-side feasibility check).
-    pub fn fpga_pins_needed(&self, lane_rate_mbps: u64) -> u64 {
-        let lane = DataRate::from_mbps(lane_rate_mbps);
-        let per_lambda_lanes = self.rate_per_lambda.as_bps().div_ceil(lane.as_bps());
-        per_lambda_lanes * u64::from(self.word_width)
-    }
-
     /// Mux fan-in per wavelength at a given FPGA lane rate.
     pub fn mux_ways(&self, lane_rate_mbps: u64) -> u64 {
         self.rate_per_lambda
@@ -68,31 +55,18 @@ impl fmt::Display for ScalingPoint {
     }
 }
 
-/// Produces the scaling table from the demonstrated system to the stated
-/// end goal: word width doubling from 4 to `max_width`, per-λ rate stepping
-/// 2.5 → 10 Gbps.
-pub fn scaling_table(max_width: u32) -> Vec<ScalingPoint> {
-    let mut rows = Vec::new();
-    let mut width = 4u32;
-    while width <= max_width {
-        for gbps in [2.5, 5.0, 10.0] {
-            rows.push(ScalingPoint {
-                word_width: width,
-                rate_per_lambda: DataRate::from_gbps(gbps),
-            });
-        }
-        width *= 2;
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The paper's demonstrated test bed: 4-bit word at 2.5 Gbps.
+    fn demonstrated() -> ScalingPoint {
+        ScalingPoint { word_width: 4, rate_per_lambda: DataRate::from_gbps(2.5) }
+    }
+
     #[test]
     fn demonstrated_system_numbers() {
-        let p = ScalingPoint::demonstrated();
+        let p = demonstrated();
         assert_eq!(p.aggregate(), DataRate::from_gbps(10.0));
         // With Fig. 4 framing only half the slot carries payload.
         let eff = p.effective(&SlotTiming::paper());
@@ -111,49 +85,23 @@ mod tests {
 
     #[test]
     fn fpga_feasibility() {
-        // Demonstrated: 2.5 Gbps per λ from 400 Mbps pins = 8 lanes/λ,
-        // 4 λ -> 32 pins. Well within the DLC's ~200 I/O.
-        let p = ScalingPoint::demonstrated();
-        assert_eq!(p.mux_ways(400), 8);
-        assert_eq!(p.fpga_pins_needed(400), 28); // ceil(2.5G/400M)=7 lanes x 4
-                                                 // End goal: 10 Gbps per λ needs 25 lanes -> 32:1 mux, 64 λ
-                                                 // -> 1600 pins: more than one DLC, which is why the paper
-                                                 // envisions replication.
-        let goal = ScalingPoint::end_goal();
-        assert_eq!(goal.mux_ways(400), 32);
-        assert!(goal.fpga_pins_needed(400) > 200);
-    }
-
-    #[test]
-    fn scaling_table_shape() {
-        let rows = scaling_table(64);
-        // Widths 4, 8, 16, 32, 64 x 3 rates.
-        assert_eq!(rows.len(), 15);
-        assert_eq!(rows[0], ScalingPoint::demonstrated().clone_with_rate(2.5));
-        let last = rows.last().unwrap();
-        assert_eq!(last.word_width, 64);
-        assert_eq!(last.rate_per_lambda, DataRate::from_gbps(10.0));
-        // Monotone aggregate within each width group.
-        for w in rows.chunks(3) {
-            assert!(w[0].aggregate() < w[1].aggregate());
-            assert!(w[1].aggregate() < w[2].aggregate());
-        }
-    }
-
-    impl ScalingPoint {
-        fn clone_with_rate(mut self, gbps: f64) -> Self {
-            self.rate_per_lambda = DataRate::from_gbps(gbps);
-            self
-        }
+        // Demonstrated: 2.5 Gbps per λ from 400 Mbps pins = 7 lanes,
+        // rounded up to an 8:1 mux per λ.
+        assert_eq!(demonstrated().mux_ways(400), 8);
+        // End goal: 10 Gbps per λ needs 25 lanes -> a 32:1 mux per λ.
+        assert_eq!(ScalingPoint::end_goal().mux_ways(400), 32);
     }
 
     #[test]
     fn framing_efficiency_is_exactly_half_for_paper_timing() {
         let t = SlotTiming::paper();
-        for p in scaling_table(16) {
-            let eff = p.effective(&t).as_bps() as f64;
-            let agg = p.aggregate().as_bps() as f64;
-            assert!((eff / agg - 0.5).abs() < 1e-9);
+        for word_width in [4, 8, 16] {
+            for gbps in [2.5, 5.0, 10.0] {
+                let p = ScalingPoint { word_width, rate_per_lambda: DataRate::from_gbps(gbps) };
+                let eff = p.effective(&t).as_bps() as f64;
+                let agg = p.aggregate().as_bps() as f64;
+                assert!((eff / agg - 0.5).abs() < 1e-9);
+            }
         }
     }
 }

@@ -2,12 +2,9 @@
 //!
 //! DLC state machines assemble the Fig. 4 framed channels; the calibrated
 //! PECL chain serializes them at 2.5 Gbps; laser drivers put each channel
-//! on its own wavelength. The transmitter also exposes the LFSR eye-test
-//! mode used for the paper's Figs. 7–9 measurements.
+//! on its own wavelength.
 
-use dlc::{Bitstream, DigitalLogicCore, PatternKind};
 use pecl::SignalChain;
-use pstime::DataRate;
 use signal::{AnalogWaveform, BitStream, LevelSet};
 use vortex::Wavelength;
 
@@ -79,24 +76,20 @@ impl TransmittedSlot {
 /// ```
 #[derive(Debug)]
 pub struct Transmitter {
-    core: DigitalLogicCore,
     chain: SignalChain,
     timing: SlotTiming,
 }
 
 impl Transmitter {
-    /// Boots a DLC (flash + power-up) and attaches the calibrated test-bed
-    /// PECL chain.
+    /// Attaches the calibrated test-bed PECL chain to a validated slot
+    /// timing.
     ///
     /// # Errors
     ///
-    /// Propagates DLC boot failures.
+    /// Propagates slot-timing validation errors.
     pub fn new(timing: SlotTiming) -> Result<Self> {
         timing.validate()?;
-        let mut core = DigitalLogicCore::new();
-        core.program_flash_via_jtag(&Bitstream::example_design())?;
-        core.power_up()?;
-        Ok(Transmitter { core, chain: SignalChain::testbed_transmitter(), timing })
+        Ok(Transmitter { chain: SignalChain::testbed_transmitter(), timing })
     }
 
     /// The slot timing in use.
@@ -151,59 +144,12 @@ impl Transmitter {
             slot: *slot,
         })
     }
-
-    /// Renders a burst of consecutive slots (dead time included in each
-    /// slot's tail keeps them directly concatenable in time).
-    ///
-    /// # Errors
-    ///
-    /// As [`transmit_slot`](Self::transmit_slot).
-    pub fn transmit_burst(
-        &mut self,
-        slots: &[PacketSlot],
-        seed: u64,
-    ) -> Result<Vec<TransmittedSlot>> {
-        let tree = rng::SeedTree::new(seed).stream("testbed.tx.burst");
-        slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| self.transmit_slot(s, tree.index(i as u64).seed()))
-            .collect()
-    }
-
-    /// The paper's eye-test mode: the DLC LFSR drives the chain with PRBS
-    /// at `rate` — the source behind Figs. 7 and 8.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DLC channel and PECL rate errors.
-    pub fn prbs_eye_source(
-        &mut self,
-        rate: DataRate,
-        n_bits: usize,
-        seed: u64,
-    ) -> Result<AnalogWaveform> {
-        // Lane rate after 8:1 serialization.
-        let lane_rate = rate.demux(8);
-        for ch in 0..8 {
-            self.core.configure_channel(
-                ch,
-                PatternKind::Prbs15 { seed: 0x1234 + ch as u32 },
-                lane_rate,
-            )?;
-        }
-        let lane_bits = n_bits / 8;
-        let lanes: Vec<BitStream> =
-            (0..8).map(|ch| self.core.generate(ch, lane_bits)).collect::<dlc::Result<_>>()?;
-        Ok(self.chain.serialize_8(&lanes, rate, seed)?)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pstime::{Duration, Instant};
-    use signal::EyeDiagram;
 
     #[test]
     fn transmit_slot_produces_ten_channels() {
@@ -229,30 +175,6 @@ mod tests {
         let sent = tx.transmit_slot(&slot, 0).unwrap();
         assert_eq!(sent.clock.digital().span(), Duration::from_ns_f64(25.6));
         assert_eq!(sent.frame.digital().span(), Duration::from_ns_f64(25.6));
-    }
-
-    #[test]
-    fn prbs_eye_matches_fig7() {
-        let mut tx = Transmitter::new(SlotTiming::paper()).unwrap();
-        let rate = DataRate::from_gbps(2.5);
-        let wave = tx.prbs_eye_source(rate, 4096, 11).unwrap();
-        let eye = EyeDiagram::analyze(&wave, rate).unwrap();
-        let opening = eye.opening_ui().value();
-        assert!((opening - 0.88).abs() < 0.04, "opening {opening}, expected ~0.88 UI");
-        let jitter = eye.jitter_pp().as_ps_f64();
-        assert!((jitter - 46.7).abs() < 8.0, "jitter {jitter} ps, expected ~46.7");
-    }
-
-    #[test]
-    fn burst_renders_every_slot() {
-        let mut tx = Transmitter::new(SlotTiming::paper()).unwrap();
-        let slots: Vec<PacketSlot> =
-            (0..4).map(|i| PacketSlot::new(SlotTiming::paper(), [i; 4], i as u8)).collect();
-        let sent = tx.transmit_burst(&slots, 5).unwrap();
-        assert_eq!(sent.len(), 4);
-        for (i, s) in sent.iter().enumerate() {
-            assert_eq!(s.slot.payload()[0], i as u32);
-        }
     }
 
     #[test]

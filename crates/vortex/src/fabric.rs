@@ -92,7 +92,6 @@ pub struct DataVortex {
     nodes: Vec<Option<InFlight>>,
     slot: u64,
     stats: FabricStats,
-    pending_outputs: Vec<Vec<Delivered>>,
 }
 
 impl DataVortex {
@@ -103,7 +102,6 @@ impl DataVortex {
             nodes: vec![None; params.node_count()],
             slot: 0,
             stats: FabricStats::default(),
-            pending_outputs: vec![Vec::new(); params.heights() as usize],
         }
     }
 
@@ -264,9 +262,6 @@ impl DataVortex {
         self.nodes = next;
         self.slot += 1;
         self.stats.slots += 1;
-        for d in &delivered {
-            self.pending_outputs[d.packet.dest_height() as usize].push(*d);
-        }
         delivered
     }
 
@@ -315,15 +310,6 @@ impl DataVortex {
         }
         all
     }
-
-    /// Drains and returns the per-port delivery log for `height`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `height` is out of range.
-    pub fn take_output(&mut self, height: u32) -> Vec<Delivered> {
-        std::mem::take(&mut self.pending_outputs[height as usize])
-    }
 }
 
 #[cfg(test)]
@@ -345,9 +331,6 @@ mod tests {
             // Min latency is one hop per cylinder; deflections add more.
             assert!(out[0].latency() >= 3, "latency {}", out[0].latency());
             assert!(out[0].latency() <= 10);
-            // Output log matches.
-            assert_eq!(dv.take_output(dest).len(), 1);
-            assert!(dv.take_output(dest).is_empty());
         }
     }
 

@@ -41,11 +41,9 @@ mod fabric;
 mod packet;
 mod stats;
 mod topology;
-pub mod trace;
 pub mod traffic;
 
 pub use fabric::{DataVortex, Delivered, VortexError};
 pub use packet::{Packet, Wavelength};
 pub use stats::{FabricStats, LatencyStats};
 pub use topology::{NodeAddr, VortexParams};
-pub use trace::{run_traced, AngleStats, TraceReport};

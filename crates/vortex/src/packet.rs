@@ -72,12 +72,6 @@ impl Packet {
         self.deflections
     }
 
-    /// The header bits the transmitter would encode for this destination:
-    /// MSB-first height address, one bit per cylinder.
-    pub fn header_bits(&self, cylinders: u32) -> Vec<bool> {
-        (0..cylinders).rev().map(|b| (self.dest_height >> b) & 1 == 1).collect()
-    }
-
     pub(crate) fn record_hop(&mut self, deflected: bool) {
         self.hops += 1;
         if deflected {
@@ -118,13 +112,6 @@ mod tests {
         p.record_hop(true);
         assert_eq!(p.hops(), 3);
         assert_eq!(p.deflections(), 2);
-    }
-
-    #[test]
-    fn header_bits_msb_first() {
-        let p = Packet::new(0, 0b101, 0);
-        assert_eq!(p.header_bits(3), vec![true, false, true]);
-        assert_eq!(p.header_bits(4), vec![false, true, false, true]);
     }
 
     #[test]

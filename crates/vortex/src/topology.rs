@@ -75,7 +75,7 @@ impl VortexParams {
     /// # Panics
     ///
     /// Panics if `c >= cylinders`.
-    pub fn bit_for_cylinder(&self, c: u32) -> u32 {
+    fn bit_for_cylinder(&self, c: u32) -> u32 {
         assert!(c < self.cylinders, "cylinder out of range");
         self.cylinders - 1 - c
     }

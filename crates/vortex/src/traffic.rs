@@ -45,13 +45,6 @@ pub struct LoadPoint {
     pub stats: FabricStats,
 }
 
-impl LoadPoint {
-    /// Accepted throughput normalized per output per slot.
-    pub fn normalized_throughput(&self, params: &VortexParams) -> f64 {
-        self.stats.throughput() / params.heights() as f64
-    }
-}
-
 /// Drives a fabric with `pattern` traffic at `offered_load` injections per
 /// angle per slot for `warm_slots + measure_slots`, then drains; returns
 /// statistics from the whole run.
@@ -173,11 +166,6 @@ mod tests {
         assert_eq!(sweep.len(), 3);
         let lat: Vec<f64> = sweep.iter().map(|p| p.stats.latency.mean()).collect();
         assert!(lat[2] > lat[0], "latency should rise with load: {lat:?}");
-        // Normalized throughput is a sane fraction.
-        for p in &sweep {
-            let t = p.normalized_throughput(&VortexParams::eight_node());
-            assert!((0.0..=1.0).contains(&t));
-        }
     }
 
     #[test]

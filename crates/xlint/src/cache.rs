@@ -19,7 +19,7 @@ use crate::json::{parse, Json};
 
 /// Bumped whenever rules, facts, or serialization change shape, so stale
 /// caches from older binaries self-invalidate.
-pub const CACHE_VERSION: i64 = 3;
+pub const CACHE_VERSION: i64 = 4;
 
 /// FNV-1a 64 fingerprint of the active rule set plus the binary's build
 /// identity (crate version, the `XLINT_BUILD_ID` source hash emitted by
@@ -27,7 +27,7 @@ pub const CACHE_VERSION: i64 = 3;
 /// rule-set change — or any analyzer source change at all — can never
 /// serve findings computed under the old rules, even if someone forgets
 /// the manual [`CACHE_VERSION`] bump.
-pub fn fingerprint_for(rules: &[&str]) -> u64 {
+fn fingerprint_for(rules: &[&str]) -> u64 {
     let mut bytes = Vec::new();
     for r in rules {
         bytes.extend_from_slice(r.as_bytes());
@@ -113,7 +113,11 @@ mod tests {
         let loaded = load(&path);
         assert_eq!(loaded.get(rel), Some(&facts));
 
-        std::fs::write(&path, rendered.replace("\"version\":3", "\"version\":999")).expect("write");
+        std::fs::write(
+            &path,
+            rendered.replace(&format!("\"version\":{CACHE_VERSION}"), "\"version\":999"),
+        )
+        .expect("write");
         assert!(load(&path).is_empty());
 
         std::fs::write(&path, "not json at all").expect("write");

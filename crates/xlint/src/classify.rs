@@ -29,6 +29,10 @@ pub enum FileClass {
     /// a wall-clock read or ad-hoc seed in a build script makes the
     /// *artifact* nondeterministic before any test runs.
     BuildScript,
+    /// Sources of `headbench`, a workspace of its own that builds against
+    /// these crates by path. Never linted: its facts carry only the names
+    /// it uses, so `unreached-pub` counts it as a user.
+    External,
 }
 
 /// One file scheduled for linting.
@@ -92,6 +96,7 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
         }
         ["examples", ..] | ["crates", _, "examples", ..] => Some(FileClass::Example),
         ["build.rs"] | ["crates", _, "build.rs"] => Some(FileClass::BuildScript),
+        ["headbench", "src" | "tests", ..] => Some(FileClass::External),
         _ => None,
     }
 }
@@ -109,6 +114,7 @@ mod tests {
         assert_eq!(classify("crates/pecl/tests/proptests.rs"), Some(FileClass::Test));
         assert_eq!(classify("tests/determinism.rs"), Some(FileClass::Test));
         assert_eq!(classify("examples/quickstart.rs"), Some(FileClass::Example));
+        assert_eq!(classify("headbench/src/run.rs"), Some(FileClass::External));
         assert_eq!(classify("Cargo.toml.rs"), None);
     }
 

@@ -12,13 +12,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use crate::cache;
-use crate::classify::{collect_sources, SourceFile};
+use crate::classify::{collect_sources, FileClass, SourceFile};
 use crate::dataflow::check_codec_symmetry;
 use crate::error::XlintError;
 use crate::facts::{build_facts, intern_rule, FileFacts};
 use crate::graph::{check_error_bridges, check_event_loop_blocking, check_panic_reachable};
 use crate::lexer::AllowDirective;
-use crate::rules::{check_stream_uniqueness, Finding, Severity, StreamUse};
+use crate::rules::{check_stream_uniqueness, check_unreached_pub, Finding, Severity, StreamUse};
 
 /// The post-suppression result of linting a tree.
 #[derive(Debug, Default)]
@@ -52,7 +52,7 @@ pub fn analyze_root_cached(root: &Path, cache_path: Option<&Path>) -> Result<Ana
         let hash = crate::facts::fnv1a(src.as_bytes());
         match cached.get(&file.rel_path) {
             Some(hit) if hit.hash == hash && hit.class == file.class => {
-                cache_hits += 1;
+                cache_hits += usize::from(file.class != FileClass::External);
                 facts.push(hit.clone());
             }
             _ => facts.push(build_facts(file, &src)?),
@@ -64,17 +64,6 @@ pub fn analyze_root_cached(root: &Path, cache_path: Option<&Path>) -> Result<Ana
     let mut analysis = analyze_facts(facts);
     analysis.cache_hits = cache_hits;
     Ok(analysis)
-}
-
-/// Lint an explicit file set (used by the fixture tests, which point it
-/// at a fake workspace). Never cached.
-pub fn analyze_files(sources: &[SourceFile]) -> Result<Analysis, XlintError> {
-    let mut facts = Vec::with_capacity(sources.len());
-    for file in sources {
-        let src = read_source(file)?;
-        facts.push(build_facts(file, &src)?);
-    }
-    Ok(analyze_facts(facts))
 }
 
 fn read_source(file: &SourceFile) -> Result<String, XlintError> {
@@ -104,6 +93,7 @@ fn analyze_facts(facts: Vec<FileFacts>) -> Analysis {
         }
     }
     check_stream_uniqueness(&streams, &mut findings);
+    check_unreached_pub(&facts, &mut findings);
 
     // Semantic passes over the call graph and the exec bridges.
     check_panic_reachable(&facts, &mut findings);
@@ -136,7 +126,8 @@ fn analyze_facts(facts: Vec<FileFacts>) -> Analysis {
         }
     }
 
-    let mut analysis = Analysis { files: facts.len(), ..Analysis::default() };
+    let linted = facts.iter().filter(|f| f.class != FileClass::External).count();
+    let mut analysis = Analysis { files: linted, ..Analysis::default() };
     // Directives that suppressed at least one finding, keyed by
     // (file, rule, directive line). Seeded with the directives consumed
     // at fact-build time (panic/blocking sites dropped at the source),

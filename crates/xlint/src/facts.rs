@@ -40,6 +40,7 @@ pub const RULE_IDS: &[&str] = &[
     "event-loop-blocking",
     "codec-symmetry",
     "stale-allow",
+    "unreached-pub",
 ];
 
 /// Re-intern a rule id string into the static table.
@@ -108,6 +109,18 @@ pub struct MsgRef {
     pub ctx: MsgCtx,
 }
 
+/// One bare-`pub` fn defined outside test code in library source
+/// (`unreached-pub` input).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PubFn {
+    /// The function's name.
+    pub name: String,
+    /// 1-based line of the `pub` keyword.
+    pub line: u32,
+    /// 1-based column of the `pub` keyword.
+    pub col: u32,
+}
+
 /// Everything the cross-file phase needs from one source file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileFacts {
@@ -149,6 +162,12 @@ pub struct FileFacts {
     /// for the stale-allow pass, which otherwise could not see that these
     /// directives did suppress something.
     pub used_allows: Vec<(String, u32)>,
+    /// Bare-`pub` fns of library source (`crates/*/src`, but not
+    /// `src/bin/` or `main.rs`), test code excluded (`unreached-pub` input).
+    pub pub_fns: Vec<PubFn>,
+    /// Sorted, deduplicated identifiers the file's code names outside its
+    /// `pub use` items: what `unreached-pub` matches definitions against.
+    pub names: Vec<String>,
 }
 
 /// FNV-1a 64-bit hash of a byte string.
@@ -161,23 +180,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Does some allow directive for `rule_id` cover `line`? A directive on
-/// line L covers L and the next token-bearing line after L (the "comment
-/// above the offending line" idiom). Shared by the engine's suppression
-/// pass and the fact builder's panic-site filtering.
-pub fn allow_covers(
-    allows: &[AllowDirective],
-    token_lines: &[u32],
-    rule_id: &str,
-    line: u32,
-) -> bool {
-    covering_directive(allows, token_lines, rule_id, line).is_some()
-}
-
-/// The reasoned directive covering `(rule_id, line)`, if any — the same
-/// coverage window as [`allow_covers`], returned by reference so callers
-/// can record the directive as *used* (the stale-allow pass's input).
-pub fn covering_directive<'a>(
+/// The reasoned directive covering `(rule_id, line)`, if any. A directive
+/// on line L covers L and the next token-bearing line after L (the
+/// "comment above the offending line" idiom); it is returned by reference
+/// so callers can record it as *used* (the stale-allow pass's input).
+fn covering_directive<'a>(
     allows: &'a [AllowDirective],
     token_lines: &[u32],
     rule_id: &str,
@@ -196,6 +203,31 @@ pub fn covering_directive<'a>(
 pub fn build_facts(file: &SourceFile, src: &str) -> Result<FileFacts, XlintError> {
     let lexed = lex(&file.rel_path, src)?;
     let ft = FileTokens::new(file, &lexed);
+    let (pub_fns, names) = name_facts(&ft);
+    if file.class == FileClass::External {
+        // Read for the names it uses only: no rule binds here.
+        return Ok(FileFacts {
+            rel_path: file.rel_path.clone(),
+            class: file.class.clone(),
+            hash: fnv1a(src.as_bytes()),
+            local_findings: Vec::new(),
+            allows: Vec::new(),
+            token_lines: Vec::new(),
+            streams: Vec::new(),
+            fns: Vec::new(),
+            enums: Vec::new(),
+            uses: Vec::new(),
+            exec_invoke: None,
+            bridges: Vec::new(),
+            error_mentions: Vec::new(),
+            msg_consts: Vec::new(),
+            msg_refs: Vec::new(),
+            flows: Vec::new(),
+            used_allows: Vec::new(),
+            pub_fns,
+            names,
+        });
+    }
     let mut local_findings = Vec::new();
     let mut streams = Vec::new();
     check_file_local(&ft, &mut local_findings, &mut streams);
@@ -267,7 +299,62 @@ pub fn build_facts(file: &SourceFile, src: &str) -> Result<FileFacts, XlintError
         msg_refs,
         flows,
         used_allows,
+        pub_fns,
+        names,
     })
+}
+
+/// Token-level `unreached-pub` facts: the bare-`pub` fns a library source
+/// file defines, and every identifier the file names outside its
+/// `pub use` items. A re-export is not a use, so a crate cannot keep a
+/// function alive by naming it in its own `lib.rs`.
+fn name_facts(ft: &FileTokens<'_>) -> (Vec<PubFn>, Vec<String>) {
+    let path = ft.file.rel_path.as_str();
+    let library = matches!(ft.file.class, FileClass::Src { .. })
+        && !path.contains("/src/bin/")
+        && !path.ends_with("/src/main.rs");
+    let toks = ft.tokens;
+    let mut pub_fns = Vec::new();
+    let mut names: Vec<String> = Vec::new();
+    let mut i = 0usize;
+    while i < toks.len() {
+        let Some(tok) = toks.get(i) else { break };
+        if ft.is_ident(i, "pub") {
+            // Only bare `pub` widens past the crate; `pub(crate)` and
+            // `pub(super)` leave the verdict to rustc's `dead_code`.
+            let bare = !ft.is_punct(i + 1, "(");
+            let mut j = i + 1;
+            if !bare {
+                while j < toks.len() && !ft.is_punct(j, ")") {
+                    j += 1;
+                }
+                j += 1;
+            }
+            if ft.is_ident(j, "use") {
+                while j < toks.len() && !ft.is_punct(j, ";") {
+                    j += 1;
+                }
+                i = j + 1;
+                continue;
+            }
+            while ["const", "async", "unsafe"].iter().any(|q| ft.is_ident(j, q)) {
+                j += 1;
+            }
+            let in_test = ft.in_test.get(i).copied().unwrap_or(false);
+            if library && bare && !in_test && ft.is_ident(j, "fn") {
+                if let Some(name) = toks.get(j + 1) {
+                    pub_fns.push(PubFn { name: name.text.clone(), line: tok.line, col: tok.col });
+                }
+            }
+        }
+        if tok.kind == crate::lexer::TokenKind::Ident {
+            names.push(tok.text.clone());
+        }
+        i += 1;
+    }
+    names.sort_unstable();
+    names.dedup();
+    (pub_fns, names)
 }
 
 /// Token-level exec facts: first exec invocation, `From<ExecError>`
@@ -546,6 +633,22 @@ impl FileFacts {
                         .collect(),
                 ),
             ),
+            (
+                "pub_fns",
+                Json::Arr(
+                    self.pub_fns
+                        .iter()
+                        .map(|f| {
+                            Json::obj(vec![
+                                ("name", Json::str(&f.name)),
+                                ("line", u32_json(f.line)),
+                                ("col", u32_json(f.col)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            ("names", Json::Arr(self.names.iter().map(|n| Json::str(n)).collect())),
         ])
     }
 
@@ -670,6 +773,19 @@ impl FileFacts {
                 Some((items.first()?.as_str()?.to_string(), json_u32(items.get(1))?))
             })
             .collect::<Option<Vec<_>>>()?;
+        let pub_fns = j
+            .get("pub_fns")?
+            .as_arr()?
+            .iter()
+            .map(|f| {
+                Some(PubFn {
+                    name: f.get("name")?.as_str()?.to_string(),
+                    line: json_u32(f.get("line"))?,
+                    col: json_u32(f.get("col"))?,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let names = strings(j.get("names")?)?;
         Some(FileFacts {
             rel_path,
             class,
@@ -688,6 +804,8 @@ impl FileFacts {
             msg_refs,
             flows,
             used_allows,
+            pub_fns,
+            names,
         })
     }
 }
@@ -721,6 +839,7 @@ fn class_to_json(class: &FileClass) -> Json {
         FileClass::Test => Json::str("test"),
         FileClass::Example => Json::str("example"),
         FileClass::BuildScript => Json::str("build"),
+        FileClass::External => Json::str("external"),
     }
 }
 
@@ -729,6 +848,7 @@ fn class_from_json(j: &Json) -> Option<FileClass> {
         Json::Str(s) if s == "test" => Some(FileClass::Test),
         Json::Str(s) if s == "example" => Some(FileClass::Example),
         Json::Str(s) if s == "build" => Some(FileClass::BuildScript),
+        Json::Str(s) if s == "external" => Some(FileClass::External),
         Json::Obj(_) => Some(FileClass::Src { crate_name: j.get("src")?.as_str()?.to_string() }),
         _ => None,
     }

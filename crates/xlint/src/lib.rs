@@ -25,7 +25,10 @@
 //! item parser ([`parse`]): `panic-reachable` (interprocedural panic
 //! reachability over the workspace call graph) and
 //! `error-bridge-exhaustive` (every crate invoking `exec` bridges
-//! `ExecError` completely into its own error type).
+//! `ExecError` completely into its own error type). The cross-file
+//! `unreached-pub` pass ([`rules::check_unreached_pub`]) flags a `pub fn`
+//! in library source that no other file names; once it is private,
+//! rustc's `dead_code` lint finds whatever is left unused.
 //!
 //! ## Machine output and the incremental cache
 //!
@@ -69,6 +72,6 @@ pub mod summary;
 
 pub use baseline::{Baseline, Regression};
 pub use classify::{classify, collect_sources, FileClass, SourceFile};
-pub use engine::{analyze_files, analyze_root, analyze_root_cached, Analysis};
+pub use engine::{analyze_root, analyze_root_cached, Analysis};
 pub use error::XlintError;
 pub use rules::{Finding, Severity, TIMING_PATHS};

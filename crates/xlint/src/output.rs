@@ -29,6 +29,7 @@ pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
     ("event-loop-blocking", "Nothing reachable from the server event loop calls a blocking API"),
     ("codec-symmetry", "Every wire message type encodes, decodes, and has a golden vector"),
     ("stale-allow", "Every reasoned xlint::allow still suppresses at least one finding"),
+    ("unreached-pub", "Every pub fn in library source is named by some other file"),
 ];
 
 fn finding_json(f: &Finding) -> Json {

@@ -11,12 +11,14 @@
 //! | `no-wall-clock` (R6) | deny | no `std::time`, and no `HashMap`/`HashSet` in result-producing code — both break run-to-run determinism |
 //! | `forbid-unsafe-everywhere` (R7) | deny | every crate root carries `#![forbid(unsafe_code)]` |
 //! | `exec-job-racy` (R8) | deny | job closures handed to `ExecPool` must be pure: no shared-mutation primitives (`Mutex`, `RefCell`, `Atomic*`, channels, `static mut`) inside the argument span — they would break the bit-identical-at-any-thread-count contract |
+//! | `unreached-pub` (R16) | warn | a bare `pub fn` in library source is named by some other `.rs` file (headbench's included); a `pub use` re-export is not a use |
 //!
 //! The hermeticity rules (R1, R6) also bind in build scripts
 //! ([`FileClass::BuildScript`]): a wall-clock read or ad-hoc seed there
 //! makes the *artifact* nondeterministic. The semantic rules
 //! (`panic-reachable`, `error-bridge-exhaustive`) live in
-//! [`crate::graph`]; this module hosts the per-file token rules.
+//! [`crate::graph`]; this module hosts the per-file token rules and the
+//! name-level cross-file passes (R2, R16).
 //!
 //! Rules see only *significant* tokens (comments and doc examples are
 //! stripped by the lexer) and skip `#[cfg(test)]` items where panicking
@@ -25,7 +27,7 @@
 use std::collections::BTreeMap;
 
 use crate::classify::{FileClass, SourceFile};
-use crate::facts::StreamFact;
+use crate::facts::{FileFacts, StreamFact};
 use crate::lexer::{LexOutput, Token, TokenKind};
 
 /// Severity tier of a finding.
@@ -91,7 +93,6 @@ pub const TIMING_PATHS: &[&str] = &[
     "crates/pstime/src/duration.rs",
     "crates/pstime/src/instant.rs",
     "crates/pecl/src/delay.rs",
-    "crates/pecl/src/timing.rs",
     "crates/signal/src/digital.rs",
     "crates/signal/src/jitter.rs",
 ];
@@ -358,7 +359,7 @@ pub fn check_file_local(
             && match class {
                 FileClass::Src { crate_name } => crate_name != "rng",
                 FileClass::Example | FileClass::BuildScript => true,
-                FileClass::Test => false,
+                FileClass::Test | FileClass::External => false,
             };
         if r1_scope {
             if ident.starts_with("Xoshiro")
@@ -411,7 +412,7 @@ pub fn check_file_local(
             && match class {
                 FileClass::Src { crate_name } => crate_name != "pstime",
                 FileClass::Example => true,
-                FileClass::Test | FileClass::BuildScript => false,
+                FileClass::Test | FileClass::BuildScript | FileClass::External => false,
             };
         if r3_scope && (ident.ends_with("_ps") || ident.ends_with("_mv")) && ident.len() > 3 {
             let ops = ["+", "-", "*", "/", "%"];
@@ -617,6 +618,41 @@ pub fn check_stream_uniqueness(
                     "duplicate StreamId domain \"{label}\" — first used at {}:{}:{}; two \
                      components sharing a label draw correlated noise",
                     first.rel_path, first.line, first.col
+                ),
+                related: Vec::new(),
+            });
+        }
+    }
+}
+
+/// Cross-file pass for `unreached-pub`: a bare-`pub` library fn whose
+/// name no other file's code mentions. Names only, no resolution: any
+/// mention elsewhere (a call, a `.method()`, an import) counts as a use,
+/// so the rule never flags a function another file calls. Once the fn is
+/// private, rustc's `dead_code` lint judges what is left with full types.
+pub fn check_unreached_pub(facts: &[FileFacts], findings: &mut Vec<Finding>) {
+    let mut naming: BTreeMap<&str, usize> = BTreeMap::new();
+    for fact in facts {
+        for name in &fact.names {
+            *naming.entry(name.as_str()).or_default() += 1;
+        }
+    }
+    for fact in facts {
+        for f in &fact.pub_fns {
+            let own = usize::from(fact.names.binary_search(&f.name).is_ok());
+            if naming.get(f.name.as_str()).copied().unwrap_or(0) > own {
+                continue;
+            }
+            findings.push(Finding {
+                rule_id: "unreached-pub",
+                severity: Severity::Warn,
+                rel_path: fact.rel_path.clone(),
+                line: f.line,
+                col: f.col,
+                message: format!(
+                    "`pub fn {}` is named by no other file — make it private and delete \
+                     what rustc's dead_code then reports, or move it under #[cfg(test)]",
+                    f.name
                 ),
                 related: Vec::new(),
             });

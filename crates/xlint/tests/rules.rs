@@ -508,3 +508,30 @@ fn farm_router_fixture_pins_wire_taint_and_panic_reachable() {
         "the reasoned allow at the root must clear the guarded chain, got {reachable:?}"
     );
 }
+
+/// R16 `unreached-pub`: a bare `pub fn` in library source that no other
+/// file names fires, even when its own crate re-exports it; a function
+/// named only by another crate's integration test, an example, a
+/// `.method()` call or a headbench-shaped user stays silent, as do
+/// `pub(crate)` fns, binaries and a reasoned suppression.
+#[test]
+fn unreached_pub_fires_on_orphans_and_counts_every_outside_name() {
+    let a = violations();
+    let hits: Vec<_> = with_rule(&a, "unreached-pub")
+        .into_iter()
+        .filter(|f| f.rel_path.starts_with("crates/unreached/"))
+        .collect();
+    let named = |name: &str| hits.iter().any(|f| f.message.contains(&format!("`pub fn {name}`")));
+    assert!(named("orphan"), "a fn no other file names must fire: {hits:?}");
+    assert!(named("reexported_only"), "its own crate's pub use is not a use: {hits:?}");
+    assert_eq!(hits.len(), 2, "everything else in the fixture is reached or suppressed: {hits:?}");
+    assert!(hits.iter().all(|f| f.severity == Severity::Warn));
+    assert!(
+        !a.findings.iter().any(|f| f.rel_path.starts_with("headbench/")),
+        "a headbench-shaped user is read for names, never linted"
+    );
+    assert!(
+        !a.findings.iter().any(|f| f.rule_id == "stale-allow" && f.rel_path.ends_with("api.rs")),
+        "the reasoned allow on `held` must suppress its finding"
+    );
+}
