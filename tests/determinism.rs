@@ -97,14 +97,16 @@ fn sweeps_are_thread_count_invariant() {
     let mut path2 = MiniTesterDatapath::new().unwrap();
     let wave = path2.prbs_stimulus(rate, 512, 17).unwrap();
 
-    let pools = [ExecPool::new(1), ExecPool::new(2), ExecPool::new(8)];
+    // Three workers split a 40-phase eye band unevenly.
+    let pools = [ExecPool::new(1), ExecPool::new(2), ExecPool::new(3), ExecPool::new(8)];
 
     let (wave, expected) = (&wave, &expected);
     let shmoo = ShmooJob { wave, rate, expected, config: ShmooConfig::pecl(), seed: 3 };
     let shmoos: Vec<_> = pools.iter().map(|p| shmoo.run_on(p).unwrap()).collect();
     assert_eq!(shmoos[0], shmoos[1], "shmoo differs between 1 and 2 threads");
-    assert_eq!(shmoos[0], shmoos[2], "shmoo differs between 1 and 8 threads");
-    assert_eq!(shmoos[0].to_string(), shmoos[2].to_string());
+    assert_eq!(shmoos[0], shmoos[2], "shmoo differs between 1 and 3 threads");
+    assert_eq!(shmoos[0], shmoos[3], "shmoo differs between 1 and 8 threads");
+    assert_eq!(shmoos[0].to_string(), shmoos[3].to_string());
 
     let wafer_config = WaferRunConfig {
         dies: 12,
@@ -116,15 +118,17 @@ fn sweeps_are_thread_count_invariant() {
     };
     let wafers: Vec<_> = pools.iter().map(|p| wafer_config.run_on(p).unwrap()).collect();
     assert_eq!(wafers[0], wafers[1], "wafer differs between 1 and 2 threads");
-    assert_eq!(wafers[0], wafers[2], "wafer differs between 1 and 8 threads");
-    assert_eq!(wafers[0].to_string(), wafers[2].to_string());
+    assert_eq!(wafers[0], wafers[2], "wafer differs between 1 and 3 threads");
+    assert_eq!(wafers[0], wafers[3], "wafer differs between 1 and 8 threads");
+    assert_eq!(wafers[0].to_string(), wafers[3].to_string());
 
     let capture = EtCapture::new();
     let eye = EyeScanJob { capture: &capture, wave, rate, expected, seed: 5 };
     let eyes: Vec<_> = pools.iter().map(|p| eye.run_on(p).unwrap()).collect();
     assert_eq!(eyes[0], eyes[1], "eye scan differs between 1 and 2 threads");
-    assert_eq!(eyes[0], eyes[2], "eye scan differs between 1 and 8 threads");
-    assert_eq!(eyes[0].to_string(), eyes[2].to_string());
+    assert_eq!(eyes[0], eyes[2], "eye scan differs between 1 and 3 threads");
+    assert_eq!(eyes[0], eyes[3], "eye scan differs between 1 and 8 threads");
+    assert_eq!(eyes[0].to_string(), eyes[3].to_string());
 }
 
 /// Substreams honor domain separation at the application layer: the streams
@@ -608,7 +612,7 @@ fn every_answer_tier_streams_identical_frames_apart_from_provenance() {
 /// last-place drift in the waveform arithmetic.
 #[test]
 fn kernel_outputs_match_frozen_digests() {
-    const FROZEN: [(&str, u64); 18] = [
+    const FROZEN: [(&str, u64); 21] = [
         ("jittered", 0xc4a3_c90c_ef7c_c824),
         ("asymmetric", 0xbffa_c6c0_cc79_9bc7),
         ("isi-5g", 0x2601_1ae0_9033_bb2f),
@@ -626,6 +630,9 @@ fn kernel_outputs_match_frozen_digests() {
         ("shmoo-mid-rows", 0x459f_9563_dcbf_08d0),
         ("wafer-5g", 0x4f59_fda6_80ac_0477),
         ("wafer-5g-dies", 0xbc2c_aedf_58c5_3341),
+        ("eye-5g", 0xc4ef_4cb7_3046_9efe),
+        ("eye-5g-range", 0xcbce_b531_ec15_5e44),
+        ("eye-marginal", 0xddf6_545c_191b_adeb),
         ("full_report", 0xcdd1_3851_8c28_be92),
     ];
     use atd::cache::fnv1a64;
@@ -692,6 +699,8 @@ fn kernel_outputs_match_frozen_digests() {
     // a strobe's bound and need their own decision or the exact path.
     // The 5 Gbps wafer mixes hard and marginal dies: its eyes are narrow,
     // so many strobe phases of each margin scan sit near the eye walls.
+    // The 5 Gbps eye is narrow too, so many of its phases count errors
+    // across the whole pattern; its band has an odd width.
     let wafer = JobSpec::wafer(&WaferRunConfig {
         dies: 12,
         columns: 4,
@@ -724,6 +733,7 @@ fn kernel_outputs_match_frozen_digests() {
         test_bits: 256,
         seed: 13,
     });
+    let eye_5g = JobSpec::eye(DataRate::from_gbps(5.0), 256, 17, 5);
     let specs = [
         ("shmoo", shmoo),
         ("shmoo-rows", shmoo.slice(3, 4).unwrap()),
@@ -751,6 +761,8 @@ fn kernel_outputs_match_frozen_digests() {
         ("shmoo-mid-rows", mid_swing.slice(6, 9).unwrap()),
         ("wafer-5g", wafer_5g),
         ("wafer-5g-dies", wafer_5g.slice(3, 6).unwrap()),
+        ("eye-5g", eye_5g),
+        ("eye-5g-range", eye_5g.slice(3, 7).unwrap()),
     ];
     let pool = ExecPool::from_env();
     let result_digests: Vec<(&str, u64)> = specs
@@ -761,14 +773,46 @@ fn kernel_outputs_match_frozen_digests() {
         })
         .collect();
 
-    // (c) The rendered paper report.
+    // (c) An eye scan of a degraded channel's 5 Gbps loopback, as the
+    // mini-tester's at-speed margin test returns it: a narrow eye whose
+    // walls many phases straddle. Each point's (phase, compared, errors)
+    // is folded in.
+    let marginal_digest = {
+        use minitester::{EtCapture, EyeScanJob, MiniTesterDatapath, WlpChannel, WlpDut};
+        let rate = DataRate::from_gbps(5.0);
+        let mut path = MiniTesterDatapath::new().unwrap();
+        let expected = path.expected_prbs(rate, 2_048).unwrap();
+        let stimulus = path.prbs_stimulus(rate, 2_048, 4).unwrap();
+        let returned = WlpDut::good(WlpChannel::degraded()).loopback(&stimulus, rate, 2_048, 4);
+        let capture = EtCapture::new();
+        let job =
+            EyeScanJob { capture: &capture, wave: &returned, rate, expected: &expected, seed: 4 };
+        let scan = job.run_on(&pool).unwrap();
+        let points = scan.points();
+        assert!(points.iter().any(|p| p.errors == 0) && points.iter().any(|p| p.errors > 0));
+        let bytes: Vec<u8> = scan
+            .points()
+            .iter()
+            .flat_map(|p| {
+                [
+                    p.phase.as_fs().to_le_bytes(),
+                    (p.compared as u64).to_le_bytes(),
+                    (p.errors as u64).to_le_bytes(),
+                ]
+            })
+            .flatten()
+            .collect();
+        ("eye-marginal", fnv1a64(&bytes))
+    };
+
+    // (d) The rendered paper report.
     let report = bench_support::full_report(2005).unwrap().to_string();
     let report_digest = ("full_report", fnv1a64(report.as_bytes()));
 
     let got: Vec<(&str, u64)> = sample_digests
         .into_iter()
         .chain(result_digests)
-        .chain(std::iter::once(report_digest))
+        .chain([marginal_digest, report_digest])
         .collect();
     for ((name, digest), (frozen_name, frozen)) in got.iter().zip(FROZEN) {
         assert_eq!(*name, frozen_name);
