@@ -8,6 +8,7 @@
 //! the probe card.
 
 use core::fmt;
+use core::ops::Range;
 
 use pecl::{ProgrammableDelayLine, StrobedSampler};
 use pstime::{DataRate, Duration, UnitInterval};
@@ -73,7 +74,12 @@ impl EyeScan {
     ///
     /// [`MiniTesterError::EyeClosed`] when no phase is error-free.
     pub fn opening_ui(&self) -> Result<UnitInterval> {
-        self.clean_phases().opening_ui()
+        let (len, _) = self.widest_run()?;
+        if len == self.points.len() {
+            return Ok(UnitInterval::ONE);
+        }
+        let opening = self.step * len as i64;
+        Ok(UnitInterval::from_duration(opening, self.rate).clamp_unit())
     }
 
     /// The error-ratio bathtub: `(phase as a UI fraction, error ratio)`
@@ -90,58 +96,22 @@ impl EyeScan {
     ///
     /// [`MiniTesterError::EyeClosed`] when no phase passes.
     pub fn best_phase(&self) -> Result<Duration> {
-        self.clean_phases().best_phase()
-    }
-
-    fn clean_phases(&self) -> CleanPhases {
-        CleanPhases {
-            phases: self.points.iter().map(|p| p.phase).collect(),
-            clean: self.points.iter().map(|p| p.errors == 0).collect(),
-            rate: self.rate,
-            step: self.step,
-        }
-    }
-}
-
-/// Which strobe phases of a scan captured every bit: all that the eye
-/// opening and the best phase are read from.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CleanPhases {
-    phases: Vec<Duration>,
-    clean: Vec<bool>,
-    rate: DataRate,
-    step: Duration,
-}
-
-impl CleanPhases {
-    /// As [`EyeScan::opening_ui`].
-    pub(crate) fn opening_ui(&self) -> Result<UnitInterval> {
-        let (len, _) = self.widest_run()?;
-        if len == self.clean.len() {
-            return Ok(UnitInterval::ONE);
-        }
-        let opening = self.step * len as i64;
-        Ok(UnitInterval::from_duration(opening, self.rate).clamp_unit())
-    }
-
-    /// As [`EyeScan::best_phase`].
-    pub(crate) fn best_phase(&self) -> Result<Duration> {
         let (len, start) = self.widest_run()?;
-        Ok(self.phases[(start + len / 2) % self.clean.len()])
+        Ok(self.points[(start + len / 2) % self.points.len()].phase)
     }
 
-    /// The widest circular run of clean phases, as (length, start): the
-    /// first of the widest in scan order, the whole scan from 0 when every
-    /// phase is clean.
+    /// The widest circular run of error-free phases, as (length, start):
+    /// the first of the widest in scan order, the whole scan from 0 when
+    /// every phase is clean.
     fn widest_run(&self) -> Result<(usize, usize)> {
-        let n = self.clean.len();
-        if !self.clean.iter().any(|c| *c) {
+        let n = self.points.len();
+        if !self.points.iter().any(|p| p.errors == 0) {
             return Err(MiniTesterError::EyeClosed);
         }
         let mut best = (0usize, 0usize); // (length, start)
         let mut run = 0usize;
         for i in 0..2 * n {
-            if self.clean[i % n] {
+            if self.points[i % n].errors == 0 {
                 run += 1;
                 if run > best.0 {
                     best = (run.min(n), i + 1 - run);
@@ -216,7 +186,8 @@ impl EtCapture {
     }
 
     /// Captures `expected.len()` bits at one strobe phase (quantized to the
-    /// vernier's 10 ps grid) and counts errors.
+    /// vernier's 10 ps grid) and counts errors: one uncapped
+    /// [`StrobedSampler::capture_errors`] row.
     ///
     /// # Errors
     ///
@@ -230,9 +201,9 @@ impl EtCapture {
         seed: u64,
     ) -> Result<ScanPoint> {
         let (nominal, actual) = self.programmed(phase)?;
-        let got = self.sampler.capture(wave, rate, actual, expected.len(), seed);
-        let (errors, compared) = got.hamming_distance(expected);
-        Ok(ScanPoint { phase: nominal, compared, errors })
+        let row = (actual, self.sampler.threshold(), seed);
+        let errors = self.sampler.capture_errors(wave, rate, expected, &[row], expected.len());
+        Ok(ScanPoint { phase: nominal, compared: expected.len(), errors: errors[0] })
     }
 
     /// The vernier's (nominal, actual) delay when programmed to `phase`:
@@ -253,15 +224,15 @@ impl EtCapture {
 /// interval in vernier steps, reconstructing the horizontal eye, and the
 /// scheduling surface the `atd` service layer drives.
 ///
-/// One job per strobe phase, each drawing from its own `tree.index(k)`
-/// substream, so the scan is bit-identical for every thread count. A scan
-/// that runs inside a job already fanned out passes
-/// [`exec::ExecPool::serial`], so thread counts compose instead of
-/// multiplying. The margin scan [`crate::MiniTester`] runs for each wafer
-/// die reads only which phases are clean; it strobes every phase with the
-/// same seeds in one pass-only sweep
-/// ([`pecl::StrobedSampler::capture_passes`]) on the calling thread, where
-/// adjacent phases, a vernier step apart, share waveform bounds.
+/// Each strobe phase is one row of [`StrobedSampler::capture_errors`],
+/// drawing from its own `tree.index(k)` substream, and the band makes one
+/// kernel call per pool worker on a contiguous slice, where adjacent
+/// phases share waveform bounds. No count depends on the split, so the
+/// scan is bit-identical for every thread count. A scan that runs inside a
+/// job already fanned out passes [`exec::ExecPool::serial`], so thread
+/// counts compose instead of multiplying. The margin scan
+/// [`crate::MiniTester`] runs for each wafer die makes the same call with
+/// a cap of 1 on the calling thread, reading only which phases are clean.
 #[derive(Debug, Clone, Copy)]
 pub struct EyeScanJob<'a> {
     /// The capture head (sampler threshold + strobe vernier).
@@ -311,32 +282,47 @@ impl EyeScanJob<'_> {
 
     /// Which phases of the full scan capture every bit, on the calling
     /// thread: the pass-only form of [`run_on`](exec::PoolJob::run_on),
-    /// for a caller that reads only the opening and the best phase. Each
-    /// phase is one row of a single
-    /// [`StrobedSampler::capture_passes`] call: the vernier's actual delay,
-    /// the sampler's threshold and the full scan's seed, so both agree
-    /// phase by phase.
+    /// for a caller that reads only the opening and the best phase. It is
+    /// the full scan with each point's errors capped at 1, so each row
+    /// stops at its first error and both agree phase by phase.
     ///
     /// # Errors
     ///
     /// As [`exec::PoolJob::run_on`].
-    pub(crate) fn clean_phases(&self) -> Result<CleanPhases> {
-        let (step, steps) = self.steps();
+    pub(crate) fn clean_phases(&self) -> Result<EyeScan> {
+        self.sweep(&exec::ExecPool::serial(), 0..self.steps().1, 1)
+    }
+
+    /// The points of the strobe steps in `band`, their errors capped at
+    /// `cap`. Step `k` is one [`StrobedSampler::capture_errors`] row: the
+    /// vernier's actual delay for `k` steps, the sampler's threshold and
+    /// the seed of `tree.index(k)`, so a band's points are the full
+    /// scan's. The band splits into one contiguous slice per pool worker,
+    /// one kernel call each.
+    fn sweep(&self, pool: &exec::ExecPool, band: Range<usize>, cap: usize) -> Result<EyeScan> {
+        let (step, _) = self.steps();
         let tree = self.seeds();
         let threshold = self.capture.sampler.threshold();
-        let mut phases = Vec::with_capacity(steps);
-        let mut rows = Vec::with_capacity(steps);
-        // Step k strobes at k steps and seeds from `tree.index(k)`, as in
-        // the full scan.
-        let mut phase = Duration::ZERO;
-        for k in (0u64..).take(steps) {
-            let (nominal, actual) = self.capture.programmed(phase)?;
-            phases.push(nominal);
-            rows.push((actual, threshold, tree.index(k).seed()));
-            phase += step;
-        }
-        let clean = self.capture.sampler.capture_passes(self.wave, self.rate, self.expected, &rows);
-        Ok(CleanPhases { phases, clean, rate: self.rate, step })
+        let (phases, rows): (Vec<_>, Vec<_>) = band
+            .map(|k| {
+                let k = k as i64; // xlint::allow(no-lossy-cast, k < steps which fits i64 by construction)
+                let seed = tree.index(k as u64).seed();
+                let (nominal, actual) = self.capture.programmed(step * k)?;
+                Ok((nominal, (actual, threshold, seed)))
+            })
+            .collect::<Result<_>>()?;
+        let (n, slices) = (rows.len(), pool.threads().min(rows.len()));
+        let outcome = pool.run(slices, |s| {
+            let slice = &rows[s * n / slices..(s + 1) * n / slices];
+            self.capture.sampler.capture_errors(self.wave, self.rate, self.expected, slice, cap)
+        })?;
+        let compared = self.expected.len();
+        let points = phases
+            .into_iter()
+            .zip(outcome.results.concat())
+            .map(|(phase, errors)| ScanPoint { phase, compared, errors })
+            .collect();
+        Ok(EyeScan { points, rate: self.rate, step })
     }
 
     /// The vernier step and the number of steps in one unit interval.
@@ -360,23 +346,14 @@ impl EyeScanJob<'_> {
         phase_start: usize,
         phase_count: Option<usize>,
     ) -> Result<EyeScan> {
-        let (step, steps) = self.steps();
-        let tree = self.seeds();
+        let (_, steps) = self.steps();
         let count = phase_count.unwrap_or(steps);
         if count == 0 || phase_start.checked_add(count).is_none_or(|end| end > steps) {
             return Err(crate::MiniTesterError::BadTestPlan {
                 reason: "eye-scan strobe range empty or past the unit interval",
             });
         }
-        let outcome = pool.run(count, |job| {
-            // Substreams key on the global step index, so a strobe range
-            // reproduces the full scan's points bit-for-bit.
-            let k = (phase_start + job) as i64; // xlint::allow(no-lossy-cast, k < steps which fits i64 by construction)
-            let cell = tree.index(k as u64);
-            self.capture.capture_at(self.wave, self.rate, self.expected, step * k, cell.seed())
-        })?;
-        let points = outcome.results.into_iter().collect::<Result<Vec<_>>>()?;
-        Ok(EyeScan { points, rate: self.rate, step })
+        self.sweep(pool, phase_start..phase_start + count, self.expected.len())
     }
 }
 
@@ -491,8 +468,11 @@ mod tests {
             let scan = job.run_on(&exec::ExecPool::serial()).unwrap();
             let clean = job.clean_phases().unwrap();
             let want: Vec<bool> = scan.points().iter().map(|p| p.errors == 0).collect();
-            assert_eq!(clean.clean, want, "{what}");
-            assert_eq!(clean.phases, scan.points().iter().map(|p| p.phase).collect::<Vec<_>>());
+            let got: Vec<bool> = clean.points().iter().map(|p| p.errors == 0).collect();
+            assert_eq!(got, want, "{what}");
+            for (c, p) in clean.points().iter().zip(scan.points()) {
+                assert_eq!((c.phase, c.compared, c.errors), (p.phase, p.compared, p.errors.min(1)));
+            }
             assert_eq!(clean.opening_ui().ok(), scan.opening_ui().ok());
             assert_eq!(clean.best_phase().ok(), scan.best_phase().ok());
             want

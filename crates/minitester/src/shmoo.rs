@@ -77,9 +77,9 @@ impl ShmooConfig {
 ///
 /// Phase columns are fanned out over the pool, one job per column
 /// covering every threshold row: the rows strobe the same instants, so a
-/// column is one pass-only capture
-/// ([`pecl::StrobedSampler::capture_passes`]) that stops each row at its
-/// first mismatch. Every cell still draws its randomness from its own
+/// column is one [`pecl::StrobedSampler::capture_errors`] call with a cap
+/// of 1, which stops each row at its first mismatch. Every cell still
+/// draws its randomness from its own
 /// `tree.index(row).index(col)` substream, as when each cell ran alone, so
 /// the plot is bit-identical for every thread count.
 #[derive(Debug, Clone, Copy)]
@@ -174,12 +174,12 @@ impl ShmooJob<'_> {
                     (strobe, *v, tree.index((row_start + r) as u64).index(col as u64).seed())
                 })
                 .collect();
-            Ok(capture.sampler().capture_passes(self.wave, self.rate, self.expected, &rows))
+            Ok(capture.sampler().capture_errors(self.wave, self.rate, self.expected, &rows, 1))
         })?;
         let columns = outcome.results.into_iter().collect::<Result<Vec<_>>>()?;
         // Row-major, as the plot stores it.
         let pass = (0..thresholds.len())
-            .flat_map(|row| columns.iter().map(move |column| column[row]))
+            .flat_map(|row| columns.iter().map(move |column| column[row] == 0))
             .collect();
         Ok(ShmooPlot { thresholds, phases, pass })
     }

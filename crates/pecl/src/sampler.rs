@@ -33,8 +33,13 @@ pub const SAMPLER_STREAM: StreamId = StreamId::named("pecl.sampler");
 ///     EdgeShape::default(),
 /// );
 /// let sampler = StrobedSampler::new(Millivolts::new(-1300), Duration::ZERO);
-/// let captured = sampler.capture(&wave, rate, Duration::from_ps(200), 4, 1);
-/// assert_eq!(captured, bits);
+/// // One row: strobe 200 ps into each bit at the programmed threshold.
+/// let row = (Duration::from_ps(200), sampler.threshold(), 1);
+/// assert_eq!(sampler.capture_errors(&wave, rate, &bits, &[row], bits.len()), [0]);
+/// // Against the complement every bit errors; a cap of 1 stops at the first.
+/// let complement = BitStream::from_str_bits("0100");
+/// assert_eq!(sampler.capture_errors(&wave, rate, &complement, &[row], 4), [4]);
+/// assert_eq!(sampler.capture_errors(&wave, rate, &complement, &[row], 1), [1]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrobedSampler {
@@ -100,10 +105,6 @@ impl StrobedSampler {
         value_at(strobe + aperture_offset(z, self.aperture_rj)) >= level
     }
 
-    fn decision_level(&self) -> f64 {
-        self.decision_level_at(self.threshold)
-    }
-
     /// The level the comparator slices at when programmed to `threshold`.
     fn decision_level_at(&self, threshold: Millivolts) -> f64 {
         (threshold + self.input_offset).as_f64()
@@ -125,65 +126,39 @@ impl StrobedSampler {
             .unwrap_or_else(|| self.slice(strobe, draw.deviate(), level, |t| cursor.value_at(t)))
     }
 
-    /// Captures `n` bits: one strobe per unit interval at phase offset
-    /// `strobe_phase` into each bit, starting from the waveform start.
+    /// Each row's bit errors against `expected`, capped at `cap`. A row is
+    /// a (strobe phase, threshold, seed) triple: its bit `i` strobes `i`
+    /// unit intervals plus its phase past the waveform start, slices at
+    /// its threshold, and draws its aperture deviate from its seed's
+    /// substream. Row `r` gets `min(errors, cap)`. A pass-only caller
+    /// passes `cap = 1` and reads `== 0`; a counting caller passes
+    /// `expected.len()`.
     ///
-    /// Most strobes never evaluate the waveform: the pair's
-    /// [`radius_bound`](rng::GaussPair::radius_bound) confines the
-    /// jittered instant to a span around the strobe, and
-    /// [`WaveCursor::decide`] settles the bit over that whole span when it
-    /// can. Only the undecided strobes take the exact path, so every bit
-    /// is the one the exact path stores.
-    pub fn capture(
-        &self,
-        wave: &AnalogWaveform,
-        rate: DataRate,
-        strobe_phase: Duration,
-        n: usize,
-        seed: u64,
-    ) -> BitStream {
-        let ui = rate.unit_interval();
-        let start = wave.digital().start();
-        let level = self.decision_level();
-        let mut draws = Aperture::new(seed, self.aperture_rj);
-        // Strobes run forward one UI at a time, so a cursor follows them.
-        let mut cursor = wave.cursor();
-        BitStream::from_fn(n, |i| {
-            let strobe = start + ui * i as i64 + strobe_phase;
-            self.strobe_bit(&mut cursor, strobe, level, draws.next())
-        })
-    }
-
-    /// Whether each row's capture matches `expected` in every bit, where a
-    /// row is a (strobe phase, threshold, seed) triple: row `r` answers
-    /// exactly what `capture` at phase `rows[r].0`, threshold `rows[r].1`
-    /// and seed `rows[r].2` followed by a zero-mismatch check would.
-    ///
-    /// This is the one pass-only kernel: a shmoo column's threshold rows
-    /// strobe one phase, an eye scan's phases sit a vernier step apart,
-    /// and both read only `errors == 0`. No row's jittered instant leaves
-    /// ±S around its strobe, S being the span of the largest deviate
-    /// [`GaussPair::max_radius_bound`] allows at this aperture. So per bit,
-    /// one [`WaveCursor::bound`] over [earliest strobe − S, latest
+    /// This is the one strobe kernel: a shmoo column's threshold rows
+    /// strobe one phase, an eye scan's phases sit a vernier step apart.
+    /// Most strobes never evaluate the waveform. No row's jittered instant
+    /// leaves ±S around its strobe, S being the span of the largest
+    /// deviate [`GaussPair::max_radius_bound`] allows at this aperture. So
+    /// per bit, one [`WaveCursor::bound`] over [earliest strobe − S, latest
     /// strobe + S] of a group of live rows settles every row of the group
     /// whose decision level lies outside it, whatever its deviate. Groups
     /// run depth-first in strobe order, starting with all live rows, each
-    /// of which draws its deviate in `capture`'s order. When the rows a
-    /// bound leaves open share one phase, each takes its own `decide` and,
-    /// failing that, the exact path; otherwise they split at their middle
-    /// into two groups. A lone row skips the shared bound, whose span is
-    /// wider than its own. A shmoo column is thus one bound per bit and a
-    /// `decide` per row it leaves open, while adjacent phases share
-    /// bounds. Rows may come in any order; the result is in theirs. A row
-    /// stops at its first mismatch, and the sweep stops when no row is
-    /// left.
-    pub fn capture_passes(
+    /// of which draws its deviates in strobe order. When the rows a bound
+    /// leaves open share one phase, each takes its own
+    /// [`WaveCursor::decide`] over its draw's span and, failing that, the
+    /// exact path; otherwise they split at their middle into two groups. A
+    /// lone row skips the shared bound, whose span is wider than its own.
+    /// Every bit is the one the exact path gives. Rows may come in any
+    /// order; the result is in theirs. A row retires when its count
+    /// reaches `cap`, and the sweep stops when no row is left.
+    pub fn capture_errors(
         &self,
         wave: &AnalogWaveform,
         rate: DataRate,
         expected: &BitStream,
         rows: &[(Duration, Millivolts, u64)],
-    ) -> Vec<bool> {
+        cap: usize,
+    ) -> Vec<usize> {
         let levels: Vec<f64> =
             rows.iter().map(|&(_, threshold, _)| self.decision_level_at(threshold)).collect();
         let mut sweep = Sweep {
@@ -194,17 +169,17 @@ impl StrobedSampler {
             lowest: levels.iter().copied().fold(f64::INFINITY, f64::min),
             highest: levels.iter().copied().fold(f64::NEG_INFINITY, f64::max),
             levels,
-            pass: vec![true; rows.len()],
-            failed: 0,
-            // Bit i strobes at `start + ui·i + phase`, as in `capture`.
+            errors: vec![0; rows.len()],
+            cap,
+            retired: 0,
             base: wave.digital().start(),
             want: false,
         };
         let mut draws: Vec<Aperture> =
             rows.iter().map(|&(_, _, seed)| Aperture::new(seed, self.aperture_rj)).collect();
         // Live rows in strobe order, so that a group's ends are its
-        // earliest and latest strobes.
-        let mut live: Vec<usize> = (0..rows.len()).collect();
+        // earliest and latest strobes. With a cap of 0 none starts.
+        let mut live: Vec<usize> = (0..rows.len()).filter(|_| cap > 0).collect();
         live.sort_by_key(|&r| sweep.phases[r]);
         let mut group = Vec::with_capacity(live.len());
         let ui = rate.unit_interval();
@@ -234,18 +209,18 @@ impl StrobedSampler {
                 }
             }
             sweep.resolve(&mut group);
-            if sweep.failed > 0 {
-                live.retain(|&r| sweep.pass[r]);
-                sweep.failed = 0;
+            if sweep.retired > 0 {
+                live.retain(|&r| sweep.errors[r] < cap);
+                sweep.retired = 0;
             }
             sweep.base += ui;
         }
-        sweep.pass
+        sweep.errors
     }
 }
 
-/// The state of one [`StrobedSampler::capture_passes`] call: the rows'
-/// phases, decision levels and verdicts, indexed by row.
+/// The state of one [`StrobedSampler::capture_errors`] call: the rows'
+/// phases, decision levels and error counts, indexed by row.
 struct Sweep<'a> {
     sampler: &'a StrobedSampler,
     cursor: WaveCursor<'a>,
@@ -256,9 +231,11 @@ struct Sweep<'a> {
     /// The lowest and highest of `levels`.
     lowest: f64,
     highest: f64,
-    pass: Vec<bool>,
-    /// Rows failed at the current bit.
-    failed: usize,
+    errors: Vec<usize>,
+    /// The count at which a row retires.
+    cap: usize,
+    /// Rows whose count reached `cap` at the current bit.
+    retired: usize,
     /// The current bit's strobe at phase zero.
     base: Instant,
     /// The current bit's expected value.
@@ -341,11 +318,14 @@ impl Sweep<'_> {
         self.record(r, bit);
     }
 
-    /// Fails row `r` when its current bit came out other than expected.
+    /// Counts an error for row `r` when its current bit came out other
+    /// than expected.
     fn record(&mut self, r: usize, bit: bool) {
         if bit != self.want {
-            self.pass[r] = false;
-            self.failed += 1;
+            self.errors[r] += 1;
+            if self.errors[r] == self.cap {
+                self.retired += 1;
+            }
         }
     }
 }
@@ -433,12 +413,27 @@ mod tests {
         (w, rate, bs)
     }
 
+    /// The errors of one row strobing `phase` at the sampler's threshold.
+    fn row_errors(
+        s: &StrobedSampler,
+        w: &AnalogWaveform,
+        rate: DataRate,
+        expected: &BitStream,
+        phase: Duration,
+        seed: u64,
+    ) -> usize {
+        let row = (phase, s.threshold(), seed);
+        s.capture_errors(w, rate, expected, &[row], expected.len())[0]
+    }
+
     #[test]
     fn clean_capture_recovers_bits() {
         let (w, rate, bits) = wave("1011001110001010", 2.5);
         let sampler = StrobedSampler::new(Millivolts::new(-1300), Duration::ZERO);
-        let captured = sampler.capture(&w, rate, Duration::from_ps(200), bits.len(), 0);
-        assert_eq!(captured, bits);
+        assert_eq!(row_errors(&sampler, &w, rate, &bits, Duration::from_ps(200), 0), 0);
+        let complement = BitStream::from_fn(bits.len(), |i| !bits[i]);
+        let all = bits.len();
+        assert_eq!(row_errors(&sampler, &w, rate, &complement, Duration::from_ps(200), 0), all);
     }
 
     #[test]
@@ -455,7 +450,9 @@ mod tests {
         let mut s = StrobedSampler::new(Millivolts::new(-1300), Duration::ZERO);
         // No aperture jitter: one strobe at 600 ps, sliced exactly.
         let strobe = |s: &StrobedSampler| {
-            s.slice(Instant::from_ps(600), 0.0, s.decision_level(), |t| w.value_at(t))
+            s.slice(Instant::from_ps(600), 0.0, s.decision_level_at(s.threshold()), |t| {
+                w.value_at(t)
+            })
         };
         assert!(strobe(&s));
         // Raise the threshold above VOH: everything reads low.
@@ -472,19 +469,24 @@ mod tests {
     fn strobing_near_an_edge_is_unreliable_with_aperture_jitter() {
         let (w, rate, _) = wave("10101010101010101010", 2.5);
         let s = StrobedSampler::new(Millivolts::new(-1300), Duration::from_ps(20));
-        // Strobe exactly on the transitions: decisions flip randomly.
-        let captured = s.capture(&w, rate, Duration::ZERO, 20, 7);
-        let ones = captured.count_ones();
-        assert!(ones > 0 && ones < 20, "expected metastable-ish capture, got {captured}");
+        // Strobe exactly on the transitions: decisions flip randomly, so
+        // against all ones some bits error and some do not.
+        let ones = BitStream::from_fn(20, |_| true);
+        let errors = row_errors(&s, &w, rate, &ones, Duration::ZERO, 7);
+        assert!(errors > 0 && errors < 20, "expected metastable-ish capture, got {errors} zeros");
     }
 
     #[test]
     fn capture_is_seed_deterministic() {
         let (w, rate, _) = wave("1010110010", 2.5);
         let s = StrobedSampler::minitester();
-        let a = s.capture(&w, rate, Duration::from_ps(200), 10, 3);
-        let b = s.capture(&w, rate, Duration::from_ps(200), 10, 3);
+        // Near the edges, where the aperture draws decide some bits.
+        let expected = BitStream::alternating(10);
+        let rows: Vec<_> = (0..40).map(|k| (Duration::from_ps(10 * k), s.threshold(), 3)).collect();
+        let a = s.capture_errors(&w, rate, &expected, &rows, 10);
+        let b = s.capture_errors(&w, rate, &expected, &rows, 10);
         assert_eq!(a, b);
+        assert!(a.iter().any(|&e| e > 0));
     }
 
     #[test]

@@ -139,8 +139,9 @@ fn sampler_recovers_clean_data_at_any_sane_threshold() {
             EdgeShape::from_rise_2080_ps(72.0),
         );
         let sampler = pecl::StrobedSampler::new(Millivolts::new(threshold_mv), Duration::ZERO);
-        let captured = sampler.capture(&wave, rate, rate.unit_interval() / 2, stream.len(), 0);
-        assert_eq!(captured, stream, "threshold={threshold_mv}");
+        let row = (rate.unit_interval() / 2, sampler.threshold(), 0);
+        let errors = sampler.capture_errors(&wave, rate, &stream, &[row], stream.len());
+        assert_eq!(errors, [0], "threshold={threshold_mv}");
     }
 }
 
@@ -172,71 +173,27 @@ fn per_strobe_capture(
     })
 }
 
+/// `StrobedSampler::capture_errors` against the oracle, row by row. Each
+/// case strobes a random waveform with up to 40 rows: one column (a
+/// shmoo's), a vernier ladder with INL in order or shuffled, or a few
+/// phases each repeated in any order, at thresholds inside, on and beyond
+/// the rails. Two checks:
+/// - with `expected` set to a row's own oracle bits and a cap of 1, that
+///   row counts 0, so its every bit is the oracle's;
+/// - with a perturbed `expected`, every row counts `min(hamming, cap)`
+///   for a cap of 1, a middle value and `expected.len()`.
 #[test]
-fn capture_matches_the_per_strobe_loop_bit_for_bit() {
-    use signal::jitter::JitterBudget;
-    use signal::{AnalogWaveform, DigitalWaveform, EdgeShape, LevelSet};
-    let (mut rng, n) = cases("sampler-oracle");
-    for case in 0..n {
-        let rate = DataRate::from_gbps([1.0, 2.5, 5.0][rng.range_usize(0..3)]);
-        let stream = random_bits(&mut rng, 16, 300);
-        let jitter = JitterBudget::new()
-            .with_rj_rms_ps(rng.range_f64(0.0, 12.0))
-            .with_dcd_ps(rng.range_f64(0.0, 25.0));
-        let levels = LevelSet::pecl().with_swing(Millivolts::new(rng.range_i32(150..1_000)));
-        let shape = EdgeShape::from_rise_fall_2080_ps(
-            rng.range_f64(30.0, 140.0),
-            rng.range_f64(30.0, 140.0),
-        );
-        let wave = AnalogWaveform::new(
-            DigitalWaveform::from_bits(&stream, rate, &jitter, rng.next_u64()),
-            levels,
-            shape,
-        );
-        let (vol, voh) = (levels.vol().as_mv(), levels.voh().as_mv());
-        let thresholds = [
-            vol + 50,
-            levels.mid().as_mv(),
-            voh - 50,
-            vol - 100,
-            voh + 100,
-            rng.range_i32(vol..voh),
-        ];
-        // Strobes from before the first bit's centre to past the last bit.
-        let phase = Duration::from_fs(rng.range_i64(-200_000..rate.unit_interval().as_fs()));
-        let bits = stream.len() + rng.range_usize(0..3);
-        for aperture_ps in [0, 2, 20] {
-            for threshold in thresholds {
-                let mut sampler = pecl::StrobedSampler::new(
-                    Millivolts::new(threshold),
-                    Duration::from_ps(aperture_ps),
-                );
-                if case % 4 == 1 {
-                    sampler.set_input_offset(Millivolts::new(rng.range_i32(-30..30)));
-                }
-                let seed = rng.next_u64();
-                assert_eq!(
-                    sampler.capture(&wave, rate, phase, bits, seed),
-                    per_strobe_capture(&sampler, &wave, rate, phase, bits, seed),
-                    "case {case}: aperture {aperture_ps} ps, threshold {threshold} mV"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn capture_passes_matches_a_zero_mismatch_check_of_each_rows_capture() {
+fn capture_errors_matches_the_per_strobe_loop() {
     use signal::jitter::JitterBudget;
     use signal::{AnalogWaveform, DigitalWaveform, EdgeShape, LevelSet};
     let (mut rng, n) = cases("sampler-rows");
-    let (mut passed, mut failed) = (0, 0);
+    let (mut clean, mut counted, mut capped) = (0, 0, 0);
     for case in 0..n {
         let rate = DataRate::from_gbps(rng.range_f64(1.0, 6.0));
         let stream = random_bits(&mut rng, 16, 300);
         let jitter = JitterBudget::new()
-            .with_rj_rms_ps(rng.range_f64(0.0, 8.0))
-            .with_dcd_ps(rng.range_f64(0.0, 20.0));
+            .with_rj_rms_ps(rng.range_f64(0.0, 12.0))
+            .with_dcd_ps(rng.range_f64(0.0, 25.0));
         let levels = LevelSet::pecl().with_swing(Millivolts::new(rng.range_i32(150..1_000)));
         let rise = rng.range_f64(30.0, 140.0);
         let fall = if case % 2 == 0 { rise } else { rng.range_f64(30.0, 140.0) };
@@ -245,22 +202,12 @@ fn capture_passes_matches_a_zero_mismatch_check_of_each_rows_capture() {
             levels,
             EdgeShape::from_rise_fall_2080_ps(rise, fall),
         );
-        // Mostly the bits the stimulus carries, so rows pass as well as
-        // fail; sometimes with one bit flipped, or a few bits past the end.
-        let mut expected = stream.clone();
-        if case % 3 == 1 {
-            let flip = rng.range_usize(0..expected.len());
-            expected = BitStream::from_fn(expected.len(), |i| expected[i] ^ (i == flip));
-        }
-        if case % 5 == 2 {
-            expected = expected.concat(&BitStream::from_fn(rng.range_usize(1..4), |_| rng.bool()));
-        }
+        // Sometimes a few bits past the end of the stimulus.
+        let bits = stream.len() + if case % 5 == 2 { rng.range_usize(1..4) } else { 0 };
         let (vol, voh) = (levels.vol().as_mv(), levels.voh().as_mv());
         let ui = rate.unit_interval().as_fs();
         let count = rng.range_usize(1..41);
-        // Strobe phases, from before the first bit's centre to past one
-        // UI: one column (a shmoo's), a vernier ladder with INL in order
-        // or shuffled, or a few phases each repeated in any order.
+        // Strobe phases, from before the first bit's centre to past one UI.
         let start = rng.range_i64(-200_000..ui);
         let mut phases: Vec<i64> = match case % 4 {
             0 => vec![start; count],
@@ -293,29 +240,55 @@ fn capture_passes_matches_a_zero_mismatch_check_of_each_rows_capture() {
             })
             .collect();
         // Every layout meets every aperture, with and without an offset.
-        let aperture = Duration::from_ps([0, 2, 7][(case / 4) % 3]);
+        let aperture = Duration::from_ps([0, 2, 7, 20][(case / 4) % 4]);
         let mut sampler = pecl::StrobedSampler::new(Millivolts::new(-1300), aperture);
-        if (case / 12) % 2 == 1 {
+        if (case / 16) % 2 == 1 {
             sampler.set_input_offset(Millivolts::new(rng.range_i32(-30..30)));
         }
-        let got = sampler.capture_passes(&wave, rate, &expected, &rows);
-        assert_eq!(got.len(), rows.len());
-        for (r, (&(phase, threshold, seed), pass)) in rows.iter().zip(&got).enumerate() {
-            let mut row_sampler = sampler.clone();
-            row_sampler.set_threshold(threshold);
-            let captured = row_sampler.capture(&wave, rate, phase, expected.len(), seed);
-            let (errors, _) = captured.hamming_distance(&expected);
-            assert_eq!(
-                *pass,
-                errors == 0,
-                "case {case} row {r}: phase {phase}, threshold {threshold}"
-            );
-            if *pass {
-                passed += 1;
-            } else {
-                failed += 1;
+        let oracle: Vec<BitStream> = rows
+            .iter()
+            .map(|&(phase, threshold, seed)| {
+                let mut row_sampler = sampler.clone();
+                row_sampler.set_threshold(threshold);
+                per_strobe_capture(&row_sampler, &wave, rate, phase, bits, seed)
+            })
+            .collect();
+        let what = |r: usize| format!("case {case} row {r}: {:?}", rows[r]);
+        // Bit for bit: each row's own bits leave it no error.
+        for (r, own) in oracle.iter().enumerate() {
+            let got = sampler.capture_errors(&wave, rate, own, &rows, 1);
+            assert_eq!(got.len(), rows.len());
+            for (s, theirs) in oracle.iter().enumerate() {
+                let want = theirs.hamming_distance(own).0.min(1);
+                assert_eq!(got[s], want, "{} against row {r}'s bits", what(s));
+            }
+        }
+        // Counts: the stimulus with a few bits flipped, so rows pass, count
+        // a few errors, and reach a middle cap.
+        let flips: Vec<usize> =
+            (0..rng.range_usize(0..4)).map(|_| rng.range_usize(0..bits)).collect();
+        let expected = BitStream::from_fn(bits, |i| {
+            let bit = if i < stream.len() { stream[i] } else { rng.bool() };
+            bit ^ flips.contains(&i)
+        });
+        let middle = rng.range_usize(2..bits);
+        for cap in [1, middle, bits] {
+            let got = sampler.capture_errors(&wave, rate, &expected, &rows, cap);
+            for (r, theirs) in oracle.iter().enumerate() {
+                let errors = theirs.hamming_distance(&expected).0;
+                assert_eq!(got[r], errors.min(cap), "{} with cap {cap}", what(r));
+                if cap == middle {
+                    match errors {
+                        0 => clean += 1,
+                        e if e < cap => counted += 1,
+                        _ => capped += 1,
+                    }
+                }
             }
         }
     }
-    assert!(passed > 0 && failed > 0, "{passed} rows passed and {failed} failed");
+    assert!(
+        clean > 0 && counted > 0 && capped > 0,
+        "{clean} rows clean, {counted} counted below a middle cap, {capped} reached it"
+    );
 }
