@@ -17,7 +17,6 @@ use crate::dataflow::check_codec_symmetry;
 use crate::error::XlintError;
 use crate::facts::{build_facts, intern_rule, FileFacts};
 use crate::graph::{check_error_bridges, check_event_loop_blocking, check_panic_reachable};
-use crate::lexer::AllowDirective;
 use crate::rules::{check_stream_uniqueness, check_unreached_pub, Finding, Severity, StreamUse};
 
 /// The post-suppression result of linting a tree.
@@ -139,10 +138,9 @@ fn analyze_facts(facts: Vec<FileFacts>) -> Analysis {
         }
     }
     for finding in findings {
-        let covering = facts
-            .iter()
-            .find(|f| f.rel_path == finding.rel_path)
-            .and_then(|f| covering_allow(&f.allows, &f.token_lines, &finding));
+        let covering = facts.iter().find(|f| f.rel_path == finding.rel_path).and_then(|f| {
+            f.allows.iter().find(|d| d.covers(&f.token_lines, finding.rule_id, finding.line))
+        });
         match covering {
             Some(directive) if directive.reason.is_empty() => {
                 // An allow with no reason is itself a contract violation:
@@ -217,22 +215,4 @@ fn analyze_facts(facts: Vec<FileFacts>) -> Analysis {
     });
     analysis.findings.dedup();
     analysis
-}
-
-/// Does some directive cover `finding`? A directive on line L covers
-/// findings on L and on the next token-bearing line after L (the
-/// "comment above the offending line" idiom).
-fn covering_allow<'a>(
-    allows: &'a [AllowDirective],
-    token_lines: &[u32],
-    finding: &Finding,
-) -> Option<&'a AllowDirective> {
-    allows.iter().find(|d| {
-        d.rule_id == finding.rule_id
-            && (d.line == finding.line
-                || token_lines
-                    .iter()
-                    .find(|t| **t > d.line)
-                    .is_some_and(|next| *next == finding.line))
-    })
 }

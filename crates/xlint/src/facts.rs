@@ -180,22 +180,16 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The reasoned directive covering `(rule_id, line)`, if any. A directive
-/// on line L covers L and the next token-bearing line after L (the
-/// "comment above the offending line" idiom); it is returned by reference
-/// so callers can record it as *used* (the stale-allow pass's input).
+/// The reasoned directive covering `(rule_id, line)`, if any (see
+/// [`AllowDirective::covers`]); it is returned by reference so callers can
+/// record it as *used* (the stale-allow pass's input).
 fn covering_directive<'a>(
     allows: &'a [AllowDirective],
     token_lines: &[u32],
     rule_id: &str,
     line: u32,
 ) -> Option<&'a AllowDirective> {
-    allows.iter().find(|d| {
-        d.rule_id == rule_id
-            && !d.reason.is_empty()
-            && (d.line == line
-                || token_lines.iter().find(|t| **t > d.line).is_some_and(|next| *next == line))
-    })
+    allows.iter().find(|d| !d.reason.is_empty() && d.covers(token_lines, rule_id, line))
 }
 
 /// Build the facts for one file from its contents. This is the whole
