@@ -49,8 +49,7 @@ mod segment;
 
 pub use error::{RecordError, StoreError};
 pub use segment::{
-    CompactionReport, Store, StoreConfig, StoreStats, DEFAULT_MAX_BYTES, DEFAULT_SEGMENT_BYTES,
-    MIN_SEGMENT_BYTES,
+    Store, StoreConfig, StoreStats, DEFAULT_MAX_BYTES, DEFAULT_SEGMENT_BYTES, MIN_SEGMENT_BYTES,
 };
 
 /// Admission ceilings for quantities decoded from disk. Segment bytes

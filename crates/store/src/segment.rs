@@ -112,17 +112,6 @@ pub struct StoreStats {
     pub compactions: u64,
 }
 
-/// What one compaction pass did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionReport {
-    /// Live records carried into the fresh segment.
-    pub live_records: u64,
-    /// Disk bytes before.
-    pub bytes_before: u64,
-    /// Disk bytes after.
-    pub bytes_after: u64,
-}
-
 /// Where a live record sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RecordLoc {
@@ -363,8 +352,7 @@ impl Store {
     ///
     /// [`StoreError::Io`] when the scratch cannot be written, synced, or
     /// renamed.
-    fn compact(&mut self) -> Result<CompactionReport, StoreError> {
-        let bytes_before = self.disk_bytes();
+    fn compact(&mut self) -> Result<(), StoreError> {
         let mut live: Vec<(u64, RecordLoc)> =
             self.index.iter().map(|(digest, loc)| (*digest, *loc)).collect();
         live.sort_unstable_by_key(|(_, loc)| loc.seq);
@@ -408,11 +396,7 @@ impl Store {
         self.index = rebuilt;
         self.create_segment(compacted.saturating_add(1))?;
         self.compactions += 1;
-        Ok(CompactionReport {
-            live_records: saturating_u64(self.index.len()),
-            bytes_before,
-            bytes_after: self.disk_bytes(),
-        })
+        Ok(())
     }
 
     /// Total bytes on disk across all segments, dead records included.
@@ -625,13 +609,14 @@ mod tests {
         }
         let before: Vec<Option<Vec<u8>>> =
             (0..10u32).map(|key| store.get(&key.to_be_bytes()).expect("get")).collect();
-        let report = store.compact().expect("compact");
-        assert_eq!(report.live_records, 10);
+        let bytes_before = store.stats().disk_bytes;
+        store.compact().expect("compact");
+        let stats = store.stats();
+        assert_eq!((stats.records, stats.compactions), (10, 1));
         assert!(
-            report.bytes_after < report.bytes_before,
-            "two dead generations must be reclaimed ({} -> {})",
-            report.bytes_before,
-            report.bytes_after
+            stats.disk_bytes < bytes_before,
+            "two dead generations must be reclaimed ({bytes_before} -> {})",
+            stats.disk_bytes
         );
         let after: Vec<Option<Vec<u8>>> =
             (0..10u32).map(|key| store.get(&key.to_be_bytes()).expect("get")).collect();
