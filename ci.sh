@@ -88,6 +88,30 @@ if grep -rnE "(allow|expect)\([^)]*\b(dead_code|unused)" --include='*.rs' crates
   exit 1
 fi
 echo "rustc: no dead_code or unused lint is silenced"
+# A crate names only the workspace crates it uses: every workspace crate
+# in a [dependencies] or [dev-dependencies] table must appear as a
+# `name::` path in some .rs file under the crate or in a target its
+# manifest points at by `path` (the shared tests/ and examples/).
+ws_crates="$(sed -n '/^\[workspace.dependencies\]/,/^\[/s/^\([a-z][a-z0-9_-]*\) *=.*/\1/p' Cargo.toml)"
+unused_deps=0
+for manifest in crates/*/Cargo.toml; do
+  dir="$(dirname "$manifest")"
+  deps="$(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]"); next }
+    on && /^[a-z]/ { sub(/[ .=].*/, ""); print }' "$manifest")"
+  targets="$(sed -n "s|^path *= *\"\(.*\.rs\)\"|$dir/\1|p" "$manifest")"
+  for dep in $deps; do
+    grep -qx "$dep" <<<"$ws_crates" || continue
+    # $targets is unquoted on purpose: one word per target path.
+    if ! grep -rqE "(^|[^A-Za-z0-9_:])${dep//-/_}::" --include='*.rs' "$dir" $targets; then
+      echo "ci: $manifest depends on $dep, but no .rs file of the crate names it" >&2
+      unused_deps=1
+    fi
+  done
+done
+if [ "$unused_deps" != 0 ]; then
+  exit 1
+fi
+echo "cargo: every workspace dependency edge is used"
 # Rustdoc warnings fail CI, so an intra-doc link to a deleted name cannot
 # outlive the item it named.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps
