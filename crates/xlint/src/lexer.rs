@@ -65,7 +65,7 @@ impl AllowDirective {
     /// on line L covers L and the next token-bearing line after L (the
     /// "comment above the offending line" idiom); `token_lines` are the
     /// file's token-bearing lines in ascending order.
-    pub fn covers(&self, token_lines: &[u32], rule_id: &str, line: u32) -> bool {
+    pub(crate) fn covers(&self, token_lines: &[u32], rule_id: &str, line: u32) -> bool {
         self.rule_id == rule_id
             && (self.line == line
                 || token_lines.iter().find(|t| **t > self.line).is_some_and(|next| *next == line))
