@@ -173,17 +173,82 @@ fn per_strobe_capture(
     })
 }
 
+/// One `StrobedSampler::capture_errors` row against the oracle, bit for
+/// bit: it counts 0 errors against the oracle's bits and every bit against
+/// their complement, at apertures of 0, 2 and 20 ps and thresholds inside,
+/// on and beyond the rails.
+#[test]
+fn capture_matches_the_per_strobe_loop_bit_for_bit() {
+    use signal::jitter::JitterBudget;
+    use signal::{AnalogWaveform, DigitalWaveform, EdgeShape, LevelSet};
+    let (mut rng, n) = cases("sampler-oracle");
+    for case in 0..n {
+        let rate = DataRate::from_gbps([1.0, 2.5, 5.0][rng.range_usize(0..3)]);
+        let stream = random_bits(&mut rng, 16, 300);
+        let jitter = JitterBudget::new()
+            .with_rj_rms_ps(rng.range_f64(0.0, 12.0))
+            .with_dcd_ps(rng.range_f64(0.0, 25.0));
+        let levels = LevelSet::pecl().with_swing(Millivolts::new(rng.range_i32(150..1_000)));
+        let shape = EdgeShape::from_rise_fall_2080_ps(
+            rng.range_f64(30.0, 140.0),
+            rng.range_f64(30.0, 140.0),
+        );
+        let wave = AnalogWaveform::new(
+            DigitalWaveform::from_bits(&stream, rate, &jitter, rng.next_u64()),
+            levels,
+            shape,
+        );
+        let (vol, voh) = (levels.vol().as_mv(), levels.voh().as_mv());
+        let thresholds = [
+            vol + 50,
+            levels.mid().as_mv(),
+            voh - 50,
+            vol - 100,
+            voh + 100,
+            rng.range_i32(vol..voh),
+        ];
+        // Strobes from before the first bit's centre to past the last bit.
+        let phase = Duration::from_fs(rng.range_i64(-200_000..rate.unit_interval().as_fs()));
+        let bits = stream.len() + rng.range_usize(0..3);
+        for aperture_ps in [0, 2, 20] {
+            for threshold in thresholds {
+                let mut sampler = pecl::StrobedSampler::new(
+                    Millivolts::new(threshold),
+                    Duration::from_ps(aperture_ps),
+                );
+                if case % 4 == 1 {
+                    sampler.set_input_offset(Millivolts::new(rng.range_i32(-30..30)));
+                }
+                let seed = rng.next_u64();
+                let oracle = per_strobe_capture(&sampler, &wave, rate, phase, bits, seed);
+                let complement = BitStream::from_fn(bits, |i| !oracle[i]);
+                let row = [(phase, sampler.threshold(), seed)];
+                let what =
+                    format!("case {case}: aperture {aperture_ps} ps, threshold {threshold} mV");
+                assert_eq!(sampler.capture_errors(&wave, rate, &oracle, &row, bits), [0], "{what}");
+                assert_eq!(
+                    sampler.capture_errors(&wave, rate, &complement, &row, bits),
+                    [bits],
+                    "{what} against the complement"
+                );
+            }
+        }
+    }
+}
+
 /// `StrobedSampler::capture_errors` against the oracle, row by row. Each
 /// case strobes a random waveform with up to 40 rows: one column (a
 /// shmoo's), a vernier ladder with INL in order or shuffled, or a few
 /// phases each repeated in any order, at thresholds inside, on and beyond
 /// the rails. Two checks:
 /// - with `expected` set to a row's own oracle bits and a cap of 1, that
-///   row counts 0, so its every bit is the oracle's;
+///   row counts 0, and every other row passes exactly when its oracle
+///   bits match those;
 /// - with a perturbed `expected`, every row counts `min(hamming, cap)`
-///   for a cap of 1, a middle value and `expected.len()`.
+///   for a cap of 1 (0 exactly when the row's capture has no mismatch),
+///   a middle value and `expected.len()`.
 #[test]
-fn capture_errors_matches_the_per_strobe_loop() {
+fn capture_passes_matches_a_zero_mismatch_check_of_each_rows_capture() {
     use signal::jitter::JitterBudget;
     use signal::{AnalogWaveform, DigitalWaveform, EdgeShape, LevelSet};
     let (mut rng, n) = cases("sampler-rows");
