@@ -12,12 +12,23 @@ EXEC_THREADS=1 cargo test -q --offline
 EXEC_THREADS=4 cargo test -q --offline
 # headbench is a workspace of its own (it builds against these crates by
 # path), so the suites above do not reach it: run its generator-purity,
-# short-run and relay wire tests here.
+# short-run and relay wire tests here. Its Cargo.lock changes only with
+# the benchmark, but cargo rewrites it on these steps whenever a
+# workspace crate's dependency list changed since it was written: save
+# it first and put it back after them, so a passing run leaves the tree
+# clean.
+headbench_lock="$(mktemp)"
+cp headbench/Cargo.lock "$headbench_lock"
 cargo test --release --offline --manifest-path headbench/Cargo.toml
-cargo clippy --offline --all-targets -- -D warnings
 # headbench's own workspace is out of reach of the clippy and fmt steps
 # of this one too, so both also run on it by its manifest.
 cargo clippy --offline --all-targets --manifest-path headbench/Cargo.toml -- -D warnings
+if ! cmp -s "$headbench_lock" headbench/Cargo.lock; then
+  echo "ci: headbench/Cargo.lock is stale; refresh it with the next benchmark change"
+  cp "$headbench_lock" headbench/Cargo.lock
+fi
+rm -f "$headbench_lock"
+cargo clippy --offline --all-targets -- -D warnings
 # First-party static analysis: determinism, unit-safety, panic-freedom,
 # job-purity, and dataflow contracts (rules R1–R8 plus the call-graph and
 # taint passes; see DESIGN.md "Enforced invariants", "Semantic analysis

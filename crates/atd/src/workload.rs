@@ -19,30 +19,20 @@ fn to_usize(v: u32) -> usize {
     usize::try_from(v).unwrap_or(usize::MAX)
 }
 
-/// The expected bits and the rendered stimulus of a `bits`-long PRBS at
-/// `rate`, from one booted datapath: its lanes are regenerated from fixed
-/// seeds on every call, so both come from the same lanes.
-fn prbs_stimulus(
-    rate: DataRate,
-    bits: u32,
-    stim_seed: u64,
-) -> Result<(signal::BitStream, signal::AnalogWaveform), AtdError> {
-    let mut path = minitester::MiniTesterDatapath::new()?;
-    let expected = path.expected_prbs(rate, to_usize(bits))?;
-    let wave = path.prbs_stimulus(rate, to_usize(bits), stim_seed)?;
-    Ok((expected, wave))
-}
-
 /// Runs one job spec on `pool`, returning its wire-form result.
 ///
 /// Identical specs produce byte-identical results at any pool width: the
 /// workloads derive all randomness from spec-carried seeds through
-/// index-addressed substreams.
+/// index-addressed substreams. A shmoo or eye spec boots a datapath, has
+/// its DLC build the spec's PRBS pattern once, and checks the stimulus
+/// rendered from that pattern against the pattern's own bits.
 ///
 /// # Errors
 ///
-/// [`AtdError::Frame`] for an out-of-domain spec; workload and execution
-/// errors otherwise.
+/// [`AtdError::Frame`] for an out-of-domain spec;
+/// [`AtdError::MiniTester`] for a shmoo or eye stimulus length that is not
+/// a positive multiple of the 16 lanes; workload and execution errors
+/// otherwise.
 pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
     spec.validate()?;
     // A shard variant runs its parent's workload through the band entry
@@ -64,14 +54,17 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
             seed,
         } => {
             let rate = DataRate::from_bps(rate_bps);
-            let (expected, wave) = prbs_stimulus(rate, bits, stim_seed)?;
+            let mut path = minitester::MiniTesterDatapath::new()?;
+            let pattern = path.prbs_pattern(rate, to_usize(bits))?;
+            let wave = path.render(&pattern, stim_seed)?;
             let config = minitester::ShmooConfig {
                 phase_step: Duration::from_fs(phase_step_fs),
                 v_start: Millivolts::new(v_start_mv),
                 v_end: Millivolts::new(v_end_mv),
                 v_step: Millivolts::new(v_step_mv),
             };
-            let job = minitester::ShmooJob { wave: &wave, rate, expected: &expected, config, seed };
+            let job =
+                minitester::ShmooJob { wave: &wave, rate, expected: pattern.bits(), config, seed };
             let plot = match band {
                 Some((start, count)) => job.run_rows_on(pool, start, count)?,
                 None => job.run_on(pool)?,
@@ -106,13 +99,15 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
         }
         JobSpec::Eye { rate_bps, bits, stim_seed, seed } => {
             let rate = DataRate::from_bps(rate_bps);
-            let (expected, wave) = prbs_stimulus(rate, bits, stim_seed)?;
+            let mut path = minitester::MiniTesterDatapath::new()?;
+            let pattern = path.prbs_pattern(rate, to_usize(bits))?;
+            let wave = path.render(&pattern, stim_seed)?;
             let capture = minitester::EtCapture::new();
             let job = minitester::EyeScanJob {
                 capture: &capture,
                 wave: &wave,
                 rate,
-                expected: &expected,
+                expected: pattern.bits(),
                 seed,
             };
             let scan = match band {
@@ -152,10 +147,10 @@ mod tests {
         let remote = execute(&spec, &pool).unwrap();
 
         let mut path = minitester::MiniTesterDatapath::new().unwrap();
-        let expected = path.expected_prbs(rate, 256).unwrap();
-        let mut stim = minitester::MiniTesterDatapath::new().unwrap();
-        let wave = stim.prbs_stimulus(rate, 256, 17).unwrap();
-        let plot = minitester::ShmooJob { wave: &wave, rate, expected: &expected, config, seed: 5 }
+        let pattern = path.prbs_pattern(rate, 256).unwrap();
+        let wave = path.render(&pattern, 17).unwrap();
+        let expected = pattern.bits();
+        let plot = minitester::ShmooJob { wave: &wave, rate, expected, config, seed: 5 }
             .run_on(&pool)
             .unwrap();
         assert_eq!(remote, JobResult::from_shmoo(&plot).unwrap());
@@ -233,6 +228,31 @@ mod tests {
         let pool = ExecPool::serial();
         let spec = JobSpec::Eye { rate_bps: 0, bits: 16, stim_seed: 0, seed: 0 };
         assert!(matches!(execute(&spec, &pool), Err(AtdError::Frame(_))));
+    }
+
+    #[test]
+    fn stimulus_lengths_that_do_not_fill_the_16_lanes_are_typed_errors() {
+        // These lengths pass spec validation. Unchecked, 0, 1 and 15 bits
+        // would pass an eye over 0 compared bits, and 100 bits would
+        // compare only 96.
+        let pool = ExecPool::serial();
+        let rate = DataRate::from_gbps(2.5);
+        for bits in [0, 1, 15, 100] {
+            for spec in [
+                JobSpec::eye(rate, bits, 21, 9),
+                JobSpec::shmoo(rate, bits, 17, &minitester::ShmooConfig::pecl(), 5),
+            ] {
+                assert!(spec.validate().is_ok(), "{spec:?}");
+                let got = execute(&spec, &pool);
+                assert!(
+                    matches!(
+                        got,
+                        Err(AtdError::MiniTester(minitester::MiniTesterError::BadTestPlan { .. }))
+                    ),
+                    "{bits} bits: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl TestSystem {
         &self.chain
     }
 
-    /// Mutable chain access.
-    pub fn chain_mut(&mut self) -> &mut SignalChain {
-        &mut self.chain
-    }
-
     /// The embedded DLC.
     pub fn core_mut(&mut self) -> &mut dlc::DigitalLogicCore {
         &mut self.core
@@ -266,7 +261,6 @@ mod tests {
         program.levels.compare_threshold = program.levels.drive.mid();
         let result = system.run(&program, 2).unwrap();
         assert_eq!(result.waveform.levels().voh(), pstime::Millivolts::new(-1000));
-        let _ = system.chain_mut();
         let _ = system.core_mut();
         assert_eq!(system.chain().levels().voh(), pstime::Millivolts::new(-1000));
     }

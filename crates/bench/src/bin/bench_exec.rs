@@ -23,9 +23,9 @@ use signal::{BathtubCurve, BathtubSweep};
 fn canary() -> Result<(), AteError> {
     let pool = ExecPool::from_env();
     let rate = DataRate::from_gbps(2.5);
-    let expected = MiniTesterDatapath::new()?.expected_prbs(rate, 512)?;
-    let wave = MiniTesterDatapath::new()?.prbs_stimulus(rate, 512, 17)?;
-    let (wave, expected) = (&wave, &expected);
+    let mut path = MiniTesterDatapath::new()?;
+    let pattern = path.prbs_pattern(rate, 512)?;
+    let (wave, expected) = (&path.render(&pattern, 17)?, pattern.bits());
     let config = ShmooConfig::pecl();
     let plot = ShmooJob { wave, rate, expected, config, seed: 1 }.run_on(&pool)?;
     println!("== shmoo ==\n{plot}");

@@ -270,7 +270,8 @@ fn mini_eye(
 ) -> Result<Report, AteError> {
     let rate = DataRate::from_gbps(gbps);
     let mut path = MiniTesterDatapath::new()?;
-    let wave = path.prbs_stimulus(rate, EYE_BITS, seed)?;
+    let pattern = path.prbs_pattern(rate, EYE_BITS)?;
+    let wave = path.render(&pattern, seed)?;
     let eye = EyeDiagram::analyze(&wave, rate)?;
     let mut report = Report::new();
     if let Some(pp) = paper_jitter {
@@ -323,11 +324,8 @@ pub fn fig18_mini_5g_pattern(seed: u64) -> Result<Report, AteError> {
 
     // Rise time on a pattern slow enough to settle.
     let rate_slow = DataRate::from_gbps(1.0);
-    let wave = path.pattern_stimulus(
-        &BitStream::from_str_bits("0011").repeat(64),
-        rate_slow,
-        tree.channel(0).seed(),
-    )?;
+    let pattern = path.explicit_pattern(&BitStream::from_str_bits("0011").repeat(64), rate_slow)?;
+    let wave = path.render(&pattern, tree.channel(0).seed())?;
     let (rise, _) = transition_time_stats(&wave, rate_slow)?;
     report.push(Comparison::new(
         "FIG18",
@@ -339,11 +337,9 @@ pub fn fig18_mini_5g_pattern(seed: u64) -> Result<Report, AteError> {
 
     // Swing compression at 5 Gbps: isolated-1 peak amplitude vs settled.
     let rate = DataRate::from_gbps(5.0);
-    let wave5 = path.pattern_stimulus(
-        &BitStream::from_str_bits("0000000100000000").repeat(16),
-        rate,
-        tree.channel(1).seed(),
-    )?;
+    let pattern5 =
+        path.explicit_pattern(&BitStream::from_str_bits("0000000100000000").repeat(16), rate)?;
+    let wave5 = path.render(&pattern5, tree.channel(1).seed())?;
     let digital = wave5.digital();
     let (lo, hi) = wave5.range_over(digital.start(), digital.end(), Duration::from_ps(5));
     let peak_swing = hi - lo;

@@ -146,10 +146,10 @@ impl fmt::Display for EyeScan {
 ///
 /// let mut path = MiniTesterDatapath::new()?;
 /// let rate = DataRate::from_gbps(2.5);
-/// let expected = path.expected_prbs(rate, 512)?;
-/// let wave = path.prbs_stimulus(rate, 512, 3)?;
+/// let pattern = path.prbs_pattern(rate, 512)?;
+/// let wave = path.render(&pattern, 3)?;
 /// let capture = EtCapture::new();
-/// let job = EyeScanJob { capture: &capture, wave: &wave, rate, expected: &expected, seed: 11 };
+/// let job = EyeScanJob { capture: &capture, wave: &wave, rate, expected: pattern.bits(), seed: 11 };
 /// let scan = job.run_on(&ExecPool::serial())?;
 /// assert!(scan.opening_ui()?.value() > 0.7);
 /// # Ok::<(), minitester::MiniTesterError>(())
@@ -241,7 +241,8 @@ pub struct EyeScanJob<'a> {
     pub wave: &'a AnalogWaveform,
     /// The data rate under test.
     pub rate: DataRate,
-    /// The expected pattern at each strobe phase.
+    /// The expected pattern at each strobe phase: the bits of the
+    /// [`LanePattern`](crate::LanePattern) whose stimulus produced `wave`.
     pub expected: &'a BitStream,
     /// Master seed for the per-phase capture substreams.
     pub seed: u64,
@@ -372,10 +373,8 @@ mod tests {
     fn prbs_setup(gbps: f64, bits: usize) -> (AnalogWaveform, DataRate, BitStream) {
         let mut path = MiniTesterDatapath::new().unwrap();
         let rate = DataRate::from_gbps(gbps);
-        let expected = path.expected_prbs(rate, bits).unwrap();
-        let mut path2 = MiniTesterDatapath::new().unwrap();
-        let wave = path2.prbs_stimulus(rate, bits, 21).unwrap();
-        (wave, rate, expected)
+        let pattern = path.prbs_pattern(rate, bits).unwrap();
+        (path.render(&pattern, 21).unwrap(), rate, pattern.bits().clone())
     }
 
     /// A serial scan with a fresh capture head.
@@ -564,11 +563,11 @@ mod bathtub_tests {
     fn measured_bathtub_has_walls_and_a_floor() {
         let mut path = MiniTesterDatapath::new().unwrap();
         let rate = DataRate::from_gbps(2.5);
-        let expected = path.expected_prbs(rate, 1_024).unwrap();
-        let mut path2 = MiniTesterDatapath::new().unwrap();
-        let wave = path2.prbs_stimulus(rate, 1_024, 31).unwrap();
+        let pattern = path.prbs_pattern(rate, 1_024).unwrap();
+        let wave = path.render(&pattern, 31).unwrap();
         let capture = EtCapture::new();
-        let job = EyeScanJob { capture: &capture, wave: &wave, rate, expected: &expected, seed: 7 };
+        let job =
+            EyeScanJob { capture: &capture, wave: &wave, rate, expected: pattern.bits(), seed: 7 };
         let scan = exec::PoolJob::run_on(&job, &exec::ExecPool::serial()).unwrap();
         let tub = scan.bathtub();
         assert_eq!(tub.len(), 40);

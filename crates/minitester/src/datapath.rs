@@ -11,10 +11,58 @@ use pecl::SignalChain;
 use pstime::DataRate;
 use signal::{AnalogWaveform, BitStream, LevelSet};
 
-use crate::Result;
+use crate::{MiniTesterError, Result};
 
 /// Number of CMOS lanes feeding the serializer (two groups of eight).
 pub const LANES: usize = 16;
+
+/// One stimulus pattern as the DLC generated it: 16 equal, nonempty CMOS
+/// lanes at a serial rate, and the serial bits the two-stage mux makes of
+/// them. [`MiniTesterDatapath::render`] turns it into a stimulus with any
+/// seed, and its [`bits`](Self::bits) are what the receive side checks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LanePattern {
+    rate: DataRate,
+    lanes: Vec<BitStream>,
+    bits: BitStream,
+}
+
+impl LanePattern {
+    /// Interleaves the 16 lanes in the two-stage mux's serial order.
+    fn new(rate: DataRate, lanes: Vec<BitStream>) -> Self {
+        let reordered: Vec<BitStream> =
+            (0..LANES).map(|i| lanes[serial_lane_for_position(i)].clone()).collect(); // xlint::allow(panic-reachable, both constructors pass exactly LANES lanes and serial_lane_for_position maps 0..LANES into 0..LANES)
+        LanePattern { rate, bits: BitStream::interleave(&reordered), lanes }
+    }
+
+    /// The serial bits the rendered lanes carry.
+    pub fn bits(&self) -> &BitStream {
+        &self.bits
+    }
+}
+
+/// The serial bit order of the two-stage mux: the final 2:1 alternates
+/// between group A (lanes 0–7) and group B (lanes 8–15), so serial
+/// position `i` carries physical lane `i/2` (even `i`) or `8 + i/2`
+/// (odd `i`).
+fn serial_lane_for_position(i: usize) -> usize {
+    if i.is_multiple_of(2) {
+        i / 2
+    } else {
+        8 + i / 2
+    }
+}
+
+/// Rejects a length the 16 lanes cannot carry evenly (it would drop bits
+/// or leave unequal lanes) and an empty one, which would compare nothing.
+fn check_length(n_bits: usize) -> Result<()> {
+    if n_bits == 0 || !n_bits.is_multiple_of(LANES) {
+        return Err(MiniTesterError::BadTestPlan {
+            reason: "stimulus length must be a positive multiple of the 16 lanes",
+        });
+    }
+    Ok(())
+}
 
 /// The stimulus datapath: a booted DLC feeding the calibrated mini-tester
 /// PECL chain through the two-stage mux.
@@ -23,11 +71,15 @@ pub const LANES: usize = 16;
 ///
 /// ```
 /// use minitester::MiniTesterDatapath;
-/// use pstime::DataRate;
+/// use pstime::{DataRate, Duration};
 ///
 /// let mut path = MiniTesterDatapath::new()?;
-/// let wave = path.prbs_stimulus(DataRate::from_gbps(5.0), 1_024, 3)?;
-/// assert_eq!(wave.digital().span(), DataRate::from_gbps(5.0).unit_interval() * 1_024);
+/// let rate = DataRate::from_gbps(5.0);
+/// let pattern = path.prbs_pattern(rate, 1_024)?;
+/// let wave = path.render(&pattern, 3)?;
+/// assert_eq!(wave.digital().span(), rate.unit_interval() * 1_024);
+/// // Mid-bit sampling of the clean digital edges recovers the pattern.
+/// assert_eq!(&wave.digital().to_bits(rate, Duration::from_ps(100)), pattern.bits());
 /// # Ok::<(), minitester::MiniTesterError>(())
 /// ```
 #[derive(Debug)]
@@ -54,11 +106,6 @@ impl MiniTesterDatapath {
         &self.chain
     }
 
-    /// Mutable chain access.
-    pub fn chain_mut(&mut self) -> &mut SignalChain {
-        &mut self.chain
-    }
-
     /// Reprograms output levels.
     pub fn set_levels(&mut self, levels: LevelSet) {
         self.chain.set_levels(levels);
@@ -71,54 +118,6 @@ impl MiniTesterDatapath {
         rate.demux(LANES as u64)
     }
 
-    /// The serial bit order of the two-stage mux: the final 2:1 alternates
-    /// between group A (lanes 0–7) and group B (lanes 8–15), so serial
-    /// position `i` carries physical lane `i/2` (even `i`) or `8 + i/2`
-    /// (odd `i`).
-    fn serial_lane_for_position(i: usize) -> usize {
-        if i.is_multiple_of(2) {
-            i / 2
-        } else {
-            8 + i / 2
-        }
-    }
-
-    /// Interleaves 16 physical lanes in the two-stage mux's serial order:
-    /// the serial bits the rendered lanes carry.
-    pub(crate) fn two_stage_interleave(lanes: &[BitStream]) -> BitStream {
-        let reordered: Vec<BitStream> =
-            (0..LANES).map(|i| lanes[Self::serial_lane_for_position(i)].clone()).collect(); // xlint::allow(panic-reachable, callers pass exactly LANES lanes and serial_lane_for_position maps 0..LANES into 0..LANES)
-        BitStream::interleave(&reordered)
-    }
-
-    /// Generates a PRBS stimulus at `rate` by running 16 decorrelated
-    /// PRBS-15 lanes through the 8:1 + 8:1 + 2:1 mux structure.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DLC channel configuration and PECL rate errors.
-    pub fn prbs_stimulus(
-        &mut self,
-        rate: DataRate,
-        n_bits: usize,
-        seed: u64,
-    ) -> Result<AnalogWaveform> {
-        let lanes = self.prbs_lanes(rate, n_bits)?;
-        self.render_lanes(&lanes, rate, seed)
-    }
-
-    /// Renders 16 lanes through the mux structure at `rate`: the analog
-    /// half of [`prbs_stimulus`](Self::prbs_stimulus), which needs no DLC
-    /// state.
-    pub(crate) fn render_lanes(
-        &self,
-        lanes: &[BitStream],
-        rate: DataRate,
-        seed: u64,
-    ) -> Result<AnalogWaveform> {
-        Ok(self.chain.serialize_16(lanes, rate, seed)?)
-    }
-
     /// Hashed per-lane LFSR seed: the first ~15 output bits of a Fibonacci
     /// LFSR are the seed's low bits, so structured (e.g. arithmetic) seeds
     /// would correlate the early columns of the mux output.
@@ -127,10 +126,17 @@ impl MiniTesterDatapath {
         ((h >> 29) as u32) | 1
     }
 
-    /// Configures and runs the 16 PRBS lanes, discarding one LFSR length of
-    /// warm-up bits per lane. Each call reconfigures every lane from its
-    /// fixed seed, so the lanes depend only on `rate` and `n_bits`.
-    pub(crate) fn prbs_lanes(&mut self, rate: DataRate, n_bits: usize) -> Result<Vec<BitStream>> {
+    /// Generates an `n_bits`-long PRBS pattern at `rate`: 16 decorrelated
+    /// PRBS-15 lanes, each discarding one LFSR length of warm-up bits. Each
+    /// call reconfigures every lane from its fixed seed, so the pattern
+    /// depends on `rate` and `n_bits` alone.
+    ///
+    /// # Errors
+    ///
+    /// [`MiniTesterError::BadTestPlan`] unless `n_bits` is a positive
+    /// multiple of 16; DLC channel configuration errors otherwise.
+    pub fn prbs_pattern(&mut self, rate: DataRate, n_bits: usize) -> Result<LanePattern> {
+        check_length(n_bits)?;
         let lane_rate = Self::lane_rate(rate);
         for lane in 0..LANES {
             self.core.configure_channel(
@@ -140,56 +146,53 @@ impl MiniTesterDatapath {
             )?;
         }
         let lane_bits = n_bits / LANES;
-        (0..LANES)
+        let lanes = (0..LANES)
             .map(|lane| {
                 let _warmup = self.core.generate(lane, 16)?;
-                Ok(self.core.generate(lane, lane_bits)?)
+                self.core.generate(lane, lane_bits)
             })
-            .collect()
+            .collect::<dlc::Result<_>>()?;
+        Ok(LanePattern::new(rate, lanes))
     }
 
-    /// Renders an explicit serial pattern at `rate` by splitting it across
-    /// the 16 lanes (what the real tester's pattern compiler does).
+    /// Loads an explicit serial pattern at `rate` by splitting it across
+    /// the 16 lanes (what the real tester's pattern compiler does), so
+    /// that the pattern's [`bits`](LanePattern::bits) equal `serial`.
     ///
     /// # Errors
     ///
-    /// Propagates DLC and PECL errors.
-    pub fn pattern_stimulus(
-        &mut self,
-        pattern: &BitStream,
-        rate: DataRate,
-        seed: u64,
-    ) -> Result<AnalogWaveform> {
+    /// [`MiniTesterError::BadTestPlan`] unless `serial`'s length is a
+    /// positive multiple of 16; DLC errors otherwise.
+    pub fn explicit_pattern(&mut self, serial: &BitStream, rate: DataRate) -> Result<LanePattern> {
+        check_length(serial.len())?;
         let lane_rate = Self::lane_rate(rate);
         // Split the serial pattern so that the two-stage mux reassembles it
         // in order: serial position i lands on physical lane i/2 (group A)
         // or 8 + i/2 (group B).
-        let round_robin = pattern.deinterleave(LANES);
+        let round_robin = serial.deinterleave(LANES);
         let mut lanes = vec![BitStream::new(); LANES];
         for (i, stream) in round_robin.into_iter().enumerate() {
-            lanes[Self::serial_lane_for_position(i)] = stream;
+            lanes[serial_lane_for_position(i)] = stream;
         }
         // Load each lane into the DLC as an explicit pattern to keep the
         // control flow identical to hardware operation.
         for (i, lane) in lanes.iter().enumerate() {
             self.core.configure_channel(i, PatternKind::Explicit(lane.clone()), lane_rate)?;
         }
-        let regenerated: Vec<BitStream> = (0..LANES)
+        let regenerated = (0..LANES)
             .map(|i| self.core.generate(i, lanes[i].len()))
             .collect::<dlc::Result<_>>()?;
-        Ok(self.chain.serialize_16(&regenerated, rate, seed)?)
+        Ok(LanePattern::new(rate, regenerated))
     }
 
-    /// The serial bit sequence that [`prbs_stimulus`](Self::prbs_stimulus)
-    /// will produce for comparison at the receive side (regenerates the
-    /// same lanes and muxing without rendering).
+    /// Renders `pattern`'s lanes through the 8:1 + 8:1 + 2:1 mux and this
+    /// datapath's PECL chain at the pattern's rate. Needs no DLC state.
     ///
     /// # Errors
     ///
-    /// Propagates DLC errors.
-    pub fn expected_prbs(&mut self, rate: DataRate, n_bits: usize) -> Result<BitStream> {
-        let lanes = self.prbs_lanes(rate, n_bits)?;
-        Ok(Self::two_stage_interleave(&lanes))
+    /// Propagates PECL rate errors.
+    pub fn render(&self, pattern: &LanePattern, seed: u64) -> Result<AnalogWaveform> {
+        Ok(self.chain.serialize_16(&pattern.lanes, pattern.rate, seed)?)
     }
 }
 
@@ -211,7 +214,8 @@ mod tests {
     fn prbs_stimulus_renders_full_span() {
         let mut path = MiniTesterDatapath::new().unwrap();
         let rate = DataRate::from_gbps(2.5);
-        let wave = path.prbs_stimulus(rate, 512, 1).unwrap();
+        let pattern = path.prbs_pattern(rate, 512).unwrap();
+        let wave = path.render(&pattern, 1).unwrap();
         assert_eq!(wave.digital().span(), rate.unit_interval() * 512);
         // PRBS: roughly half the bits toggle.
         let edges = wave.digital().num_edges();
@@ -224,7 +228,8 @@ mod tests {
         let mut path = MiniTesterDatapath::new().unwrap();
         for (gbps, want, tol) in [(1.0, 0.95, 0.03), (2.5, 0.87, 0.035), (5.0, 0.75, 0.05)] {
             let rate = DataRate::from_gbps(gbps);
-            let wave = path.prbs_stimulus(rate, 4_096, 5).unwrap();
+            let pattern = path.prbs_pattern(rate, 4_096).unwrap();
+            let wave = path.render(&pattern, 5).unwrap();
             let eye = EyeDiagram::analyze(&wave, rate).unwrap();
             let got = eye.opening_ui().value();
             assert!((got - want).abs() < tol, "at {gbps} Gbps measured {got}, paper ~{want} UI");
@@ -235,7 +240,8 @@ mod tests {
     fn five_gbps_jitter_is_about_50ps() {
         let mut path = MiniTesterDatapath::new().unwrap();
         let rate = DataRate::from_gbps(5.0);
-        let wave = path.prbs_stimulus(rate, 4_096, 9).unwrap();
+        let pattern = path.prbs_pattern(rate, 4_096).unwrap();
+        let wave = path.render(&pattern, 9).unwrap();
         let eye = EyeDiagram::analyze(&wave, rate).unwrap();
         let jitter = eye.jitter_pp().as_ps_f64();
         assert!((43.0..57.0).contains(&jitter), "jitter {jitter} ps, expected ~50");
@@ -246,7 +252,9 @@ mod tests {
         let mut path = MiniTesterDatapath::new().unwrap();
         let rate = DataRate::from_gbps(1.0);
         let pattern = BitStream::from_str_bits("1011001110001011").repeat(16);
-        let wave = path.pattern_stimulus(&pattern, rate, 2).unwrap();
+        let lanes = path.explicit_pattern(&pattern, rate).unwrap();
+        assert_eq!(lanes.bits(), &pattern);
+        let wave = path.render(&lanes, 2).unwrap();
         let recovered = wave.digital().to_bits(rate, Duration::from_ps(500));
         let (errors, compared) = recovered.hamming_distance(&pattern);
         assert_eq!(compared, 256);
@@ -254,15 +262,42 @@ mod tests {
     }
 
     #[test]
-    fn expected_prbs_matches_stimulus_digital_bits() {
+    fn prbs_patterns_depend_on_rate_and_bits_alone() {
+        // A datapath whose channels were last programmed at another rate
+        // and with an explicit pattern must build the same PRBS pattern as
+        // a freshly booted one.
+        let mut used = MiniTesterDatapath::new().unwrap();
+        for (gbps, bits) in [(1.0, 64), (2.5, 256), (3.125, 512), (5.0, 1_024), (6.0, 2_048)] {
+            let rate = DataRate::from_gbps(gbps);
+            let other = DataRate::from_gbps(7.0 - gbps);
+            used.prbs_pattern(other, 2 * bits).unwrap();
+            used.explicit_pattern(&BitStream::from_str_bits("0011").repeat(bits / 4), other)
+                .unwrap();
+            let pattern = used.prbs_pattern(rate, bits).unwrap();
+            let fresh = MiniTesterDatapath::new().unwrap().prbs_pattern(rate, bits).unwrap();
+            assert_eq!(pattern, fresh, "{gbps} Gbps, {bits} bits");
+            assert_eq!(pattern.bits().len(), bits);
+            // The rendered wave carries the pattern's serial bits; the
+            // PECL chain refuses rates past its 5 Gbps limit.
+            match used.render(&pattern, 3) {
+                Ok(wave) => {
+                    let mid_bit = rate.unit_interval() / 2;
+                    assert_eq!(&wave.digital().to_bits(rate, mid_bit), pattern.bits());
+                }
+                Err(e) => assert!(gbps > 5.0, "{gbps} Gbps: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn stimulus_lengths_must_fill_the_16_lanes() {
         let mut path = MiniTesterDatapath::new().unwrap();
         let rate = DataRate::from_gbps(2.5);
-        let expected = path.expected_prbs(rate, 512).unwrap();
-        let mut path2 = MiniTesterDatapath::new().unwrap();
-        let wave = path2.prbs_stimulus(rate, 512, 3).unwrap();
-        let recovered = wave.digital().to_bits(rate, Duration::from_ps(200));
-        let (errors, _) = recovered.hamming_distance(&expected);
-        assert_eq!(errors, 0);
+        for bits in [0, 1, 15, 100] {
+            assert!(path.prbs_pattern(rate, bits).is_err(), "{bits} bits");
+            assert!(path.explicit_pattern(&BitStream::alternating(bits), rate).is_err());
+        }
+        assert_eq!(path.prbs_pattern(rate, 16).unwrap().bits().len(), 16);
     }
 
     #[test]
@@ -271,6 +306,5 @@ mod tests {
         let reduced = LevelSet::pecl().with_swing(pstime::Millivolts::new(400));
         path.set_levels(reduced);
         assert_eq!(path.chain().levels().swing(), pstime::Millivolts::new(400));
-        let _ = path.chain_mut();
     }
 }

@@ -8,6 +8,8 @@
 //!
 //! * [`datapath`] — the stimulus path: 16 CMOS lanes at ~312 Mbps through
 //!   two 8:1 PECL mux groups and a final 2:1 to reach 5 Gbps (Fig. 15).
+//!   The DLC builds a pattern's lanes once, as a [`LanePattern`], and
+//!   every stimulus renders from it.
 //! * [`channel`] — the interposer/compliant-lead channel model:
 //!   attenuation, bandwidth-limited ISI, and propagation delay.
 //! * [`dut`] — a WLP die model with BIST: loopback and internal PRBS
@@ -50,7 +52,7 @@ mod tester;
 pub use array::ProbeArray;
 pub use capture::{EtCapture, EyeScan, EyeScanJob};
 pub use channel::WlpChannel;
-pub use datapath::MiniTesterDatapath;
+pub use datapath::{LanePattern, MiniTesterDatapath};
 pub use dut::{BistMode, Defect, WlpDut};
 pub use error::MiniTesterError;
 pub use multisite::{Bin, DieRecord, WaferReport, WaferRunConfig};

@@ -14,7 +14,7 @@ use rng::{SeedTree, StreamId};
 use crate::array::ProbeArray;
 use crate::channel::WlpChannel;
 use crate::dut::{Defect, WlpDut};
-use crate::tester::{MiniTester, TestPlan};
+use crate::tester::{MiniTester, PreparedPlan, TestPlan};
 use crate::Result;
 
 /// Substream identity for defect-injection rolls across the wafer.
@@ -256,15 +256,14 @@ fn run_wafer_inner(
     let die_tree = tree.derive(WAFER_DIE_STREAM);
     let array = ProbeArray::new(config.sites);
 
-    // One tester serves every die. A plan's lanes depend only on its rate
-    // and length, so they are generated once; each die renders its own
-    // stimulus from them with its own seed.
+    // One tester and one PRBS pattern serve every die and both plans (the
+    // margin plan keeps the BIST plan's validated rate and length); each
+    // die renders its own stimulus from the pattern with its own seed.
     let mut tester = MiniTester::new()?;
     let bist_plan = tester.prepare(&TestPlan::prbs_bist(config.rate, config.test_bits))?;
-    let margin_plan = tester.prepare(&TestPlan {
-        min_eye_ui: 0.8,
-        ..TestPlan::prbs_loopback(config.rate, config.test_bits)
-    })?;
+    let margin =
+        TestPlan { min_eye_ui: 0.8, ..TestPlan::prbs_loopback(config.rate, config.test_bits) };
+    let margin_plan = PreparedPlan { plan: margin, pattern: bist_plan.pattern.clone() };
     let tester = &tester;
 
     let outcome = pool.run(die_count, |job| -> Result<DieOutcome> {

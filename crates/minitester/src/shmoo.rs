@@ -88,7 +88,8 @@ pub struct ShmooJob<'a> {
     pub wave: &'a AnalogWaveform,
     /// The data rate under test.
     pub rate: DataRate,
-    /// The expected pattern at each capture point.
+    /// The expected pattern at each capture point: the bits of the
+    /// [`LanePattern`](crate::LanePattern) whose stimulus produced `wave`.
     pub expected: &'a BitStream,
     /// Sweep configuration (axes and steps).
     pub config: ShmooConfig,
@@ -298,10 +299,8 @@ mod tests {
     fn prbs_setup(gbps: f64) -> (AnalogWaveform, DataRate, BitStream) {
         let mut path = MiniTesterDatapath::new().unwrap();
         let rate = DataRate::from_gbps(gbps);
-        let expected = path.expected_prbs(rate, 512).unwrap();
-        let mut path2 = MiniTesterDatapath::new().unwrap();
-        let wave = path2.prbs_stimulus(rate, 512, 17).unwrap();
-        (wave, rate, expected)
+        let pattern = path.prbs_pattern(rate, 512).unwrap();
+        (path.render(&pattern, 17).unwrap(), rate, pattern.bits().clone())
     }
 
     /// A full sweep on the default pool, as an outermost caller runs it.

@@ -8,11 +8,10 @@
 use core::fmt;
 
 use pstime::{DataRate, UnitInterval};
-use signal::BitStream;
 
 use crate::capture::{EtCapture, EyeScanJob};
 use crate::channel::WlpChannel;
-use crate::datapath::MiniTesterDatapath;
+use crate::datapath::{LanePattern, MiniTesterDatapath};
 use crate::dut::{BistMode, WlpDut};
 use crate::{MiniTesterError, Result};
 
@@ -45,11 +44,6 @@ impl TestPlan {
     fn validate(&self) -> Result<()> {
         if self.n_bits < 64 {
             return Err(MiniTesterError::BadTestPlan { reason: "need at least 64 bits" });
-        }
-        if !self.n_bits.is_multiple_of(crate::datapath::LANES) {
-            return Err(MiniTesterError::BadTestPlan {
-                reason: "bit count must be a multiple of the 16 lanes",
-            });
         }
         if !(0.0..=1.0).contains(&self.min_eye_ui) {
             return Err(MiniTesterError::BadTestPlan { reason: "eye limit must be in [0, 1] UI" });
@@ -160,8 +154,8 @@ impl MiniTester {
         self.run_prepared(&self.dut, &prepared, seed)
     }
 
-    /// Validates `plan` and generates its PRBS lanes and expected bits on
-    /// the DLC. Both depend only on the plan's rate and length, so one
+    /// Validates `plan` and has the DLC generate its PRBS pattern. The
+    /// pattern depends only on the plan's rate and length, so one
     /// prepared plan serves every die a wafer run probes.
     ///
     /// # Errors
@@ -169,13 +163,12 @@ impl MiniTester {
     /// Propagates plan validation and DLC errors.
     pub fn prepare(&mut self, plan: &TestPlan) -> Result<PreparedPlan> {
         plan.validate()?;
-        let lanes = self.datapath.prbs_lanes(plan.rate, plan.n_bits)?;
-        let expected = MiniTesterDatapath::two_stage_interleave(&lanes);
-        Ok(PreparedPlan { plan: plan.clone(), lanes, expected })
+        let pattern = self.datapath.prbs_pattern(plan.rate, plan.n_bits)?;
+        Ok(PreparedPlan { plan: plan.clone(), pattern })
     }
 
     /// Runs a prepared plan against `dut`: renders the stimulus from the
-    /// plan's lanes with `seed`, then checks the die in the plan's BIST
+    /// plan's pattern with `seed`, then checks the die in the plan's BIST
     /// mode. Needs no DLC state, so dies can share one tester.
     ///
     /// # Errors
@@ -187,8 +180,9 @@ impl MiniTester {
         prepared: &PreparedPlan,
         seed: u64,
     ) -> Result<TestOutcome> {
-        let PreparedPlan { plan, lanes, expected } = prepared;
-        let stimulus = self.datapath.render_lanes(lanes, plan.rate, seed)?;
+        let PreparedPlan { plan, pattern } = prepared;
+        let stimulus = self.datapath.render(pattern, seed)?;
+        let expected = pattern.bits();
 
         match plan.mode {
             BistMode::PrbsChecker => {
@@ -235,13 +229,12 @@ impl MiniTester {
     }
 }
 
-/// A [`TestPlan`] with its PRBS lanes and expected bits generated, from
+/// A [`TestPlan`] with its PRBS pattern generated, from
 /// [`MiniTester::prepare`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedPlan {
-    plan: TestPlan,
-    lanes: Vec<BitStream>,
-    expected: BitStream,
+    pub(crate) plan: TestPlan,
+    pub(crate) pattern: LanePattern,
 }
 
 #[cfg(test)]

@@ -97,11 +97,6 @@ impl Transmitter {
         &self.timing
     }
 
-    /// The PECL chain (for level reprogramming in the Figs. 10–11 sweeps).
-    pub fn chain_mut(&mut self) -> &mut SignalChain {
-        &mut self.chain
-    }
-
     /// Borrow of the PECL chain.
     pub fn chain(&self) -> &SignalChain {
         &self.chain
@@ -188,7 +183,6 @@ mod tests {
         let t = Instant::from_ps((20 + 16) * 400);
         let v = sent.payload[0].value_at(t);
         assert!((v + 1100.0).abs() < 10.0, "v = {v}");
-        let _ = tx.chain_mut();
     }
 
     #[test]

@@ -41,9 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nshmoo of the stimulus at 2.5 Gbps ('*' = pass):");
     let rate = DataRate::from_gbps(2.5);
     let mut path = MiniTesterDatapath::new()?;
-    let expected = path.expected_prbs(rate, 1_024)?;
-    let wave = path.prbs_stimulus(rate, 1_024, 5)?;
-    let (wave, expected) = (&wave, &expected);
+    let pattern = path.prbs_pattern(rate, 1_024)?;
+    let (wave, expected) = (&path.render(&pattern, 5)?, pattern.bits());
     let config = ShmooConfig::pecl();
     let plot = ShmooJob { wave, rate, expected, config, seed: 5 }.run_on(&ExecPool::from_env())?;
     println!("{plot}");

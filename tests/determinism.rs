@@ -93,14 +93,13 @@ fn sweeps_are_thread_count_invariant() {
 
     let rate = DataRate::from_gbps(2.5);
     let mut path = MiniTesterDatapath::new().unwrap();
-    let expected = path.expected_prbs(rate, 512).unwrap();
-    let mut path2 = MiniTesterDatapath::new().unwrap();
-    let wave = path2.prbs_stimulus(rate, 512, 17).unwrap();
+    let pattern = path.prbs_pattern(rate, 512).unwrap();
+    let wave = path.render(&pattern, 17).unwrap();
 
     // Three workers split a 40-phase eye band unevenly.
     let pools = [ExecPool::new(1), ExecPool::new(2), ExecPool::new(3), ExecPool::new(8)];
 
-    let (wave, expected) = (&wave, &expected);
+    let (wave, expected) = (&wave, pattern.bits());
     let shmoo = ShmooJob { wave, rate, expected, config: ShmooConfig::pecl(), seed: 3 };
     let shmoos: Vec<_> = pools.iter().map(|p| shmoo.run_on(p).unwrap()).collect();
     assert_eq!(shmoos[0], shmoos[1], "shmoo differs between 1 and 2 threads");
@@ -185,11 +184,10 @@ fn loopback_submitted_shmoo_matches_direct_run_at_any_thread_count() {
 
     // Direct run, no service in the path.
     let mut path = MiniTesterDatapath::new().unwrap();
-    let expected = path.expected_prbs(rate, 256).unwrap();
-    let mut stim = MiniTesterDatapath::new().unwrap();
-    let wave = stim.prbs_stimulus(rate, 256, 17).unwrap();
+    let pattern = path.prbs_pattern(rate, 256).unwrap();
+    let wave = path.render(&pattern, 17).unwrap();
     let pool = ExecPool::new(2);
-    let (wave, expected) = (&wave, &expected);
+    let (wave, expected) = (&wave, pattern.bits());
     let plot = ShmooJob { wave, rate, expected, config, seed: 5 }.run_on(&pool).unwrap();
     let direct = JobResult::from_shmoo(&plot).unwrap().encoded().unwrap();
 
@@ -403,11 +401,10 @@ fn loopback_chunk_stream_matches_tcp_at_any_thread_count() {
 
     // Direct run, no service in the path.
     let mut path = MiniTesterDatapath::new().unwrap();
-    let expected = path.expected_prbs(rate, 256).unwrap();
-    let mut stim = MiniTesterDatapath::new().unwrap();
-    let wave = stim.prbs_stimulus(rate, 256, 17).unwrap();
+    let pattern = path.prbs_pattern(rate, 256).unwrap();
+    let wave = path.render(&pattern, 17).unwrap();
     let pool = ExecPool::new(2);
-    let (wave, expected) = (&wave, &expected);
+    let (wave, expected) = (&wave, pattern.bits());
     let plot = ShmooJob { wave, rate, expected, config, seed: 5 }.run_on(&pool).unwrap();
     let direct = JobResult::from_shmoo(&plot).unwrap().encoded().unwrap();
 
@@ -781,12 +778,12 @@ fn kernel_outputs_match_frozen_digests() {
         use minitester::{EtCapture, EyeScanJob, MiniTesterDatapath, WlpChannel, WlpDut};
         let rate = DataRate::from_gbps(5.0);
         let mut path = MiniTesterDatapath::new().unwrap();
-        let expected = path.expected_prbs(rate, 2_048).unwrap();
-        let stimulus = path.prbs_stimulus(rate, 2_048, 4).unwrap();
+        let pattern = path.prbs_pattern(rate, 2_048).unwrap();
+        let stimulus = path.render(&pattern, 4).unwrap();
         let returned = WlpDut::good(WlpChannel::degraded()).loopback(&stimulus, rate, 2_048, 4);
         let capture = EtCapture::new();
-        let job =
-            EyeScanJob { capture: &capture, wave: &returned, rate, expected: &expected, seed: 4 };
+        let expected = pattern.bits();
+        let job = EyeScanJob { capture: &capture, wave: &returned, rate, expected, seed: 4 };
         let scan = job.run_on(&pool).unwrap();
         let points = scan.points();
         assert!(points.iter().any(|p| p.errors == 0) && points.iter().any(|p| p.errors > 0));

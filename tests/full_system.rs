@@ -155,14 +155,14 @@ fn shmoo_operating_point_decodes_cleanly() {
     use minitester::{EtCapture, MiniTesterDatapath, ShmooConfig, ShmooJob};
     let rate = DataRate::from_gbps(2.5);
     let mut path = MiniTesterDatapath::new().expect("boots");
-    let expected = path.expected_prbs(rate, 1_024).expect("expected bits");
-    let wave = path.prbs_stimulus(rate, 1_024, 17).expect("stimulus");
-    let job =
-        ShmooJob { wave: &wave, rate, expected: &expected, config: ShmooConfig::pecl(), seed: 4 };
+    let pattern = path.prbs_pattern(rate, 1_024).expect("pattern");
+    let wave = path.render(&pattern, 17).expect("stimulus");
+    let expected = pattern.bits();
+    let job = ShmooJob { wave: &wave, rate, expected, config: ShmooConfig::pecl(), seed: 4 };
     let plot = job.run_on(&ExecPool::from_env()).expect("shmoo");
     let (threshold, phase) = plot.best_operating_point().expect("open region");
     let mut capture = EtCapture::new();
     capture.sampler_mut().set_threshold(threshold);
-    let point = capture.capture_at(&wave, rate, &expected, phase, 9).expect("capture");
+    let point = capture.capture_at(&wave, rate, expected, phase, 9).expect("capture");
     assert_eq!(point.errors, 0, "best operating point must be clean");
 }
