@@ -37,46 +37,38 @@ cargo clippy --offline --all-targets -- -D warnings
 # a warn-tier finding, ratcheted like the rest. The rule fixtures under
 # tests/xlint_fixtures — one seeded firing and one reasoned suppression
 # per rule, including the three dataflow rules — ran inside the test
-# suites above (crates/xlint/tests). Run the real tree twice through the
-# incremental cache — cold, then warm — and demand byte-identical
-# findings documents (the wire-taint findings and the blocking/codec
-# facts are cached per file, so this diff pins the dataflow layer too),
-# then emit the SARIF artifact.
-rm -f target/xlint-cache.json
-xlint_dir="$(mktemp -d)"
-xlint_t0=$(date +%s%N)
-cargo run -p gigatest-xlint --release --offline -- --format json \
-  > "$xlint_dir/cold.json" 2> "$xlint_dir/cold.log"
-xlint_t1=$(date +%s%N)
-cargo run -p gigatest-xlint --release --offline -- --format json \
-  > "$xlint_dir/warm.json" 2> "$xlint_dir/warm.log"
-xlint_t2=$(date +%s%N)
-grep '^xlint:' "$xlint_dir/cold.log" "$xlint_dir/warm.log" || true
-diff "$xlint_dir/cold.json" "$xlint_dir/warm.json"
-echo "xlint: warm-cache findings byte-identical to cold run"
-# Lint-speed artifact: cold vs warm wall time plus the finding census,
-# in the same committed BENCH_*.json family as the service benches. The
-# byte-identity diff above is the correctness gate; this records what
-# the cache buys.
-xlint_summary="$(grep '^xlint:' "$xlint_dir/cold.log" | head -n 1)"
-xlint_files="$(echo "$xlint_summary" | sed -n 's/^xlint: \([0-9]*\) files.*/\1/p')"
-xlint_deny="$(echo "$xlint_summary" | sed -n 's/.*), \([0-9]*\) deny.*/\1/p')"
-xlint_warn="$(echo "$xlint_summary" | sed -n 's/.* \([0-9]*\) warn.*/\1/p')"
-xlint_supp="$(echo "$xlint_summary" | sed -n 's/.*(\([0-9]*\) suppressed.*/\1/p')"
-xlint_warm_hits="$(grep '^xlint:' "$xlint_dir/warm.log" | head -n 1 \
-  | sed -n 's/.*(\([0-9]*\) from cache.*/\1/p')"
+# suites above (crates/xlint/tests). Lint the real tree once: that run
+# writes the SARIF artifact, and its summary line gives the finding
+# census.
+xlint_log="$(mktemp)"
+if ! cargo run -p gigatest-xlint --release --offline -- --format sarif \
+    > xlint.sarif 2> "$xlint_log"; then
+  cat "$xlint_log" >&2
+  exit 1
+fi
+xlint_summary="$(grep '^xlint:' "$xlint_log" | head -n 1)"
+rm -f "$xlint_log"
+echo "$xlint_summary"
+# The census goes to the committed BENCH_xlint.json. It holds no
+# timings, so a run on an unchanged tree rewrites the same bytes. Every
+# field must parse: a summary line in another shape fails here rather
+# than recording a silent 0.
+xlint_files="$(echo "$xlint_summary" | sed -n 's/^xlint: \([0-9]*\) files, .*/\1/p')"
+xlint_deny="$(echo "$xlint_summary" | sed -n 's/.* files, \([0-9]*\) deny, .*/\1/p')"
+xlint_warn="$(echo "$xlint_summary" | sed -n 's/.* deny, \([0-9]*\) warn (.*/\1/p')"
+xlint_supp="$(echo "$xlint_summary" | sed -n 's/.* warn (\([0-9]*\) suppressed .*/\1/p')"
+for field in "$xlint_files" "$xlint_deny" "$xlint_warn" "$xlint_supp"; do
+  if [ -z "$field" ]; then
+    echo "ci: cannot read the finding census from: $xlint_summary" >&2
+    exit 1
+  fi
+done
 cat > BENCH_xlint.json <<EOF
 {
-  "cold_ms": $(( (xlint_t1 - xlint_t0) / 1000000 )),
-  "warm_ms": $(( (xlint_t2 - xlint_t1) / 1000000 )),
-  "files": ${xlint_files:-0},
-  "warm_cache_hits": ${xlint_warm_hits:-0},
-  "findings": { "deny": ${xlint_deny:-0}, "warn": ${xlint_warn:-0}, "suppressed": ${xlint_supp:-0} }
+  "files": $xlint_files,
+  "findings": { "deny": $xlint_deny, "warn": $xlint_warn, "suppressed": $xlint_supp }
 }
 EOF
-echo "wrote BENCH_xlint.json"
-cargo run -p gigatest-xlint --release --offline -- --format sarif > xlint.sarif
-rm -rf "$xlint_dir"
 # A suppression must carry its justification. The linter rejects a
 # reasonless allow that covers a finding (bad-allow); this catches the
 # rest — an allow with no reason is debt even when nothing fires under

@@ -1,17 +1,14 @@
-//! Orchestration: walk, build (or reuse cached) per-file facts, run the
-//! cross-file passes, apply suppressions.
+//! Orchestration: walk, build per-file facts, run the cross-file passes,
+//! apply suppressions.
 //!
 //! Analysis is two-phase. The per-file phase (lex → parse → local rules)
-//! is a pure function of each file's bytes and is what the incremental
-//! cache skips for unchanged files. The cross-file phase (stream-label
-//! uniqueness, call-graph panic reachability, error-bridge completeness)
-//! always runs over the complete fact set, so a warm run produces
-//! byte-identical findings to a cold one.
+//! is a pure function of each file's bytes. The cross-file phase
+//! (stream-label uniqueness, call-graph panic reachability, error-bridge
+//! completeness) runs over the complete fact set.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-use crate::cache;
 use crate::classify::{collect_sources, FileClass, SourceFile};
 use crate::dataflow::check_codec_symmetry;
 use crate::error::XlintError;
@@ -28,41 +25,16 @@ pub struct Analysis {
     pub suppressed: usize,
     /// Number of files linted.
     pub files: usize,
-    /// Number of files whose facts came from the cache unchanged.
-    pub cache_hits: usize,
 }
 
-/// Lint every in-scope file under `root`, without a cache.
+/// Lint every in-scope file under `root`: build each file's facts, then
+/// run the cross-file phase over all of them.
 pub fn analyze_root(root: &Path) -> Result<Analysis, XlintError> {
-    analyze_root_cached(root, None)
-}
-
-/// Lint every in-scope file under `root`. With `Some(cache_path)`, facts
-/// for unchanged files are reused from the cache, and the refreshed cache
-/// is written back (best-effort).
-pub fn analyze_root_cached(root: &Path, cache_path: Option<&Path>) -> Result<Analysis, XlintError> {
-    let sources = collect_sources(root)?;
-    let cached = cache_path.map(cache::load).unwrap_or_default();
-
-    let mut facts: Vec<FileFacts> = Vec::with_capacity(sources.len());
-    let mut cache_hits = 0usize;
-    for file in &sources {
-        let src = read_source(file)?;
-        let hash = crate::facts::fnv1a(src.as_bytes());
-        match cached.get(&file.rel_path) {
-            Some(hit) if hit.hash == hash && hit.class == file.class => {
-                cache_hits += usize::from(file.class != FileClass::External);
-                facts.push(hit.clone());
-            }
-            _ => facts.push(build_facts(file, &src)?),
-        }
-    }
-    if let Some(path) = cache_path {
-        cache::save(path, &facts);
-    }
-    let mut analysis = analyze_facts(facts);
-    analysis.cache_hits = cache_hits;
-    Ok(analysis)
+    let facts = collect_sources(root)?
+        .iter()
+        .map(|file| build_facts(file, &read_source(file)?))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(analyze_facts(facts))
 }
 
 fn read_source(file: &SourceFile) -> Result<String, XlintError> {

@@ -1,29 +1,21 @@
-//! Per-file analysis facts: the unit of incremental caching.
+//! Per-file analysis facts.
 //!
 //! The engine splits analysis into a *per-file* phase (lex, parse, local
 //! token rules) and a *cross-file* phase (stream uniqueness, call-graph
 //! panic reachability, error-bridge completeness). Everything the
 //! cross-file phase needs from one file is captured here as [`FileFacts`]
-//! — a pure function of the file's bytes — so a warm run can skip the
-//! per-file phase for unchanged files and still re-run every cross-file
-//! rule over the full workspace. Cold and warm runs therefore produce
-//! byte-identical findings by construction.
-//!
-//! [`FileFacts`] round-trips through the first-party JSON layer
-//! ([`crate::json`]) for `target/xlint-cache.json`.
+//! — a pure function of the file's bytes — so the cross-file rules never
+//! look at raw source.
 
 use crate::classify::{FileClass, SourceFile};
 use crate::error::XlintError;
-use crate::json::Json;
 use crate::lexer::{lex, AllowDirective};
-use crate::parse::{
-    parse_items, BlockSite, Call, CallKind, EnumDef, FnDef, PanicKind, PanicSite, UsePath,
-};
-use crate::rules::{check_file_local, FileTokens, Finding, Related, Severity};
-use crate::summary::{CallFlow, Ceiling, FnFlow, SinkFlow, SinkKind, Src};
+use crate::parse::{parse_items, EnumDef, FnDef, UsePath};
+use crate::rules::{check_file_local, FileTokens, Finding};
+use crate::summary::FnFlow;
 
-/// Every rule id the linter can emit, used to re-intern cached findings
-/// into `&'static str`. A cache mentioning an unknown id is stale.
+/// Every rule id the linter can emit. An allow directive naming any
+/// other id is a `bad-allow`.
 pub const RULE_IDS: &[&str] = &[
     "no-adhoc-rng",
     "stream-id-unique",
@@ -128,8 +120,6 @@ pub struct FileFacts {
     pub rel_path: String,
     /// Classification (decides rule scope).
     pub class: FileClass,
-    /// FNV-1a 64 hash of the file bytes, the cache key.
-    pub hash: u64,
     /// Findings from the per-file rules (R1, R3–R8), pre-suppression.
     pub local_findings: Vec<Finding>,
     /// Suppression directives in the file.
@@ -170,16 +160,6 @@ pub struct FileFacts {
     pub names: Vec<String>,
 }
 
-/// FNV-1a 64-bit hash of a byte string.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// The reasoned directive covering `(rule_id, line)`, if any (see
 /// [`AllowDirective::covers`]); it is returned by reference so callers can
 /// record it as *used* (the stale-allow pass's input).
@@ -203,7 +183,6 @@ pub fn build_facts(file: &SourceFile, src: &str) -> Result<FileFacts, XlintError
         return Ok(FileFacts {
             rel_path: file.rel_path.clone(),
             class: file.class.clone(),
-            hash: fnv1a(src.as_bytes()),
             local_findings: Vec::new(),
             allows: Vec::new(),
             token_lines: Vec::new(),
@@ -236,7 +215,7 @@ pub fn build_facts(file: &SourceFile, src: &str) -> Result<FileFacts, XlintError
 
     let parsed = parse_items(&lexed.tokens, &ft.in_test);
     // Per-fn flow facts feed the cross-file summary fixpoint; extracting
-    // them here keeps them a pure function of the bytes, so they cache.
+    // them here keeps them a pure function of the bytes.
     let flows = crate::summary::extract_flows(file, &lexed.tokens, &parsed);
     let (msg_consts, msg_refs) = crate::dataflow::msg_facts(file, &lexed.tokens, &parsed);
     // Drop panic sites justified at the source: a reasoned allow for
@@ -278,7 +257,6 @@ pub fn build_facts(file: &SourceFile, src: &str) -> Result<FileFacts, XlintError
     Ok(FileFacts {
         rel_path: file.rel_path.clone(),
         class: file.class.clone(),
-        hash: fnv1a(src.as_bytes()),
         local_findings,
         allows: lexed.allows,
         token_lines,
@@ -470,776 +448,6 @@ fn skip_angles(ft: &FileTokens<'_>, open: usize) -> usize {
     i
 }
 
-// ---------------------------------------------------------------------------
-// JSON (de)serialization for the cache.
-// ---------------------------------------------------------------------------
-
-fn u32_json(v: u32) -> Json {
-    Json::Int(i64::from(v))
-}
-
-fn json_u32(j: Option<&Json>) -> Option<u32> {
-    j.and_then(Json::as_int).and_then(|n| u32::try_from(n).ok())
-}
-
-impl FileFacts {
-    /// Serialize for the cache file.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("path", Json::str(&self.rel_path)),
-            ("class", class_to_json(&self.class)),
-            ("hash", Json::Str(format!("{:016x}", self.hash))),
-            ("findings", Json::Arr(self.local_findings.iter().map(finding_to_json).collect())),
-            (
-                "allows",
-                Json::Arr(
-                    self.allows
-                        .iter()
-                        .map(|a| {
-                            Json::obj(vec![
-                                ("rule", Json::str(&a.rule_id)),
-                                ("reason", Json::str(&a.reason)),
-                                ("line", u32_json(a.line)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("token_lines", Json::Arr(self.token_lines.iter().map(|l| u32_json(*l)).collect())),
-            (
-                "streams",
-                Json::Arr(
-                    self.streams
-                        .iter()
-                        .map(|s| {
-                            Json::obj(vec![
-                                ("label", Json::str(&s.label)),
-                                ("line", u32_json(s.line)),
-                                ("col", u32_json(s.col)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("fns", Json::Arr(self.fns.iter().map(fn_to_json).collect())),
-            (
-                "enums",
-                Json::Arr(
-                    self.enums
-                        .iter()
-                        .map(|e| {
-                            Json::obj(vec![
-                                ("name", Json::str(&e.name)),
-                                (
-                                    "variants",
-                                    Json::Arr(e.variants.iter().map(|v| Json::str(v)).collect()),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "uses",
-                Json::Arr(
-                    self.uses
-                        .iter()
-                        .map(|u| {
-                            let mut pairs = vec![(
-                                "segs",
-                                Json::Arr(u.segments.iter().map(|s| Json::str(s)).collect()),
-                            )];
-                            if let Some(alias) = &u.alias {
-                                pairs.push(("alias", Json::str(alias)));
-                            }
-                            Json::obj(pairs)
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "exec_invoke",
-                match self.exec_invoke {
-                    Some((line, col)) => Json::Arr(vec![u32_json(line), u32_json(col)]),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "bridges",
-                Json::Arr(
-                    self.bridges
-                        .iter()
-                        .map(|b| {
-                            Json::obj(vec![
-                                ("target", Json::str(&b.target)),
-                                ("uses_match", Json::Bool(b.uses_match)),
-                                (
-                                    "mentioned",
-                                    Json::Arr(b.mentioned.iter().map(|m| Json::str(m)).collect()),
-                                ),
-                                ("line", u32_json(b.line)),
-                                ("col", u32_json(b.col)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "error_mentions",
-                Json::Arr(self.error_mentions.iter().map(|m| Json::str(m)).collect()),
-            ),
-            (
-                "msg_consts",
-                Json::Arr(
-                    self.msg_consts
-                        .iter()
-                        .map(|c| {
-                            Json::obj(vec![
-                                ("name", Json::str(&c.name)),
-                                ("line", u32_json(c.line)),
-                                ("col", u32_json(c.col)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "msg_refs",
-                Json::Arr(
-                    self.msg_refs
-                        .iter()
-                        .map(|r| {
-                            Json::obj(vec![
-                                ("name", Json::str(&r.name)),
-                                ("ctx", Json::str(msg_ctx_label(r.ctx))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("flows", Json::Arr(self.flows.iter().map(flow_to_json).collect())),
-            (
-                "used_allows",
-                Json::Arr(
-                    self.used_allows
-                        .iter()
-                        .map(|(rule, line)| Json::Arr(vec![Json::str(rule), u32_json(*line)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "pub_fns",
-                Json::Arr(
-                    self.pub_fns
-                        .iter()
-                        .map(|f| {
-                            Json::obj(vec![
-                                ("name", Json::str(&f.name)),
-                                ("line", u32_json(f.line)),
-                                ("col", u32_json(f.col)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("names", Json::Arr(self.names.iter().map(|n| Json::str(n)).collect())),
-        ])
-    }
-
-    /// Deserialize from the cache file; `None` on any shape mismatch.
-    pub fn from_json(j: &Json) -> Option<FileFacts> {
-        let rel_path = j.get("path")?.as_str()?.to_string();
-        let class = class_from_json(j.get("class")?)?;
-        let hash = u64::from_str_radix(j.get("hash")?.as_str()?, 16).ok()?;
-        let local_findings = j
-            .get("findings")?
-            .as_arr()?
-            .iter()
-            .map(finding_from_json)
-            .collect::<Option<Vec<_>>>()?;
-        let allows = j
-            .get("allows")?
-            .as_arr()?
-            .iter()
-            .map(|a| {
-                Some(AllowDirective {
-                    rule_id: a.get("rule")?.as_str()?.to_string(),
-                    reason: a.get("reason")?.as_str()?.to_string(),
-                    line: json_u32(a.get("line"))?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let token_lines = j
-            .get("token_lines")?
-            .as_arr()?
-            .iter()
-            .map(|l| json_u32(Some(l)))
-            .collect::<Option<Vec<_>>>()?;
-        let streams = j
-            .get("streams")?
-            .as_arr()?
-            .iter()
-            .map(|s| {
-                Some(StreamFact {
-                    label: s.get("label")?.as_str()?.to_string(),
-                    line: json_u32(s.get("line"))?,
-                    col: json_u32(s.get("col"))?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let fns = j.get("fns")?.as_arr()?.iter().map(fn_from_json).collect::<Option<Vec<_>>>()?;
-        let enums = j
-            .get("enums")?
-            .as_arr()?
-            .iter()
-            .map(|e| {
-                Some(EnumDef {
-                    name: e.get("name")?.as_str()?.to_string(),
-                    variants: strings(e.get("variants")?)?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let uses = j
-            .get("uses")?
-            .as_arr()?
-            .iter()
-            .map(|u| {
-                Some(UsePath {
-                    segments: strings(u.get("segs")?)?,
-                    alias: match u.get("alias") {
-                        Some(a) => Some(a.as_str()?.to_string()),
-                        None => None,
-                    },
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let exec_invoke = match j.get("exec_invoke")? {
-            Json::Null => None,
-            Json::Arr(items) => Some((json_u32(items.first())?, json_u32(items.get(1))?)),
-            _ => return None,
-        };
-        let bridges = j
-            .get("bridges")?
-            .as_arr()?
-            .iter()
-            .map(|b| {
-                Some(BridgeFact {
-                    target: b.get("target")?.as_str()?.to_string(),
-                    uses_match: b.get("uses_match")?.as_bool()?,
-                    mentioned: strings(b.get("mentioned")?)?,
-                    line: json_u32(b.get("line"))?,
-                    col: json_u32(b.get("col"))?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let error_mentions = strings(j.get("error_mentions")?)?;
-        let msg_consts = j
-            .get("msg_consts")?
-            .as_arr()?
-            .iter()
-            .map(|c| {
-                Some(MsgConst {
-                    name: c.get("name")?.as_str()?.to_string(),
-                    line: json_u32(c.get("line"))?,
-                    col: json_u32(c.get("col"))?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let msg_refs = j
-            .get("msg_refs")?
-            .as_arr()?
-            .iter()
-            .map(|r| {
-                Some(MsgRef {
-                    name: r.get("name")?.as_str()?.to_string(),
-                    ctx: msg_ctx_from_label(r.get("ctx")?.as_str()?)?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let flows =
-            j.get("flows")?.as_arr()?.iter().map(flow_from_json).collect::<Option<Vec<_>>>()?;
-        let used_allows = j
-            .get("used_allows")?
-            .as_arr()?
-            .iter()
-            .map(|u| {
-                let items = u.as_arr()?;
-                Some((items.first()?.as_str()?.to_string(), json_u32(items.get(1))?))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let pub_fns = j
-            .get("pub_fns")?
-            .as_arr()?
-            .iter()
-            .map(|f| {
-                Some(PubFn {
-                    name: f.get("name")?.as_str()?.to_string(),
-                    line: json_u32(f.get("line"))?,
-                    col: json_u32(f.get("col"))?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let names = strings(j.get("names")?)?;
-        Some(FileFacts {
-            rel_path,
-            class,
-            hash,
-            local_findings,
-            allows,
-            token_lines,
-            streams,
-            fns,
-            enums,
-            uses,
-            exec_invoke,
-            bridges,
-            error_mentions,
-            msg_consts,
-            msg_refs,
-            flows,
-            used_allows,
-            pub_fns,
-            names,
-        })
-    }
-}
-
-fn msg_ctx_label(ctx: MsgCtx) -> &'static str {
-    match ctx {
-        MsgCtx::Encode => "enc",
-        MsgCtx::Decode => "dec",
-        MsgCtx::Golden => "gold",
-        MsgCtx::Other => "other",
-    }
-}
-
-fn msg_ctx_from_label(label: &str) -> Option<MsgCtx> {
-    match label {
-        "enc" => Some(MsgCtx::Encode),
-        "dec" => Some(MsgCtx::Decode),
-        "gold" => Some(MsgCtx::Golden),
-        "other" => Some(MsgCtx::Other),
-        _ => None,
-    }
-}
-
-fn strings(j: &Json) -> Option<Vec<String>> {
-    j.as_arr()?.iter().map(|s| s.as_str().map(str::to_string)).collect()
-}
-
-fn class_to_json(class: &FileClass) -> Json {
-    match class {
-        FileClass::Src { crate_name } => Json::obj(vec![("src", Json::str(crate_name))]),
-        FileClass::Test => Json::str("test"),
-        FileClass::Example => Json::str("example"),
-        FileClass::BuildScript => Json::str("build"),
-        FileClass::External => Json::str("external"),
-    }
-}
-
-fn class_from_json(j: &Json) -> Option<FileClass> {
-    match j {
-        Json::Str(s) if s == "test" => Some(FileClass::Test),
-        Json::Str(s) if s == "example" => Some(FileClass::Example),
-        Json::Str(s) if s == "build" => Some(FileClass::BuildScript),
-        Json::Str(s) if s == "external" => Some(FileClass::External),
-        Json::Obj(_) => Some(FileClass::Src { crate_name: j.get("src")?.as_str()?.to_string() }),
-        _ => None,
-    }
-}
-
-fn severity_label(sev: Severity) -> &'static str {
-    sev.label()
-}
-
-fn finding_to_json(f: &Finding) -> Json {
-    let mut pairs = vec![
-        ("rule", Json::str(f.rule_id)),
-        ("sev", Json::str(severity_label(f.severity))),
-        ("path", Json::str(&f.rel_path)),
-        ("line", u32_json(f.line)),
-        ("col", u32_json(f.col)),
-        ("msg", Json::str(&f.message)),
-    ];
-    if !f.related.is_empty() {
-        pairs.push((
-            "rel",
-            Json::Arr(
-                f.related
-                    .iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("path", Json::str(&r.rel_path)),
-                            ("line", u32_json(r.line)),
-                            ("col", u32_json(r.col)),
-                            ("note", Json::str(&r.note)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    Json::obj(pairs)
-}
-
-fn finding_from_json(j: &Json) -> Option<Finding> {
-    let severity = match j.get("sev")?.as_str()? {
-        "warn" => Severity::Warn,
-        "deny" => Severity::Deny,
-        _ => return None,
-    };
-    let related = match j.get("rel") {
-        Some(arr) => arr
-            .as_arr()?
-            .iter()
-            .map(|r| {
-                Some(Related {
-                    rel_path: r.get("path")?.as_str()?.to_string(),
-                    line: json_u32(r.get("line"))?,
-                    col: json_u32(r.get("col"))?,
-                    note: r.get("note")?.as_str()?.to_string(),
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-        None => Vec::new(),
-    };
-    Some(Finding {
-        rule_id: intern_rule(j.get("rule")?.as_str()?)?,
-        severity,
-        rel_path: j.get("path")?.as_str()?.to_string(),
-        line: json_u32(j.get("line"))?,
-        col: json_u32(j.get("col"))?,
-        message: j.get("msg")?.as_str()?.to_string(),
-        related,
-    })
-}
-
-fn call_kind_label(kind: CallKind) -> &'static str {
-    match kind {
-        CallKind::Free => "free",
-        CallKind::Method => "method",
-        CallKind::Qualified => "qual",
-    }
-}
-
-fn fn_to_json(f: &FnDef) -> Json {
-    Json::obj(vec![
-        ("name", Json::str(&f.name)),
-        (
-            "qual",
-            match &f.qual {
-                Some(q) => Json::str(q),
-                None => Json::Null,
-            },
-        ),
-        ("pub", Json::Bool(f.is_pub)),
-        ("test", Json::Bool(f.in_test)),
-        ("line", u32_json(f.line)),
-        ("col", u32_json(f.col)),
-        ("params", Json::Arr(f.params.iter().map(|p| Json::str(p)).collect())),
-        ("ptypes", Json::Arr(f.param_types.iter().map(|p| Json::str(p)).collect())),
-        (
-            "calls",
-            Json::Arr(
-                f.calls
-                    .iter()
-                    .map(|c| {
-                        let mut pairs = vec![
-                            ("k", Json::str(call_kind_label(c.kind))),
-                            ("n", Json::str(&c.name)),
-                        ];
-                        if let Some(q) = &c.qual {
-                            pairs.push(("q", Json::str(q)));
-                        }
-                        Json::obj(pairs)
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "panics",
-            Json::Arr(
-                f.panics
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            (
-                                "k",
-                                Json::str(match p.kind {
-                                    PanicKind::Macro => "macro",
-                                    PanicKind::UnwrapExpect => "unwrap",
-                                    PanicKind::Index => "index",
-                                }),
-                            ),
-                            ("d", Json::str(&p.desc)),
-                            ("line", u32_json(p.line)),
-                            ("col", u32_json(p.col)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "blocking",
-            Json::Arr(
-                f.blocking
-                    .iter()
-                    .map(|b| {
-                        Json::obj(vec![
-                            ("d", Json::str(&b.desc)),
-                            ("line", u32_json(b.line)),
-                            ("col", u32_json(b.col)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn fn_from_json(j: &Json) -> Option<FnDef> {
-    let calls = j
-        .get("calls")?
-        .as_arr()?
-        .iter()
-        .map(|c| {
-            let kind = match c.get("k")?.as_str()? {
-                "free" => CallKind::Free,
-                "method" => CallKind::Method,
-                "qual" => CallKind::Qualified,
-                _ => return None,
-            };
-            Some(Call {
-                kind,
-                qual: match c.get("q") {
-                    Some(q) => Some(q.as_str()?.to_string()),
-                    None => None,
-                },
-                name: c.get("n")?.as_str()?.to_string(),
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let panics = j
-        .get("panics")?
-        .as_arr()?
-        .iter()
-        .map(|p| {
-            let kind = match p.get("k")?.as_str()? {
-                "macro" => PanicKind::Macro,
-                "unwrap" => PanicKind::UnwrapExpect,
-                "index" => PanicKind::Index,
-                _ => return None,
-            };
-            Some(PanicSite {
-                kind,
-                desc: p.get("d")?.as_str()?.to_string(),
-                line: json_u32(p.get("line"))?,
-                col: json_u32(p.get("col"))?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let blocking = j
-        .get("blocking")?
-        .as_arr()?
-        .iter()
-        .map(|b| {
-            Some(BlockSite {
-                desc: b.get("d")?.as_str()?.to_string(),
-                line: json_u32(b.get("line"))?,
-                col: json_u32(b.get("col"))?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(FnDef {
-        name: j.get("name")?.as_str()?.to_string(),
-        qual: match j.get("qual")? {
-            Json::Null => None,
-            q => Some(q.as_str()?.to_string()),
-        },
-        is_pub: j.get("pub")?.as_bool()?,
-        in_test: j.get("test")?.as_bool()?,
-        line: json_u32(j.get("line"))?,
-        col: json_u32(j.get("col"))?,
-        params: strings(j.get("params")?)?,
-        param_types: strings(j.get("ptypes")?)?,
-        calls,
-        panics,
-        blocking,
-    })
-}
-
-fn src_label(s: &Src) -> String {
-    match s {
-        Src::Direct => "d".to_string(),
-        Src::Param(p) => format!("p{p}"),
-        Src::Call(k) => format!("c{k}"),
-    }
-}
-
-fn src_from_label(l: &str) -> Option<Src> {
-    if l == "d" {
-        return Some(Src::Direct);
-    }
-    if l.len() < 2 {
-        return None;
-    }
-    let (head, rest) = l.split_at(1);
-    let n = rest.parse().ok()?;
-    match head {
-        "p" => Some(Src::Param(n)),
-        "c" => Some(Src::Call(n)),
-        _ => None,
-    }
-}
-
-fn srcs_to_json(srcs: &[Src]) -> Json {
-    Json::Arr(srcs.iter().map(|s| Json::Str(src_label(s))).collect())
-}
-
-fn srcs_from_json(j: &Json) -> Option<Vec<Src>> {
-    j.as_arr()?.iter().map(|s| src_from_label(s.as_str()?)).collect()
-}
-
-fn ceiling_to_json(c: &Ceiling) -> Json {
-    match c {
-        Ceiling::Lit(n) => Json::Int(i64::try_from(*n).unwrap_or(i64::MAX)),
-        Ceiling::Sym(s) => Json::str(s),
-    }
-}
-
-fn ceiling_from_json(j: &Json) -> Option<Ceiling> {
-    match j {
-        Json::Int(n) => Some(Ceiling::Lit(u64::try_from(*n).ok()?)),
-        Json::Str(s) => Some(Ceiling::Sym(s.clone())),
-        _ => None,
-    }
-}
-
-fn sink_kind_label(kind: SinkKind) -> &'static str {
-    match kind {
-        SinkKind::Alloc => "alloc",
-        SinkKind::VecMacro => "vecmac",
-        SinkKind::PoolArg => "poolarg",
-        SinkKind::PoolRecv => "poolrecv",
-        SinkKind::Arith => "arith",
-    }
-}
-
-fn sink_kind_from_label(label: &str) -> Option<SinkKind> {
-    match label {
-        "alloc" => Some(SinkKind::Alloc),
-        "vecmac" => Some(SinkKind::VecMacro),
-        "poolarg" => Some(SinkKind::PoolArg),
-        "poolrecv" => Some(SinkKind::PoolRecv),
-        "arith" => Some(SinkKind::Arith),
-        _ => None,
-    }
-}
-
-fn flow_to_json(f: &FnFlow) -> Json {
-    let mut pairs = vec![
-        (
-            "calls",
-            Json::Arr(
-                f.calls
-                    .iter()
-                    .map(|c| {
-                        let mut cp = vec![
-                            ("k", Json::str(call_kind_label(c.kind))),
-                            ("n", Json::str(&c.name)),
-                            ("args", Json::Arr(c.args.iter().map(|a| srcs_to_json(a)).collect())),
-                            ("argv", Json::Arr(c.argv.iter().map(|v| Json::str(v)).collect())),
-                            ("line", u32_json(c.line)),
-                            ("col", u32_json(c.col)),
-                        ];
-                        if let Some(q) = &c.qual {
-                            cp.push(("q", Json::str(q)));
-                        }
-                        Json::obj(cp)
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "sinks",
-            Json::Arr(
-                f.sinks
-                    .iter()
-                    .map(|s| {
-                        Json::obj(vec![
-                            ("k", Json::str(sink_kind_label(s.kind))),
-                            ("sink", Json::str(&s.sink)),
-                            ("var", Json::str(&s.var)),
-                            ("srcs", srcs_to_json(&s.srcs)),
-                            ("line", u32_json(s.line)),
-                            ("col", u32_json(s.col)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("ret", srcs_to_json(&f.ret)),
-    ];
-    if let Some(c) = &f.ret_ceiling {
-        pairs.push(("ceil", ceiling_to_json(c)));
-    }
-    Json::obj(pairs)
-}
-
-fn flow_from_json(j: &Json) -> Option<FnFlow> {
-    let calls = j
-        .get("calls")?
-        .as_arr()?
-        .iter()
-        .map(|c| {
-            let kind = match c.get("k")?.as_str()? {
-                "free" => CallKind::Free,
-                "method" => CallKind::Method,
-                "qual" => CallKind::Qualified,
-                _ => return None,
-            };
-            Some(CallFlow {
-                kind,
-                qual: match c.get("q") {
-                    Some(q) => Some(q.as_str()?.to_string()),
-                    None => None,
-                },
-                name: c.get("n")?.as_str()?.to_string(),
-                args: c
-                    .get("args")?
-                    .as_arr()?
-                    .iter()
-                    .map(srcs_from_json)
-                    .collect::<Option<Vec<_>>>()?,
-                argv: strings(c.get("argv")?)?,
-                line: json_u32(c.get("line"))?,
-                col: json_u32(c.get("col"))?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let sinks = j
-        .get("sinks")?
-        .as_arr()?
-        .iter()
-        .map(|s| {
-            Some(SinkFlow {
-                kind: sink_kind_from_label(s.get("k")?.as_str()?)?,
-                sink: s.get("sink")?.as_str()?.to_string(),
-                var: s.get("var")?.as_str()?.to_string(),
-                srcs: srcs_from_json(s.get("srcs")?)?,
-                line: json_u32(s.get("line"))?,
-                col: json_u32(s.get("col"))?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let ret = srcs_from_json(j.get("ret")?)?;
-    let ret_ceiling = match j.get("ceil") {
-        Some(c) => Some(ceiling_from_json(c)?),
-        None => None,
-    };
-    Some(FnFlow { calls, sinks, ret, ret_ceiling })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1251,25 +459,6 @@ mod tests {
         let file =
             SourceFile { rel_path: rel_path.to_string(), abs_path: PathBuf::from(rel_path), class };
         build_facts(&file, src).expect("facts build")
-    }
-
-    #[test]
-    fn facts_round_trip_through_json() {
-        let facts = facts_for(
-            "crates/signal/src/x.rs",
-            "use exec::ExecPool;\n\
-             pub enum SignalError { Exec(exec::ExecError), Other }\n\
-             impl From<exec::ExecError> for SignalError {\n\
-                 fn from(e: exec::ExecError) -> Self { SignalError::Exec(e) }\n\
-             }\n\
-             pub fn f(xs: &[u64], i: usize) -> u64 { helper(); xs[i] }\n\
-             fn helper() {}\n",
-        );
-        let json = facts.to_json();
-        let back = FileFacts::from_json(&json).expect("round trip");
-        assert_eq!(back, facts);
-        // Byte stability of the serialized form.
-        assert_eq!(back.to_json().render(), json.render());
     }
 
     #[test]
@@ -1308,13 +497,5 @@ mod tests {
         assert!(bridge.uses_match);
         assert!(bridge.mentioned.iter().any(|m| m == "JobPanicked"));
         assert!(facts.error_mentions.iter().any(|m| m == "MiniTesterError"));
-    }
-
-    #[test]
-    fn hash_tracks_content() {
-        let a = fnv1a(b"hello");
-        let b = fnv1a(b"hello!");
-        assert_ne!(a, b);
-        assert_eq!(a, fnv1a(b"hello"));
     }
 }

@@ -2,9 +2,7 @@
 //! call graph with interprocedural panic reachability, and the
 //! `From<ExecError>` bridge-completeness check.
 //!
-//! Both passes run on [`FileFacts`] only — never on raw source — so they
-//! can be recomputed on every run (cold or warm cache) from identical
-//! inputs, which is what makes cached runs byte-identical.
+//! Both passes run on [`FileFacts`] only — never on raw source.
 //!
 //! ## Resolution model (and its documented limits)
 //!

@@ -1,26 +1,17 @@
-//! A minimal first-party JSON layer — emitter plus parser.
+//! A minimal first-party JSON emitter.
 //!
-//! The linter needs JSON twice: machine-readable findings (`--format
-//! json|sarif`) and the incremental cache (`target/xlint-cache.json`).
-//! Both must be *byte-stable*: the same analysis always serializes to the
-//! same bytes, so CI can diff cold-cache vs warm-cache runs. Objects
+//! The linter renders machine-readable findings (`--format json|sarif`)
+//! as JSON. The output must be *byte-stable*: the same analysis always
+//! serializes to the same bytes, so CI can diff two runs. Objects
 //! therefore preserve insertion order (a `Vec` of pairs, not a map), and
-//! the emitter has exactly one formatting mode.
-//!
-//! The parser is only as general as the cache format requires: strings,
-//! integers, booleans, null, arrays, objects. Floats are out of scope —
-//! nothing in the cache is a float, and keeping them out avoids the usual
-//! round-trip hazards. Parsing never panics; malformed input yields `None`.
+//! the emitter has exactly one formatting mode. Every value the findings
+//! documents hold is a string, an integer, an array or an object; floats
+//! are out of scope.
 
 /// A JSON value. Object keys keep insertion order for byte-stable output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An integer. The cache stores counts, lines, and hashes-as-hex, so
-    /// `i64` covers every numeric field without float round-trip risk.
+    /// An integer: counts, lines and columns.
     Int(i64),
     /// A string.
     Str(String),
@@ -65,14 +56,6 @@ impl Json {
         }
     }
 
-    /// The value as a bool, when it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice, when it is one.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
@@ -90,9 +73,6 @@ impl Json {
 
     fn write(&self, out: &mut String) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
             Json::Int(n) => out.push_str(&n.to_string()),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
@@ -144,204 +124,18 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parse a JSON document. Returns `None` on any malformed input — a stale
-/// or corrupt cache is simply treated as absent.
-pub fn parse(src: &str) -> Option<Json> {
-    let chars: Vec<char> = src.chars().collect();
-    let mut pos = 0usize;
-    let value = parse_value(&chars, &mut pos)?;
-    skip_ws(&chars, &mut pos);
-    if pos == chars.len() {
-        Some(value)
-    } else {
-        None
-    }
-}
-
-fn skip_ws(chars: &[char], pos: &mut usize) {
-    while chars.get(*pos).is_some_and(|c| c.is_whitespace()) {
-        *pos += 1;
-    }
-}
-
-fn eat(chars: &[char], pos: &mut usize, expected: char) -> Option<()> {
-    if chars.get(*pos) == Some(&expected) {
-        *pos += 1;
-        Some(())
-    } else {
-        None
-    }
-}
-
-fn parse_value(chars: &[char], pos: &mut usize) -> Option<Json> {
-    skip_ws(chars, pos);
-    match chars.get(*pos)? {
-        '{' => parse_obj(chars, pos),
-        '[' => parse_arr(chars, pos),
-        '"' => parse_str(chars, pos).map(Json::Str),
-        't' => parse_keyword(chars, pos, "true", Json::Bool(true)),
-        'f' => parse_keyword(chars, pos, "false", Json::Bool(false)),
-        'n' => parse_keyword(chars, pos, "null", Json::Null),
-        c if *c == '-' || c.is_ascii_digit() => parse_int(chars, pos),
-        _ => None,
-    }
-}
-
-fn parse_keyword(chars: &[char], pos: &mut usize, word: &str, value: Json) -> Option<Json> {
-    for expected in word.chars() {
-        eat(chars, pos, expected)?;
-    }
-    Some(value)
-}
-
-fn parse_int(chars: &[char], pos: &mut usize) -> Option<Json> {
-    let mut text = String::new();
-    if chars.get(*pos) == Some(&'-') {
-        text.push('-');
-        *pos += 1;
-    }
-    while chars.get(*pos).is_some_and(|c| c.is_ascii_digit()) {
-        if let Some(c) = chars.get(*pos) {
-            text.push(*c);
-        }
-        *pos += 1;
-    }
-    text.parse::<i64>().ok().map(Json::Int)
-}
-
-fn parse_str(chars: &[char], pos: &mut usize) -> Option<String> {
-    eat(chars, pos, '"')?;
-    let mut out = String::new();
-    loop {
-        let c = *chars.get(*pos)?;
-        *pos += 1;
-        match c {
-            '"' => return Some(out),
-            '\\' => {
-                let esc = *chars.get(*pos)?;
-                *pos += 1;
-                match esc {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'b' => out.push('\u{8}'),
-                    'f' => out.push('\u{c}'),
-                    'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let digit = chars.get(*pos)?.to_digit(16)?;
-                            code = code * 16 + digit;
-                            *pos += 1;
-                        }
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                }
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn parse_arr(chars: &[char], pos: &mut usize) -> Option<Json> {
-    eat(chars, pos, '[')?;
-    let mut items = Vec::new();
-    skip_ws(chars, pos);
-    if chars.get(*pos) == Some(&']') {
-        *pos += 1;
-        return Some(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(chars, pos)?);
-        skip_ws(chars, pos);
-        match chars.get(*pos)? {
-            ',' => *pos += 1,
-            ']' => {
-                *pos += 1;
-                return Some(Json::Arr(items));
-            }
-            _ => return None,
-        }
-    }
-}
-
-fn parse_obj(chars: &[char], pos: &mut usize) -> Option<Json> {
-    eat(chars, pos, '{')?;
-    let mut pairs = Vec::new();
-    skip_ws(chars, pos);
-    if chars.get(*pos) == Some(&'}') {
-        *pos += 1;
-        return Some(Json::Obj(pairs));
-    }
-    loop {
-        skip_ws(chars, pos);
-        let key = parse_str(chars, pos)?;
-        skip_ws(chars, pos);
-        eat(chars, pos, ':')?;
-        let value = parse_value(chars, pos)?;
-        pairs.push((key, value));
-        skip_ws(chars, pos);
-        match chars.get(*pos)? {
-            ',' => *pos += 1,
-            '}' => {
-                *pos += 1;
-                return Some(Json::Obj(pairs));
-            }
-            _ => return None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_the_cache_shapes() {
-        let doc = Json::obj(vec![
-            ("version", Json::Int(3)),
-            ("hash", Json::str("00ff_aa")),
-            ("flag", Json::Bool(true)),
-            ("nothing", Json::Null),
-            (
-                "items",
-                Json::Arr(vec![Json::Int(-7), Json::str("a \"quoted\"\nline"), Json::Arr(vec![])]),
-            ),
-        ]);
-        let text = doc.render();
-        let back = parse(&text).expect("parses");
-        assert_eq!(back, doc);
-        // Byte stability: render → parse → render is the identity.
-        assert_eq!(back.render(), text);
-    }
-
-    #[test]
     fn escapes_control_characters() {
         let doc = Json::str("bell\u{7}tab\tend");
-        let text = doc.render();
-        assert_eq!(text, "\"bell\\u0007tab\\tend\"");
-        assert_eq!(parse(&text).expect("parses"), doc);
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in ["{", "[1,", "\"open", "truex", "{\"k\" 1}", "1 2", "1.5", "{]"] {
-            assert!(parse(bad).is_none(), "{bad} must not parse");
-        }
-    }
-
-    #[test]
-    fn accessors() {
-        let doc = parse("{\"a\": [1, true, \"s\"], \"b\": null}").expect("parses");
-        assert_eq!(doc.get("a").and_then(|v| v.as_arr()).map(<[Json]>::len), Some(3));
-        let arr = doc.get("a").and_then(|v| v.as_arr()).unwrap_or(&[]);
-        assert_eq!(arr.first().and_then(Json::as_int), Some(1));
-        assert_eq!(arr.get(1).and_then(Json::as_bool), Some(true));
-        assert_eq!(arr.get(2).and_then(Json::as_str), Some("s"));
-        assert_eq!(doc.get("b"), Some(&Json::Null));
-        assert_eq!(doc.get("missing"), None);
+        assert_eq!(doc.render(), "\"bell\\u0007tab\\tend\"");
+        let doc = Json::obj(vec![
+            ("k", Json::Arr(vec![Json::Int(-7), Json::str("a \"quoted\"\nline")])),
+            ("e", Json::Arr(vec![])),
+        ]);
+        assert_eq!(doc.render(), "{\"k\":[-7,\"a \\\"quoted\\\"\\nline\"],\"e\":[]}");
     }
 }

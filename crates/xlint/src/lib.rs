@@ -30,13 +30,10 @@
 //! in library source that no other file names; once it is private,
 //! rustc's `dead_code` lint finds whatever is left unused.
 //!
-//! ## Machine output and the incremental cache
+//! ## Machine output
 //!
 //! `--format json|sarif` renders findings through the first-party
-//! byte-stable JSON layer ([`json`], [`output`]); the content-hash cache
-//! ([`cache`], default `target/xlint-cache.json`) lets warm runs skip
-//! per-file analysis for unchanged files while recomputing every
-//! cross-file rule, so cold and warm findings are byte-identical.
+//! byte-stable JSON emitter ([`json`], [`output`]).
 //!
 //! ## Suppressions and the ratchet
 //!
@@ -56,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod cache;
 pub mod classify;
 pub mod dataflow;
 pub mod engine;
@@ -72,6 +68,6 @@ pub mod summary;
 
 pub use baseline::{Baseline, Regression};
 pub use classify::{classify, collect_sources, FileClass, SourceFile};
-pub use engine::{analyze_root, analyze_root_cached, Analysis};
+pub use engine::{analyze_root, Analysis};
 pub use error::XlintError;
 pub use rules::{Finding, Severity, TIMING_PATHS};

@@ -7,11 +7,8 @@
 //! ```
 //!
 //! Flags: `--root DIR`, `--baseline FILE`, `--fix-allowlist`,
-//! `--format text|json|sarif`, `--cache FILE`, `--no-cache`. The cache
-//! defaults to `<root>/target/xlint-cache.json`; warm runs reuse per-file
-//! facts for unchanged files and always produce findings byte-identical
-//! to a cold run. In the machine formats the document goes to stdout and
-//! the human summary to stderr.
+//! `--format text|json|sarif`. In the machine formats the document goes
+//! to stdout and the human summary to stderr.
 //!
 //! Exit status: 0 when there are no deny-tier findings and no warn-tier
 //! findings beyond the committed baseline; 1 otherwise; 2 on internal
@@ -24,7 +21,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use xlint::output::{findings_json, sarif};
-use xlint::{analyze_root_cached, Baseline, Severity, XlintError};
+use xlint::{analyze_root, Baseline, Severity, XlintError};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -38,7 +35,6 @@ struct Options {
     baseline: PathBuf,
     fix_allowlist: bool,
     format: Format,
-    cache: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -46,8 +42,6 @@ fn parse_args() -> Result<Options, String> {
     let mut baseline = None;
     let mut fix_allowlist = false;
     let mut format = Format::Text;
-    let mut cache = None;
-    let mut no_cache = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -66,25 +60,16 @@ fn parse_args() -> Result<Options, String> {
                     _ => return Err("--format requires one of: text, json, sarif".to_string()),
                 };
             }
-            "--cache" => {
-                cache = Some(PathBuf::from(args.next().ok_or("--cache requires a path")?));
-            }
-            "--no-cache" => no_cache = true,
             "--help" | "-h" => {
                 return Err("usage: xlint [--root DIR] [--baseline FILE] [--fix-allowlist] \
-                            [--format text|json|sarif] [--cache FILE] [--no-cache]"
+                            [--format text|json|sarif]"
                     .to_string())
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
     let baseline = baseline.unwrap_or_else(|| root.join("xlint.baseline"));
-    let cache = if no_cache {
-        None
-    } else {
-        Some(cache.unwrap_or_else(|| root.join("target").join("xlint-cache.json")))
-    };
-    Ok(Options { root, baseline, fix_allowlist, format, cache })
+    Ok(Options { root, baseline, fix_allowlist, format })
 }
 
 fn main() -> ExitCode {
@@ -111,7 +96,7 @@ fn main() -> ExitCode {
 }
 
 fn run(opts: &Options) -> Result<bool, XlintError> {
-    let analysis = analyze_root_cached(&opts.root, opts.cache.as_deref())?;
+    let analysis = analyze_root(&opts.root)?;
 
     if opts.fix_allowlist {
         let captured = Baseline::capture(&analysis.findings);
@@ -169,10 +154,9 @@ fn run(opts: &Options) -> Result<bool, XlintError> {
 
     let denies = analysis.findings.iter().filter(|f| f.severity == Severity::Deny).count();
     report(format!(
-        "xlint: {} files ({} from cache), {} deny, {} warn ({} suppressed with reasons, \
-         {} groups under baseline)",
+        "xlint: {} files, {} deny, {} warn ({} suppressed with reasons, {} groups under \
+         baseline)",
         analysis.files,
-        analysis.cache_hits,
         denies,
         warn_findings.len(),
         analysis.suppressed,

@@ -1,6 +1,5 @@
 //! Machine-readable renderings of an [`Analysis`]: plain findings JSON
-//! (what CI diffs for cold/warm byte-identity) and SARIF 2.1.0 (what CI
-//! uploads for code-scanning annotations).
+//! and SARIF 2.1.0 (what CI uploads for code-scanning annotations).
 //!
 //! Both renderings go through [`crate::json::Json`], whose objects keep
 //! insertion order — the same analysis always serializes to the same bytes.
@@ -191,7 +190,6 @@ mod tests {
             }],
             suppressed: 2,
             files: 5,
-            cache_hits: 0,
         }
     }
 

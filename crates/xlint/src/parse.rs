@@ -144,8 +144,9 @@ pub struct ParsedFile {
     pub fns: Vec<FnDef>,
     /// Body token span `[start, end)` of each function, parallel to
     /// [`ParsedFile::fns`]; `None` for body-less trait declarations.
-    /// Token indices are a lexer-run artifact, so this never enters the
-    /// fact cache — the dataflow pass consumes it at build time only.
+    /// Token indices are a lexer-run artifact, so this never enters
+    /// [`crate::facts::FileFacts`] — the dataflow pass consumes it at
+    /// build time only.
     pub bodies: Vec<Option<(usize, usize)>>,
     /// Every enum definition.
     pub enums: Vec<EnumDef>,

@@ -2,14 +2,14 @@
 //!
 //! v3's taint pass stopped at function edges — a peer-controlled length
 //! laundered through any helper (`plan::slice` → `merge::from_parts`)
-//! escaped analysis entirely. v4 splits the rule into two phases that
-//! mirror the engine's cache architecture:
+//! escaped analysis entirely. v4 splits the rule into the engine's two
+//! phases:
 //!
 //! 1. **Per-file extraction** ([`extract_flows`]): a linear abstract
 //!    scan of every non-test function producing one [`FnFlow`] per
 //!    [`crate::parse::FnDef`] — which *sources* ([`Src`]) feed each call
 //!    argument, each sink, and the return value. This is a pure function
-//!    of the file bytes, so flows live in the fact cache.
+//!    of the file bytes, so flows live in the per-file facts.
 //! 2. **Cross-file fixpoint** ([`check_wire_taint`]): a monotone
 //!    fixpoint over the v2 call graph computing per-function summaries
 //!    (does the return carry wire taint, which params flow to the
@@ -81,7 +81,7 @@ pub enum Src {
 
 /// A known upper bound — the interval half of the lattice. Only the
 /// *existence* of a ceiling matters for taint (a bounded value is
-/// clean); the bound itself is kept for diagnostics and the cache.
+/// clean); the bound itself is kept for diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Ceiling {
     /// A numeric literal bound.
@@ -147,7 +147,7 @@ pub struct SinkFlow {
 }
 
 /// The per-function taint-flow facts: everything the cross-file
-/// fixpoint needs, and nothing tied to token indices — so it caches.
+/// fixpoint needs, and nothing tied to token indices.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FnFlow {
     /// Recorded call sites ([`Src::Call`] indexes into this).
@@ -163,7 +163,7 @@ pub struct FnFlow {
 
 /// Extract one [`FnFlow`] per parsed function of a `Src` file. The
 /// result is parallel to `parsed.fns` (test and body-less functions get
-/// an empty default, keeping index alignment with the cached fact).
+/// an empty default, keeping index alignment with `parsed.fns`).
 pub fn extract_flows(file: &SourceFile, toks: &[Token], parsed: &ParsedFile) -> Vec<FnFlow> {
     let is_src = matches!(file.class, FileClass::Src { .. });
     parsed

@@ -1,6 +1,6 @@
 //! One integration test per rule R1–R8 and the semantic passes against
 //! the seeded fixture workspace in `tests/xlint_fixtures/`, plus binary
-//! exit-code, SARIF-shape, and cache cold/warm byte-identity checks.
+//! exit-code and SARIF-shape checks.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -359,7 +359,7 @@ fn build_scripts_are_bound_by_hermeticity_rules() {
 #[test]
 fn seeded_violations_fail_the_binary_with_distinct_rules() {
     let out = Command::new(env!("CARGO_BIN_EXE_xlint"))
-        .args(["--root", fixture("violations").to_str().expect("utf8 path"), "--no-cache"])
+        .args(["--root", fixture("violations").to_str().expect("utf8 path")])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "seeded violations must exit 1");
@@ -379,30 +379,26 @@ fn seeded_violations_fail_the_binary_with_distinct_rules() {
 #[test]
 fn clean_tree_passes_the_binary() {
     let out = Command::new(env!("CARGO_BIN_EXE_xlint"))
-        .args(["--root", fixture("clean").to_str().expect("utf8 path"), "--no-cache"])
+        .args(["--root", fixture("clean").to_str().expect("utf8 path")])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(0), "clean fixture must exit 0: {out:?}");
 }
 
+/// The binary's SARIF document is exactly the in-process rendering of
+/// the same analysis, so the shape checks below cover what it prints.
 #[test]
 fn sarif_output_is_schema_shaped_and_byte_stable() {
-    let run = || {
-        Command::new(env!("CARGO_BIN_EXE_xlint"))
-            .args([
-                "--root",
-                fixture("violations").to_str().expect("utf8 path"),
-                "--no-cache",
-                "--format",
-                "sarif",
-            ])
-            .output()
-            .expect("binary runs")
-    };
-    let (first, second) = (run(), run());
-    assert_eq!(first.stdout, second.stdout, "SARIF output must be byte-stable");
-    let doc = xlint::json::parse(&String::from_utf8(first.stdout).expect("utf8"))
-        .expect("SARIF parses as JSON");
+    let out = Command::new(env!("CARGO_BIN_EXE_xlint"))
+        .args(["--root", fixture("violations").to_str().expect("utf8 path"), "--format", "sarif"])
+        .output()
+        .expect("binary runs");
+    let doc = xlint::output::sarif(&violations());
+    assert_eq!(
+        String::from_utf8(out.stdout).expect("utf8"),
+        format!("{}\n", doc.render()),
+        "the binary must print the in-process SARIF document byte for byte"
+    );
     assert_eq!(doc.get("version").and_then(|v| v.as_str()), Some("2.1.0"));
     let run0 = doc.get("runs").and_then(|r| r.as_arr()).and_then(<[_]>::first).expect("one run");
     let driver = run0.get("tool").and_then(|t| t.get("driver")).expect("driver");
@@ -415,40 +411,6 @@ fn sarif_output_is_schema_shaped_and_byte_stable() {
             "SARIF results must include {rule}"
         );
     }
-}
-
-/// Cold run populates the cache; the warm run reuses it — and the findings
-/// documents must be byte-identical.
-#[test]
-fn warm_cache_run_is_byte_identical_to_cold() {
-    let cache = std::env::temp_dir().join(format!("xlint-warm-cache-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&cache);
-    let run = || {
-        Command::new(env!("CARGO_BIN_EXE_xlint"))
-            .args([
-                "--root",
-                fixture("violations").to_str().expect("utf8 path"),
-                "--cache",
-                cache.to_str().expect("utf8 path"),
-                "--format",
-                "json",
-            ])
-            .output()
-            .expect("binary runs")
-    };
-    let cold = run();
-    let warm = run();
-    let _ = std::fs::remove_file(&cache);
-    assert_eq!(cold.status.code(), Some(1));
-    assert_eq!(warm.status.code(), Some(1));
-    assert_eq!(cold.stdout, warm.stdout, "warm-cache findings must be byte-identical");
-    let cold_summary = String::from_utf8(cold.stderr).expect("utf8");
-    let warm_summary = String::from_utf8(warm.stderr).expect("utf8");
-    assert!(cold_summary.contains("(0 from cache)"), "cold run starts empty: {cold_summary}");
-    assert!(
-        !warm_summary.contains("(0 from cache)"),
-        "warm run must reuse cached facts: {warm_summary}"
-    );
 }
 
 /// The persistent store's record grammar is wire-grade hostile input:
