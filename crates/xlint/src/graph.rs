@@ -686,7 +686,7 @@ mod tests {
             ),
             (
                 "crates/beta/src/lib.rs",
-                "pub fn sweep(pool: &ExecPool) -> Vec<u64> { pool.par_map(4, |k| k as u64) }\n",
+                "pub fn sweep(pool: &ExecPool) -> Vec<u64> { pool.run(4, |k| k as u64) }\n",
             ),
         ]);
         let mut findings = Vec::new();
@@ -736,12 +736,12 @@ mod tests {
                  impl From<exec::ExecError> for BetaError {\n\
                      fn from(e: exec::ExecError) -> Self { BetaError::Exec(e) }\n\
                  }\n\
-                 pub fn sweep(pool: &ExecPool) -> Vec<u64> { pool.par_map(4, |k| u64::from(k as u32)) }\n",
+                 pub fn sweep(pool: &ExecPool) -> Vec<u64> { pool.run(4, |k| u64::from(k as u32)) }\n",
             ),
             (
                 "crates/gamma/src/lib.rs",
                 "pub fn reuse(pool: &ExecPool) -> Result<(), BetaError> {\n\
-                     let _ = pool.par_map(2, |k| k); Ok(())\n\
+                     let _ = pool.run(2, |k| k); Ok(())\n\
                  }\n",
             ),
         ]);

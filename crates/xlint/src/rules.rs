@@ -261,6 +261,23 @@ const RACY_TYPES: &[&str] =
 /// Method names that mutate shared state through a shared reference.
 const RACY_METHODS: &[&str] = &["lock", "try_lock", "borrow_mut", "try_borrow_mut"];
 
+/// `ExecPool`'s job-taking entry points (R8's vocabulary).
+pub(crate) const POOL_ENTRIES: &[&str] = &["run"];
+
+/// Is the token at `i` the name of a pool entry call, `pool.run(` or
+/// `*_pool.run(`? `run` is too common a name to match alone
+/// (`ate::System::run`, `dlc::Sequencer::run`), so the receiver must read
+/// as a pool.
+pub(crate) fn is_pool_entry(tokens: &[Token], i: usize) -> bool {
+    let ident =
+        |k: usize| tokens.get(k).filter(|t| t.kind == TokenKind::Ident).map(|t| t.text.as_str());
+    i >= 2
+        && ident(i).is_some_and(|name| POOL_ENTRIES.contains(&name))
+        && punct_at(tokens, i - 1, ".")
+        && punct_at(tokens, i + 1, "(")
+        && ident(i - 2).is_some_and(|r| r == "pool" || r.ends_with("_pool"))
+}
+
 /// Run every per-file rule, appending findings and recording stream-label
 /// uses into `streams` for the later cross-file pass.
 pub fn check_file_local(
@@ -324,28 +341,15 @@ pub fn check_file_local(
         }
 
         // R8: shared-mutation primitives inside an ExecPool job closure.
-        // The argument span of `.par_map(` / `.par_map_reduce(` (the method
-        // names are distinctive) and of `pool.run(` / `*_pool.run(` (the
-        // receiver disambiguates the common name `run`) must stay pure.
+        // The argument span of a pool entry call must stay pure.
         let r8_scope = !in_test
             && match class {
                 FileClass::Src { crate_name } => crate_name != "exec",
                 _ => false,
             };
-        if r8_scope && ft.is_punct(i + 1, "(") && i > 0 && ft.is_punct(i - 1, ".") {
-            let ident_is = |t: Option<&Token>, pred: &dyn Fn(&str) -> bool| {
-                t.is_some_and(|t| t.kind == TokenKind::Ident && pred(&t.text))
-            };
-            let name = ft.tok(i).map(|t| t.text.as_str()).unwrap_or("");
-            let is_pool_call = matches!(name, "par_map" | "par_map_reduce")
-                || (name == "run"
-                    && ident_is(ft.tok(i.wrapping_sub(2)), &|r| {
-                        r == "pool" || r.ends_with("_pool")
-                    }));
-            if is_pool_call {
-                if let Some(close) = matching_close(ft.tokens, i + 1, "(", ")") {
-                    check_job_purity(ft, name, i + 2, close, findings);
-                }
+        if r8_scope && is_pool_entry(ft.tokens, i) {
+            if let Some(close) = matching_close(ft.tokens, i + 1, "(", ")") {
+                check_job_purity(ft, &tok.text, i + 2, close, findings);
             }
         }
 
@@ -732,9 +736,9 @@ mod tests {
     }
 
     #[test]
-    fn par_map_with_atomics_is_flagged_regardless_of_receiver() {
-        let src = "pub fn f(p: &ExecPool, n: &AtomicU64) -> Vec<u64> {\n\
-                       p.par_map(4, |k| n.fetch_add(k, Ordering::Relaxed))\n\
+    fn pool_run_with_atomics_is_flagged_on_a_suffixed_pool_receiver() {
+        let src = "pub fn f(exec_pool: &ExecPool, n: &AtomicU64) -> Vec<u64> {\n\
+                       exec_pool.run(4, |k| n.fetch_add(k, Ordering::Relaxed))\n\
                    }\n";
         let findings = run_on("crates/signal/src/x.rs", src);
         assert_eq!(findings.iter().filter(|f| f.rule_id == "exec-job-racy").count(), 1);

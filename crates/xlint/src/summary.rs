@@ -47,14 +47,15 @@ use crate::facts::FileFacts;
 use crate::graph::CallGraph;
 use crate::lexer::{Token, TokenKind};
 use crate::parse::{CallKind, ParsedFile, NON_CALL_KEYWORDS};
-use crate::rules::{Finding, Related, Severity};
+use crate::rules::{is_pool_entry, Finding, Related, Severity, POOL_ENTRIES};
 
 /// Functions of the codec surface whose results are peer-controlled.
-pub(crate) const SOURCE_FNS: &[&str] =
-    &["decode_frame", "decode_header", "decode_frame2", "decode_header2"];
+pub(crate) const SOURCE_FNS: &[&str] = &["decode_header", "decode_frame2", "decode_header2"];
 
-/// Exec entry points a tainted value must never reach unvalidated.
-pub(crate) const POOL_SINKS: &[&str] = &["run_on", "par_map", "par_map_reduce"];
+/// Exec entry points a tainted value must never reach unvalidated. A
+/// name that is also one of R8's [`POOL_ENTRIES`] counts only on a pool
+/// receiver (see [`is_pool_entry`]).
+pub(crate) const POOL_SINKS: &[&str] = &["run_on", "run"];
 
 /// Methods whose result is bounded by construction: projecting a
 /// tainted value through one of these yields a clean binding.
@@ -120,7 +121,7 @@ pub enum SinkKind {
     Alloc,
     /// The length position of `vec![_; n]`.
     VecMacro,
-    /// An argument of an exec entry point (`run_on`, `par_map`, …).
+    /// An argument of an exec entry point (`run_on`, `pool.run`).
     PoolArg,
     /// The receiver of an exec entry point (`spec.run_on(..)`).
     PoolRecv,
@@ -239,6 +240,15 @@ impl<'a> FlowScan<'a> {
         self.toks.get(i).filter(|t| t.kind == TokenKind::Ident).map(|t| t.text.as_str())
     }
 
+    /// Is the token at `i` the name of an exec entry point call?
+    fn is_pool_sink(&self, i: usize) -> bool {
+        match self.ident(i) {
+            Some(name) if POOL_ENTRIES.contains(&name) => is_pool_entry(self.toks, i),
+            Some(name) => POOL_SINKS.contains(&name) && self.is_punct(i + 1, "("),
+            None => false,
+        }
+    }
+
     fn after_matching(&self, open: usize, open_s: &str, close_s: &str) -> usize {
         let mut depth = 0i32;
         let mut i = open;
@@ -273,7 +283,7 @@ impl<'a> FlowScan<'a> {
                 || NON_CALL_KEYWORDS.contains(&name)
                 || !name.chars().next().is_some_and(char::is_lowercase)
                 || SOURCE_FNS.contains(&name)
-                || POOL_SINKS.contains(&name)
+                || self.is_pool_sink(i)
                 || matches!(name, "validate" | "with_capacity" | "reserve")
             {
                 i += 1;
@@ -426,8 +436,8 @@ impl<'a> FlowScan<'a> {
                     continue;
                 }
                 if (matches!(name, "validate" | "with_capacity" | "reserve")
-                    || POOL_SINKS.contains(&name))
-                    && self.is_punct(i + 1, "(")
+                    && self.is_punct(i + 1, "("))
+                    || self.is_pool_sink(i)
                 {
                     // Sinks and sanitizers contribute no value sources.
                     i = self.after_matching(i + 1, "(", ")");
@@ -723,7 +733,7 @@ impl<'a> FlowScan<'a> {
                         self.record_sink(SinkKind::VecMacro, "vec", var, srcs, i);
                     }
                 }
-                Some(name) if POOL_SINKS.contains(&name) && self.is_punct(i + 1, "(") => {
+                Some(name) if self.is_pool_sink(i) => {
                     let name = name.to_string();
                     let close = self.after_matching(i + 1, "(", ")");
                     let srcs = self.sink_arg_srcs(i + 2, close.saturating_sub(1));
@@ -1228,7 +1238,7 @@ mod tests {
     fn validate_and_limits_comparisons_sanitize() {
         let hits = taint_findings(
             "pub fn validated(spec_len: usize, r: &mut Reader<'_>) -> Vec<u8> {\n\
-                 let spec = decode_frame(r);\n\
+                 let spec = decode_frame2(r);\n\
                  spec.validate();\n\
                  run_on(spec);\n\
                  Vec::new()\n\
@@ -1240,6 +1250,23 @@ mod tests {
              }\n",
         );
         assert!(hits.is_empty(), "{hits:?}");
+    }
+
+    #[test]
+    fn pool_run_is_a_sink_only_on_a_pool_receiver() {
+        let hits = taint_findings(
+            "pub fn fanned(pool: &ExecPool, r: &mut Reader<'_>) {\n\
+                 let n = r.u32();\n\
+                 pool.run(n, |k| k);\n\
+             }\n\
+             pub fn simulated(sim: &Simulator, r: &mut Reader<'_>) {\n\
+                 let n = r.u32();\n\
+                 sim.run(n);\n\
+             }\n",
+        );
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].line, 3, "only the pool entry is a sink: {hits:?}");
+        assert!(hits[0].message.contains("`run(..)`"), "{}", hits[0].message);
     }
 
     #[test]
@@ -1326,6 +1353,29 @@ mod tests {
             "the chain names the laundering fn: {}",
             hits[0].message
         );
+    }
+
+    /// Every workspace API name the rules match on must still exist: a
+    /// rule keyed on a deleted function silently matches nothing.
+    #[test]
+    fn rule_vocabulary_names_functions_the_workspace_defines() {
+        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut defined = BTreeSet::new();
+        for file in crate::classify::collect_sources(&root).expect("workspace walks") {
+            if !file.rel_path.starts_with("crates/") || file.rel_path.starts_with("crates/xlint/") {
+                continue;
+            }
+            let src = std::fs::read_to_string(&file.abs_path).expect("source reads");
+            let toks = crate::lexer::lex(&file.rel_path, &src).expect("source lexes").tokens;
+            for pair in toks.windows(2) {
+                if pair[0].kind == TokenKind::Ident && pair[0].text == "fn" {
+                    defined.insert(pair[1].text.clone());
+                }
+            }
+        }
+        let vocabulary = POOL_ENTRIES.iter().chain(POOL_SINKS).chain(SOURCE_FNS);
+        let missing: Vec<_> = vocabulary.filter(|name| !defined.contains(**name)).collect();
+        assert!(missing.is_empty(), "rule vocabulary names undefined functions: {missing:?}");
     }
 
     #[test]

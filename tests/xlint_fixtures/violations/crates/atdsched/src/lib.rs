@@ -26,9 +26,9 @@ impl From<ExecError> for SchedError {
 /// therefore the eviction order — depends on thread interleaving.
 pub fn drain_into_cache(pool: &ExecPool, specs: &[u64]) -> u64 {
     let cache = Mutex::new(Vec::new());
-    let _ = pool.par_map(specs, |_i, spec| {
+    let _ = pool.run(specs.len(), |i| {
         if let Ok(mut entries) = cache.lock() {
-            entries.push(*spec);
+            entries.extend(specs.get(i));
         }
     });
     0

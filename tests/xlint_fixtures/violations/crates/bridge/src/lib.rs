@@ -23,6 +23,6 @@ impl From<ExecError> for BridgeError {
 
 /// Uses the pool, so the crate must bridge ExecError completely.
 pub fn run_jobs(pool: &ExecPool, jobs: &[u64]) -> u64 {
-    let _ = pool.par_map(jobs, |_i, x| *x);
+    let _ = pool.run(jobs.len(), |i| jobs.get(i).copied());
     0
 }

@@ -11,7 +11,7 @@
 #![forbid(unsafe_code)]
 
 /// Pretend decoder: the returned head count is peer-controlled.
-pub fn decode_frame(bytes: &[u8]) -> usize {
+pub fn decode_frame2(bytes: &[u8]) -> usize {
     bytes.len()
 }
 
@@ -24,14 +24,14 @@ pub mod limits {
 /// wire-taint: the decoded head count sizes the ring's point vector
 /// with no validate/limits check between.
 pub fn ring_unchecked(bytes: &[u8]) -> Vec<u64> {
-    let heads = decode_frame(bytes);
+    let heads = decode_frame2(bytes);
     Vec::with_capacity(heads)
 }
 
 /// Silent: the comparison against `limits::MAX_HEADS` certifies the
 /// decoded fleet size bounded before it sizes the ring.
 pub fn ring_checked(bytes: &[u8]) -> Vec<u64> {
-    let heads = decode_frame(bytes);
+    let heads = decode_frame2(bytes);
     if heads > limits::MAX_HEADS {
         return Vec::new();
     }
@@ -40,7 +40,7 @@ pub fn ring_checked(bytes: &[u8]) -> Vec<u64> {
 
 /// Suppressed: the bound lives upstream and is documented at the site.
 pub fn ring_allowed(bytes: &[u8]) -> Vec<u64> {
-    let heads = decode_frame(bytes);
+    let heads = decode_frame2(bytes);
     // xlint::allow(wire-taint, the session handshake rejects fleets over 64 heads before this crate sees the count)
     Vec::with_capacity(heads)
 }

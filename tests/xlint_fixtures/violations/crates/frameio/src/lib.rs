@@ -7,7 +7,7 @@
 #![forbid(unsafe_code)]
 
 /// Pretend decoder: the returned length is peer-controlled.
-pub fn decode_frame(bytes: &[u8]) -> usize {
+pub fn decode_frame2(bytes: &[u8]) -> usize {
     bytes.len()
 }
 
@@ -20,14 +20,14 @@ pub mod limits {
 /// wire-taint: the decoded count reaches `Vec::with_capacity` with no
 /// validate/limits check between.
 pub fn collect_unchecked(bytes: &[u8]) -> Vec<u8> {
-    let n = decode_frame(bytes);
+    let n = decode_frame2(bytes);
     Vec::with_capacity(n)
 }
 
 /// Silent: the comparison against `limits::MAX_ITEMS` certifies the
 /// decoded count bounded before it sizes the allocation.
 pub fn collect_checked(bytes: &[u8]) -> Vec<u8> {
-    let n = decode_frame(bytes);
+    let n = decode_frame2(bytes);
     if n > limits::MAX_ITEMS {
         return Vec::new();
     }
@@ -36,7 +36,7 @@ pub fn collect_checked(bytes: &[u8]) -> Vec<u8> {
 
 /// Suppressed: the bound lives upstream and is documented at the site.
 pub fn collect_allowed(bytes: &[u8]) -> Vec<u8> {
-    let n = decode_frame(bytes);
+    let n = decode_frame2(bytes);
     // xlint::allow(wire-taint, the transport caps reads at 1 KiB so n is bounded before this crate sees it)
     Vec::with_capacity(n)
 }

@@ -23,9 +23,9 @@ impl From<ExecError> for RacyError {
 /// depends on thread interleaving.
 pub fn racy_sum(pool: &ExecPool, items: &[u64]) -> u64 {
     let total = Mutex::new(0u64);
-    let _ = pool.par_map(items, |_i, x| {
+    let _ = pool.run(items.len(), |i| {
         if let Ok(mut guard) = total.lock() {
-            *guard += *x;
+            *guard += items.get(i).copied().unwrap_or(0);
         }
     });
     0
@@ -35,9 +35,9 @@ pub fn racy_sum(pool: &ExecPool, items: &[u64]) -> u64 {
 /// with a reasoned allow on the call line.
 pub fn counted_copy(pool: &ExecPool, items: &[u64]) -> u64 {
     let hits = AtomicU64::new(0);
-    let _ = pool.par_map(items, |_i, x| { // xlint::allow(exec-job-racy, the hit counter is observability-only and never feeds job results)
+    let _ = pool.run(items.len(), |i| { // xlint::allow(exec-job-racy, the hit counter is observability-only and never feeds job results)
         hits.fetch_add(1, Ordering::Relaxed);
-        *x
+        items.get(i).copied()
     });
     0
 }
