@@ -6,6 +6,7 @@
 //! once: golden wire vectors are stable across releases, and the
 //! content-addressed result cache can key on the spec's encoded bytes.
 
+use minitester::{MiniTesterDatapath, MiniTesterError, TestPlan};
 use pstime::{DataRate, Duration};
 
 use crate::stream::{BATHTUB_SEGMENT_PAIRS, EYE_COLUMN_POINTS, WAFER_STRIPE_RECORDS};
@@ -260,6 +261,17 @@ const EYE_STEP_FS: i64 = 10_000;
 
 /// Threshold-row count of a shmoo sweep (ascending sweep with positive
 /// step — i.e. already validated), in wide arithmetic.
+/// The `BadPayload` for a spec the mini-tester would refuse.
+fn outside_envelope(e: MiniTesterError) -> FrameError {
+    let context = match e {
+        MiniTesterError::BadTestPlan { reason } => reason,
+        MiniTesterError::Dlc(_) => "data rate above the DLC pins' per-lane limit",
+        MiniTesterError::Pecl(_) => "data rate above the PECL chain's limit",
+        _ => "spec outside the mini-tester's envelope",
+    };
+    FrameError::BadPayload { context }
+}
+
 fn shmoo_row_count(v_start_mv: i32, v_end_mv: i32, v_step_mv: i32) -> i64 {
     let span = i64::from(v_end_mv) - i64::from(v_start_mv);
     span / i64::from(v_step_mv) + 1
@@ -496,9 +508,11 @@ impl JobSpec {
         }
     }
 
-    /// Checks every field against its domain and every derived work
-    /// magnitude against [`limits`] — the gate both decoding and execution
-    /// pass through, so a malformed spec becomes a typed error rather than
+    /// Checks every field against its domain, every derived work
+    /// magnitude against [`limits`], and every stimulus against the
+    /// mini-tester's envelope (a positive multiple of its 16 lanes, the DLC
+    /// pins' per-lane rate, the PECL chain's rate limit, and a wafer plan's
+    /// 64-bit floor) — the gate both decoding and execution pass through, so a malformed spec becomes a typed error rather than
     /// a panic deep inside a workload constructor, and a hostile-but-
     /// well-formed spec is shed instead of pinning the daemon.
     ///
@@ -514,6 +528,9 @@ impl JobSpec {
                 Ok(())
             }
         };
+        // The instrument's envelope is checked by the mini-tester's own
+        // predicates, so an admitted spec cannot fail them after a boot.
+        let len = |bits: u32| usize::try_from(bits).unwrap_or(usize::MAX);
         match *self {
             JobSpec::Shmoo {
                 rate_bps,
@@ -528,6 +545,8 @@ impl JobSpec {
                 if bits > limits::MAX_BITS {
                     return bad("stimulus length exceeds the bits ceiling");
                 }
+                MiniTesterDatapath::check_stimulus(DataRate::from_bps(rate_bps), len(bits))
+                    .map_err(outside_envelope)?;
                 if phase_step_fs <= 0 {
                     return bad("phase step must be positive");
                 }
@@ -552,6 +571,8 @@ impl JobSpec {
                 if bits > limits::MAX_BITS {
                     return bad("stimulus length exceeds the bits ceiling");
                 }
+                MiniTesterDatapath::check_stimulus(DataRate::from_bps(rate_bps), len(bits))
+                    .map_err(outside_envelope)?;
             }
             JobSpec::Wafer {
                 dies,
@@ -572,6 +593,11 @@ impl JobSpec {
                 if test_bits > limits::MAX_BITS {
                     return bad("stimulus length exceeds the bits ceiling");
                 }
+                // Every die runs the BIST plan first, and the margin plan
+                // shares its rate and length.
+                TestPlan::prbs_bist(DataRate::from_bps(rate_bps), len(test_bits))
+                    .validate()
+                    .map_err(outside_envelope)?;
                 for rate in [hard_defect_rate, marginal_rate] {
                     if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
                         return bad("defect rates must be finite fractions in [0, 1]");
@@ -1531,6 +1557,73 @@ mod tests {
             assert!(spec.slice(extent, 1).is_none());
             assert!(spec.slice(0, extent + 1).is_none());
             assert!(spec.slice(u64::MAX, 2).is_none());
+        }
+    }
+
+    /// A shmoo, a wafer and an eye spec at `rate_bps` with a `bits`-long
+    /// stimulus, each followed by its first-band shard variant.
+    fn instrument_specs(rate_bps: u64, bits: u32) -> Vec<JobSpec> {
+        let rate = DataRate::from_bps(rate_bps);
+        let parents = [
+            JobSpec::shmoo(rate, bits, 17, &minitester::ShmooConfig::pecl(), 5),
+            JobSpec::wafer(&minitester::WaferRunConfig {
+                rate,
+                test_bits: usize::try_from(bits).unwrap(),
+                ..minitester::WaferRunConfig::default()
+            }),
+            JobSpec::eye(rate, bits, 21, 9),
+        ];
+        parents.into_iter().flat_map(|p| [p, p.shard(0, 1).unwrap()]).collect()
+    }
+
+    /// `validate` rejects `spec` as `context`, and `execute` returns the
+    /// same error. A `Frame` error can only come from the `validate` call
+    /// that opens `execute`, so no datapath or tester was booted.
+    fn rejected_before_boot(spec: &JobSpec, context: &'static str) {
+        let want = FrameError::BadPayload { context };
+        assert_eq!(spec.validate(), Err(want.clone()), "{spec:?}");
+        match crate::workload::execute(spec, &exec::ExecPool::serial()) {
+            Err(crate::AtdError::Frame(got)) => assert_eq!(got, want, "{spec:?}"),
+            other => panic!("{spec:?}: expected a validation error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rates_above_the_pecl_chains_limit_are_rejected_before_boot() {
+        for spec in instrument_specs(6_000_000_000, 256) {
+            rejected_before_boot(&spec, "data rate above the PECL chain's limit");
+        }
+        for spec in instrument_specs(5_000_000_000, 256) {
+            assert_eq!(spec.validate(), Ok(()), "5 Gbps is the chain's own limit: {spec:?}");
+        }
+    }
+
+    #[test]
+    fn rates_above_16_lanes_of_dlc_pins_are_rejected_before_boot() {
+        for spec in instrument_specs(20_000_000_000, 256) {
+            rejected_before_boot(&spec, "data rate above the DLC pins' per-lane limit");
+        }
+    }
+
+    #[test]
+    fn stimulus_lengths_off_the_16_lanes_are_rejected_before_boot() {
+        for spec in instrument_specs(GBPS, 100) {
+            rejected_before_boot(
+                &spec,
+                "stimulus length must be a positive multiple of the 16 lanes",
+            );
+        }
+    }
+
+    #[test]
+    fn wafer_plans_below_64_bits_are_rejected_before_boot() {
+        let specs = instrument_specs(GBPS, 48);
+        for spec in specs.iter().filter(|s| matches!(s.kind(), "wafer" | "wafer-dies")) {
+            rejected_before_boot(spec, "need at least 64 bits");
+        }
+        // A 48-bit shmoo or eye stimulus has no such floor.
+        for spec in specs.iter().filter(|s| !matches!(s.kind(), "wafer" | "wafer-dies")) {
+            assert_eq!(spec.validate(), Ok(()), "{spec:?}");
         }
     }
 

@@ -29,10 +29,9 @@ fn to_usize(v: u32) -> usize {
 ///
 /// # Errors
 ///
-/// [`AtdError::Frame`] for an out-of-domain spec;
-/// [`AtdError::MiniTester`] for a shmoo or eye stimulus length that is not
-/// a positive multiple of the 16 lanes; workload and execution errors
-/// otherwise.
+/// [`AtdError::Frame`] for a spec outside the service's domain or the
+/// instrument's envelope ([`JobSpec::validate`]), returned before any
+/// instrument boots; workload and execution errors otherwise.
 pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
     spec.validate()?;
     // A shard variant runs its parent's workload through the band entry
@@ -232,9 +231,9 @@ mod tests {
 
     #[test]
     fn stimulus_lengths_that_do_not_fill_the_16_lanes_are_typed_errors() {
-        // These lengths pass spec validation. Unchecked, 0, 1 and 15 bits
-        // would pass an eye over 0 compared bits, and 100 bits would
-        // compare only 96.
+        // Unchecked, 0, 1 and 15 bits would pass an eye over 0 compared
+        // bits, and 100 bits would compare only 96. Spec validation
+        // rejects them, so execute never boots a datapath for them.
         let pool = ExecPool::serial();
         let rate = DataRate::from_gbps(2.5);
         for bits in [0, 1, 15, 100] {
@@ -242,15 +241,9 @@ mod tests {
                 JobSpec::eye(rate, bits, 21, 9),
                 JobSpec::shmoo(rate, bits, 17, &minitester::ShmooConfig::pecl(), 5),
             ] {
-                assert!(spec.validate().is_ok(), "{spec:?}");
+                assert!(spec.validate().is_err(), "{spec:?}");
                 let got = execute(&spec, &pool);
-                assert!(
-                    matches!(
-                        got,
-                        Err(AtdError::MiniTester(minitester::MiniTesterError::BadTestPlan { .. }))
-                    ),
-                    "{bits} bits: {got:?}"
-                );
+                assert!(matches!(got, Err(AtdError::Frame(_))), "{bits} bits: {got:?}");
             }
         }
     }

@@ -6,7 +6,9 @@
 //! then combined in a second-stage multiplexer to obtain double the final
 //! signal (up to 5.0 Gbps)" (§4).
 
-use dlc::{Bitstream, DigitalLogicCore, PatternKind};
+use std::sync::OnceLock;
+
+use dlc::{Bitstream, DigitalLogicCore, IoBlock, PatternKind};
 use pecl::SignalChain;
 use pstime::DataRate;
 use signal::{AnalogWaveform, BitStream, LevelSet};
@@ -109,6 +111,24 @@ impl MiniTesterDatapath {
     /// Reprograms output levels.
     pub fn set_levels(&mut self, levels: LevelSet) {
         self.chain.set_levels(levels);
+    }
+
+    /// Checks, without booting the DLC, that
+    /// [`prbs_pattern`](Self::prbs_pattern) and [`render`](Self::render)
+    /// accept an `n_bits` stimulus at `rate`. It runs their own checks in
+    /// their order: the 16-lane length, the DLC pins' derated per-lane
+    /// rate, then the PECL chain's rate limit.
+    ///
+    /// # Errors
+    ///
+    /// [`MiniTesterError::BadTestPlan`] for the length; the DLC's or the
+    /// PECL chain's `RateTooHigh` for the rate.
+    pub fn check_stimulus(rate: DataRate, n_bits: usize) -> Result<()> {
+        static CHAIN: OnceLock<SignalChain> = OnceLock::new();
+        check_length(n_bits)?;
+        IoBlock::new().check_rate(Self::lane_rate(rate))?;
+        CHAIN.get_or_init(SignalChain::minitester_datapath).check_rate(rate)?;
+        Ok(())
     }
 
     /// The per-lane CMOS rate needed for a serial output rate

@@ -41,14 +41,23 @@ impl TestPlan {
         TestPlan { rate, n_bits, mode: BistMode::PrbsChecker, max_errors: 0, min_eye_ui: 0.0 }
     }
 
-    fn validate(&self) -> Result<()> {
+    /// Checks, without booting anything, that a tester can run this plan:
+    /// the plan's own limits, then
+    /// [`MiniTesterDatapath::check_stimulus`] for its rate and length.
+    ///
+    /// # Errors
+    ///
+    /// [`MiniTesterError::BadTestPlan`] for fewer than 64 bits or an eye
+    /// limit outside [0, 1] UI; otherwise as
+    /// [`MiniTesterDatapath::check_stimulus`].
+    pub fn validate(&self) -> Result<()> {
         if self.n_bits < 64 {
             return Err(MiniTesterError::BadTestPlan { reason: "need at least 64 bits" });
         }
         if !(0.0..=1.0).contains(&self.min_eye_ui) {
             return Err(MiniTesterError::BadTestPlan { reason: "eye limit must be in [0, 1] UI" });
         }
-        Ok(())
+        MiniTesterDatapath::check_stimulus(self.rate, self.n_bits)
     }
 }
 

@@ -210,18 +210,29 @@ impl SignalChain {
             .clamp_unit()
     }
 
-    /// Renders a serial bit stream through the chain at `rate`.
+    /// Checks `rate` against the chain's rate limit, as
+    /// [`render`](Self::render) does.
     ///
     /// # Errors
     ///
     /// [`PeclError::RateTooHigh`] beyond the chain's rate limit.
-    pub fn render(&self, bits: &BitStream, rate: DataRate, seed: u64) -> Result<AnalogWaveform> {
+    pub fn check_rate(&self, rate: DataRate) -> Result<()> {
         if rate.as_gbps() > self.max_rate_gbps {
             return Err(PeclError::RateTooHigh {
                 requested_gbps: rate.as_gbps(),
                 limit_gbps: self.max_rate_gbps,
             });
         }
+        Ok(())
+    }
+
+    /// Renders a serial bit stream through the chain at `rate`.
+    ///
+    /// # Errors
+    ///
+    /// [`PeclError::RateTooHigh`] beyond the chain's rate limit.
+    pub fn render(&self, bits: &BitStream, rate: DataRate, seed: u64) -> Result<AnalogWaveform> {
+        self.check_rate(rate)?;
         let budget = self.jitter_budget();
         let digital = DigitalWaveform::from_bits(bits, rate, &budget, seed);
         Ok(AnalogWaveform::new(digital, self.levels, self.shape))

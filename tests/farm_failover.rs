@@ -235,3 +235,29 @@ fn readmission_restores_routing_and_cache_affinity() {
     assert_eq!(flapping.result, baseline, "a flapping head must not change merged bytes");
     assert!(!farm.is_up(victim), "the still-broken head must be re-marked down");
 }
+
+/// A spec outside the instrument's envelope is the caller's error, not a
+/// head failure: each one comes back typed with every head still up, and
+/// the farm then serves a valid spec.
+#[test]
+fn out_of_envelope_specs_are_typed_errors_with_every_head_up() {
+    let mut farm = Farm::in_proc(3).expect("three-head farm");
+    let wafer_48_bits = JobSpec::wafer(&minitester::WaferRunConfig {
+        test_bits: 48,
+        ..minitester::WaferRunConfig::default()
+    });
+    for spec in [
+        JobSpec::eye(DataRate::from_gbps(6.0), 256, 17, 5),
+        JobSpec::eye(DataRate::from_gbps(20.0), 256, 17, 5),
+        JobSpec::eye(DataRate::from_gbps(2.5), 100, 17, 5),
+        wafer_48_bits,
+    ] {
+        match farm.submit(1, spec) {
+            Err(FarmError::Spec(_)) => {}
+            other => panic!("{spec:?}: expected a spec error, got {other:?}"),
+        }
+        assert_eq!(farm.up_heads(), 3, "{spec:?} must not take a head down");
+    }
+    let served = farm.submit(1, eye_spec()).expect("a valid spec is served");
+    assert_eq!(served.shards, 3);
+}
