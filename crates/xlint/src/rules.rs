@@ -266,8 +266,8 @@ pub(crate) const POOL_ENTRIES: &[&str] = &["run"];
 
 /// Is the token at `i` the name of a pool entry call, `pool.run(` or
 /// `*_pool.run(`? `run` is too common a name to match alone
-/// (`ate::System::run`, `dlc::Sequencer::run`), so the receiver must read
-/// as a pool.
+/// (`ate::TestSystem::run`, `dlc::SequencerProgram::run`), so the receiver
+/// must read as a pool.
 pub(crate) fn is_pool_entry(tokens: &[Token], i: usize) -> bool {
     let ident =
         |k: usize| tokens.get(k).filter(|t| t.kind == TokenKind::Ident).map(|t| t.text.as_str());
