@@ -91,6 +91,26 @@ if grep -rnE "(allow|expect)\([^)]*\b(dead_code|unused)" --include='*.rs' crates
   exit 1
 fi
 echo "rustc: no dead_code or unused lint is silenced"
+# One boot per process: the paper's DLC is configured once and then
+# driven through registers, and every service job runs on the one
+# instrument `MiniTester::shared` boots. Library code (outside its
+# #[cfg(test)] module, tests, examples and the bench crate) may call
+# `MiniTester::new` or `MiniTesterDatapath::new` only at that one
+# construction site: the shared tester's boot and the datapath boot
+# inside it. Comment lines (doc examples) do not count.
+boot_sites="$(grep -rlE '(MiniTesterDatapath|MiniTester)::new' --include='*.rs' crates \
+    | grep -v '^crates/bench/' | grep -v '/tests/' \
+    | xargs -r awk '/^#\[cfg\(test\)\]/ { nextfile } /^[[:space:]]*\/\// { next }
+      /(^|[^A-Za-z0-9_])(MiniTesterDatapath|MiniTester)::new([^A-Za-z0-9_]|$)/ {
+        sub(/^[[:space:]]+/, ""); print FILENAME ": " $0 }' || true)"
+allowed_boot_sites="crates/minitester/src/tester.rs: datapath: MiniTesterDatapath::new()?,
+crates/minitester/src/tester.rs: SHARED.get_or_init(MiniTester::new).as_ref().map_err(Clone::clone)"
+if [ "$boot_sites" != "$allowed_boot_sites" ]; then
+  echo "ci: instrument boots outside the shared construction site (want < / got >):" >&2
+  diff <(echo "$allowed_boot_sites") <(echo "$boot_sites") >&2 || true
+  exit 1
+fi
+echo "ci: no request path boots an instrument"
 # A crate names only the workspace crates it uses: every workspace crate
 # in a [dependencies] or [dev-dependencies] table must appear as a
 # `name::` path in some .rs file under the crate or in a target its

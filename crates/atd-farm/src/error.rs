@@ -6,10 +6,11 @@ use atd::wire::FrameError;
 
 /// Why a farm operation failed.
 ///
-/// Head-level errors (socket loss, remote failures, shed submissions) are
-/// not surfaced individually: they mark the head down and the affected
-/// sub-specs re-route. Only exhaustion of the whole fleet or of the retry
-/// budget becomes a `FarmError`.
+/// A head that gives no answer (socket loss, a shed submission) is not
+/// surfaced individually: it is marked down and the affected sub-specs
+/// re-route. Only exhaustion of the whole fleet or of the retry budget
+/// becomes a `FarmError` for it. A job failure a head answers is the
+/// caller's error and comes back as [`FarmError::Job`].
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum FarmError {
@@ -31,6 +32,14 @@ pub enum FarmError {
     },
     /// The spec failed validation or could not be sliced.
     Spec(FrameError),
+    /// A head ran a sub-spec and answered that it failed. The head
+    /// stays up: the failure is the job's, not the head's.
+    Job {
+        /// The spec kind whose sub-spec failed.
+        kind: &'static str,
+        /// The error the head reported.
+        error: atd::AtdError,
+    },
     /// Sub-results could not be reassembled into the parent result.
     Merge {
         /// What the merge layer was checking.
@@ -55,6 +64,7 @@ impl fmt::Display for FarmError {
                 write!(f, "{kind} sub-specs failed after {attempts} rounds (last error: {last})")
             }
             FarmError::Spec(e) => write!(f, "spec error: {e}"),
+            FarmError::Job { kind, error } => write!(f, "{kind} job failed on a head: {error}"),
             FarmError::Merge { context } => write!(f, "merge failure: {context}"),
             FarmError::Exec(e) => write!(f, "coordinator pool error: {e}"),
             FarmError::Head(e) => write!(f, "head boot failure: {e}"),
@@ -66,6 +76,7 @@ impl std::error::Error for FarmError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FarmError::Spec(e) => Some(e),
+            FarmError::Job { error, .. } => Some(error),
             FarmError::Exec(e) => Some(e),
             FarmError::Head(e) => Some(e),
             _ => None,

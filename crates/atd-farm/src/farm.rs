@@ -4,9 +4,11 @@
 //! sub-spec through the [`HashRing`], groups them by head, and drains
 //! the per-head groups concurrently on the coordinator's [`ExecPool`]
 //! (one worker per head with work; each head executes its own group in
-//! plan order). A head whose submit errs is marked down; its unfinished
-//! sub-specs re-route to the survivors in the next round, up to
-//! [`FarmConfig::retries`] extra rounds. Results are keyed by plan
+//! plan order). A head that gives no answer is marked down; its
+//! unfinished sub-specs re-route to the survivors in the next round, up
+//! to [`FarmConfig::retries`] extra rounds. A head that answers a job's
+//! failure stays up, and the submission returns that error after the
+//! round. Results are keyed by plan
 //! index, so the final merge order — and therefore the merged bytes —
 //! is independent of which heads ran what, in which round, on how many
 //! coordinator threads.
@@ -19,7 +21,7 @@ use atd::{AtdError, Client, JobResult, JobSpec, Loopback, Provenance, ServiceSta
 use exec::ExecPool;
 
 use crate::error::FarmError;
-use crate::head::{local_head, local_head_with_store, spec_route_key, Head};
+use crate::head::{local_head, local_head_with_store, spec_route_key, Answer, Head};
 use crate::merge::merge;
 use crate::plan::plan;
 use crate::ring::HashRing;
@@ -63,7 +65,9 @@ pub struct HeadTally {
     pub submitted: u64,
     /// Sub-specs it completed.
     pub completed: u64,
-    /// Sub-specs it failed (each re-routes and retries elsewhere).
+    /// Sub-specs it did not complete: each one it gave no answer for
+    /// re-routes and retries elsewhere, and a job failure it answered
+    /// ends the submission.
     pub failed: u64,
 }
 
@@ -183,7 +187,7 @@ impl Farm<Client<Loopback>> {
 /// What one head reports back from a drain round: its id and, per
 /// sub-spec in its group, the plan index, the sub-spec (for re-routing),
 /// and the outcome.
-type RoundReport = (usize, Vec<(usize, JobSpec, Result<(Provenance, JobResult), AtdError>)>);
+type RoundReport = (usize, Vec<(usize, JobSpec, Result<Answer, AtdError>)>);
 
 /// Drains one head's group for one round. Runs on a coordinator pool
 /// worker; the head is behind a [`Mutex`] only to satisfy the pool's
@@ -210,8 +214,8 @@ fn drain_head<H: Head>(
     let mut dead = false;
     for (index, sub) in group {
         if dead {
-            // Once a head errs, don't hammer it with the rest of its
-            // group — fail the remainder over to the next round.
+            // Once a head gives no answer, don't hammer it with the rest
+            // of its group — fail the remainder over to the next round.
             let err = AtdError::Remote { message: "head already failed this round".to_string() };
             report.push((*index, *sub, Err(err)));
             continue;
@@ -329,7 +333,9 @@ impl<H: Head + Send> Farm<H> {
     ///
     /// # Errors
     ///
-    /// [`FarmError::Spec`] for an invalid spec, [`FarmError::AllHeadsDown`]
+    /// [`FarmError::Spec`] for an invalid spec, [`FarmError::Job`] when a
+    /// head answers that a sub-spec failed (the lowest-indexed one of its
+    /// round; no head is marked down for it), [`FarmError::AllHeadsDown`]
     /// when nothing can route, [`FarmError::RetriesExhausted`] when the
     /// budget runs out, [`FarmError::Merge`] if sub-results do not tile.
     pub fn submit(&mut self, session: u32, spec: JobSpec) -> Result<FarmSubmitted, FarmError> {
@@ -375,20 +381,27 @@ impl<H: Head + Send> Farm<H> {
                 let cells: Vec<Mutex<&mut H>> = self.heads.iter_mut().map(Mutex::new).collect();
                 self.pool.run(work.len(), |slot| drain_head(&cells, &work, slot, session))?.results
             };
+            // The lowest-indexed job failure a head answered this round.
+            let mut job_failure: Option<(usize, AtdError)> = None;
             for (head_id, report) in reports {
                 let mut head_failed = false;
                 for (index, sub, outcome) in report {
                     if let Some(tally) = self.stats.per_head.get_mut(head_id) {
                         tally.submitted += 1;
                         match &outcome {
-                            Ok(_) => tally.completed += 1,
-                            Err(_) => tally.failed += 1,
+                            Ok(Answer::Done(..)) => tally.completed += 1,
+                            Ok(Answer::Failed(_)) | Err(_) => tally.failed += 1,
                         }
                     }
                     match outcome {
-                        Ok(done) => {
+                        Ok(Answer::Done(provenance, result)) => {
                             if let Some(slot) = results.get_mut(index) {
-                                *slot = Some(done);
+                                *slot = Some((provenance, result));
+                            }
+                        }
+                        Ok(Answer::Failed(error)) => {
+                            if job_failure.as_ref().is_none_or(|(first, _)| index < *first) {
+                                job_failure = Some((index, error));
                             }
                         }
                         Err(e) => {
@@ -401,6 +414,9 @@ impl<H: Head + Send> Farm<H> {
                 if head_failed && self.ring.mark_down(head_id) {
                     self.stats.heads_down += 1;
                 }
+            }
+            if let Some((_, error)) = job_failure {
+                return Err(FarmError::Job { kind: spec.kind(), error });
             }
             // Deterministic retry order regardless of which heads failed.
             pending.sort_unstable_by_key(|(index, _)| *index);

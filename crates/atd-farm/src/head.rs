@@ -4,10 +4,15 @@
 //! counters. The one real implementation is [`Client`] over any byte
 //! stream: an in-process [`Loopback`] service (tests, benches) or a TCP
 //! connection to a daemon ([`atd::PipelinedClient`], real deployments).
-//! The farm treats every submission error — including a `Busy` shed — as
-//! a head failure: the coordinator's contract is bounded retries with
-//! re-shard, not client-side backoff, so a head that cannot accept work
-//! right now is simply routed around until re-admitted.
+//! A head that answers — with a result, or with a job's `Failed` reply —
+//! is healthy: a failed job is the caller's error, and the farm returns
+//! it. Only a submission that gets no answer is a head failure: transport
+//! loss (a protocol-level `Failed` under [`atd::FAILURE_ID`] included,
+//! since the head closes the session after it), an unexpected reply, or
+//! a `Busy` shed. The coordinator's
+//! contract for those is bounded retries with re-shard, not client-side
+//! backoff, so a head that cannot accept work right now is simply routed
+//! around until re-admitted.
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -16,19 +21,29 @@ use atd::scheduler::Scheduler;
 use atd::store::{Store, StoreConfig};
 use atd::{
     AtdError, Client, Event, JobResult, JobSpec, Loopback, Provenance, Service, ServiceStats,
+    FAILURE_ID,
 };
 use exec::ExecPool;
 
+/// A head's answer to one submission.
+#[derive(Debug)]
+pub enum Answer {
+    /// The job ran: how its result was produced, and the result itself.
+    Done(Provenance, JobResult),
+    /// The job failed on a healthy head: the error the head reported.
+    Failed(AtdError),
+}
+
 /// One test head under farm control.
 pub trait Head {
-    /// Executes `spec` under `session`, returning how the result was
-    /// produced and the result itself.
+    /// Executes `spec` under `session` and returns the head's answer.
     ///
     /// # Errors
     ///
-    /// [`AtdError`] for transport loss, remote failures, or a shed
-    /// submission; any error marks the head down at the farm layer.
-    fn submit(&mut self, session: u32, spec: JobSpec) -> Result<(Provenance, JobResult), AtdError>;
+    /// [`AtdError`] when the head gave no answer: transport loss, an
+    /// unexpected reply, or a shed submission. Each of these marks the
+    /// head down at the farm layer; an [`Answer::Failed`] does not.
+    fn submit(&mut self, session: u32, spec: JobSpec) -> Result<Answer, AtdError>;
 
     /// The head's cumulative service counters.
     ///
@@ -48,13 +63,17 @@ pub trait Head {
 /// The farm keeps one job in flight per head: each submission blocks on
 /// its own terminal event.
 impl<L: Read + Write> Head for Client<L> {
-    fn submit(&mut self, session: u32, spec: JobSpec) -> Result<(Provenance, JobResult), AtdError> {
+    fn submit(&mut self, session: u32, spec: JobSpec) -> Result<Answer, AtdError> {
         match Client::submit(self, session, spec)? {
-            Event::Done { provenance, result, .. } => Ok((provenance, result)),
+            Event::Done { provenance, result, .. } => Ok(Answer::Done(provenance, result)),
             Event::Busy { queue_depth, queue_capacity, .. } => Err(AtdError::Remote {
                 message: format!("head shed the job: queue {queue_depth}/{queue_capacity}"),
             }),
-            Event::Failed { message, .. } => Err(AtdError::Remote { message }),
+            // A protocol failure closes the session: the job never ran.
+            Event::Failed { correlation: FAILURE_ID, message, .. } => {
+                Err(AtdError::Remote { message })
+            }
+            Event::Failed { message, .. } => Ok(Answer::Failed(AtdError::Remote { message })),
             other => Err(AtdError::Remote { message: format!("head answered {other:?}") }),
         }
     }
@@ -114,17 +133,45 @@ mod tests {
         }
     }
 
+    fn done(answer: Answer) -> (Provenance, JobResult) {
+        match answer {
+            Answer::Done(provenance, result) => (provenance, result),
+            Answer::Failed(e) => panic!("job failed: {e}"),
+        }
+    }
+
     #[test]
     fn loopback_head_submits_and_reports_stats() {
         let mut head = local_head();
-        let (provenance, first) = Head::submit(&mut head, 1, spec()).expect("submit");
+        let (provenance, first) = done(Head::submit(&mut head, 1, spec()).expect("submit"));
         assert_eq!(provenance, Provenance::Computed);
-        let (provenance, second) = Head::submit(&mut head, 1, spec()).expect("resubmit");
+        let (provenance, second) = done(Head::submit(&mut head, 1, spec()).expect("resubmit"));
         assert_eq!(provenance, Provenance::Cache, "identical spec must hit the cache");
         assert_eq!(first, second);
         let stats = Head::stats(&mut head).expect("stats");
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.cache_hits, 1);
+    }
+
+    #[test]
+    fn a_protocol_failure_is_no_answer() {
+        // The farm validates before routing; submitted directly, a
+        // one-point bathtub is rejected as a malformed frame, and the
+        // head closes the session after its protocol-level `Failed`.
+        let mut head = local_head();
+        let one_point = match spec() {
+            JobSpec::Bathtub { rj_rms_fs, dj_pp_fs, rate_bps, transition_density, .. } => {
+                JobSpec::Bathtub { rj_rms_fs, dj_pp_fs, rate_bps, transition_density, points: 1 }
+            }
+            other => other,
+        };
+        match Head::submit(&mut head, 1, one_point) {
+            Err(AtdError::Remote { message }) => {
+                assert!(message.contains("crossovers"), "{message}")
+            }
+            other => panic!("expected no answer, got {other:?}"),
+        }
+        assert!(Head::submit(&mut head, 1, spec()).is_err(), "the session is closed");
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //!   ids, keyed on the FNV-1a digest of each sub-spec's canonical key
 //!   bytes. Identical sub-specs always land on the same head, so each
 //!   head's content-addressed result cache stays hot across campaigns.
-//! - **Failure model** ([`Farm`]): a head whose submit errs is marked
-//!   down; its sub-specs re-route deterministically to the survivors and
-//!   retry within a bounded budget ([`FarmConfig::retries`]). Downed
-//!   heads can be re-admitted, after which routing reverts to the
-//!   original ring assignment.
+//! - **Failure model** ([`Farm`]): a head that gives no answer
+//!   (transport loss or a shed) is marked down; its sub-specs re-route
+//!   deterministically to the survivors and retry within a bounded
+//!   budget ([`FarmConfig::retries`]). Downed heads can be re-admitted,
+//!   after which routing reverts to the original ring assignment. A head
+//!   that answers a job's failure stays up, and the farm returns that
+//!   error ([`FarmError::Job`]).
 //! - **Merge layer** ([`merge`]): reassembles sub-results in plan order
 //!   and regenerates the final [`atd::JobResult`] through the same native
 //!   constructors a single head uses, so the farm's aggregate — data,
@@ -52,7 +54,7 @@ mod ring;
 
 pub use error::FarmError;
 pub use farm::{heads_from_env, Farm, FarmConfig, FarmStats, FarmSubmitted, HeadTally};
-pub use head::{local_head, local_head_with_store, spec_route_key, Head};
+pub use head::{local_head, local_head_with_store, spec_route_key, Answer, Head};
 pub use merge::merge;
 pub use plan::plan;
 pub use ring::HashRing;

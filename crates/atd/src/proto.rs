@@ -618,6 +618,9 @@ impl JobSpec {
                 if points > limits::MAX_SWEEP_POINTS {
                     return bad("sweep exceeds the point ceiling");
                 }
+                if signal::BathtubSweep::check_points(len(points)).is_err() {
+                    return bad("a bathtub sweep needs at least both crossovers (points >= 2)");
+                }
             }
             // Shard variants: the parent spec must pass in full (they
             // carry its every field), and the range must sit inside the

@@ -73,7 +73,7 @@ impl Read for Loopback {
 mod tests {
     use super::*;
     use crate::pipeline::Client;
-    use crate::proto::{JobSpec, Provenance};
+    use crate::proto::{JobSpec, Provenance, FAILURE_ID};
     use crate::scheduler::Scheduler;
     use crate::stream::Event;
     use crate::AtdError;
@@ -131,12 +131,17 @@ mod tests {
         }
         assert_eq!(busy, 1);
 
-        // A failing spec surfaces as a failed event under its own ticket.
-        let failed = client.submit(1, bathtub(1)).unwrap();
-        assert!(matches!(failed, Event::Failed { ticket: 9, .. }), "{failed:?}");
-
         client.shutdown().unwrap();
         // Nothing is owed any more: the stream ends instead of blocking.
+        assert!(matches!(client.next_event(), Err(AtdError::Io { .. })));
+
+        // A spec outside the service's domain never becomes a job: the
+        // decode refuses it with a protocol-level failure, and the
+        // session closes after that reply.
+        let service = Service::new(ExecPool::serial(), Scheduler::new(4, 8));
+        let mut client = Client::new(Loopback::new(service));
+        let failed = client.submit(1, bathtub(1)).unwrap();
+        assert!(matches!(failed, Event::Failed { ticket: FAILURE_ID, .. }), "{failed:?}");
         assert!(matches!(client.next_event(), Err(AtdError::Io { .. })));
     }
 }

@@ -23,15 +23,18 @@ fn to_usize(v: u32) -> usize {
 ///
 /// Identical specs produce byte-identical results at any pool width: the
 /// workloads derive all randomness from spec-carried seeds through
-/// index-addressed substreams. A shmoo or eye spec boots a datapath, has
-/// its DLC build the spec's PRBS pattern once, and checks the stimulus
-/// rendered from that pattern against the pattern's own bits.
+/// index-addressed substreams. Every shmoo, eye and wafer spec runs on the
+/// process's one booted instrument ([`minitester::MiniTester::shared`]):
+/// its PRBS pattern comes from the datapath's memo, built on this thread
+/// before any pool job runs, and the stimulus rendered from that pattern
+/// is checked against the pattern's own bits.
 ///
 /// # Errors
 ///
 /// [`AtdError::Frame`] for a spec outside the service's domain or the
-/// instrument's envelope ([`JobSpec::validate`]), returned before any
-/// instrument boots; workload and execution errors otherwise.
+/// instrument's envelope ([`JobSpec::validate`]), returned before the
+/// instrument is touched; the instrument's boot error, and workload and
+/// execution errors otherwise.
 pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
     spec.validate()?;
     // A shard variant runs its parent's workload through the band entry
@@ -53,8 +56,8 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
             seed,
         } => {
             let rate = DataRate::from_bps(rate_bps);
-            let mut path = minitester::MiniTesterDatapath::new()?;
-            let pattern = path.prbs_pattern(rate, to_usize(bits))?;
+            let path = minitester::MiniTester::shared()?.datapath();
+            let pattern = path.pattern(rate, to_usize(bits))?;
             let wave = path.render(&pattern, stim_seed)?;
             let config = minitester::ShmooConfig {
                 phase_step: Duration::from_fs(phase_step_fs),
@@ -98,12 +101,11 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
         }
         JobSpec::Eye { rate_bps, bits, stim_seed, seed } => {
             let rate = DataRate::from_bps(rate_bps);
-            let mut path = minitester::MiniTesterDatapath::new()?;
-            let pattern = path.prbs_pattern(rate, to_usize(bits))?;
-            let wave = path.render(&pattern, stim_seed)?;
-            let capture = minitester::EtCapture::new();
+            let tester = minitester::MiniTester::shared()?;
+            let pattern = tester.datapath().pattern(rate, to_usize(bits))?;
+            let wave = tester.datapath().render(&pattern, stim_seed)?;
             let job = minitester::EyeScanJob {
-                capture: &capture,
+                capture: tester.capture(),
                 wave: &wave,
                 rate,
                 expected: pattern.bits(),
@@ -250,18 +252,20 @@ mod tests {
 
     #[test]
     fn failing_workload_propagates_its_error() {
-        // A one-point bathtub passes spec validation (only a ceiling is
-        // enforced there) but the sweep itself needs both crossovers: the
-        // signal-layer error must come back typed.
+        // A one-point bathtub would fail inside the sweep, which needs
+        // both crossovers. Spec validation applies the sweep's own rule,
+        // so execute returns the Frame error before any work runs.
         let pool = ExecPool::serial();
-        let spec = JobSpec::Bathtub {
+        let bathtub = |points| JobSpec::Bathtub {
             rj_rms_fs: 3_200,
             dj_pp_fs: 20_000,
             rate_bps: DataRate::from_gbps(2.5).as_bps(),
             transition_density: 0.5,
-            points: 1,
+            points,
         };
-        assert!(matches!(execute(&spec, &pool), Err(AtdError::Signal(_))));
+        assert!(bathtub(1).validate().is_err());
+        assert!(matches!(execute(&bathtub(1), &pool), Err(AtdError::Frame(_))));
+        assert!(execute(&bathtub(2), &pool).is_ok());
     }
 
     #[test]

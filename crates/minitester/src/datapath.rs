@@ -6,7 +6,7 @@
 //! then combined in a second-stage multiplexer to obtain double the final
 //! signal (up to 5.0 Gbps)" (§4).
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use dlc::{Bitstream, DigitalLogicCore, IoBlock, PatternKind};
 use pecl::SignalChain;
@@ -17,6 +17,12 @@ use crate::{MiniTesterError, Result};
 
 /// Number of CMOS lanes feeding the serializer (two groups of eight).
 pub const LANES: usize = 16;
+
+/// How many lane patterns [`MiniTesterDatapath::pattern`] keeps: this
+/// many (rate, length) keys at most, the least recently used dropped
+/// first. A 65,536-bit pattern (the `atd` service's ceiling) holds about
+/// 128 KB, so a full memo stays near 2 MB.
+pub const PATTERN_MEMO_ENTRIES: usize = 16;
 
 /// One stimulus pattern as the DLC generated it: 16 equal, nonempty CMOS
 /// lanes at a serial rate, and the serial bits the two-stage mux makes of
@@ -69,6 +75,11 @@ fn check_length(n_bits: usize) -> Result<()> {
 /// The stimulus datapath: a booted DLC feeding the calibrated mini-tester
 /// PECL chain through the two-stage mux.
 ///
+/// The DLC sits behind a lock with the patterns it has built, so one
+/// datapath serves many threads: [`pattern`](Self::pattern) builds or
+/// reuses a pattern under that lock, and [`render`](Self::render) needs
+/// only the chain.
+///
 /// # Examples
 ///
 /// ```
@@ -86,8 +97,16 @@ fn check_length(n_bits: usize) -> Result<()> {
 /// ```
 #[derive(Debug)]
 pub struct MiniTesterDatapath {
-    core: DigitalLogicCore,
+    dlc: Mutex<Dlc>,
     chain: SignalChain,
+}
+
+/// The booted DLC and the PRBS patterns it built, most recently used
+/// first.
+#[derive(Debug)]
+struct Dlc {
+    core: DigitalLogicCore,
+    patterns: Vec<Arc<LanePattern>>,
 }
 
 impl MiniTesterDatapath {
@@ -100,7 +119,17 @@ impl MiniTesterDatapath {
         let mut core = DigitalLogicCore::new();
         core.program_flash_via_jtag(&Bitstream::example_design())?;
         core.power_up()?;
-        Ok(MiniTesterDatapath { core, chain: SignalChain::minitester_datapath() })
+        Ok(MiniTesterDatapath {
+            dlc: Mutex::new(Dlc { core, patterns: Vec::new() }),
+            chain: SignalChain::minitester_datapath(),
+        })
+    }
+
+    /// The DLC, for a caller that holds the datapath exclusively. Every
+    /// pattern build reconfigures the lanes it uses from scratch, so a
+    /// DLC left by a panicking holder is as good as any other.
+    fn dlc_mut(&mut self) -> &mut Dlc {
+        self.dlc.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The PECL chain (for level programming and budget queries).
@@ -156,23 +185,38 @@ impl MiniTesterDatapath {
     /// [`MiniTesterError::BadTestPlan`] unless `n_bits` is a positive
     /// multiple of 16; DLC channel configuration errors otherwise.
     pub fn prbs_pattern(&mut self, rate: DataRate, n_bits: usize) -> Result<LanePattern> {
-        check_length(n_bits)?;
-        let lane_rate = Self::lane_rate(rate);
-        for lane in 0..LANES {
-            self.core.configure_channel(
-                lane,
-                PatternKind::Prbs15 { seed: Self::lane_seed(lane) },
-                lane_rate,
-            )?;
-        }
-        let lane_bits = n_bits / LANES;
-        let lanes = (0..LANES)
-            .map(|lane| {
-                let _warmup = self.core.generate(lane, 16)?;
-                self.core.generate(lane, lane_bits)
-            })
-            .collect::<dlc::Result<_>>()?;
-        Ok(LanePattern::new(rate, lanes))
+        prbs(&mut self.dlc_mut().core, rate, n_bits)
+    }
+
+    /// The PRBS pattern [`prbs_pattern`](Self::prbs_pattern) builds for
+    /// `rate` and `n_bits`, shared. A pattern depends on those two alone,
+    /// so this datapath keeps the last [`PATTERN_MEMO_ENTRIES`] it built
+    /// and hands out the kept one; a miss builds it on the calling thread
+    /// under the DLC's lock. Call it before fanning work out over a pool,
+    /// never inside a pool job.
+    ///
+    /// # Errors
+    ///
+    /// As [`prbs_pattern`](Self::prbs_pattern); nothing is kept then.
+    pub fn pattern(&self, rate: DataRate, n_bits: usize) -> Result<Arc<LanePattern>> {
+        let mut dlc = self.dlc.lock().unwrap_or_else(PoisonError::into_inner);
+        let kept = dlc.patterns.iter().position(|p| p.rate == rate && p.bits.len() == n_bits);
+        let pattern = match kept {
+            Some(i) => dlc.patterns.remove(i),
+            None => {
+                let built = Arc::new(prbs(&mut dlc.core, rate, n_bits)?);
+                dlc.patterns.truncate(PATTERN_MEMO_ENTRIES - 1);
+                built
+            }
+        };
+        dlc.patterns.insert(0, Arc::clone(&pattern));
+        Ok(pattern)
+    }
+
+    /// How many patterns [`pattern`](Self::pattern) keeps right now; never
+    /// more than [`PATTERN_MEMO_ENTRIES`].
+    pub fn kept_patterns(&self) -> usize {
+        self.dlc.lock().unwrap_or_else(PoisonError::into_inner).patterns.len()
     }
 
     /// Loads an explicit serial pattern at `rate` by splitting it across
@@ -196,12 +240,12 @@ impl MiniTesterDatapath {
         }
         // Load each lane into the DLC as an explicit pattern to keep the
         // control flow identical to hardware operation.
+        let core = &mut self.dlc_mut().core;
         for (i, lane) in lanes.iter().enumerate() {
-            self.core.configure_channel(i, PatternKind::Explicit(lane.clone()), lane_rate)?;
+            core.configure_channel(i, PatternKind::Explicit(lane.clone()), lane_rate)?;
         }
-        let regenerated = (0..LANES)
-            .map(|i| self.core.generate(i, lanes[i].len()))
-            .collect::<dlc::Result<_>>()?;
+        let regenerated =
+            (0..LANES).map(|i| core.generate(i, lanes[i].len())).collect::<dlc::Result<_>>()?;
         Ok(LanePattern::new(rate, regenerated))
     }
 
@@ -214,6 +258,28 @@ impl MiniTesterDatapath {
     pub fn render(&self, pattern: &LanePattern, seed: u64) -> Result<AnalogWaveform> {
         Ok(self.chain.serialize_16(&pattern.lanes, pattern.rate, seed)?)
     }
+}
+
+/// [`MiniTesterDatapath::prbs_pattern`] on a DLC borrowed either
+/// exclusively or under the datapath's lock.
+fn prbs(core: &mut DigitalLogicCore, rate: DataRate, n_bits: usize) -> Result<LanePattern> {
+    check_length(n_bits)?;
+    let lane_rate = MiniTesterDatapath::lane_rate(rate);
+    for lane in 0..LANES {
+        core.configure_channel(
+            lane,
+            PatternKind::Prbs15 { seed: MiniTesterDatapath::lane_seed(lane) },
+            lane_rate,
+        )?;
+    }
+    let lane_bits = n_bits / LANES;
+    let lanes = (0..LANES)
+        .map(|lane| {
+            let _warmup = core.generate(lane, 16)?;
+            core.generate(lane, lane_bits)
+        })
+        .collect::<dlc::Result<_>>()?;
+    Ok(LanePattern::new(rate, lanes))
 }
 
 #[cfg(test)]

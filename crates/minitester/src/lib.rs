@@ -9,7 +9,10 @@
 //! * [`datapath`] — the stimulus path: 16 CMOS lanes at ~312 Mbps through
 //!   two 8:1 PECL mux groups and a final 2:1 to reach 5 Gbps (Fig. 15).
 //!   The DLC builds a pattern's lanes once, as a [`LanePattern`], and
-//!   every stimulus renders from it.
+//!   every stimulus renders from it. [`MiniTester::shared`] is the
+//!   process's one booted tester; its datapath keeps the last
+//!   [`datapath::PATTERN_MEMO_ENTRIES`] patterns it built, so jobs of
+//!   the same rate and length share one.
 //! * [`channel`] — the interposer/compliant-lead channel model:
 //!   attenuation, bandwidth-limited ISI, and propagation delay.
 //! * [`dut`] — a WLP die model with BIST: loopback and internal PRBS

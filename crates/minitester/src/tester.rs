@@ -6,6 +6,7 @@
 //! pass/fail with margins.
 
 use core::fmt;
+use std::sync::{Arc, OnceLock};
 
 use pstime::{DataRate, UnitInterval};
 
@@ -142,6 +143,31 @@ impl MiniTester {
         })
     }
 
+    /// The process's one booted mini-tester, booted on first use. The
+    /// paper's DLC boots from FLASH once at power-up and is then driven
+    /// only through registers; every service job shares this tester the
+    /// same way, through `&self` methods, and its
+    /// [`MiniTesterDatapath::pattern`] memo serves every job's stimulus.
+    ///
+    /// # Errors
+    ///
+    /// The boot's error, on this and every later call: the boot is
+    /// deterministic, so it is not retried.
+    pub fn shared() -> Result<&'static MiniTester> {
+        static SHARED: OnceLock<Result<MiniTester>> = OnceLock::new();
+        SHARED.get_or_init(MiniTester::new).as_ref().map_err(Clone::clone)
+    }
+
+    /// The stimulus datapath.
+    pub fn datapath(&self) -> &MiniTesterDatapath {
+        &self.datapath
+    }
+
+    /// The equivalent-time capture path.
+    pub fn capture(&self) -> &EtCapture {
+        &self.capture
+    }
+
     /// Replaces the device in the socket.
     pub fn insert_dut(&mut self, dut: WlpDut) {
         self.dut = dut;
@@ -163,16 +189,18 @@ impl MiniTester {
         self.run_prepared(&self.dut, &prepared, seed)
     }
 
-    /// Validates `plan` and has the DLC generate its PRBS pattern. The
-    /// pattern depends only on the plan's rate and length, so one
-    /// prepared plan serves every die a wafer run probes.
+    /// Validates `plan` and takes its PRBS pattern from the datapath's
+    /// [`pattern`](MiniTesterDatapath::pattern) memo. The pattern depends
+    /// only on the plan's rate and length, so one prepared plan serves
+    /// every die a wafer run probes, and plans of the same rate and
+    /// length share one pattern.
     ///
     /// # Errors
     ///
     /// Propagates plan validation and DLC errors.
-    pub fn prepare(&mut self, plan: &TestPlan) -> Result<PreparedPlan> {
+    pub fn prepare(&self, plan: &TestPlan) -> Result<PreparedPlan> {
         plan.validate()?;
-        let pattern = self.datapath.prbs_pattern(plan.rate, plan.n_bits)?;
+        let pattern = self.datapath.pattern(plan.rate, plan.n_bits)?;
         Ok(PreparedPlan { plan: plan.clone(), pattern })
     }
 
@@ -242,8 +270,8 @@ impl MiniTester {
 /// [`MiniTester::prepare`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedPlan {
-    pub(crate) plan: TestPlan,
-    pub(crate) pattern: LanePattern,
+    plan: TestPlan,
+    pattern: Arc<LanePattern>,
 }
 
 #[cfg(test)]

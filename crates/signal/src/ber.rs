@@ -153,17 +153,30 @@ pub struct BathtubSweep<'a> {
     pub points: usize,
 }
 
-impl exec::PoolJob for BathtubSweep<'_> {
-    type Output = Vec<(f64, f64)>;
-    type Error = crate::SignalError;
-
-    fn run_on(&self, pool: &exec::ExecPool) -> crate::Result<Vec<(f64, f64)>> {
-        if self.points < 2 {
+impl BathtubSweep<'_> {
+    /// Checks, without a curve, that a sweep of `points` phases can run:
+    /// it needs both crossovers.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::SignalError::InvalidParameter`] if `points < 2`.
+    pub fn check_points(points: usize) -> crate::Result<()> {
+        if points < 2 {
             return Err(crate::SignalError::InvalidParameter {
                 name: "points",
                 constraint: "a sweep needs at least both crossovers (points >= 2)",
             });
         }
+        Ok(())
+    }
+}
+
+impl exec::PoolJob for BathtubSweep<'_> {
+    type Output = Vec<(f64, f64)>;
+    type Error = crate::SignalError;
+
+    fn run_on(&self, pool: &exec::ExecPool) -> crate::Result<Vec<(f64, f64)>> {
+        BathtubSweep::check_points(self.points)?;
         let denom = (self.points - 1) as f64; // xlint::allow(no-lossy-cast, point counts stay far below 2^53 so the f64 conversion is exact)
         let outcome = pool.run(self.points, |k| {
             let phase = k as f64 / denom; // xlint::allow(no-lossy-cast, k < points which converts exactly)

@@ -7,40 +7,54 @@
 //! contract under that adversary: byte-identity with a single head, a
 //! deterministic re-shard (two coordinators observing the same failure
 //! make the same decisions), no lost or duplicated sub-results, balanced
-//! stats, and clean re-admission.
+//! stats, and clean re-admission. A head that answers a job's failure is
+//! the opposite case: it is healthy, and the farm returns the error.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use atd::{AtdError, Client, JobResult, JobSpec, Loopback, Provenance, ServiceStats};
-use atd_farm::{local_head, plan, Farm, FarmConfig, FarmError, Head};
+use atd::{AtdError, Client, JobResult, JobSpec, Loopback, ServiceStats};
+use atd_farm::{local_head, plan, Answer, Farm, FarmConfig, FarmError, Head};
 use pstime::DataRate;
 
-/// A head that serves faithfully until its fuse burns, then errors on
-/// every submission. The fuse is shared with the test so a fleet can be
-/// built healthy and sabotaged later, mid-campaign.
+/// A head that serves faithfully until its fuse burns, then gives no
+/// answer to any submission. The fuse is shared with the test so a fleet
+/// can be built healthy and sabotaged later, mid-campaign. Its second
+/// switch makes it answer one submission with a job failure instead.
 struct FlakyHead {
     inner: Client<Loopback>,
     /// Successful submissions remaining before the head starts failing;
     /// `u64::MAX` means healthy forever.
     fuse: Arc<AtomicU64>,
+    /// Answer the next submission `Failed`, then serve again.
+    fail_next: Arc<AtomicBool>,
 }
 
 impl FlakyHead {
-    fn healthy() -> (Self, Arc<AtomicU64>) {
+    fn healthy() -> (Self, Arc<AtomicU64>, Arc<AtomicBool>) {
         let fuse = Arc::new(AtomicU64::new(u64::MAX));
-        (FlakyHead { inner: local_head(), fuse: Arc::clone(&fuse) }, fuse)
+        let fail_next = Arc::new(AtomicBool::new(false));
+        let head = FlakyHead {
+            inner: local_head(),
+            fuse: Arc::clone(&fuse),
+            fail_next: Arc::clone(&fail_next),
+        };
+        (head, fuse, fail_next)
     }
 }
 
 impl Head for FlakyHead {
-    fn submit(&mut self, session: u32, spec: JobSpec) -> Result<(Provenance, JobResult), AtdError> {
+    fn submit(&mut self, session: u32, spec: JobSpec) -> Result<Answer, AtdError> {
         let burned = self
             .fuse
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| left.checked_sub(1))
             .is_err();
         if burned {
             return Err(AtdError::Remote { message: "injected fault: fuse burned".to_string() });
+        }
+        if self.fail_next.swap(false, Ordering::SeqCst) {
+            let message = "injected job failure".to_string();
+            return Ok(Answer::Failed(AtdError::Remote { message }));
         }
         Head::submit(&mut self.inner, session, spec)
     }
@@ -80,17 +94,24 @@ fn single_head_bytes(spec: JobSpec) -> Vec<u8> {
 const SHARDS: usize = 8;
 const HEADS: usize = 4;
 
-/// Builds a healthy 4-head flaky fleet and returns it with the fuses.
-fn flaky_fleet(retries: u32) -> (Farm<FlakyHead>, Vec<Arc<AtomicU64>>) {
+/// The switches of a [`FlakyHead`] fleet, indexed by head id.
+struct Switches {
+    fuses: Vec<Arc<AtomicU64>>,
+    fail_next: Vec<Arc<AtomicBool>>,
+}
+
+/// Builds a healthy 4-head flaky fleet and returns it with its switches.
+fn flaky_fleet(retries: u32) -> (Farm<FlakyHead>, Switches) {
     let mut heads = Vec::new();
-    let mut fuses = Vec::new();
+    let mut switches = Switches { fuses: Vec::new(), fail_next: Vec::new() };
     for _ in 0..HEADS {
-        let (head, fuse) = FlakyHead::healthy();
+        let (head, fuse, fail_next) = FlakyHead::healthy();
         heads.push(head);
-        fuses.push(fuse);
+        switches.fuses.push(fuse);
+        switches.fail_next.push(fail_next);
     }
     let farm = Farm::new(heads, FarmConfig { shards: Some(SHARDS), retries }).expect("farm");
-    (farm, fuses)
+    (farm, switches)
 }
 
 /// Burns the fuse of the busiest head (the one owning the most bands)
@@ -101,7 +122,7 @@ fn run_sabotaged_campaign(
     spec: JobSpec,
     retries: u32,
 ) -> (Result<atd_farm::FarmSubmitted, FarmError>, Farm<FlakyHead>, usize) {
-    let (mut farm, fuses) = flaky_fleet(retries);
+    let (mut farm, switches) = flaky_fleet(retries);
     let bands = plan(&spec, SHARDS).expect("plan");
     assert!(bands.len() > 1, "campaign spec must actually shard");
     let mut owned = [0usize; HEADS];
@@ -121,7 +142,7 @@ fn run_sabotaged_campaign(
         owned.get(victim).copied().unwrap_or(0) >= 2,
         "pigeonhole violated: no head owns two bands"
     );
-    fuses.get(victim).expect("victim fuse").store(1, Ordering::SeqCst);
+    switches.fuses.get(victim).expect("victim fuse").store(1, Ordering::SeqCst);
     let outcome = farm.submit(1, spec);
     (outcome, farm, victim)
 }
@@ -210,8 +231,8 @@ fn retry_budget_exhaustion_is_a_typed_error() {
 /// partial merge.
 #[test]
 fn total_fleet_loss_is_a_typed_error() {
-    let (mut farm, fuses) = flaky_fleet(3);
-    for fuse in &fuses {
+    let (mut farm, switches) = flaky_fleet(3);
+    for fuse in &switches.fuses {
         fuse.store(0, Ordering::SeqCst);
     }
     match farm.submit(1, wafer_spec()) {
@@ -246,11 +267,21 @@ fn out_of_envelope_specs_are_typed_errors_with_every_head_up() {
         test_bits: 48,
         ..minitester::WaferRunConfig::default()
     });
+    // A sweep needs both crossovers; before the spec check applied that
+    // rule, a one-point bathtub failed on every head in turn.
+    let one_point_bathtub = JobSpec::Bathtub {
+        rj_rms_fs: 3_200,
+        dj_pp_fs: 20_000,
+        rate_bps: DataRate::from_gbps(2.5).as_bps(),
+        transition_density: 0.5,
+        points: 1,
+    };
     for spec in [
         JobSpec::eye(DataRate::from_gbps(6.0), 256, 17, 5),
         JobSpec::eye(DataRate::from_gbps(20.0), 256, 17, 5),
         JobSpec::eye(DataRate::from_gbps(2.5), 100, 17, 5),
         wafer_48_bits,
+        one_point_bathtub,
     ] {
         match farm.submit(1, spec) {
             Err(FarmError::Spec(_)) => {}
@@ -260,4 +291,30 @@ fn out_of_envelope_specs_are_typed_errors_with_every_head_up() {
     }
     let served = farm.submit(1, eye_spec()).expect("a valid spec is served");
     assert_eq!(served.shards, 3);
+}
+
+/// A head that answers a job's failure is healthy: the farm returns the
+/// job's error with every head up, and the next spec is served in full.
+#[test]
+fn a_failed_answer_is_returned_with_every_head_up() {
+    let spec = eye_spec();
+    let baseline = single_head_bytes(spec);
+    let (mut farm, switches) = flaky_fleet(2);
+    let bands = plan(&spec, SHARDS).expect("plan");
+    let home = farm.route(bands.first().expect("bands")).expect("routable");
+    switches.fail_next.get(home).expect("home switch").store(true, Ordering::SeqCst);
+    match farm.submit(1, spec) {
+        Err(FarmError::Job { kind, error }) => {
+            assert_eq!(kind, "eye");
+            assert!(error.to_string().contains("injected job failure"), "{error}");
+        }
+        other => panic!("expected the job's error, got {other:?}"),
+    }
+    assert_eq!(farm.up_heads(), HEADS, "a failed answer must not take a head down");
+    assert_eq!(farm.stats().heads_down, 0);
+    assert_eq!(farm.stats().retry_rounds, 0, "a failed job is not retried elsewhere");
+    assert_eq!(farm.stats().per_head.get(home).map(|t| t.failed), Some(1));
+    let served = farm.submit(1, spec).expect("the next spec is served");
+    assert_eq!(served.result.encoded().expect("encode"), baseline);
+    assert_eq!(farm.up_heads(), HEADS);
 }
