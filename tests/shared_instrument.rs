@@ -10,6 +10,7 @@
 //! datapath (or tester, for a wafer) computes in the test itself, and
 //! the memo must never hold more than its bound.
 
+use std::sync::Barrier;
 use std::thread;
 
 use atd::workload::execute;
@@ -190,9 +191,11 @@ fn kept_patterns() -> usize {
 }
 
 /// Runs `specs` through the shared instrument on a pool of `threads`
-/// workers, checking the memo's bound after every job.
-fn run_shared(specs: &[JobSpec], threads: usize) -> Vec<Vec<u8>> {
+/// workers once every caller of `start` is ready, checking the memo's
+/// bound after every job.
+fn run_shared(specs: &[JobSpec], threads: usize, start: &Barrier) -> Vec<Vec<u8>> {
     let pool = ExecPool::new(threads);
+    start.wait();
     specs
         .iter()
         .map(|spec| {
@@ -212,9 +215,10 @@ fn the_shared_instrument_matches_fresh_boots_across_evictions_and_threads() {
     // first keys evicted; the other thread runs it in reverse order.
     let twice: Vec<JobSpec> = specs.iter().chain(&specs).copied().collect();
     let reversed: Vec<JobSpec> = twice.iter().rev().copied().collect();
+    let start = Barrier::new(2);
     let (forward, backward) = thread::scope(|scope| {
-        let forward = scope.spawn(|| run_shared(&twice, 1));
-        let backward = scope.spawn(|| run_shared(&reversed, 4));
+        let forward = scope.spawn(|| run_shared(&twice, 1, &start));
+        let backward = scope.spawn(|| run_shared(&reversed, 4, &start));
         (forward.join().unwrap(), backward.join().unwrap())
     });
     for (i, spec) in twice.iter().enumerate() {
