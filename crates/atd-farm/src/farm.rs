@@ -8,10 +8,9 @@
 //! unfinished sub-specs re-route to the survivors in the next round, up
 //! to [`FarmConfig::retries`] extra rounds. A head that answers a job's
 //! failure stays up, and the submission returns that error after the
-//! round. Results are keyed by plan
-//! index, so the final merge order — and therefore the merged bytes —
-//! is independent of which heads ran what, in which round, on how many
-//! coordinator threads.
+//! round. Results are keyed by plan index, so the final merge order —
+//! and therefore the merged bytes — is independent of which heads ran
+//! what, in which round, on how many coordinator threads.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
